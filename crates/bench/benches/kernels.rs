@@ -286,6 +286,46 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
     });
 
+    // The delta shape the NoC campaign actually issues: 48 of the 64
+    // 5×5 tile blocks change (the campaign averages ~48 changed tiles
+    // per cycle), including block 0, so the forward pass starts at
+    // node 0 and the solve costs what a full one does.
+    c.bench_function("grid_solve_delta_1600_48blocks", |b| {
+        let grid = chip_grid();
+        let prior = grid.solve_sparse(&chip_loads).unwrap();
+        let changed: Vec<(usize, f64)> = (0..64)
+            .filter(|blk| blk % 4 != 3)
+            .flat_map(|blk: usize| {
+                let (br, bc) = (blk / 8, blk % 8);
+                let load = 1.0e-4 * (2 + blk % 5) as f64;
+                (0..25).map(move |q| ((br * 5 + q / 5) * 40 + bc * 5 + q % 5, load))
+            })
+            .collect();
+        b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
+    });
+
+    // One `CycleStepper::step` of the reference 8×8-mesh chip (uniform
+    // traffic, 40×40 grid): activity, current map, the in-place delta
+    // update and the boost check. The run rewinds to cycle 1 (past the
+    // cycle-0 full solve) whenever it reaches the planned horizon, so
+    // every timed step is an in-horizon cycle.
+    c.bench_function("stepper_step_8x8", |b| {
+        use psnt_workload::stepper::CycleStepper;
+        use psnt_workload::{NocWorkload, NocWorkloadConfig};
+        let workload = NocWorkload::new(NocWorkloadConfig::chip_8x8()).unwrap();
+        let horizon = workload.config().cycles;
+        let mut stepper =
+            CycleStepper::new(&workload, &mut RunCtx::serial().with_seed(2009)).unwrap();
+        stepper.step().unwrap();
+        let start = stepper.snapshot();
+        b.iter(|| {
+            if stepper.cycle() == horizon {
+                stepper.restore(&start).unwrap();
+            }
+            stepper.step().unwrap()
+        })
+    });
+
     // Quasi-static transient over 20 steps; each step warm-starts from
     // the previous instant's solution.
     c.bench_function("grid_transient_4x4_20steps", |b| {

@@ -698,7 +698,7 @@ impl Campaign {
     /// explicit sampling instants, skipping the internal relaxation
     /// transient entirely. This is the fast path for workload-driven
     /// campaigns whose rail waveforms come from the sparse PDN solver
-    /// ([`psnt_pdn::grid::PowerGrid::solve_delta`]) — at 1,600 nodes a
+    /// ([`psnt_pdn::grid::PowerGrid::update_delta`]) — at 1,600 nodes a
     /// per-cycle relaxation sweep would dwarf the measurement cost.
     ///
     /// Only instrumented tiles' waveforms are sampled; uninstrumented

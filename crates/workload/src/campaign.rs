@@ -6,10 +6,11 @@
 //! 1. [`ActivityTrace`](crate::noc::ActivityTrace) turns seed-split
 //!    traffic streams into per-mesh-tile switching counts;
 //! 2. each mesh tile's current (`idle + flit·count`) is spread over its
-//!    block of power-grid nodes, and the grid is re-solved every cycle
-//!    through [`PowerGrid::solve_delta`] — only blocks whose activity
-//!    changed enter the solver, so a 1,600-node grid sustains
-//!    1,000-cycle campaigns in well under a second;
+//!    block of power-grid nodes, and the grid solution is updated in
+//!    place every cycle through [`PowerGrid::update_delta`] — only
+//!    blocks whose activity changed enter the right-hand side, so a
+//!    1,600-node grid sustains 1,000-cycle campaigns in well under a
+//!    second;
 //! 3. the per-site rail waveforms and window-centre instants feed the
 //!    scan layer's `from_rails` entry points, in memory
 //!    ([`NocWorkload::run`]) or streamed record-by-record

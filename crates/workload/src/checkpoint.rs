@@ -37,7 +37,13 @@ use crate::stepper::StepperSnapshot;
 
 /// Schema version stamped into every checkpoint; loads refuse other
 /// versions instead of misinterpreting the payload.
-pub const CHECKPOINT_VERSION: u32 = 1;
+///
+/// Version 2 marks grid solutions computed by the vectorised PDN
+/// substitution kernel. A version-1 snapshot holds voltages from the
+/// earlier float program: resuming it would continue the delta chain
+/// from state this build never produces, silently breaking resume
+/// bit-identity, so it is refused instead.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Where and how often a supervised run snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -242,5 +248,78 @@ mod tests {
             Err(WorkloadError::Checkpoint { .. })
         ));
         fs::remove_file(&garbage).unwrap();
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused_with_a_schema_error() {
+        use crate::campaign::{NocWorkload, NocWorkloadConfig};
+        use crate::stepper::CycleStepper;
+        use psnt_ctx::RunCtx;
+        use psnt_engine::RetryPolicy;
+
+        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
+        let mut stepper = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(5)).unwrap();
+        stepper.step().unwrap();
+        let open = WorkloadCheckpoint {
+            version: 1,
+            seed: 5,
+            stepper: stepper.snapshot(),
+            stats_done: Vec::new(),
+            site_points: Vec::new(),
+        };
+        let closed = MitigatedCheckpoint {
+            version: 1,
+            seed: 5,
+            policy: "open-loop".into(),
+            stepper: stepper.snapshot(),
+            stats_done: Vec::new(),
+            droop_trace: Vec::new(),
+            actuation_trace: Vec::new(),
+            worst_droop: 0.0,
+            worst_droop_cycle: 0,
+            engaged_cycles: 0,
+            degraded_readings: 0,
+            deferred_peak: 0,
+            in_flight: Vec::new(),
+            act: Actuation::neutral(4),
+            mitigator_state: None,
+        };
+        let schema_error = |r: Result<(), WorkloadError>| match r {
+            Err(WorkloadError::Checkpoint { reason, .. }) => {
+                assert_eq!(reason, "schema version 1, this build reads 2");
+            }
+            other => panic!("expected a schema-version error, got {other:?}"),
+        };
+
+        // From disk: the load itself refuses.
+        let dir = std::env::temp_dir().join("psnt-ckpt-test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1-open.ckpt");
+        open.save(&path).unwrap();
+        schema_error(WorkloadCheckpoint::load(&path).map(drop));
+        let path_closed = dir.join("v1-closed.ckpt");
+        closed.save(&path_closed).unwrap();
+        schema_error(MitigatedCheckpoint::load(&path_closed).map(drop));
+        fs::remove_file(&path).unwrap();
+        fs::remove_file(&path_closed).unwrap();
+
+        // In memory: both resume entry points refuse before stepping.
+        let resume_error = |e: WorkloadError| {
+            assert!(
+                matches!(&e, WorkloadError::InvalidConfig { name: "resume", reason }
+                    if reason.contains("schema version 1")),
+                "{e:?}"
+            );
+        };
+        let none = CheckpointPolicy::none();
+        let mut ctx = RunCtx::serial().with_seed(5);
+        resume_error(
+            w.run_checkpointed(&mut ctx, RetryPolicy::none(), &none, Some(&open))
+                .unwrap_err(),
+        );
+        resume_error(
+            w.run_mitigated_checkpointed(&mut ctx, None, 1, &none, Some(&closed))
+                .unwrap_err(),
+        );
     }
 }

@@ -13,7 +13,7 @@
 //! * [`noc`] — the mesh, XY routing and the per-cycle activity trace;
 //! * [`stepper`] — [`CycleStepper`], the cycle-stepped co-simulation
 //!   core: activity source → current map → incremental grid state
-//!   ([`PowerGrid::solve_delta`](psnt_pdn::grid::PowerGrid::solve_delta)),
+//!   ([`PowerGrid::update_delta`](psnt_pdn::grid::PowerGrid::update_delta)),
 //!   with a sanctioned [`Actuation`](psnt_control::Actuation) door for
 //!   closed-loop control;
 //! * [`campaign`] — [`NocWorkload`]: the batch entry points, now thin

@@ -4,8 +4,8 @@
 //! batch pipeline used to fuse: **activity source** (the seed-split
 //! injection plan from [`ActivityTrace::plan`], walked flit-by-flit) →
 //! **current map** (per-tile switching counts scaled by the actuation's
-//! clock-stretch into node loads) → **grid state** (one incremental
-//! [`PowerGrid::solve_delta`](psnt_pdn::grid::PowerGrid::solve_delta)
+//! clock-stretch into node loads) → **grid state** (one in-place
+//! [`PowerGrid::update_delta`](psnt_pdn::grid::PowerGrid::update_delta)
 //! per changed cycle, plus the supply-boost overlay). The sense-frame
 //! stage sits in the drivers: the batch paths sample node voltages into
 //! rail waveforms, the mitigated driver senses thermometer codes with
@@ -114,6 +114,8 @@ pub struct CycleStepper<'w> {
     eff_counts: Vec<u32>,
     prev_eff: Vec<u32>,
     sol: Option<GridSolution>,
+    /// The cycle's changed `(node, load)` set, reused across cycles.
+    changed: Vec<(usize, f64)>,
     boosted: Vec<f64>,
     boost_active: bool,
     act: Actuation,
@@ -149,6 +151,7 @@ impl<'w> CycleStepper<'w> {
             eff_counts: vec![0; tiles],
             prev_eff: vec![0; tiles],
             sol: None,
+            changed: Vec::new(),
             boosted: Vec::new(),
             boost_active: false,
             act: Actuation::neutral(tiles),
@@ -235,21 +238,26 @@ impl<'w> CycleStepper<'w> {
         }
 
         // Stage 3 — grid state: full sparse solve at cycle 0, then one
-        // incremental delta per cycle whose effective counts moved.
+        // in-place delta update per cycle whose effective counts moved
+        // (the same arithmetic as `PowerGrid::solve_delta`, minus the
+        // clone; the changed set and the solve scratch are reused).
         let grid = self.workload.campaign().floorplan().grid();
         let node_load = self.workload.node_load_fn();
-        if let Some(prior) = self.sol.as_ref() {
-            let mut changed: Vec<(usize, f64)> = Vec::new();
+        if let Some(sol) = self.sol.as_mut() {
+            // PDN HOT LOOP START
+            self.changed.clear();
             for t in 0..tiles {
                 if self.eff_counts[t] != self.prev_eff[t] {
                     let l = node_load(self.eff_counts[t]);
-                    changed.extend(self.workload.block_nodes(t).iter().map(|&nd| (nd, l)));
+                    self.changed
+                        .extend(self.workload.block_nodes(t).iter().map(|&nd| (nd, l)));
                 }
             }
-            if !changed.is_empty() {
-                self.sol = Some(grid.solve_delta(prior, &changed)?);
+            if !self.changed.is_empty() {
+                grid.update_delta(sol, &self.changed)?;
                 self.delta_solves += 1;
             }
+            // PDN HOT LOOP END
         } else {
             let mut loads = vec![0.0; grid.tiles()];
             for t in 0..tiles {

@@ -78,6 +78,34 @@ if [ -n "$batch_hot_vec" ]; then
     exit 1
 fi
 
+echo "==> PDN hot-loop allocation gate"
+# The per-cycle PDN path must not allocate: the banded substitution
+# kernel and the in-place delta update (crates/pdn/src/grid.rs) and the
+# stepper's grid stage (crates/workload/src/stepper.rs) reuse their
+# buffers. Between the PDN HOT LOOP markers no `Vec<`, `vec!`,
+# `.clone()` or `.to_vec()` may appear, and the markers must be present
+# and paired so deleting one cannot switch the gate off.
+pdn_hot=""
+for f in crates/pdn/src/grid.rs crates/workload/src/stepper.rs; do
+    starts=$(grep -c 'PDN HOT LOOP START' "$f" || true)
+    ends=$(grep -c 'PDN HOT LOOP END' "$f" || true)
+    if [ "$starts" -eq 0 ] || [ "$starts" -ne "$ends" ]; then
+        echo "$f: expected paired PDN HOT LOOP markers, found $starts START / $ends END" >&2
+        exit 1
+    fi
+    hits=$(awk '/PDN HOT LOOP START/{on=1} /PDN HOT LOOP END/{on=0}
+        on && /Vec<|vec!|\.clone\(\)|\.to_vec\(\)/{print FILENAME ":" FNR ": " $0}' "$f")
+    if [ -n "$hits" ]; then
+        pdn_hot="${pdn_hot}${hits}
+"
+    fi
+done
+if [ -n "$pdn_hot" ]; then
+    echo "allocation inside a PDN hot-loop region (between the PDN HOT LOOP markers):" >&2
+    echo "$pdn_hot" >&2
+    exit 1
+fi
+
 echo "==> sim-time purity gate (crates/control)"
 # Controllers are sim-time pure: decisions are functions of observed
 # frames and their own state, never wall-clock time. Any Instant::now
