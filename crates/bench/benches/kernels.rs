@@ -326,6 +326,44 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
+    // Save + load of the reference chip's checkpoint at cycle 500 (of
+    // 1,000): the 256 sites' rail histories dominate the file. The
+    // snapshot comes from a library run interrupted at cycle 500, so
+    // the timed file is exactly what a supervised campaign writes.
+    {
+        use psnt_fault::{Fault, FaultPlan};
+        use psnt_workload::checkpoint::CheckpointPolicy;
+        use psnt_workload::{NocWorkload, NocWorkloadConfig, WorkloadCheckpoint};
+        let dir = std::env::temp_dir().join(format!("psnt-kernels-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chip-8x8-500c.ckpt");
+        let workload = NocWorkload::new(NocWorkloadConfig::chip_8x8()).unwrap();
+        let mut ctx = RunCtx::serial()
+            .with_seed(2009)
+            .with_fault_plan(FaultPlan::new().with(Fault::CancelAt { cycle: 500 }));
+        let policy = CheckpointPolicy {
+            path: Some(path.clone()),
+            every: None,
+        };
+        let interrupted = workload.run_streamed_checkpointed(
+            &mut ctx,
+            psnt_engine::RetryPolicy::none(),
+            &policy,
+            None,
+            |_| Ok(()),
+        );
+        assert!(interrupted.is_err(), "the run must stop at cycle 500");
+        let ckpt = WorkloadCheckpoint::load(&path).unwrap();
+        assert_eq!(ckpt.cycle(), 500);
+        c.bench_function("checkpoint_save_load_8x8_500c", |b| {
+            b.iter(|| {
+                ckpt.save(&path).unwrap();
+                WorkloadCheckpoint::load(&path).unwrap()
+            })
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     // Quasi-static transient over 20 steps; each step warm-starts from
     // the previous instant's solution.
     c.bench_function("grid_transient_4x4_20steps", |b| {

@@ -124,7 +124,9 @@ echo "==> supervisor-path unwrap gate"
 # `WorkloadError::Checkpoint`) — it must never panic on the way down.
 # Non-test code in the supervision-critical files is barred from bare
 # `.unwrap()`; test modules (everything at and below the `#[cfg(test)]`
-# marker) are exempt.
+# marker) are exempt. The checkpoint module (format and rail-series
+# codec) decodes untrusted disk input, so there `.expect(` is barred
+# too: a malformed file must come back as `WorkloadError::Checkpoint`.
 sup_unwraps=""
 for f in crates/sup/src/lib.rs crates/ctx/src/lib.rs \
          crates/workload/src/checkpoint.rs crates/workload/src/campaign.rs \
@@ -137,8 +139,14 @@ for f in crates/sup/src/lib.rs crates/ctx/src/lib.rs \
 "
     fi
 done
+ckpt_expects=$(awk '/#\[cfg\(test\)\]/{exit} /\.expect\(/{print FILENAME ":" FNR ": " $0}' \
+    crates/workload/src/checkpoint.rs)
+if [ -n "$ckpt_expects" ]; then
+    sup_unwraps="${sup_unwraps}${ckpt_expects}
+"
+fi
 if [ -n "$sup_unwraps" ]; then
-    echo "bare .unwrap() in supervision-path non-test code:" >&2
+    echo "bare .unwrap() (or .expect( in the checkpoint decoder) in supervision-path non-test code:" >&2
     echo "$sup_unwraps" >&2
     exit 1
 fi
