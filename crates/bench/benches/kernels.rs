@@ -231,21 +231,9 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("grid_solve_8x8", |b| {
-        let grid = PowerGrid::corner_fed(
-            8,
-            Voltage::from_v(1.0),
-            Resistance::from_milliohms(40.0),
-            Resistance::from_milliohms(10.0),
-        )
-        .unwrap();
-        let loads = vec![0.05f64; 64];
-        b.iter(|| grid.solve(&loads).unwrap())
-    });
-
-    // The workload-scale grid (40×40 = 1,600 nodes). The next four
-    // benches pin the sparse-solver story: factor once, then per-cycle
-    // solves orders of magnitude below a relaxation sweep.
+    // The workload-scale grid (40×40 = 1,600 nodes). The next benches
+    // pin the direct-solver story: factor once, then cheap per-cycle
+    // full and delta solves.
     let chip_grid = || {
         PowerGrid::new(
             40,
@@ -263,11 +251,6 @@ fn bench_kernels(c: &mut Criterion) {
         // A fresh grid per iteration so the lazily cached banded
         // Cholesky factor is actually rebuilt.
         b.iter(|| chip_grid().factor().bandwidth())
-    });
-
-    c.bench_function("grid_solve_dense_1600", |b| {
-        let grid = chip_grid();
-        b.iter(|| grid.solve(&chip_loads).unwrap())
     });
 
     c.bench_function("grid_solve_sparse_1600", |b| {
@@ -364,8 +347,8 @@ fn bench_kernels(c: &mut Criterion) {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // Quasi-static transient over 20 steps; each step warm-starts from
-    // the previous instant's solution.
+    // Quasi-static transient over 21 instants, one solve through the
+    // cached factor each.
     c.bench_function("grid_transient_4x4_20steps", |b| {
         let grid = PowerGrid::corner_fed(
             4,

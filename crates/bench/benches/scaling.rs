@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use psnt_bench::figures::scan_campaign;
 use psnt_cells::units::Time;
 use psnt_ctx::RunCtx;
-use psnt_engine::Engine;
+use psnt_engine::{Engine, RetryPolicy};
 
 fn bench_parallel_scaling(c: &mut Criterion) {
     let (campaign, loads) = scan_campaign();
@@ -27,7 +27,15 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         group.bench_function(&format!("scan_16sites/jobs={jobs}"), |b| {
             b.iter(|| {
                 campaign
-                    .run(&mut ctx, std::hint::black_box(&loads), start, dt, 8)
+                    .run_resilient(
+                        &mut ctx,
+                        std::hint::black_box(&loads),
+                        None,
+                        start,
+                        dt,
+                        8,
+                        RetryPolicy::none(),
+                    )
                     .unwrap()
             })
         });

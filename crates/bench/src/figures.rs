@@ -593,9 +593,9 @@ pub fn scan_campaign() -> (Campaign, Vec<Waveform>) {
 /// context's engine and telemetry flows through its observer; the
 /// rendered report is bit-identical at any worker count.
 pub fn scan(ctx: &mut RunCtx<'_>) -> String {
-    // Spatial noise map. The resilient runner is bit-identical to
-    // `run_dual` when the context carries no fault plan, and completes
-    // with a partial map (degraded sites called out below) when it does.
+    // Spatial noise map. With no fault plan in the context every site
+    // measures; with one, the campaign completes with a partial map
+    // (degraded sites called out below).
     let (campaign, loads) = scan_campaign();
     let resilient = campaign
         .run_resilient(
@@ -880,8 +880,13 @@ pub fn fault_coverage(ctx: &mut RunCtx<'_>) -> String {
         .collect();
 
     // The fault universe, one class id per plan. Delay factors span
-    // 4× fast to 6× slow; 8 distinct factors per gate keeps the batch
-    // kernel's delay banding exact (no quantisation).
+    // 4× fast to 6× slow. The 8 factors per gate do NOT keep the batch
+    // kernel's delay banding exact: a 64-lane chunk that holds delay or
+    // cross plans (plans 512–1,015) also has lanes that leave the gate
+    // unfaulted at 1.0, so the gate sees 9 distinct factors, one more
+    // than `MAX_DELAY_BANDS`, and all of that gate's factors, the
+    // healthy 1.0 included, are snapped to the geometric grid. Those
+    // rows are approximate until the kernel handles the overflow.
     const CLASSES: [&str; 4] = [
         "single stuck-at (SA0+SA1, every net)",
         "double stuck-at (every net pair x 4 values)",

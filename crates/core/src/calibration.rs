@@ -36,7 +36,6 @@
 use psnt_cells::process::Pvt;
 use psnt_cells::units::{Capacitance, Time, Voltage};
 use psnt_ctx::RunCtx;
-use psnt_engine::Engine;
 use serde::{Deserialize, Serialize};
 
 use crate::element::{RailMode, SenseElement};
@@ -162,18 +161,6 @@ pub fn array_characteristic(
     })
 }
 
-/// [`array_characteristic`] with a bare engine handle.
-#[deprecated(since = "0.1.0", note = "use `array_characteristic` with a `RunCtx`")]
-pub fn array_characteristic_on(
-    engine: &Engine,
-    array: &ThermometerArray,
-    pg: &PulseGenerator,
-    code: DelayCode,
-    pvt: &Pvt,
-) -> Result<ArrayCharacteristic, SensorError> {
-    array_characteristic(&mut RunCtx::new(engine.clone()), array, pg, code, pvt)
-}
-
 /// The result of a corner trim.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrimResult {
@@ -238,31 +225,12 @@ pub fn trim_for_corner(
     })
 }
 
-/// [`trim_for_corner`] with a bare engine handle.
-#[deprecated(since = "0.1.0", note = "use `trim_for_corner` with a `RunCtx`")]
-pub fn trim_for_corner_on(
-    engine: &Engine,
-    array: &ThermometerArray,
-    pg: &PulseGenerator,
-    reference_code: DelayCode,
-    reference_pvt: &Pvt,
-    corner_pvt: &Pvt,
-) -> Result<TrimResult, SensorError> {
-    trim_for_corner(
-        &mut RunCtx::new(engine.clone()),
-        array,
-        pg,
-        reference_code,
-        reference_pvt,
-        corner_pvt,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use psnt_cells::process::ProcessCorner;
     use psnt_cells::units::Temperature;
+    use psnt_engine::Engine;
 
     fn pvt() -> Pvt {
         Pvt::typical()

@@ -43,7 +43,7 @@ use psnt_cells::logic::Logic;
 use psnt_cells::units::{Capacitance, Time};
 use psnt_ctx::RunCtx;
 use psnt_netlist::graph::{NetId, Netlist};
-use psnt_obs::{Event as ObsEvent, Observer};
+use psnt_obs::Event as ObsEvent;
 use serde::{Deserialize, Serialize};
 
 /// The FSM states of Fig. 8 (with the two clock-phase sub-states of the
@@ -209,21 +209,6 @@ impl Controller {
             }
         }
         out
-    }
-
-    /// [`Controller::step_ctx`] with a bare optional observer.
-    #[deprecated(since = "0.1.0", note = "use `step_ctx` with a `RunCtx`")]
-    pub fn step_observed(
-        &mut self,
-        inputs: CtrlInputs,
-        at: Time,
-        observer: Option<&mut Observer>,
-    ) -> CtrlOutputs {
-        self.step_ctx(
-            &mut RunCtx::serial().with_observer_opt(observer),
-            inputs,
-            at,
-        )
     }
 
     /// Outputs for the current state.

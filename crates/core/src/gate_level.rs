@@ -263,22 +263,6 @@ impl GateLevelArray {
         Ok(self.measure_detailed(ctx, rail, skew)?.0)
     }
 
-    /// [`GateLevelArray::measure`] on a caller-held simulator from
-    /// [`GateLevelArray::make_sim`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    #[deprecated(since = "0.1.0", note = "use `measure` with a `RunCtx`")]
-    pub fn measure_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        rail: Voltage,
-        skew: Time,
-    ) -> Result<ThermometerCode, SensorError> {
-        Ok(self.measure_detailed_on(sim, rail, skew)?.0)
-    }
-
     /// Like [`GateLevelArray::measure`], but also returning the PREPARE
     /// code read just before the SENSE launch (the paper's Fig. 9 shows
     /// it as `0000000`).
@@ -313,21 +297,6 @@ impl GateLevelArray {
             sim.fold_profile_into(&mut obs.metrics);
         }
         result
-    }
-
-    /// [`GateLevelArray::measure_detailed`] on a caller-held simulator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    #[deprecated(since = "0.1.0", note = "use `measure_detailed` with a `RunCtx`")]
-    pub fn measure_detailed_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        rail: Voltage,
-        skew: Time,
-    ) -> Result<(ThermometerCode, ThermometerCode), SensorError> {
-        self.measure_detailed_on(sim, rail, skew)
     }
 
     fn measure_detailed_on(
@@ -904,21 +873,6 @@ impl GateLevelPulseGen {
         result
     }
 
-    /// [`GateLevelPulseGen::measured_skew`] on a caller-held simulator
-    /// from [`GateLevelPulseGen::make_sim`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    #[deprecated(since = "0.1.0", note = "use `measured_skew` with a `RunCtx`")]
-    pub fn measured_skew_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        code: crate::pulsegen::DelayCode,
-    ) -> Result<Time, SensorError> {
-        self.measured_skew_on(sim, code)
-    }
-
     fn measured_skew_on(
         &self,
         sim: &mut Simulator<'_>,
@@ -1150,23 +1104,6 @@ impl GateLevelSystem {
             sim.fold_profile_into(&mut obs.metrics);
         }
         result
-    }
-
-    /// [`GateLevelSystem::run_measures`] on a caller-held simulator
-    /// from [`GateLevelSystem::make_sim`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures, and reports a missing pulse if a
-    /// sequence did not produce P/CP edges.
-    #[deprecated(since = "0.1.0", note = "use `run_measures` with a `RunCtx`")]
-    pub fn run_measures_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        code: crate::pulsegen::DelayCode,
-        rails: &[Voltage],
-    ) -> Result<Vec<GateLevelMeasure>, SensorError> {
-        self.run_measures_on(sim, code, rails)
     }
 
     fn run_measures_on(

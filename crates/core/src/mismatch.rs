@@ -35,7 +35,7 @@ use psnt_cells::delay::AlphaPowerDelay;
 use psnt_cells::process::Pvt;
 use psnt_cells::units::{Time, Voltage};
 use psnt_ctx::RunCtx;
-use psnt_engine::{lane_seed, Engine, JobSpec};
+use psnt_engine::{lane_seed, JobSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -493,35 +493,11 @@ pub fn monte_carlo_yield_scalar(
     })
 }
 
-/// [`monte_carlo_yield`] with the trials parallelized on `engine`.
-///
-/// # Errors
-///
-/// Propagates threshold-search failures.
-#[deprecated(since = "0.1.0", note = "use `monte_carlo_yield` with a `RunCtx`")]
-pub fn monte_carlo_yield_on(
-    engine: &Engine,
-    array: &ThermometerArray,
-    skew: Time,
-    pvt: &Pvt,
-    model: &MismatchModel,
-    n: usize,
-    seed: u64,
-) -> Result<YieldReport, SensorError> {
-    monte_carlo_yield(
-        &mut RunCtx::new(engine.clone()).with_seed(seed),
-        array,
-        skew,
-        pvt,
-        model,
-        n,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::element::RailMode;
+    use psnt_engine::Engine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -35,7 +35,7 @@
 use psnt_cells::process::Pvt;
 use psnt_cells::units::{Time, Voltage};
 use psnt_ctx::RunCtx;
-use psnt_obs::{Event as ObsEvent, Observer};
+use psnt_obs::Event as ObsEvent;
 use psnt_pdn::waveform::Waveform;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -222,20 +222,6 @@ impl SensorSystem {
             );
         }
         Ok((hs_trim, ls_trim))
-    }
-
-    /// [`SensorSystem::trim`] with an explicit optional observer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates characterisation failures.
-    #[deprecated(since = "0.1.0", note = "use `trim` with a `RunCtx`")]
-    pub fn trim_observed(
-        &mut self,
-        corner: &Pvt,
-        observer: Option<&mut Observer>,
-    ) -> Result<(TrimResult, TrimResult), SensorError> {
-        self.trim(&mut RunCtx::serial().with_observer_opt(observer), corner)
     }
 
     /// The PREPARE-phase output of the HS array — always the all-fail
@@ -435,29 +421,6 @@ impl SensorSystem {
             }
         }
         Ok(out)
-    }
-
-    /// [`SensorSystem::run`] with an explicit optional observer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SensorSystem::measure_at`] failures.
-    #[deprecated(since = "0.1.0", note = "use `run` with a `RunCtx`")]
-    pub fn run_observed(
-        &mut self,
-        vdd: &Waveform,
-        gnd: &Waveform,
-        from: Time,
-        count: usize,
-        observer: Option<&mut Observer>,
-    ) -> Result<Vec<Measurement>, SensorError> {
-        self.run(
-            &mut RunCtx::serial().with_observer_opt(observer),
-            vdd,
-            gnd,
-            from,
-            count,
-        )
     }
 
     /// The FSM state after the last [`SensorSystem::run`] (diagnostics).

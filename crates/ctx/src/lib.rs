@@ -15,16 +15,18 @@
 //!   cache via `reset()` instead of rebuilding the kernel, and
 //! * the SplitMix64 seed policy used to derive per-trial RNG streams.
 //!
-//! Every layer takes `&mut RunCtx` as its first argument; the old
-//! suffixed variants survive as `#[deprecated]` one-line shims that
-//! build a default context (serial engine, no observer).
+//! Every layer takes `&mut RunCtx` as its first argument, and the old
+//! suffixed variants are gone: a caller that wants the old default
+//! builds [`RunCtx::serial`] (serial engine, no observer).
 //!
 //! # Determinism contract
 //!
-//! A `RunCtx` never changes observable results: for any workload the
-//! ctx path is bit-identical to the legacy variants at any worker
-//! count, and record-for-record identical in the telemetry stream.
-//! This is pinned by the `ctx_equiv` proptests at the workspace root.
+//! A `RunCtx` never changes observable results: results are
+//! bit-identical at any worker count and with or without an observer,
+//! and the telemetry stream is record-for-record identical at any
+//! worker count once wall times and the pool's own worker and claim
+//! counts are masked. The workspace's
+//! `parallel`, `trace_tree` and `stepper_equiv` suites pin this.
 //!
 //! ```
 //! use psnt_ctx::RunCtx;
@@ -180,8 +182,8 @@ impl Default for RunCtx<'_> {
 }
 
 impl<'env> RunCtx<'env> {
-    /// The default context the deprecated shims construct: serial
-    /// engine, no observer, seed 0, empty pool.
+    /// The default context: serial engine, no observer, seed 0, empty
+    /// pool.
     pub fn serial() -> RunCtx<'env> {
         RunCtx::new(Engine::serial())
     }
@@ -212,8 +214,8 @@ impl<'env> RunCtx<'env> {
         self
     }
 
-    /// Attaches an optional observer (builder style) — the shape the
-    /// legacy `*_observed(…, Option<&mut Observer>)` shims need.
+    /// Attaches an optional observer (builder style), for callers that
+    /// hold one only when telemetry was requested (as `repro` does).
     #[must_use]
     pub fn with_observer_opt(mut self, observer: Option<&'env mut Observer>) -> RunCtx<'env> {
         self.observer = observer;

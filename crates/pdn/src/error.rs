@@ -27,13 +27,6 @@ pub enum PdnError {
         /// Grid columns.
         cols: usize,
     },
-    /// The iterative grid solver failed to converge.
-    NoConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Residual at abort.
-        residual: f64,
-    },
     /// A supervised solve loop (e.g. `quasi_static_transient` driven by
     /// a context whose supervisor is armed) was stopped cooperatively.
     Interrupted(psnt_sup::Interrupt),
@@ -60,12 +53,6 @@ impl fmt::Display for PdnError {
                 cols,
             } => {
                 write!(f, "tile ({row}, {col}) outside {rows}×{cols} grid")
-            }
-            PdnError::NoConvergence {
-                iterations,
-                residual,
-            } => {
-                write!(f, "grid solver did not converge after {iterations} iterations (residual {residual:.3e})")
             }
             PdnError::Interrupted(reason) => {
                 write!(f, "pdn solve interrupted: {reason}")
@@ -102,12 +89,6 @@ mod tests {
         }
         .to_string()
         .contains("9"));
-        assert!(PdnError::NoConvergence {
-            iterations: 10,
-            residual: 1.0
-        }
-        .to_string()
-        .contains("converge"));
         assert!(PdnError::InvalidParameter {
             name: "r",
             reason: "neg".into()

@@ -7,24 +7,23 @@
 //! `rows × cols` resistive mesh fed from pad nodes, with a load current
 //! per tile; solving the nodal equations gives each tile's local supply.
 //!
-//! Two solvers share the grid:
+//! One direct solver serves every caller: a banded sparse Cholesky
+//! factorization of the (fixed) conductance matrix ([`GridFactor`],
+//! factored **once per grid** and cached).
 //!
-//! * [`PowerGrid::solve`] / [`PowerGrid::solve_from`] — Gauss–Seidel
-//!   relaxation with successive over-relaxation, entirely adequate for
-//!   the few-hundred-node grids the paper experiments use, with a
-//!   convergence guard returning [`PdnError::NoConvergence`] otherwise;
-//! * [`PowerGrid::solve_sparse`] / [`PowerGrid::solve_delta`] /
-//!   [`PowerGrid::update_delta`] — a direct path over a banded sparse
-//!   Cholesky factorization of the (fixed) conductance matrix
-//!   ([`GridFactor`], factored **once per grid** and cached), sized for
-//!   chip-scale workload campaigns. A delta solve re-solves from a prior
-//!   [`GridSolution`] given only the load entries that changed: the
-//!   right-hand side is assembled in O(changed loads) and the forward
-//!   substitution starts at the first changed node, but the backward
-//!   substitution always sweeps the whole band, so a delta solve costs
-//!   O(n · band) like a full solve, with a smaller constant. On a
-//!   40×40 (1,600-node) grid that is tens of microseconds, against
-//!   hundreds of milliseconds for a cold relaxation sweep.
+//! * [`PowerGrid::solve_sparse`] solves one load pattern, and
+//!   [`PowerGrid::quasi_static_transient`] and [`PowerGrid::hotspot`]
+//!   are built on it;
+//! * [`PowerGrid::solve_delta`] / [`PowerGrid::update_delta`] re-solve
+//!   from a prior [`GridSolution`] given only the load entries that
+//!   changed: the right-hand side is assembled in O(changed loads) and
+//!   the forward substitution starts at the first changed node, but the
+//!   backward substitution always sweeps the whole band, so a delta
+//!   solve costs O(n · band) like a full solve, with a smaller constant.
+//!   On a 40×40 (1,600-node) grid that is tens of microseconds.
+//!
+//! Gauss–Seidel relaxation survives only as the test-side oracle the
+//! direct solver is checked against.
 //!
 //! # Examples
 //!
@@ -39,9 +38,9 @@
 //! // 100 mA drawn at the centre tiles.
 //! let mut loads = vec![0.0; 16];
 //! loads[5] = 0.1; loads[6] = 0.1; loads[9] = 0.1; loads[10] = 0.1;
-//! let v = grid.solve(&loads)?;
+//! let v = grid.solve_sparse(&loads)?;
 //! // Centre tiles sag more than the corners next to the pads.
-//! assert!(v[5] < v[0]);
+//! assert!(v.voltages()[5] < v.voltages()[0]);
 //! # Ok::<(), psnt_pdn::error::PdnError>(())
 //! ```
 
@@ -74,9 +73,8 @@ struct GridCache {
 /// stays inside that band, so the factor is stored as a dense band of
 /// `n × (band + 1)` entries. Factoring costs `O(n · band²)` once per
 /// grid; each subsequent [`PowerGrid::solve_sparse`] is a direct
-/// `O(n · band)` substitution pair — for the 40×40 campaign grid that
-/// is ~130 k flops per solve versus hundreds of full sweeps for a cold
-/// Gauss–Seidel relaxation.
+/// `O(n · band)` substitution pair — ~130 k flops per solve on the
+/// 40×40 campaign grid.
 ///
 /// # Float contract
 ///
@@ -509,42 +507,22 @@ impl PowerGrid {
         }
     }
 
-    /// The Gauss–Seidel/SOR sweep shared by [`PowerGrid::solve`] and
-    /// [`PowerGrid::solve_from`]: starts from `v0` (pad voltage
-    /// everywhere when `None`) and returns the solution together with
-    /// the iteration count, so tests can pin the warm-start advantage.
-    fn relax(&self, v0: Option<&[f64]>, loads: &[f64]) -> Result<(Vec<f64>, usize), PdnError> {
-        if loads.len() != self.tiles() {
-            return Err(PdnError::InvalidParameter {
-                name: "loads",
-                reason: format!(
-                    "expected {} tile currents, got {}",
-                    self.tiles(),
-                    loads.len()
-                ),
-            });
-        }
+    /// The Gauss–Seidel/SOR relaxation the direct solver is tested
+    /// against: sweeps from the pad voltage everywhere until no node
+    /// moves by `1e-12` V.
+    #[cfg(test)]
+    fn relax(&self, loads: &[f64]) -> Vec<f64> {
+        assert_eq!(loads.len(), self.tiles(), "one load per tile");
         let n = self.tiles();
         let vp = self.v_pad.volts();
-        let mut v = match v0 {
-            Some(prior) => {
-                if prior.len() != n {
-                    return Err(PdnError::InvalidParameter {
-                        name: "prior",
-                        reason: format!("expected {} tile voltages, got {}", n, prior.len()),
-                    });
-                }
-                prior.to_vec()
-            }
-            None => vec![vp; n],
-        };
+        let mut v = vec![vp; n];
         let GridCache { off, adj, is_pad } = self.grid_cache();
 
         const MAX_ITER: usize = 20_000;
         const TOL: f64 = 1e-12;
         const OMEGA: f64 = 1.6; // SOR factor for a 2-D Laplacian
 
-        for iter in 0..MAX_ITER {
+        for _ in 0..MAX_ITER {
             let mut max_delta: f64 = 0.0;
             for i in 0..n {
                 let mut g_sum = 0.0;
@@ -563,47 +541,15 @@ impl PowerGrid {
                 v[i] = relaxed;
             }
             if max_delta < TOL {
-                return Ok((v, iter + 1));
+                return v;
             }
         }
-        Err(PdnError::NoConvergence {
-            iterations: MAX_ITER,
-            residual: 0.0,
-        })
-    }
-
-    /// Solves the DC nodal equations for the given per-tile load currents
-    /// (amperes, row-major) and returns per-tile voltages (volts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidParameter`] when `loads.len()` does not
-    /// match the tile count and [`PdnError::NoConvergence`] if relaxation
-    /// stalls.
-    pub fn solve(&self, loads: &[f64]) -> Result<Vec<f64>, PdnError> {
-        self.relax(None, loads).map(|(v, _)| v)
-    }
-
-    /// Like [`PowerGrid::solve`], but warm-started from a previous
-    /// solution — typically the neighbouring point of a sweep, whose
-    /// voltages are already close, so the relaxation converges in far
-    /// fewer iterations. The result satisfies the same `1e-12`
-    /// convergence tolerance as a cold [`PowerGrid::solve`].
-    ///
-    /// # Errors
-    ///
-    /// As [`PowerGrid::solve`], plus [`PdnError::InvalidParameter`] when
-    /// `prior.len()` does not match the tile count.
-    pub fn solve_from(&self, prior: &[f64], loads: &[f64]) -> Result<Vec<f64>, PdnError> {
-        self.relax(Some(prior), loads).map(|(v, _)| v)
+        panic!("relaxation did not converge in {MAX_ITER} sweeps");
     }
 
     /// Solves the DC nodal equations directly through the cached banded
     /// Cholesky factor ([`PowerGrid::factor`]) — no iteration, no
-    /// convergence tolerance. Agrees with [`PowerGrid::solve`] to well
-    /// below the relaxation's own `1e-12` stopping threshold, and on
-    /// workload-scale grids (1,600 nodes) runs orders of magnitude
-    /// faster than a cold sweep.
+    /// convergence tolerance.
     ///
     /// # Errors
     ///
@@ -736,10 +682,11 @@ impl PowerGrid {
     }
 
     /// Quasi-static transient: solves the grid at every sample instant of
-    /// the per-tile load waveforms (amperes) and returns one supply
-    /// [`Waveform`] per tile. Valid when the grid's own RC time constants
-    /// are far below the waveform time scale — true for on-die resistive
-    /// meshes against tens-of-ns PSN.
+    /// the per-tile load waveforms (amperes) through the cached factor
+    /// ([`PowerGrid::solve_sparse`]) and returns one supply [`Waveform`]
+    /// per tile. Valid when the grid's own RC time constants are far
+    /// below the waveform time scale — true for on-die resistive meshes
+    /// against tens-of-ns PSN.
     ///
     /// When the context carries an observer, the number of grid solves
     /// accumulates in its `pdn.grid_solves` counter; the waveforms are
@@ -747,7 +694,9 @@ impl PowerGrid {
     ///
     /// # Errors
     ///
-    /// Propagates [`PowerGrid::solve`] failures and waveform validation.
+    /// Returns [`PdnError::InvalidParameter`] for a load/tile mismatch or
+    /// a degenerate time range, [`PdnError::Interrupted`] when the
+    /// context's supervisor trips, and propagates waveform validation.
     pub fn quasi_static_transient(
         &self,
         ctx: &mut psnt_ctx::RunCtx<'_>,
@@ -774,18 +723,8 @@ impl PowerGrid {
         }
         let steps = ((end - start) / dt).ceil() as usize;
         let mut per_tile: Vec<Vec<(Time, f64)>> = vec![Vec::with_capacity(steps + 1); self.tiles()];
-        // Each step warm-starts from the previous instant's solution:
-        // adjacent samples differ by one dt of load drift, so the
-        // relaxation converges in a fraction of the cold iterations.
-        let mut prior: Option<Vec<f64>> = None;
-        // Iteration counts are pure numerics (no clocks, no workers),
-        // so the profile is deterministic; collected locally and folded
-        // once so the detached path stays allocation-free.
-        let mut warm_iters: Vec<usize> = Vec::new();
-        let observed = ctx.has_observer();
-        // Supervision boundary: one check per solve step (each step is
-        // a full grid relaxation, so the check cost is negligible and a
-        // trip loses at most one step of work).
+        // Supervision boundary: one check per solve step, so a trip
+        // loses at most one step of work.
         let sup = ctx.supervisor().clone();
         for k in 0..=steps {
             let t = start + dt * k as f64;
@@ -794,26 +733,54 @@ impl PowerGrid {
                 return Err(PdnError::Interrupted(reason));
             }
             let instantaneous: Vec<f64> = loads.iter().map(|w| w.sample(t)).collect();
-            let (v, iters) = self.relax(prior.as_deref(), &instantaneous)?;
-            if observed && prior.is_some() {
-                warm_iters.push(iters);
-            }
-            for (tile, &vi) in v.iter().enumerate() {
+            let sol = self.solve_sparse(&instantaneous)?;
+            debug_assert!(
+                self.kcl_residual(sol.voltages(), sol.loads())
+                    <= 1e-10 * self.kcl_scale(sol.voltages(), sol.loads()),
+                "KCL residual at t = {t}"
+            );
+            for (tile, &vi) in sol.voltages().iter().enumerate() {
                 per_tile[tile].push((t, vi));
             }
-            prior = Some(v);
         }
         if let Some(obs) = ctx.observer() {
             obs.metrics.counter_add("pdn.grid_solves", steps as u64 + 1);
-            let hist = obs.metrics.histogram(
-                "pdn.warm_start_iters",
-                &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0],
-            );
-            for iters in warm_iters {
-                obs.metrics.record(hist, iters as f64);
-            }
         }
         per_tile.into_iter().map(Waveform::from_points).collect()
+    }
+
+    /// The infinity-norm KCL residual `‖K·v − b‖∞` (amperes) of tile
+    /// voltages `v` under tile `loads`: at every node, the current
+    /// leaving through the mesh and the pad tie minus the current the
+    /// pad injects and the load draws.
+    fn kcl_residual(&self, v: &[f64], loads: &[f64]) -> f64 {
+        let GridCache { off, adj, is_pad } = self.grid_cache();
+        let vp = self.v_pad.volts();
+        (0..self.tiles())
+            .map(|i| {
+                let mut kv: f64 = adj[off[i] as usize..off[i + 1] as usize]
+                    .iter()
+                    .map(|&nb| self.g_mesh * (v[i] - v[nb as usize]))
+                    .sum();
+                let mut b = -loads[i];
+                if is_pad[i] {
+                    kv += self.g_pad * v[i];
+                    b += self.g_pad * vp;
+                }
+                (kv - b).abs()
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// The magnitude of the largest current term in `K·v = b` (amperes):
+    /// the scale the rounding in [`PowerGrid::kcl_residual`] is relative
+    /// to.
+    fn kcl_scale(&self, v: &[f64], loads: &[f64]) -> f64 {
+        let v_max = v
+            .iter()
+            .fold(self.v_pad.volts().abs(), |m, x| m.max(x.abs()));
+        let load_max = loads.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
+        (4.0 * self.g_mesh + self.g_pad) * v_max + load_max
     }
 
     /// The worst (lowest) tile voltage for a load pattern, with its tile
@@ -821,15 +788,9 @@ impl PowerGrid {
     ///
     /// # Errors
     ///
-    /// Propagates [`PowerGrid::solve`] failures.
+    /// Propagates [`PowerGrid::solve_sparse`] failures.
     pub fn hotspot(&self, loads: &[f64]) -> Result<(usize, f64), PdnError> {
-        let v = self.solve(loads)?;
-        let (idx, &worst) = v
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("grid has at least one tile");
-        Ok((idx, worst))
+        Ok(self.solve_sparse(loads)?.hotspot())
     }
 }
 
@@ -863,7 +824,7 @@ mod tests {
     #[test]
     fn zero_load_gives_pad_voltage_everywhere() {
         let grid = mk(5);
-        let v = grid.solve(&[0.0; 25]).unwrap();
+        let v = grid.solve_sparse(&[0.0; 25]).unwrap().into_voltages();
         for &vi in &v {
             assert!((vi - 1.0).abs() < 1e-9, "{vi}");
         }
@@ -872,7 +833,7 @@ mod tests {
     #[test]
     fn wrong_load_length_rejected() {
         let grid = mk(3);
-        assert!(grid.solve(&[0.0; 4]).is_err());
+        assert!(grid.solve_sparse(&[0.0; 4]).is_err());
     }
 
     #[test]
@@ -886,7 +847,7 @@ mod tests {
             vec![(0, 0)],
         )
         .unwrap();
-        let v = grid.solve(&[2.0]).unwrap();
+        let v = grid.solve_sparse(&[2.0]).unwrap().into_voltages();
         // Only the pad resistance carries the 2 A: drop = 20 mV.
         assert!((v[0] - 0.98).abs() < 1e-9, "{}", v[0]);
     }
@@ -896,7 +857,7 @@ mod tests {
         let grid = mk(5);
         let mut loads = vec![0.0; 25];
         loads[12] = 0.5; // centre tile
-        let v = grid.solve(&loads).unwrap();
+        let v = grid.solve_sparse(&loads).unwrap().into_voltages();
         let (hot, v_hot) = grid.hotspot(&loads).unwrap();
         assert_eq!(hot, 12);
         assert!(v_hot < v[0]);
@@ -913,7 +874,7 @@ mod tests {
         let grid = mk(4);
         let mut loads = vec![0.01; 16];
         loads[5] = 0.3;
-        let v = grid.solve(&loads).unwrap();
+        let v = grid.solve_sparse(&loads).unwrap().into_voltages();
         let g_pad = 1.0 / 0.010;
         let pad_tiles = [0usize, 3, 12, 15];
         let injected: f64 = pad_tiles.iter().map(|&p| g_pad * (1.0 - v[p])).sum();
@@ -927,44 +888,11 @@ mod tests {
     #[test]
     fn heavier_load_monotonically_lowers_voltages() {
         let grid = mk(4);
-        let light = grid.solve(&[0.05; 16]).unwrap();
-        let heavy = grid.solve(&[0.10; 16]).unwrap();
+        let light = grid.solve_sparse(&[0.05; 16]).unwrap().into_voltages();
+        let heavy = grid.solve_sparse(&[0.10; 16]).unwrap().into_voltages();
         for (l, h) in light.iter().zip(&heavy) {
             assert!(h < l);
         }
-    }
-
-    #[test]
-    fn warm_start_converges_faster_and_matches_cold() {
-        let grid = mk(8);
-        let mut loads = vec![0.01; 64];
-        loads[27] = 0.2;
-        let (base, _) = grid.relax(None, &loads).unwrap();
-        // A neighbouring sweep point: the centre draw drifts by 10 %.
-        let mut next = loads.clone();
-        next[27] = 0.22;
-        let (cold, cold_iters) = grid.relax(None, &next).unwrap();
-        let (warm, warm_iters) = grid.relax(Some(&base), &next).unwrap();
-        // The asymptotic SOR rate bounds the gain at a deep 1e-12
-        // tolerance; the warm start still strictly shortens the run
-        // (and collapses it for the small per-dt drifts of a transient).
-        assert!(
-            warm_iters < cold_iters,
-            "warm start took {warm_iters} iterations vs {cold_iters} cold"
-        );
-        for (i, (w, c)) in warm.iter().zip(&cold).enumerate() {
-            assert!((w - c).abs() < 1e-9, "tile {i}: warm {w} vs cold {c}");
-        }
-        // Re-solving the same point from its own solution is ~free.
-        let (_, again) = grid.relax(Some(&cold), &next).unwrap();
-        assert!(again <= 2, "self warm start took {again} iterations");
-    }
-
-    #[test]
-    fn solve_from_validates_prior_length() {
-        let grid = mk(3);
-        assert!(grid.solve_from(&[1.0; 4], &[0.0; 9]).is_err());
-        assert!(grid.solve_from(&[1.0; 9], &[0.0; 4]).is_err());
     }
 
     #[test]
@@ -1059,7 +987,7 @@ mod tests {
         loads[27] = 0.25;
         loads[0] = 0.1;
         loads[63] = 0.05;
-        let dense = grid.solve(&loads).unwrap();
+        let dense = grid.relax(&loads);
         let sparse = grid.solve_sparse(&loads).unwrap();
         assert_eq!(sparse.loads(), &loads[..]);
         for (i, (d, s)) in dense.iter().zip(sparse.voltages()).enumerate() {
@@ -1095,7 +1023,7 @@ mod tests {
         .unwrap();
         assert_eq!(row.factor().bandwidth(), 1);
         let loads = [0.0, 0.1, 0.0, 0.2, 0.0, 0.0];
-        let dense = row.solve(&loads).unwrap();
+        let dense = row.relax(&loads);
         let sparse = row.solve_sparse(&loads).unwrap();
         for (d, s) in dense.iter().zip(sparse.voltages()) {
             assert!((d - s).abs() < 1e-9);
@@ -1112,7 +1040,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(col.factor().bandwidth(), 1);
-        let dense = col.solve(&loads).unwrap();
+        let dense = col.relax(&loads);
         let sparse = col.solve_sparse(&loads).unwrap();
         for (d, s) in dense.iter().zip(sparse.voltages()) {
             assert!((d - s).abs() < 1e-9);
@@ -1204,29 +1132,6 @@ mod tests {
         assert_eq!(back, sol);
     }
 
-    /// The infinity-norm KCL residual `‖K·v − b‖∞` (amperes) of a
-    /// solution: at every node, the current leaving through the mesh
-    /// and the pad tie minus the current the pad injects and the load
-    /// draws.
-    fn kcl_residual(grid: &PowerGrid, sol: &GridSolution) -> f64 {
-        let GridCache { off, adj, is_pad } = grid.grid_cache();
-        let (v, vp) = (sol.voltages(), grid.v_pad().volts());
-        (0..grid.tiles())
-            .map(|i| {
-                let mut kv: f64 = adj[off[i] as usize..off[i + 1] as usize]
-                    .iter()
-                    .map(|&nb| grid.g_mesh * (v[i] - v[nb as usize]))
-                    .sum();
-                let mut b = -sol.loads()[i];
-                if is_pad[i] {
-                    kv += grid.g_pad * v[i];
-                    b += grid.g_pad * vp;
-                }
-                (kv - b).abs()
-            })
-            .fold(0.0, f64::max)
-    }
-
     #[test]
     fn kcl_residual_holds_for_sparse_solves_and_a_long_delta_chain() {
         // The campaign grid's shape and per-node load scale.
@@ -1243,7 +1148,7 @@ mod tests {
         let mut sol = grid.solve_sparse(&loads).unwrap();
         // Node currents are ~1e-4 A; rounding on ~1 V rails through
         // ~100 S conductances leaves ~1e-13 A.
-        let fresh = kcl_residual(&grid, &sol);
+        let fresh = grid.kcl_residual(sol.voltages(), sol.loads());
         assert!(fresh < 1e-11, "solve_sparse KCL residual {fresh:e} A");
         // 1,000 cycles of a dozen 5×5 blocks switching, like the NoC
         // campaign: drift stays at rounding level.
@@ -1257,11 +1162,62 @@ mod tests {
             }
             grid.update_delta(&mut sol, &changed).unwrap();
         }
-        let chained = kcl_residual(&grid, &sol);
+        let chained = grid.kcl_residual(sol.voltages(), sol.loads());
         assert!(
             chained < 1e-11,
             "1,000-step chain KCL residual {chained:e} A"
         );
+    }
+
+    #[test]
+    fn kcl_residual_holds_at_every_transient_instant() {
+        // The XP-SCAN shape: a 4×4 corner-fed supply grid and its ground
+        // mirror under ramping centre loads. Each sampled instant's rail
+        // voltages must satisfy KCL against that instant's loads.
+        let supply = PowerGrid::corner_fed(
+            4,
+            Voltage::from_v(1.05),
+            Resistance::from_milliohms(60.0),
+            Resistance::from_milliohms(20.0),
+        )
+        .unwrap();
+        let ground = PowerGrid::corner_fed(
+            4,
+            Voltage::ZERO,
+            Resistance::from_milliohms(120.0),
+            Resistance::from_milliohms(40.0),
+        )
+        .unwrap();
+        let ns = Time::from_ns;
+        let mut loads = vec![Waveform::constant(0.03); 16];
+        for hot in [5usize, 6, 9, 10] {
+            loads[hot] =
+                Waveform::from_points(vec![(ns(0.0), 0.1), (ns(100.0), 0.5), (ns(200.0), 0.25)])
+                    .unwrap();
+        }
+        for grid in [&supply, &ground] {
+            let waves = grid
+                .quasi_static_transient(
+                    &mut psnt_ctx::RunCtx::serial(),
+                    &loads,
+                    ns(10.0),
+                    ns(211.0),
+                    ns(12.5),
+                )
+                .unwrap();
+            let instants: Vec<Time> = waves[0].points().iter().map(|&(t, _)| t).collect();
+            assert_eq!(instants.len(), 18);
+            for (k, &t) in instants.iter().enumerate() {
+                let v: Vec<f64> = waves.iter().map(|w| w.points()[k].1).collect();
+                let at: Vec<f64> = loads.iter().map(|w| w.sample(t)).collect();
+                let residual = grid.kcl_residual(&v, &at);
+                assert!(
+                    residual < 1e-11,
+                    "v_pad {} V, t = {t}: KCL residual {residual:e} A",
+                    grid.v_pad().volts()
+                );
+            }
+        }
     }
 
     /// Solves a seeded right-hand side (zero before `first`) with the
@@ -1439,7 +1395,7 @@ mod tests {
                         (state >> 11) as f64 / (1u64 << 53) as f64 * 0.2
                     })
                     .collect();
-                let dense = grid.solve(&loads).unwrap();
+                let dense = grid.relax(&loads);
                 let sparse = grid.solve_sparse(&loads).unwrap();
                 for (d, s) in dense.iter().zip(sparse.voltages()) {
                     prop_assert!((d - s).abs() < 1e-9, "dense {} vs sparse {}", d, s);

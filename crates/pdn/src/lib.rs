@@ -11,8 +11,9 @@
 //!   resonance, di/dt droops, broadband noise) with known ground truth;
 //! * [`rlc`] — a lumped series-R-L / shunt-C package+die model integrated
 //!   with RK4, for physically derived waveforms;
-//! * [`grid`] — a 2-D resistive on-die grid for spatial IR-drop maps (the
-//!   scan-chain experiments);
+//! * [`grid`] — a 2-D resistive on-die grid, solved through one cached
+//!   banded Cholesky factor, for spatial IR-drop maps (the scan-chain
+//!   experiments) and per-cycle workload solves;
 //! * [`impedance`] — frequency-domain |Z(f)| analysis of the lumped
 //!   network (the anti-resonance that makes some workloads worst-case);
 //! * [`workload`] — CUT current-draw generators that drive the models.

@@ -40,7 +40,7 @@ use std::f64::consts::TAU;
 
 use psnt_cells::units::{Capacitance, Current, Frequency, Inductance, Resistance, Time, Voltage};
 use psnt_ctx::RunCtx;
-use psnt_obs::{Event as ObsEvent, Observer};
+use psnt_obs::Event as ObsEvent;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PdnError;
@@ -253,27 +253,6 @@ impl LumpedPdn {
                 .gauge_set("pdn.dissipated_energy_j", dissipated_j);
         }
         Waveform::from_points(points)
-    }
-
-    /// [`LumpedPdn::transient`] with an explicit optional observer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LumpedPdn::transient`].
-    #[deprecated(since = "0.1.0", note = "use `transient` with a `RunCtx`")]
-    pub fn transient_observed(
-        &self,
-        load: &Waveform,
-        dt: Time,
-        until: Time,
-        observer: Option<&mut Observer>,
-    ) -> Result<Waveform, PdnError> {
-        self.transient(
-            &mut RunCtx::serial().with_observer_opt(observer),
-            load,
-            dt,
-            until,
-        )
     }
 }
 

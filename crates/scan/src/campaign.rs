@@ -7,6 +7,11 @@
 //! sampling instant's codes are serialized through the scan chain — "a
 //! PSN scan chain" in operation.
 //!
+//! Every entry point runs one sweep. [`Campaign::run_resilient`] solves
+//! the rails from per-tile loads and [`Campaign::run_resilient_from_rails`]
+//! takes them already solved; both collect in memory the record stream
+//! that [`Campaign::run_streamed_from_rails`] hands to a sink.
+//!
 //! # Examples
 //!
 //! See `examples/noise_map.rs` for the end-to-end flow; unit tests below
@@ -18,8 +23,9 @@ use psnt_core::code::ThermometerCode;
 use psnt_core::encoder::{Encoder, EncodingPolicy};
 use psnt_core::system::{Measurement, SensorConfig, SensorSystem};
 use psnt_ctx::RunCtx;
-use psnt_engine::{Engine, JobOutcome, JobSpec, RetryPolicy};
+use psnt_engine::{JobOutcome, JobSpec, RetryPolicy};
 use psnt_obs::{Event as ObsEvent, Observer, RemoteSpan};
+use psnt_pdn::grid::PowerGrid;
 use psnt_pdn::waveform::Waveform;
 use serde::{Deserialize, Serialize};
 
@@ -167,12 +173,13 @@ pub struct ResilientCampaignResult {
     pub summary: DegradationSummary,
 }
 
-/// One record of a streamed campaign run ([`Campaign::run_streamed`]).
+/// One record of a streamed campaign run
+/// ([`Campaign::run_streamed_from_rails`]).
 ///
 /// Records arrive in a fixed order regardless of worker count: every
 /// site in floorplan order, then one frame per sampling instant, then
-/// the summary (always last). Collecting them reconstructs the exact
-/// [`ResilientCampaignResult`] the in-memory path would have returned.
+/// the summary (always last). [`Campaign::run_resilient`] is exactly
+/// these records collected into a [`ResilientCampaignResult`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StreamRecord {
     /// One site's completed series and outcome.
@@ -268,7 +275,7 @@ impl StreamRecord {
     }
 }
 
-/// Sites per producer batch in [`Campaign::run_streamed`]. Fixed (not
+/// Sites per producer batch of the campaign sweep. Fixed (not
 /// worker-count dependent), so chunk boundaries — and therefore record
 /// order and seeds — are identical at any worker count.
 const STREAM_CHUNK_SITES: usize = 32;
@@ -278,7 +285,7 @@ const STREAM_CHUNK_SITES: usize = 32;
 /// workers compute ahead of a slow sink.
 const STREAM_CHANNEL_BOUND: usize = 2 * STREAM_CHUNK_SITES;
 
-/// Producer→consumer message of [`Campaign::run_streamed`].
+/// Producer→consumer message of the campaign sweep.
 enum StreamMsg {
     Site {
         site: usize,
@@ -292,8 +299,26 @@ enum StreamMsg {
     Interrupted(psnt_sup::Interrupt),
 }
 
-/// Everything [`Campaign::run_dual`] and [`Campaign::run_resilient`]
-/// share before the per-site sweep: validated inputs, solved rail
+/// Where a campaign's rail waveforms come from.
+enum Rails<'a> {
+    /// Solve the floorplan's grid (and optionally a ground grid) under
+    /// per-tile load currents, sampling `samples` instants `dt` apart.
+    Solve {
+        tile_loads: &'a [Waveform],
+        ground_grid: Option<&'a PowerGrid>,
+        start: Time,
+        dt: Time,
+        samples: usize,
+    },
+    /// Externally solved rails, sampled at explicit instants.
+    Given {
+        tile_supplies: Vec<Waveform>,
+        tile_bounces: Option<Vec<Waveform>>,
+        instants: Vec<Time>,
+    },
+}
+
+/// Everything the per-site sweep needs: validated inputs, solved rail
 /// waveforms and the sampling instants.
 struct SweepInputs {
     tile_supplies: Vec<Waveform>,
@@ -350,218 +375,222 @@ impl Campaign {
 
     /// Runs the campaign: solves the grid under `tile_loads` (amperes per
     /// tile), measures every site at `samples` instants spaced `dt` from
-    /// `start`, and serializes each instant through the scan chain. The
-    /// ground rail is assumed quiet; see [`Campaign::run_dual`] for
-    /// simultaneous ground-bounce measurement.
+    /// `start`, and serializes each instant through the scan chain.
     ///
-    /// The per-site sweep runs on the context's engine, and when the
-    /// context carries an observer the run is traced (see
-    /// [`Campaign::run_dual`]). Results are bit-identical at any worker
-    /// count.
+    /// With a `ground_grid` the return current flows through a ground
+    /// mesh and every site's LOW-SENSE array measures the local ground
+    /// bounce. The ground grid mirrors the supply grid's geometry (same
+    /// placement) with its own mesh/pad resistances; the bounce at a tile
+    /// is its IR rise above the board ground, computed from the same
+    /// per-tile currents. Without one the ground rail is quiet.
     ///
-    /// # Errors
+    /// The campaign **completes with partial results when individual
+    /// sites fail**: each site runs as an isolated job
+    /// ([`Engine::run_batch_isolated`](psnt_engine::Engine::run_batch_isolated))
+    /// under the given deterministic [`RetryPolicy`], and a site whose
+    /// every attempt fails is *degraded* — it contributes an empty
+    /// measurement series and all-`X` bits to every scan frame — instead
+    /// of aborting the run. [`RetryPolicy::none`] on a healthy run is
+    /// plain measurement.
     ///
-    /// Returns [`ScanError::InvalidConfig`] for a load/tile mismatch and
-    /// propagates grid, sensor and chain failures.
-    pub fn run(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_loads: &[Waveform],
-        start: Time,
-        dt: Time,
-        samples: usize,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run_dual(ctx, tile_loads, None, start, dt, samples)
-    }
-
-    /// [`Campaign::run`] with the site sweep parallelized on `engine`.
+    /// When the context carries a [`psnt_fault::FaultPlan`] with
+    /// [`psnt_fault::Fault::SitePanic`] entries, those sites panic on
+    /// their first attempt — the harness-level fault used to exercise
+    /// this degradation path end-to-end (a retrying policy recovers
+    /// them; [`RetryPolicy::none`] leaves them degraded).
     ///
-    /// # Errors
+    /// The result is the record stream of
+    /// [`Campaign::run_streamed_from_rails`] collected in memory, so the
+    /// two agree by construction, and both are bit-identical at any
+    /// worker count: sites are independent jobs keyed by floorplan index
+    /// in fixed-size chunks, retries happen inside the owning job, and
+    /// records are delivered in site order.
     ///
-    /// Same as [`Campaign::run`].
-    #[deprecated(since = "0.1.0", note = "use `run` with a `RunCtx`")]
-    pub fn run_on(
-        &self,
-        engine: &Engine,
-        tile_loads: &[Waveform],
-        start: Time,
-        dt: Time,
-        samples: usize,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run(
-            &mut RunCtx::new(engine.clone()),
-            tile_loads,
-            start,
-            dt,
-            samples,
-        )
-    }
-
-    /// [`Campaign::run`] with an explicit optional observer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::run`].
-    #[deprecated(since = "0.1.0", note = "use `run` with a `RunCtx`")]
-    pub fn run_observed(
-        &self,
-        tile_loads: &[Waveform],
-        start: Time,
-        dt: Time,
-        samples: usize,
-        observer: Option<&mut Observer>,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run(
-            &mut RunCtx::serial().with_observer_opt(observer),
-            tile_loads,
-            start,
-            dt,
-            samples,
-        )
-    }
-
-    /// Like [`Campaign::run`], but with the return current flowing
-    /// through a ground grid: every site's LOW-SENSE array then measures
-    /// the local ground bounce. The ground grid mirrors the supply grid's
-    /// geometry (same placement) with its own mesh/pad resistances; the
-    /// bounce at a tile is its IR rise above the board ground, computed
-    /// from the same per-tile currents.
-    ///
-    /// The per-site measurement sweep is parallelized over the
-    /// context's engine; a serial context is this code at one worker,
-    /// not a fork. Determinism: each site is an independent job keyed
-    /// by its floorplan index; the engine collects site series in
-    /// floorplan order, so the [`CampaignResult`] (codes, maps, frames,
-    /// worst droop/bounce) is bit-identical at any worker count.
-    ///
-    /// When the context carries an observer: one `scan`/`site` event in
-    /// site order (tile, name, worst levels), running
-    /// `campaign.worst_droop_mv` / `campaign.worst_bounce_mv` gauges,
-    /// and span timing around the grid solve and the measurement sweep.
-    /// Telemetry is worker-count independent too — per-site events are
-    /// emitted in site order after the sweep joins, and the workers'
-    /// metrics registries are merged into the observer's in worker
-    /// order. Results are identical with and without an observer.
+    /// Telemetry (when observed): a `campaign` span around `grid_solve`
+    /// and `measure_sweep` (one `site` span with `measure` children per
+    /// measured site), one `scan`/`site` event per site and one
+    /// `scan`/`degraded` event per degraded site in site order, the
+    /// `campaign.sites_done` / `campaign.sites_degraded` counters, and
+    /// `campaign.worst_droop_mv` / `campaign.worst_bounce_mv` /
+    /// `campaign.worst_code_error` / `campaign.dead_elements` gauges.
+    /// Telemetry is worker-count independent, and results are identical
+    /// with and without an observer.
     ///
     /// # Errors
     ///
     /// Returns [`ScanError::InvalidConfig`] for load/tile or grid-shape
-    /// mismatches and propagates grid, sensor and chain failures; when
-    /// several sites fail, the error of the lowest-indexed site is
-    /// returned.
-    pub fn run_dual(
+    /// mismatches, propagates grid-solve and chain-capture failures, and
+    /// returns [`ScanError::Interrupted`] when the context's supervisor
+    /// trips. Per-site measurement failures do **not** abort the run —
+    /// they surface in [`ResilientCampaignResult::outcomes`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_resilient(
         &self,
         ctx: &mut RunCtx<'_>,
         tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
+        ground_grid: Option<&PowerGrid>,
         start: Time,
         dt: Time,
         samples: usize,
-    ) -> Result<CampaignResult, ScanError> {
-        let mut campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(samples as u64))
-                .sim_interval_ps(
-                    start.picoseconds(),
-                    (start + dt * samples as f64).picoseconds(),
-                )
-        });
-        let prep = self.prepare_sweep(ctx, tile_loads, ground_grid, start, dt, samples)?;
-        if let Some(span) = campaign_span.as_mut() {
-            span.cover_sim_ps(prep.solve_end.picoseconds());
-        }
-        let quiet = Waveform::constant(0.0);
-        let measure_span = ctx.observer().map(|o| {
-            o.begin_span("measure_sweep").sim_interval_ps(
-                prep.instants[0].picoseconds(),
-                prep.instants[prep.instants.len() - 1].picoseconds(),
-            )
-        });
-        // Workers record their site spans against the observer's epoch
-        // and return the finished trees; the observer assigns ids after
-        // the join, in site order, so the stream never depends on which
-        // worker ran which site.
-        let epoch = ctx.observer().map(|o| o.epoch());
-        let site_defs = self.floorplan.sites();
-        let batch = ctx
-            .engine()
-            .run_batch(&JobSpec::new(site_defs.len()), |job| {
-                let site = &site_defs[job.index()];
-                let mut site_span = epoch.map(|e| {
-                    RemoteSpan::begin("site", e, job.worker() as u32 + 1)
-                        .attr("site", &(job.index() as u64))
-                        .attr("tile", &(site.tile as u64))
-                        .attr("name", &site.name)
+        retry: RetryPolicy,
+    ) -> Result<ResilientCampaignResult, ScanError> {
+        let rails = Rails::Solve {
+            tile_loads,
+            ground_grid,
+            start,
+            dt,
+            samples,
+        };
+        collect_stream(|sink| self.sweep(ctx, rails, retry, sink))
+    }
+
+    /// [`Campaign::run_resilient`] against **externally solved rails**:
+    /// per-tile supply (and optionally ground-bounce) waveforms plus
+    /// explicit sampling instants, skipping the internal grid transient
+    /// entirely. This is the path for workload-driven campaigns whose
+    /// rail waveforms come from per-cycle delta solves
+    /// ([`psnt_pdn::grid::PowerGrid::update_delta`]).
+    ///
+    /// Only instrumented tiles' waveforms are sampled; uninstrumented
+    /// entries may be cheap placeholders (e.g. a constant), but the
+    /// vectors must still be grid-shaped so tile indexing stays honest.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScanError::InvalidConfig`] for grid-shape mismatches or
+    /// empty/unsorted instants; per-site failures degrade as in
+    /// [`Campaign::run_resilient`].
+    pub fn run_resilient_from_rails(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        tile_supplies: Vec<Waveform>,
+        tile_bounces: Option<Vec<Waveform>>,
+        instants: Vec<Time>,
+        retry: RetryPolicy,
+    ) -> Result<ResilientCampaignResult, ScanError> {
+        let rails = Rails::Given {
+            tile_supplies,
+            tile_bounces,
+            instants,
+        };
+        collect_stream(|sink| self.sweep(ctx, rails, retry, sink))
+    }
+
+    /// Streams a campaign over externally solved rails (see
+    /// [`Campaign::run_resilient_from_rails`] for the rails contract)
+    /// instead of accumulating it: site records flow through a **bounded
+    /// channel** from the measuring workers to the calling thread, which
+    /// hands each one to `sink` and drops it — so peak memory holds at
+    /// most a couple of chunks of in-flight sites plus a per-instant code
+    /// buffer for frame assembly, never a full [`CampaignResult`]. That
+    /// is what lets a 256+-site workload campaign run with flat memory
+    /// while its records land directly in a `psnt-obs` sink (see
+    /// [`StreamRecord::to_event`]).
+    ///
+    /// Semantics and telemetry are those of [`Campaign::run_resilient`],
+    /// which is this stream collected in memory. Records are delivered
+    /// in floorplan order — sites first, then one [`StreamRecord::Frame`]
+    /// per instant, then the [`StreamRecord::Summary`] (also returned) —
+    /// identically at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Rail validation as [`Campaign::run_resilient_from_rails`] and
+    /// chain-capture failures; additionally, the first error the sink
+    /// returns aborts the stream and is propagated (workers stop at the
+    /// next chunk boundary), and a trip of the context's supervisor stops
+    /// the sweep at the next chunk boundary with
+    /// [`ScanError::Interrupted`]. Either way the truncated stream is
+    /// closed with a best-effort terminal [`StreamRecord::Aborted`]
+    /// carrying the count of site records already delivered. Per-site
+    /// measurement failures do **not** abort the run — they stream as
+    /// degraded records.
+    pub fn run_streamed_from_rails(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        tile_supplies: Vec<Waveform>,
+        tile_bounces: Option<Vec<Waveform>>,
+        instants: Vec<Time>,
+        retry: RetryPolicy,
+        sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
+    ) -> Result<DegradationSummary, ScanError> {
+        let rails = Rails::Given {
+            tile_supplies,
+            tile_bounces,
+            instants,
+        };
+        self.sweep(ctx, rails, retry, sink)
+    }
+
+    /// The one campaign sweep every entry point runs: prepares the rails
+    /// inside a `campaign` span, streams the sites and frames to `sink`,
+    /// then sinks and returns the [`StreamRecord::Summary`].
+    fn sweep(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        rails: Rails<'_>,
+        retry: RetryPolicy,
+        mut sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
+    ) -> Result<DegradationSummary, ScanError> {
+        let sites = self.floorplan.sites().len() as u64;
+        let (prep, campaign_span) = match rails {
+            Rails::Solve {
+                tile_loads,
+                ground_grid,
+                start,
+                dt,
+                samples,
+            } => {
+                let mut span = ctx.observer().map(|o| {
+                    o.begin_span("campaign")
+                        .attr("sites", &sites)
+                        .attr("samples", &(samples as u64))
                         .sim_interval_ps(
-                            prep.instants[0].picoseconds(),
-                            prep.instants[prep.instants.len() - 1].picoseconds(),
+                            start.picoseconds(),
+                            (start + dt * samples as f64).picoseconds(),
                         )
                 });
-                let system = SensorSystem::new(self.config.clone())?;
-                let vdd = &prep.tile_supplies[site.tile];
-                let gnd = prep.tile_bounces.as_ref().map_or(&quiet, |b| &b[site.tile]);
-                let mut measurements = Vec::with_capacity(prep.instants.len());
-                for &at in &prep.instants {
-                    let measure =
-                        epoch.map(|e| RemoteSpan::begin("measure", e, job.worker() as u32 + 1));
-                    measurements.push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
-                    if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
-                        span.child(
-                            measure
-                                .sim_interval_ps(at.picoseconds(), at.picoseconds())
-                                .end(),
-                        );
-                    }
+                let prep = self.prepare_sweep(ctx, tile_loads, ground_grid, start, dt, samples)?;
+                if let Some(span) = span.as_mut() {
+                    span.cover_sim_ps(prep.solve_end.picoseconds());
                 }
-                job.metrics.counter_add("campaign.sites_done", 1);
-                Ok::<(SiteSeries, Option<RemoteSpan>), ScanError>((
-                    SiteSeries {
-                        tile: site.tile,
-                        name: site.name.clone(),
-                        measurements,
-                    },
-                    site_span.map(RemoteSpan::end),
-                ))
-            })?;
-        let (sites, site_spans): (Vec<SiteSeries>, Vec<Option<RemoteSpan>>) =
-            batch.results.into_iter().unzip();
-        if let Some(obs) = ctx.observer() {
-            obs.metrics.merge(&batch.metrics);
-            for span in site_spans.into_iter().flatten() {
-                obs.emit_remote_tree(&span);
+                (prep, span)
             }
-            emit_site_events(obs, &sites, prep.v_nom);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), measure_span) {
-            obs.end_span(span);
-        }
-
-        let mut frames = Vec::with_capacity(samples);
-        for k in 0..samples {
-            let codes: Vec<ThermometerCode> = sites
-                .iter()
-                .map(|s| s.measurements[k].hs_code.clone())
-                .collect();
-            frames.push(self.chain.capture(&codes)?);
-        }
+            Rails::Given {
+                tile_supplies,
+                tile_bounces,
+                instants,
+            } => {
+                let prep = self.rails_inputs(tile_supplies, tile_bounces, instants)?;
+                let span = ctx.observer().map(|o| {
+                    o.begin_span("campaign")
+                        .attr("sites", &sites)
+                        .attr("samples", &(prep.instants.len() as u64))
+                        .attr("from_rails", &true)
+                        .sim_interval_ps(
+                            prep.instants[0].picoseconds(),
+                            prep.solve_end.picoseconds(),
+                        )
+                });
+                (prep, span)
+            }
+        };
+        let windows = prep.instants.len();
+        let out = self.sweep_sites(ctx, prep, retry, &mut sink);
         if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
             obs.end_span(span);
         }
-        Ok(CampaignResult {
-            sites,
-            instants: prep.instants,
-            frames,
-        })
+        let summary = out?;
+        sink(StreamRecord::Summary { windows, summary })?;
+        Ok(summary)
     }
 
-    /// Validates the campaign inputs and solves the rail waveforms —
-    /// the stage every run variant shares before its per-site sweep.
+    /// Validates the campaign inputs and solves the rail waveforms.
     fn prepare_sweep(
         &self,
         ctx: &mut RunCtx<'_>,
         tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
+        ground_grid: Option<&PowerGrid>,
         start: Time,
         dt: Time,
         samples: usize,
@@ -629,111 +658,6 @@ impl Campaign {
         })
     }
 
-    /// Like [`Campaign::run_dual`], but the campaign **completes with
-    /// partial results when individual sites fail**: each site runs as
-    /// an isolated job ([`Engine::run_batch_isolated`]) under the given
-    /// deterministic [`RetryPolicy`], and a site whose every attempt
-    /// fails is *degraded* — it contributes an empty measurement series
-    /// and all-`X` bits to every scan frame — instead of aborting the
-    /// run.
-    ///
-    /// When the context carries a [`psnt_fault::FaultPlan`] with
-    /// [`psnt_fault::Fault::SitePanic`] entries, those sites panic on
-    /// their first attempt — the harness-level fault used to exercise
-    /// this degradation path end-to-end (a retrying policy recovers
-    /// them; [`RetryPolicy::none`] leaves them degraded).
-    ///
-    /// Determinism: sites are independent jobs keyed by floorplan
-    /// index, retries happen inside the owning job with seeds derived
-    /// from `(ctx seed, site, attempt)`, and outcomes are collected in
-    /// site order — so the whole [`ResilientCampaignResult`], including
-    /// which sites degraded, is bit-identical at any worker count.
-    ///
-    /// Telemetry (when observed): everything [`Campaign::run_dual`]
-    /// emits for measured sites, plus one `scan`/`degraded` event per
-    /// degraded site, the `campaign.sites_degraded` counter, and
-    /// `campaign.worst_code_error` / `campaign.dead_elements` gauges
-    /// summarising the degradation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same input-validation and grid-solve errors as
-    /// [`Campaign::run_dual`], and chain-capture failures. Per-site
-    /// measurement failures do **not** abort the run — they surface in
-    /// [`ResilientCampaignResult::outcomes`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_resilient(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
-        retry: RetryPolicy,
-    ) -> Result<ResilientCampaignResult, ScanError> {
-        let mut campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(samples as u64))
-                .attr("resilient", &true)
-                .sim_interval_ps(
-                    start.picoseconds(),
-                    (start + dt * samples as f64).picoseconds(),
-                )
-        });
-        let prep = self.prepare_sweep(ctx, tile_loads, ground_grid, start, dt, samples)?;
-        if let Some(span) = campaign_span.as_mut() {
-            span.cover_sim_ps(prep.solve_end.picoseconds());
-        }
-        let out = self.resilient_sweep(ctx, prep, retry);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        out
-    }
-
-    /// [`Campaign::run_resilient`] against **externally solved rails**:
-    /// per-tile supply (and optionally ground-bounce) waveforms plus
-    /// explicit sampling instants, skipping the internal relaxation
-    /// transient entirely. This is the fast path for workload-driven
-    /// campaigns whose rail waveforms come from the sparse PDN solver
-    /// ([`psnt_pdn::grid::PowerGrid::update_delta`]) — at 1,600 nodes a
-    /// per-cycle relaxation sweep would dwarf the measurement cost.
-    ///
-    /// Only instrumented tiles' waveforms are sampled; uninstrumented
-    /// entries may be cheap placeholders (e.g. a constant), but the
-    /// vectors must still be grid-shaped so tile indexing stays honest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScanError::InvalidConfig`] for grid-shape mismatches or
-    /// empty/unsorted instants; per-site failures degrade as in
-    /// [`Campaign::run_resilient`].
-    pub fn run_resilient_from_rails(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_supplies: Vec<Waveform>,
-        tile_bounces: Option<Vec<Waveform>>,
-        instants: Vec<Time>,
-        retry: RetryPolicy,
-    ) -> Result<ResilientCampaignResult, ScanError> {
-        let prep = self.rails_inputs(tile_supplies, tile_bounces, instants)?;
-        let campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(prep.instants.len() as u64))
-                .attr("resilient", &true)
-                .attr("from_rails", &true)
-                .sim_interval_ps(prep.instants[0].picoseconds(), prep.solve_end.picoseconds())
-        });
-        let out = self.resilient_sweep(ctx, prep, retry);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        out
-    }
-
     /// Validates externally solved rails into the shared sweep inputs.
     fn rails_inputs(
         &self,
@@ -788,317 +712,12 @@ impl Campaign {
         })
     }
 
-    /// The isolated per-site sweep, frame assembly and degradation
-    /// accounting shared by [`Campaign::run_resilient`] and
-    /// [`Campaign::run_resilient_from_rails`].
-    fn resilient_sweep(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        prep: SweepInputs,
-        retry: RetryPolicy,
-    ) -> Result<ResilientCampaignResult, ScanError> {
-        let samples = prep.instants.len();
-        let quiet = Waveform::constant(0.0);
-        let panicking = ctx
-            .fault_plan()
-            .map(psnt_fault::FaultPlan::panicking_sites)
-            .unwrap_or_default();
-        let worker_panics = ctx
-            .fault_plan()
-            .map(psnt_fault::FaultPlan::worker_panics)
-            .unwrap_or_default();
-        let measure_span = ctx.observer().map(|o| {
-            o.begin_span("measure_sweep").sim_interval_ps(
-                prep.instants[0].picoseconds(),
-                prep.instants[prep.instants.len() - 1].picoseconds(),
-            )
-        });
-        let epoch = ctx.observer().map(|o| o.epoch());
-        let site_defs = self.floorplan.sites();
-        let spec = JobSpec::new(site_defs.len()).seed(ctx.seed());
-        let batch = ctx.engine().run_batch_isolated(&spec, retry, |job| {
-            if job.attempt() == 0 && panicking.contains(&job.index()) {
-                panic!("injected fault: site {} panicked", job.index());
-            }
-            if worker_panics
-                .iter()
-                .any(|&(j, a)| j == job.index() && job.attempt() <= a)
-            {
-                panic!(
-                    "injected fault: job {} panicked on attempt {}",
-                    job.index(),
-                    job.attempt()
-                );
-            }
-            let site = &site_defs[job.index()];
-            let mut site_span = epoch.map(|e| {
-                RemoteSpan::begin("site", e, job.worker() as u32 + 1)
-                    .attr("site", &(job.index() as u64))
-                    .attr("tile", &(site.tile as u64))
-                    .attr("name", &site.name)
-                    .attr("attempt", &u64::from(job.attempt()))
-                    .sim_interval_ps(
-                        prep.instants[0].picoseconds(),
-                        prep.instants[prep.instants.len() - 1].picoseconds(),
-                    )
-            });
-            let system = SensorSystem::new(self.config.clone())?;
-            let vdd = &prep.tile_supplies[site.tile];
-            let gnd = prep.tile_bounces.as_ref().map_or(&quiet, |b| &b[site.tile]);
-            let mut measurements = Vec::with_capacity(prep.instants.len());
-            for &at in &prep.instants {
-                let measure =
-                    epoch.map(|e| RemoteSpan::begin("measure", e, job.worker() as u32 + 1));
-                measurements.push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
-                if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
-                    span.child(
-                        measure
-                            .sim_interval_ps(at.picoseconds(), at.picoseconds())
-                            .end(),
-                    );
-                }
-            }
-            job.metrics.counter_add("campaign.sites_done", 1);
-            Ok::<(SiteSeries, Option<RemoteSpan>), ScanError>((
-                SiteSeries {
-                    tile: site.tile,
-                    name: site.name.clone(),
-                    measurements,
-                },
-                site_span.map(RemoteSpan::end),
-            ))
-        });
-
-        let mut outcomes = Vec::with_capacity(site_defs.len());
-        let mut sites = Vec::with_capacity(site_defs.len());
-        let mut site_spans: Vec<RemoteSpan> = Vec::new();
-        for (i, outcome) in batch.results.into_iter().enumerate() {
-            let (series, site_outcome) = match outcome {
-                JobOutcome::Ok(Ok((series, span))) => {
-                    site_spans.extend(span);
-                    (series, SiteOutcome::Measured)
-                }
-                JobOutcome::Ok(Err(e)) => (
-                    SiteSeries {
-                        tile: site_defs[i].tile,
-                        name: site_defs[i].name.clone(),
-                        measurements: Vec::new(),
-                    },
-                    SiteOutcome::Degraded {
-                        error: e.to_string(),
-                    },
-                ),
-                JobOutcome::Failed(je) => (
-                    SiteSeries {
-                        tile: site_defs[i].tile,
-                        name: site_defs[i].name.clone(),
-                        measurements: Vec::new(),
-                    },
-                    SiteOutcome::Degraded {
-                        error: je.to_string(),
-                    },
-                ),
-            };
-            sites.push(series);
-            outcomes.push(site_outcome);
-        }
-
-        // Degraded sites read out as unresolved flip-flops: a full-width
-        // all-X code in every frame, keeping the frame geometry intact.
-        let unknown: ThermometerCode = ThermometerCode::new(
-            (0..self.chain.bits_per_site())
-                .map(|_| Logic::X)
-                .collect::<LogicVector>(),
-        );
-        let mut frames = Vec::with_capacity(samples);
-        for k in 0..samples {
-            let codes: Vec<ThermometerCode> = sites
-                .iter()
-                .map(|s| {
-                    s.measurements
-                        .get(k)
-                        .map_or_else(|| unknown.clone(), |m| m.hs_code.clone())
-                })
-                .collect();
-            frames.push(self.chain.capture(&codes)?);
-        }
-
-        let summary = DegradationSummary {
-            sites_degraded: outcomes.iter().filter(|o| !o.is_measured()).count(),
-            dead_elements: frames
-                .iter()
-                .map(|f| f.iter().filter(|b| *b == Logic::X).count())
-                .max()
-                .unwrap_or(0),
-            worst_code_error: sites
-                .iter()
-                .flat_map(|s| &s.measurements)
-                .flat_map(|m| [&m.hs_code, &m.ls_code])
-                .map(encoder_level_gap)
-                .max()
-                .unwrap_or(0),
-        };
-
-        if let Some(obs) = ctx.observer() {
-            obs.metrics.merge(&batch.metrics);
-            for span in &site_spans {
-                obs.emit_remote_tree(span);
-            }
-            emit_site_events(obs, &sites, prep.v_nom);
-            for (i, o) in outcomes.iter().enumerate() {
-                if let SiteOutcome::Degraded { error } = o {
-                    obs.metrics.counter_add("campaign.sites_degraded", 1);
-                    obs.event(
-                        ObsEvent::new("scan", "degraded")
-                            .field("site", &(i as u64))
-                            .field("tile", &(site_defs[i].tile as u64))
-                            .field("name", &site_defs[i].name)
-                            .field("error", error),
-                    );
-                }
-            }
-            obs.metrics
-                .gauge_set_max("campaign.worst_code_error", summary.worst_code_error as f64);
-            obs.metrics
-                .gauge_set_max("campaign.dead_elements", summary.dead_elements as f64);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), measure_span) {
-            obs.end_span(span);
-        }
-
-        Ok(ResilientCampaignResult {
-            result: CampaignResult {
-                sites,
-                instants: prep.instants,
-                frames,
-            },
-            outcomes,
-            summary,
-        })
-    }
-
-    /// Streams a resilient campaign instead of accumulating it: site
-    /// records flow through a **bounded channel** from the measuring
-    /// workers to the calling thread, which hands each one to `sink` and
-    /// drops it — so peak memory holds at most a couple of chunks of
-    /// in-flight sites plus a per-instant code buffer for frame
-    /// assembly, never a full [`CampaignResult`]. That is what lets a
-    /// 256+-site workload campaign run with flat memory while its
-    /// records land directly in a `psnt-obs` sink (see
-    /// [`StreamRecord::to_event`]).
-    ///
-    /// Semantics match [`Campaign::run_resilient`] exactly: sites run as
-    /// isolated jobs under `retry`, failing sites degrade to empty
-    /// series and all-`X` frame bits, and a
-    /// [`psnt_fault::Fault::SitePanic`] plan in the context degrades (or
-    /// recovers, with retries) the same sites. Collecting the records
-    /// reconstructs the in-memory result **bit-identically at any worker
-    /// count**: sites are sharded into fixed-size chunks independent of
-    /// the worker count, each chunk sweeps on the context's engine, and
-    /// records are delivered in floorplan order — sites first, then one
-    /// [`StreamRecord::Frame`] per instant, then the
-    /// [`StreamRecord::Summary`] (also returned).
-    ///
-    /// When the context carries an observer, the per-site telemetry of
-    /// [`Campaign::run_resilient`] (site spans, `scan`/`site` and
-    /// `scan`/`degraded` events, counters and gauges) is emitted
-    /// incrementally from the consuming thread, still in site order.
-    ///
-    /// # Errors
-    ///
-    /// Input-validation, grid-solve and chain-capture failures as
-    /// [`Campaign::run_resilient`]; additionally, the first error the
-    /// sink returns aborts the stream and is propagated (workers stop at
-    /// the next chunk boundary), and a trip of the context's supervisor
-    /// stops the sweep at the next chunk boundary with
-    /// [`ScanError::Interrupted`]. Either way the truncated stream is
-    /// closed with a best-effort terminal [`StreamRecord::Aborted`]
-    /// carrying the count of site records already delivered. Per-site
-    /// measurement failures do **not** abort the run — they stream as
-    /// degraded records.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_streamed(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
-        retry: RetryPolicy,
-        mut sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
-    ) -> Result<DegradationSummary, ScanError> {
-        let mut campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(samples as u64))
-                .attr("streamed", &true)
-                .sim_interval_ps(
-                    start.picoseconds(),
-                    (start + dt * samples as f64).picoseconds(),
-                )
-        });
-        let prep = self.prepare_sweep(ctx, tile_loads, ground_grid, start, dt, samples)?;
-        if let Some(span) = campaign_span.as_mut() {
-            span.cover_sim_ps(prep.solve_end.picoseconds());
-        }
-        let out = self.streamed_sweep(ctx, prep, retry, &mut sink);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        let summary = out?;
-        sink(StreamRecord::Summary {
-            windows: samples,
-            summary,
-        })?;
-        Ok(summary)
-    }
-
-    /// [`Campaign::run_streamed`] against externally solved rails (see
-    /// [`Campaign::run_resilient_from_rails`] for the rails contract):
-    /// the chip-scale streaming path a workload campaign drives, with
-    /// rail waveforms from the sparse PDN solver and measurement
-    /// windows chosen by the workload.
-    ///
-    /// # Errors
-    ///
-    /// Rail validation as [`Campaign::run_resilient_from_rails`]; sink
-    /// and degradation semantics as [`Campaign::run_streamed`].
-    pub fn run_streamed_from_rails(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_supplies: Vec<Waveform>,
-        tile_bounces: Option<Vec<Waveform>>,
-        instants: Vec<Time>,
-        retry: RetryPolicy,
-        mut sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
-    ) -> Result<DegradationSummary, ScanError> {
-        let prep = self.rails_inputs(tile_supplies, tile_bounces, instants)?;
-        let windows = prep.instants.len();
-        let campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(prep.instants.len() as u64))
-                .attr("streamed", &true)
-                .attr("from_rails", &true)
-                .sim_interval_ps(prep.instants[0].picoseconds(), prep.solve_end.picoseconds())
-        });
-        let out = self.streamed_sweep(ctx, prep, retry, &mut sink);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        let summary = out?;
-        sink(StreamRecord::Summary { windows, summary })?;
-        Ok(summary)
-    }
-
-    /// The chunked producer/consumer sweep shared by
-    /// [`Campaign::run_streamed`] and
-    /// [`Campaign::run_streamed_from_rails`]: sweeps sites in fixed
-    /// chunks, streams records through the bounded channel, assembles
-    /// frames from the code buffer and returns the summary (the caller
-    /// sinks the final [`StreamRecord::Summary`]).
-    fn streamed_sweep(
+    /// The chunked producer/consumer site sweep: measures sites in
+    /// fixed chunks on the context's engine, streams their records
+    /// through the bounded channel, then assembles and streams the
+    /// frames from the code buffer. Returns the summary; the caller
+    /// sinks the final [`StreamRecord::Summary`].
+    fn sweep_sites(
         &self,
         ctx: &mut RunCtx<'_>,
         prep: SweepInputs,
@@ -1225,8 +844,7 @@ impl Campaign {
                     });
                     for (j, mut outcome) in batch.results.into_iter().enumerate() {
                         // Rebase the chunk-local job index so degraded
-                        // error strings name the floorplan site — the
-                        // same strings the in-memory path produces.
+                        // error strings name the floorplan site.
                         if let JobOutcome::Failed(je) = &mut outcome {
                             je.job = chunk_start + j;
                         }
@@ -1264,30 +882,20 @@ impl Campaign {
                         break;
                     }
                     StreamMsg::Site { site, outcome } => {
-                        let (series, site_outcome, span) = match outcome {
-                            JobOutcome::Ok(Ok((series, span))) => {
-                                (series, SiteOutcome::Measured, span)
-                            }
-                            JobOutcome::Ok(Err(e)) => (
+                        let measured = match outcome {
+                            JobOutcome::Ok(Ok(done)) => Ok(done),
+                            JobOutcome::Ok(Err(e)) => Err(e.to_string()),
+                            JobOutcome::Failed(je) => Err(je.to_string()),
+                        };
+                        let (series, site_outcome, span) = match measured {
+                            Ok((series, span)) => (series, SiteOutcome::Measured, span),
+                            Err(error) => (
                                 SiteSeries {
                                     tile: site_defs[site].tile,
                                     name: site_defs[site].name.clone(),
                                     measurements: Vec::new(),
                                 },
-                                SiteOutcome::Degraded {
-                                    error: e.to_string(),
-                                },
-                                None,
-                            ),
-                            JobOutcome::Failed(je) => (
-                                SiteSeries {
-                                    tile: site_defs[site].tile,
-                                    name: site_defs[site].name.clone(),
-                                    measurements: Vec::new(),
-                                },
-                                SiteOutcome::Degraded {
-                                    error: je.to_string(),
-                                },
+                                SiteOutcome::Degraded { error },
                                 None,
                             ),
                         };
@@ -1315,7 +923,7 @@ impl Campaign {
                             if let Some(span) = &span {
                                 obs.emit_remote_tree(span);
                             }
-                            emit_site_events(obs, std::slice::from_ref(&series), prep_ref.v_nom);
+                            emit_site_event(obs, &series, prep_ref.v_nom);
                             if let SiteOutcome::Degraded { error } = &site_outcome {
                                 obs.metrics.counter_add("campaign.sites_degraded", 1);
                                 obs.event(
@@ -1409,85 +1017,67 @@ impl Campaign {
         }
         Ok(summary)
     }
-
-    /// [`Campaign::run_dual`] with an explicit optional observer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::run_dual`].
-    #[deprecated(since = "0.1.0", note = "use `run_dual` with a `RunCtx`")]
-    pub fn run_dual_observed(
-        &self,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
-        observer: Option<&mut Observer>,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run_dual(
-            &mut RunCtx::serial().with_observer_opt(observer),
-            tile_loads,
-            ground_grid,
-            start,
-            dt,
-            samples,
-        )
-    }
-
-    /// [`Campaign::run_dual`] with an explicit engine and optional
-    /// observer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::run_dual`].
-    #[deprecated(since = "0.1.0", note = "use `run_dual` with a `RunCtx`")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_dual_observed_on(
-        &self,
-        engine: &Engine,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
-        observer: Option<&mut Observer>,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run_dual(
-            &mut RunCtx::new(engine.clone()).with_observer_opt(observer),
-            tile_loads,
-            ground_grid,
-            start,
-            dt,
-            samples,
-        )
-    }
 }
 
-/// Emits the per-site `scan`/`site` events and worst droop/bounce
-/// gauges shared by every observed run variant. Sites are visited in
-/// floorplan order after the sweep joins, so the telemetry stream is
+/// Emits one site's `scan`/`site` event and folds its worst droop and
+/// bounce into the campaign gauges. The sweep calls it from the
+/// consuming thread in floorplan order, so the telemetry stream is
 /// worker-count independent.
-fn emit_site_events(obs: &mut Observer, sites: &[SiteSeries], v_nom: f64) {
-    for series in sites {
-        let mut event = ObsEvent::new("scan", "site")
-            .field("tile", &(series.tile as u64))
-            .field("name", &series.name)
-            .field("worst_level", &(series.worst_level() as u64));
-        if let Some(v) = series.worst_voltage() {
-            let droop_mv = (v_nom - v.volts()) * 1e3;
-            obs.metrics
-                .gauge_set_max("campaign.worst_droop_mv", droop_mv);
-            event = event.field("worst_droop_mv", &droop_mv);
-        }
-        if let Some(b) = series.worst_bounce() {
-            let bounce_mv = b.volts() * 1e3;
-            obs.metrics
-                .gauge_set_max("campaign.worst_bounce_mv", bounce_mv);
-            event = event.field("worst_bounce_mv", &bounce_mv);
-        }
-        obs.event(event);
+fn emit_site_event(obs: &mut Observer, series: &SiteSeries, v_nom: f64) {
+    let mut event = ObsEvent::new("scan", "site")
+        .field("tile", &(series.tile as u64))
+        .field("name", &series.name)
+        .field("worst_level", &(series.worst_level() as u64));
+    if let Some(v) = series.worst_voltage() {
+        let droop_mv = (v_nom - v.volts()) * 1e3;
+        obs.metrics
+            .gauge_set_max("campaign.worst_droop_mv", droop_mv);
+        event = event.field("worst_droop_mv", &droop_mv);
     }
+    if let Some(b) = series.worst_bounce() {
+        let bounce_mv = b.volts() * 1e3;
+        obs.metrics
+            .gauge_set_max("campaign.worst_bounce_mv", bounce_mv);
+        event = event.field("worst_bounce_mv", &bounce_mv);
+    }
+    obs.event(event);
+}
+
+/// The collecting sink: runs `sweep` with a sink that reassembles its
+/// records into the in-memory result shape — sites and outcomes in
+/// floorplan order, then the frames with their instants.
+fn collect_stream(
+    sweep: impl FnOnce(
+        &mut dyn FnMut(StreamRecord) -> Result<(), ScanError>,
+    ) -> Result<DegradationSummary, ScanError>,
+) -> Result<ResilientCampaignResult, ScanError> {
+    let mut result = CampaignResult {
+        sites: Vec::new(),
+        instants: Vec::new(),
+        frames: Vec::new(),
+    };
+    let mut outcomes = Vec::new();
+    let summary = sweep(&mut |record| {
+        match record {
+            StreamRecord::Site {
+                series, outcome, ..
+            } => {
+                result.sites.push(series);
+                outcomes.push(outcome);
+            }
+            StreamRecord::Frame { instant, frame, .. } => {
+                result.instants.push(instant);
+                result.frames.push(frame);
+            }
+            StreamRecord::Summary { .. } | StreamRecord::Aborted { .. } => {}
+        }
+        Ok(())
+    })?;
+    Ok(ResilientCampaignResult {
+        result,
+        outcomes,
+        summary,
+    })
 }
 
 /// The level disagreement between the bubble-correcting and truncating
@@ -1515,7 +1105,7 @@ mod tests {
     use super::*;
     use crate::floorplan::Placement;
     use psnt_cells::units::{Resistance, Time};
-    use psnt_pdn::grid::PowerGrid;
+    use psnt_engine::Engine;
 
     fn floorplan() -> Floorplan {
         let grid = PowerGrid::corner_fed(
@@ -1532,6 +1122,120 @@ mod tests {
         Campaign::new(floorplan(), SensorConfig::default()).unwrap()
     }
 
+    /// A healthy supply-only run's campaign data.
+    fn run(
+        c: &Campaign,
+        ctx: &mut RunCtx<'_>,
+        loads: &[Waveform],
+        start: Time,
+        dt: Time,
+        samples: usize,
+    ) -> Result<CampaignResult, ScanError> {
+        c.run_resilient(ctx, loads, None, start, dt, samples, RetryPolicy::none())
+            .map(|r| r.result)
+    }
+
+    /// The serial reference sweep: per site and instant,
+    /// `SensorSystem::measure_at`; per instant, `chain.capture`. Sites
+    /// listed in `degraded` read out as empty series and all-`X` codes.
+    fn reference(
+        c: &Campaign,
+        prep: &SweepInputs,
+        degraded: &[usize],
+    ) -> (CampaignResult, DegradationSummary) {
+        let system = SensorSystem::new(c.config.clone()).unwrap();
+        let quiet = Waveform::constant(0.0);
+        let sites: Vec<SiteSeries> = c
+            .floorplan
+            .sites()
+            .iter()
+            .enumerate()
+            .map(|(i, site)| SiteSeries {
+                tile: site.tile,
+                name: site.name.clone(),
+                measurements: if degraded.contains(&i) {
+                    Vec::new()
+                } else {
+                    let vdd = &prep.tile_supplies[site.tile];
+                    let gnd = prep.tile_bounces.as_ref().map_or(&quiet, |b| &b[site.tile]);
+                    prep.instants
+                        .iter()
+                        .map(|&at| system.measure_at(vdd, gnd, at).unwrap())
+                        .collect()
+                },
+            })
+            .collect();
+        let unknown = ThermometerCode::new(
+            (0..c.chain.bits_per_site())
+                .map(|_| Logic::X)
+                .collect::<LogicVector>(),
+        );
+        let frames: Vec<LogicVector> = (0..prep.instants.len())
+            .map(|k| {
+                let codes: Vec<ThermometerCode> = sites
+                    .iter()
+                    .map(|s| {
+                        s.measurements
+                            .get(k)
+                            .map_or(unknown.clone(), |m| m.hs_code.clone())
+                    })
+                    .collect();
+                c.chain.capture(&codes).unwrap()
+            })
+            .collect();
+        let summary = DegradationSummary {
+            sites_degraded: degraded.len(),
+            dead_elements: degraded.len() * c.chain.bits_per_site(),
+            worst_code_error: sites
+                .iter()
+                .flat_map(|s| &s.measurements)
+                .flat_map(|m| [&m.hs_code, &m.ls_code])
+                .map(encoder_level_gap)
+                .max()
+                .unwrap_or(0),
+        };
+        let result = CampaignResult {
+            sites,
+            instants: prep.instants.clone(),
+            frames,
+        };
+        (result, summary)
+    }
+
+    /// Asserts a resilient result equals the serial reference, with
+    /// exactly the `degraded` sites degraded.
+    fn assert_matches_reference(
+        got: &ResilientCampaignResult,
+        expected: &(CampaignResult, DegradationSummary),
+        degraded: &[usize],
+        what: &str,
+    ) {
+        assert_eq!(got.result, expected.0, "{what}: campaign data");
+        assert_eq!(got.summary, expected.1, "{what}: summary");
+        for (i, o) in got.outcomes.iter().enumerate() {
+            assert_eq!(o.is_measured(), !degraded.contains(&i), "{what}: site {i}");
+        }
+    }
+
+    /// Collects a streamed from-rails run of `prep`'s rails.
+    fn stream_rails(
+        c: &Campaign,
+        ctx: &mut RunCtx<'_>,
+        prep: &SweepInputs,
+    ) -> ResilientCampaignResult {
+        collect_stream(|sink| {
+            c.run_streamed_from_rails(
+                ctx,
+                prep.tile_supplies.clone(),
+                prep.tile_bounces.clone(),
+                prep.instants.clone(),
+                RetryPolicy::none(),
+                sink,
+            )
+        })
+        .unwrap()
+    }
+
     #[test]
     fn chain_matches_floorplan() {
         let c = campaign();
@@ -1546,15 +1250,15 @@ mod tests {
         let mut loads = vec![Waveform::constant(0.02); 9];
         loads[4] =
             Waveform::from_points(vec![(Time::ZERO, 0.05), (Time::from_ns(200.0), 0.9)]).unwrap();
-        let result = c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                8,
-            )
-            .unwrap();
+        let result = run(
+            &c,
+            &mut RunCtx::serial(),
+            &loads,
+            Time::from_ns(10.0),
+            Time::from_ns(20.0),
+            8,
+        )
+        .unwrap();
         assert_eq!(result.sites.len(), 9);
         assert_eq!(result.frames.len(), 8);
         assert_eq!(result.instants.len(), 8);
@@ -1570,15 +1274,15 @@ mod tests {
         let c = campaign();
         let mut loads = vec![Waveform::constant(0.02); 9];
         loads[4] = Waveform::constant(1.2);
-        let result = c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                4,
-            )
-            .unwrap();
+        let result = run(
+            &c,
+            &mut RunCtx::serial(),
+            &loads,
+            Time::from_ns(10.0),
+            Time::from_ns(20.0),
+            4,
+        )
+        .unwrap();
         let hotspot = result.hotspot().unwrap();
         assert_eq!(hotspot.tile, 4, "noise map: {:?}", result.noise_map());
         // The hotspot's worst level is at most the corner tiles'.
@@ -1592,7 +1296,8 @@ mod tests {
         let c = campaign();
         let loads = vec![Waveform::constant(0.02); 4];
         assert!(matches!(
-            c.run(
+            run(
+                &c,
                 &mut RunCtx::serial(),
                 &loads,
                 Time::ZERO,
@@ -1610,23 +1315,20 @@ mod tests {
     fn degenerate_sampling_rejected() {
         let c = campaign();
         let loads = vec![Waveform::constant(0.02); 9];
-        assert!(c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::ZERO,
-                Time::from_ns(10.0),
-                0
-            )
-            .is_err());
-        assert!(c
-            .run(&mut RunCtx::serial(), &loads, Time::ZERO, Time::ZERO, 4)
-            .is_err());
+        assert!(run(
+            &c,
+            &mut RunCtx::serial(),
+            &loads,
+            Time::ZERO,
+            Time::from_ns(10.0),
+            0
+        )
+        .is_err());
+        assert!(run(&c, &mut RunCtx::serial(), &loads, Time::ZERO, Time::ZERO, 4).is_err());
     }
 
     #[test]
     fn dual_rail_campaign_measures_ground_bounce() {
-        use psnt_pdn::grid::PowerGrid;
         let c = campaign();
         // A stiffer ground grid (typical: more return vias).
         let gnd_grid = PowerGrid::corner_fed(
@@ -1639,15 +1341,17 @@ mod tests {
         let mut loads = vec![Waveform::constant(0.05); 9];
         loads[4] = Waveform::constant(0.9);
         let result = c
-            .run_dual(
+            .run_resilient(
                 &mut RunCtx::serial(),
                 &loads,
                 Some(&gnd_grid),
                 Time::from_ns(10.0),
                 Time::from_ns(20.0),
                 4,
+                RetryPolicy::none(),
             )
-            .unwrap();
+            .unwrap()
+            .result;
         // The centre tile bounces hardest: its LS level is the worst.
         let centre = result.sites.iter().find(|s| s.tile == 4).unwrap();
         let corner = result.sites.iter().find(|s| s.tile == 0).unwrap();
@@ -1664,22 +1368,21 @@ mod tests {
             assert!(b < Voltage::from_mv(400.0), "bounce {b}");
         }
         // Without a ground grid the LS readings sit at the quiet code.
-        let quiet_run = c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                2,
-            )
-            .unwrap();
+        let quiet_run = run(
+            &c,
+            &mut RunCtx::serial(),
+            &loads,
+            Time::from_ns(10.0),
+            Time::from_ns(20.0),
+            2,
+        )
+        .unwrap();
         let quiet_centre = quiet_run.sites.iter().find(|s| s.tile == 4).unwrap();
         assert!(quiet_centre.worst_ls_level() >= centre.worst_ls_level());
     }
 
     #[test]
     fn dual_rail_grid_shape_checked() {
-        use psnt_pdn::grid::PowerGrid;
         let c = campaign();
         let wrong = PowerGrid::corner_fed(
             4,
@@ -1690,13 +1393,14 @@ mod tests {
         .unwrap();
         let loads = vec![Waveform::constant(0.05); 9];
         assert!(matches!(
-            c.run_dual(
+            c.run_resilient(
                 &mut RunCtx::serial(),
                 &loads,
                 Some(&wrong),
                 Time::ZERO,
                 Time::from_ns(10.0),
-                2
+                2,
+                RetryPolicy::none(),
             ),
             Err(ScanError::InvalidConfig {
                 name: "ground_grid",
@@ -1711,26 +1415,18 @@ mod tests {
         let mut loads = vec![Waveform::constant(0.02); 9];
         loads[4] =
             Waveform::from_points(vec![(Time::ZERO, 0.05), (Time::from_ns(200.0), 0.9)]).unwrap();
-        let serial = c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                6,
-            )
-            .unwrap();
+        let (start, dt) = (Time::from_ns(10.0), Time::from_ns(20.0));
+        let serial = run(&c, &mut RunCtx::serial(), &loads, start, dt, 6).unwrap();
         for jobs in [1usize, 2, 5, 16] {
-            let parallel = c
-                .run(
-                    &mut RunCtx::new(Engine::new(jobs)),
-                    &loads,
-                    Time::from_ns(10.0),
-                    Time::from_ns(20.0),
-                    6,
-                )
-                .unwrap();
-            assert_eq!(parallel, serial, "jobs={jobs}");
+            let parallel = run(
+                &c,
+                &mut RunCtx::new(Engine::new(jobs)),
+                &loads,
+                start,
+                dt,
+                6,
+            );
+            assert_eq!(parallel.unwrap(), serial, "jobs={jobs}");
         }
     }
 
@@ -1738,60 +1434,48 @@ mod tests {
     fn parallel_observed_merges_site_counter_once() {
         let c = campaign();
         let loads = vec![Waveform::constant(0.1); 9];
+        let (start, dt) = (Time::from_ns(5.0), Time::from_ns(15.0));
         let mut obs = Observer::ring(128);
-        let parallel = c
-            .run_dual(
-                &mut RunCtx::new(Engine::new(3)).with_observer(&mut obs),
-                &loads,
-                None,
-                Time::from_ns(5.0),
-                Time::from_ns(15.0),
-                2,
-            )
-            .unwrap();
-        let plain = c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::from_ns(5.0),
-                Time::from_ns(15.0),
-                2,
-            )
-            .unwrap();
+        let mut ctx = RunCtx::new(Engine::new(3)).with_observer(&mut obs);
+        let parallel = run(&c, &mut ctx, &loads, start, dt, 2).unwrap();
+        drop(ctx);
+        let plain = run(&c, &mut RunCtx::serial(), &loads, start, dt, 2).unwrap();
         assert_eq!(parallel, plain, "observer+parallelism must be passive");
         assert_eq!(obs.metrics.counter_value("campaign.sites_done"), 9);
         assert_eq!(obs.metrics.counter_value("engine.jobs_done"), 9);
     }
 
     #[test]
-    fn resilient_run_without_faults_matches_run_dual() {
+    fn resilient_run_without_faults_matches_reference() {
         let c = campaign();
         let mut loads = vec![Waveform::constant(0.02); 9];
         loads[4] = Waveform::constant(0.8);
-        let plain = c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                3,
-            )
+        let (start, dt) = (Time::from_ns(10.0), Time::from_ns(20.0));
+        let prep = c
+            .prepare_sweep(&mut RunCtx::serial(), &loads, None, start, dt, 3)
             .unwrap();
-        let resilient = c
-            .run_resilient(
-                &mut RunCtx::serial(),
-                &loads,
-                None,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                3,
-                RetryPolicy::none(),
-            )
-            .unwrap();
-        assert_eq!(resilient.result, plain);
-        assert!(resilient.outcomes.iter().all(SiteOutcome::is_measured));
-        assert_eq!(resilient.summary.sites_degraded, 0);
-        assert_eq!(resilient.summary.dead_elements, 0);
+        let expected = reference(&c, &prep, &[]);
+        for jobs in [1usize, 4] {
+            let collected = c
+                .run_resilient(
+                    &mut RunCtx::new(Engine::new(jobs)),
+                    &loads,
+                    None,
+                    start,
+                    dt,
+                    3,
+                    RetryPolicy::none(),
+                )
+                .unwrap();
+            assert_matches_reference(
+                &collected,
+                &expected,
+                &[],
+                &format!("collected jobs={jobs}"),
+            );
+            let streamed = stream_rails(&c, &mut RunCtx::new(Engine::new(jobs)), &prep);
+            assert_matches_reference(&streamed, &expected, &[], &format!("streamed jobs={jobs}"));
+        }
     }
 
     #[test]
@@ -1869,18 +1553,16 @@ mod tests {
             .unwrap();
         assert!(r.outcomes.iter().all(SiteOutcome::is_measured));
         assert_eq!(r.summary.sites_degraded, 0);
-        let healthy = c
-            .run_resilient(
-                &mut RunCtx::serial(),
-                &loads,
-                None,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                2,
-                RetryPolicy::none(),
-            )
-            .unwrap();
-        assert_eq!(r.result, healthy.result);
+        let healthy = run(
+            &c,
+            &mut RunCtx::serial(),
+            &loads,
+            Time::from_ns(10.0),
+            Time::from_ns(20.0),
+            2,
+        )
+        .unwrap();
+        assert_eq!(r.result, healthy);
     }
 
     #[test]
@@ -1909,107 +1591,86 @@ mod tests {
         }
     }
 
-    /// Reassembles a streamed run's records into the in-memory result
-    /// shape, so the bit-identity contract is a single `assert_eq`.
-    fn collect_stream(records: Vec<StreamRecord>) -> ResilientCampaignResult {
-        let mut sites = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut instants = Vec::new();
-        let mut frames = Vec::new();
-        let mut summary = None;
-        for record in records {
-            match record {
-                StreamRecord::Site {
-                    site,
-                    windows,
-                    series,
-                    outcome,
-                } => {
-                    assert_eq!(site, sites.len(), "site records out of order");
-                    // Every site carries the full per-instant window
-                    // map, available before the first frame arrives.
-                    assert_eq!(windows, (0..windows.len()).collect::<Vec<_>>());
-                    if outcome.is_measured() {
-                        assert_eq!(windows.len(), series.measurements.len());
-                    }
-                    sites.push(series);
-                    outcomes.push(outcome);
-                }
-                StreamRecord::Frame {
-                    index,
-                    instant,
-                    frame,
-                } => {
-                    assert_eq!(index, frames.len(), "frame records out of order");
-                    instants.push(instant);
-                    frames.push(frame);
-                }
-                StreamRecord::Summary {
-                    windows,
-                    summary: s,
-                } => {
-                    assert!(summary.is_none(), "duplicate summary record");
-                    assert_eq!(windows, frames.len(), "summary window count");
-                    summary = Some(s);
-                }
-                StreamRecord::Aborted { .. } => {
-                    panic!("completed stream must not carry an abort record")
-                }
-            }
-        }
-        ResilientCampaignResult {
-            result: CampaignResult {
-                sites,
-                instants,
-                frames,
-            },
-            outcomes,
-            summary: summary.expect("stream ended without a summary record"),
-        }
-    }
-
     #[test]
-    fn streamed_is_bit_identical_to_in_memory() {
-        let c = campaign();
-        let mut loads = vec![Waveform::constant(0.02); 9];
-        loads[4] =
-            Waveform::from_points(vec![(Time::ZERO, 0.05), (Time::from_ns(200.0), 0.9)]).unwrap();
-        let in_memory = c
-            .run_resilient(
-                &mut RunCtx::serial(),
-                &loads,
-                None,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                5,
-                RetryPolicy::none(),
-            )
-            .unwrap();
+    fn multi_chunk_stream_is_ordered_and_names_floorplan_sites() {
+        use psnt_fault::{Fault, FaultPlan};
+        // 36 sites span two producer chunks; the degraded site sits in
+        // the second, so its error must name the floorplan index, not
+        // the chunk-local job index.
+        let grid = PowerGrid::corner_fed(
+            6,
+            Voltage::from_v(1.05),
+            Resistance::from_milliohms(60.0),
+            Resistance::from_milliohms(20.0),
+        )
+        .unwrap();
+        let fp = Floorplan::new(grid, Placement::EveryTile).unwrap();
+        let c = Campaign::new(fp, SensorConfig::default()).unwrap();
+        assert!(c.floorplan().sites().len() > STREAM_CHUNK_SITES);
+        let rails = vec![Waveform::constant(1.04); 36];
+        let instants = vec![Time::from_ns(5.0), Time::from_ns(20.0)];
         for jobs in [1usize, 4] {
             let mut records = Vec::new();
-            let summary = c
-                .run_streamed(
-                    &mut RunCtx::new(Engine::new(jobs)),
-                    &loads,
-                    None,
-                    Time::from_ns(10.0),
-                    Time::from_ns(20.0),
-                    5,
-                    RetryPolicy::none(),
-                    |r| {
-                        records.push(r);
-                        Ok(())
-                    },
-                )
-                .unwrap();
-            assert_eq!(summary, in_memory.summary, "jobs={jobs}");
-            assert!(matches!(records.last(), Some(StreamRecord::Summary { .. })));
-            assert_eq!(collect_stream(records), in_memory, "jobs={jobs}");
+            let mut ctx = RunCtx::new(Engine::new(jobs))
+                .with_fault_plan(FaultPlan::new().with(Fault::SitePanic { site: 33 }));
+            c.run_streamed_from_rails(
+                &mut ctx,
+                rails.clone(),
+                None,
+                instants.clone(),
+                RetryPolicy::none(),
+                |r| {
+                    records.push(r);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            // Sites in floorplan order, each with the full window map,
+            // then the frames in order, then the summary.
+            assert_eq!(records.len(), 36 + 2 + 1, "jobs={jobs}");
+            for (i, r) in records[..36].iter().enumerate() {
+                let StreamRecord::Site {
+                    site,
+                    windows,
+                    outcome,
+                    ..
+                } = r
+                else {
+                    panic!("record {i} is not a site: {r:?}");
+                };
+                assert_eq!(*site, i);
+                assert_eq!(windows, &[0, 1]);
+                if i == 33 {
+                    let SiteOutcome::Degraded { error } = outcome else {
+                        panic!("site 33 should be degraded");
+                    };
+                    assert!(error.starts_with("job 33 panicked"), "{error}");
+                } else {
+                    assert!(outcome.is_measured(), "site {i}");
+                }
+            }
+            for (k, r) in records[36..38].iter().enumerate() {
+                assert!(
+                    matches!(r, StreamRecord::Frame { index, .. } if *index == k),
+                    "{r:?}"
+                );
+            }
+            assert!(matches!(
+                records[38],
+                StreamRecord::Summary {
+                    windows: 2,
+                    summary: DegradationSummary {
+                        sites_degraded: 1,
+                        dead_elements: 7,
+                        ..
+                    }
+                }
+            ));
         }
     }
 
     #[test]
-    fn from_rails_paths_agree_and_validate() {
+    fn from_rails_paths_match_reference_and_validate() {
         let c = campaign();
         // Rails as a workload engine hands them over: per-tile supply
         // waveforms already solved, explicit measurement instants.
@@ -2029,34 +1690,26 @@ mod tests {
             Time::from_ns(40.0),
             Time::from_ns(70.0),
         ];
-        let in_memory = c
-            .run_resilient_from_rails(
-                &mut RunCtx::serial(),
-                rails(),
-                None,
-                instants.clone(),
-                RetryPolicy::none(),
-            )
-            .unwrap();
-        assert_eq!(in_memory.result.sites.len(), 9);
-        assert_eq!(in_memory.result.frames.len(), 3);
+        let prep = c.rails_inputs(rails(), None, instants.clone()).unwrap();
+        let expected = reference(&c, &prep, &[]);
         for jobs in [1usize, 4] {
-            let mut records = Vec::new();
-            let summary = c
-                .run_streamed_from_rails(
+            let collected = c
+                .run_resilient_from_rails(
                     &mut RunCtx::new(Engine::new(jobs)),
                     rails(),
                     None,
                     instants.clone(),
                     RetryPolicy::none(),
-                    |r| {
-                        records.push(r);
-                        Ok(())
-                    },
                 )
                 .unwrap();
-            assert_eq!(summary, in_memory.summary, "jobs={jobs}");
-            assert_eq!(collect_stream(records), in_memory, "jobs={jobs}");
+            assert_matches_reference(
+                &collected,
+                &expected,
+                &[],
+                &format!("collected jobs={jobs}"),
+            );
+            let streamed = stream_rails(&c, &mut RunCtx::new(Engine::new(jobs)), &prep);
+            assert_matches_reference(&streamed, &expected, &[], &format!("streamed jobs={jobs}"));
         }
         assert!(matches!(
             c.run_resilient_from_rails(
@@ -2114,89 +1767,16 @@ mod tests {
     }
 
     #[test]
-    fn streamed_degrades_faulted_sites_identically() {
-        use psnt_fault::{Fault, FaultPlan};
-        let c = campaign();
-        let mut loads = vec![Waveform::constant(0.05); 9];
-        loads[4] = Waveform::constant(0.9);
-        let plan = || {
-            FaultPlan::new()
-                .with(Fault::SitePanic { site: 1 })
-                .with(Fault::SitePanic { site: 7 })
-        };
-        let in_memory = c
-            .run_resilient(
-                &mut RunCtx::serial().with_fault_plan(plan()),
-                &loads,
-                None,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                3,
-                RetryPolicy::none(),
-            )
-            .unwrap();
-        for jobs in [1usize, 4] {
-            let mut records = Vec::new();
-            c.run_streamed(
-                &mut RunCtx::new(Engine::new(jobs)).with_fault_plan(plan()),
-                &loads,
-                None,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                3,
-                RetryPolicy::none(),
-                |r| {
-                    records.push(r);
-                    Ok(())
-                },
-            )
-            .unwrap();
-            let collected = collect_stream(records);
-            // Degraded sites stream as degraded records with the very
-            // same error strings (including the site index) as the
-            // in-memory path, and the partial map survives — no panic.
-            assert_eq!(collected, in_memory, "jobs={jobs}");
-            assert_eq!(collected.summary.sites_degraded, 2);
-        }
-        // A retrying policy recovers the first-attempt-only panics in
-        // the streamed path too.
-        let mut records = Vec::new();
-        let summary = c
-            .run_streamed(
-                &mut RunCtx::serial().with_fault_plan(plan()),
-                &loads,
-                None,
-                Time::from_ns(10.0),
-                Time::from_ns(20.0),
-                3,
-                RetryPolicy::attempts(2),
-                |r| {
-                    records.push(r);
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert_eq!(summary.sites_degraded, 0);
-        assert!(collect_stream(records)
-            .outcomes
-            .iter()
-            .all(SiteOutcome::is_measured));
-    }
-
-    #[test]
     fn streamed_sink_error_aborts_run() {
         let c = campaign();
-        let loads = vec![Waveform::constant(0.1); 9];
         let mut delivered = 0usize;
         let mut records = Vec::new();
         let err = c
-            .run_streamed(
+            .run_streamed_from_rails(
                 &mut RunCtx::serial(),
-                &loads,
+                vec![Waveform::constant(1.04); 9],
                 None,
-                Time::from_ns(5.0),
-                Time::from_ns(15.0),
-                2,
+                vec![Time::from_ns(5.0), Time::from_ns(20.0)],
                 RetryPolicy::none(),
                 |r| {
                     delivered += 1;
@@ -2266,13 +1846,12 @@ mod tests {
                 ..
             })
         ));
-        // Cancelling before the grid solve interrupts even earlier:
-        // the error is the same, and no records stream at all.
+        // Cancelling before the grid solve interrupts even earlier,
+        // with the same error.
         let token = CancelToken::new();
         token.cancel();
-        let mut early = Vec::new();
         let err = c
-            .run_streamed(
+            .run_resilient(
                 &mut RunCtx::serial()
                     .with_supervisor(Supervisor::new(token, RunBudget::unlimited())),
                 &vec![Waveform::constant(0.1); 9],
@@ -2281,14 +1860,9 @@ mod tests {
                 Time::from_ns(15.0),
                 2,
                 RetryPolicy::none(),
-                |r| {
-                    early.push(r);
-                    Ok(())
-                },
             )
             .unwrap_err();
         assert_eq!(err, ScanError::Interrupted(psnt_sup::Interrupt::Cancelled));
-        assert!(early.is_empty(), "solve tripped before any record");
         // A detached supervisor (the default) streams the full run.
         let mut full = Vec::new();
         c.run_streamed_from_rails(
@@ -2309,15 +1883,12 @@ mod tests {
     #[test]
     fn streamed_records_render_as_events() {
         let c = campaign();
-        let loads = vec![Waveform::constant(0.1); 9];
         let mut kinds = Vec::new();
-        c.run_streamed(
+        c.run_streamed_from_rails(
             &mut RunCtx::serial(),
-            &loads,
+            vec![Waveform::constant(1.04); 9],
             None,
-            Time::from_ns(5.0),
-            Time::from_ns(15.0),
-            2,
+            vec![Time::from_ns(5.0), Time::from_ns(20.0)],
             RetryPolicy::none(),
             |r| {
                 kinds.push(r.to_event().kind);
@@ -2331,26 +1902,6 @@ mod tests {
         assert_eq!(kinds[11], "stream_summary");
     }
 
-    #[test]
-    fn streamed_observer_telemetry_counts_match() {
-        let c = campaign();
-        let loads = vec![Waveform::constant(0.1); 9];
-        let mut obs = Observer::ring(256);
-        c.run_streamed(
-            &mut RunCtx::new(Engine::new(3)).with_observer(&mut obs),
-            &loads,
-            None,
-            Time::from_ns(5.0),
-            Time::from_ns(15.0),
-            2,
-            RetryPolicy::none(),
-            |_| Ok(()),
-        )
-        .unwrap();
-        assert_eq!(obs.metrics.counter_value("campaign.sites_done"), 9);
-        assert_eq!(obs.metrics.counter_value("engine.jobs_done"), 9);
-    }
-
     mod stream_properties {
         use super::*;
         use proptest::prelude::*;
@@ -2358,11 +1909,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(6))]
 
-            /// The tentpole contract: streamed campaigns are
-            /// bit-identical to the in-memory path at jobs ∈ {1, 4},
-            /// across load patterns, sample counts and fault plans.
+            /// Both public sinks — the collected `run_resilient` and the
+            /// streamed `run_streamed_from_rails` — equal the serial
+            /// reference sweep at jobs ∈ {1, 4}, across load patterns,
+            /// sample counts and fault plans.
             #[test]
-            fn streamed_vs_in_memory_bit_identity(
+            fn sinks_match_serial_reference(
                 centre_load in 0.1..1.0f64,
                 samples in 1usize..5,
                 // 0..9 faults that site; 9 means no fault.
@@ -2372,42 +1924,32 @@ mod tests {
                 let c = campaign();
                 let mut loads = vec![Waveform::constant(0.03); 9];
                 loads[4] = Waveform::constant(centre_load);
-                let plan = || {
-                    if faulted_site < 9 {
-                        FaultPlan::new().with(Fault::SitePanic { site: faulted_site })
-                    } else {
-                        FaultPlan::default()
-                    }
+                let (start, dt) = (Time::from_ns(10.0), Time::from_ns(20.0));
+                let (plan, degraded) = if faulted_site < 9 {
+                    (FaultPlan::new().with(Fault::SitePanic { site: faulted_site }), vec![faulted_site])
+                } else {
+                    (FaultPlan::default(), vec![])
                 };
-                let in_memory = c
-                    .run_resilient(
-                        &mut RunCtx::serial().with_fault_plan(plan()),
-                        &loads,
-                        None,
-                        Time::from_ns(10.0),
-                        Time::from_ns(20.0),
-                        samples,
-                        RetryPolicy::none(),
-                    )
+                let prep = c
+                    .prepare_sweep(&mut RunCtx::serial(), &loads, None, start, dt, samples)
                     .unwrap();
+                let expected = reference(&c, &prep, &degraded);
                 for jobs in [1usize, 4] {
-                    let mut records = Vec::new();
-                    let mut ctx = RunCtx::new(Engine::new(jobs)).with_fault_plan(plan());
-                    c.run_streamed(
-                        &mut ctx,
-                        &loads,
-                        None,
-                        Time::from_ns(10.0),
-                        Time::from_ns(20.0),
-                        samples,
-                        RetryPolicy::none(),
-                        |r| {
-                            records.push(r);
-                            Ok(())
-                        },
-                    )
-                    .unwrap();
-                    prop_assert_eq!(collect_stream(records), in_memory.clone(), "jobs={}", jobs);
+                    let collected = c
+                        .run_resilient(
+                            &mut RunCtx::new(Engine::new(jobs)).with_fault_plan(plan.clone()),
+                            &loads,
+                            None,
+                            start,
+                            dt,
+                            samples,
+                            RetryPolicy::none(),
+                        )
+                        .unwrap();
+                    assert_matches_reference(&collected, &expected, &degraded, "collected");
+                    let mut ctx = RunCtx::new(Engine::new(jobs)).with_fault_plan(plan.clone());
+                    let streamed = stream_rails(&c, &mut ctx, &prep);
+                    assert_matches_reference(&streamed, &expected, &degraded, "streamed");
                 }
             }
         }
@@ -2417,15 +1959,15 @@ mod tests {
     fn frames_roundtrip_through_chain() {
         let c = campaign();
         let loads = vec![Waveform::constant(0.1); 9];
-        let result = c
-            .run(
-                &mut RunCtx::serial(),
-                &loads,
-                Time::from_ns(5.0),
-                Time::from_ns(15.0),
-                3,
-            )
-            .unwrap();
+        let result = run(
+            &c,
+            &mut RunCtx::serial(),
+            &loads,
+            Time::from_ns(5.0),
+            Time::from_ns(15.0),
+            3,
+        )
+        .unwrap();
         for (k, frame) in result.frames.iter().enumerate() {
             let codes = c.chain().deserialize(frame).unwrap();
             for (site, code) in result.sites.iter().zip(&codes) {

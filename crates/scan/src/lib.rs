@@ -19,6 +19,7 @@
 //! use psnt_cells::units::{Resistance, Time, Voltage};
 //! use psnt_core::system::SensorConfig;
 //! use psnt_ctx::RunCtx;
+//! use psnt_engine::RetryPolicy;
 //! use psnt_pdn::grid::PowerGrid;
 //! use psnt_pdn::waveform::Waveform;
 //! use psnt_scan::campaign::Campaign;
@@ -30,8 +31,9 @@
 //! let campaign = Campaign::new(fp, SensorConfig::default())?;
 //! let loads = vec![Waveform::constant(0.05); 9];
 //! let mut ctx = RunCtx::serial();
-//! let result = campaign.run(&mut ctx, &loads, Time::from_ns(10.0), Time::from_ns(20.0), 4)?;
-//! assert_eq!(result.frames.len(), 4);
+//! let run = campaign.run_resilient(&mut ctx, &loads, None, Time::from_ns(10.0),
+//!     Time::from_ns(20.0), 4, RetryPolicy::none())?;
+//! assert_eq!(run.result.frames.len(), 4);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

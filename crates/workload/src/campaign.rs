@@ -14,7 +14,9 @@
 //! 3. the per-site rail waveforms and window-centre instants feed the
 //!    scan layer's `from_rails` entry points, in memory
 //!    ([`NocWorkload::run`]) or streamed record-by-record
-//!    ([`NocWorkload::run_streamed`]) with flat memory.
+//!    ([`NocWorkload::run_streamed`]) with flat memory. Both run the
+//!    scan layer's one campaign sweep; the in-memory path only collects
+//!    its records.
 //!
 //! Both paths are bit-identical at any worker count, and a
 //! `psnt-fault` plan on the context degrades faulted sites instead of

@@ -40,14 +40,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Resistance::from_milliohms(120.0),
         Resistance::from_milliohms(30.0),
     )?;
-    let result = campaign.run_dual(
-        &mut RunCtx::serial(),
-        &loads,
-        Some(&gnd_grid),
-        Time::from_ns(10.0),
-        Time::from_ns(20.0),
-        12,
-    )?;
+    let result = campaign
+        .run_resilient(
+            &mut RunCtx::serial(),
+            &loads,
+            Some(&gnd_grid),
+            Time::from_ns(10.0),
+            Time::from_ns(20.0),
+            12,
+            RetryPolicy::none(),
+        )?
+        .result;
     println!(
         "campaign: {} sites × {} samples; scan chain {} FFs ({} shift cycles/frame)\n",
         result.sites.len(),

@@ -4,28 +4,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> deprecated-variant call gate"
-# The pre-RunCtx entry points are #[deprecated] one-line shims; nothing
-# internal may call them except the shims themselves (same file) and
-# the equivalence tests under tests/. The patterns are paren-anchored
-# so e.g. `measure_with_rng(` does not match `measure_with(`.
-deprecated_calls=$(grep -rn \
-    -e 'run_on(' -e 'run_observed(' -e 'run_dual_observed(' \
-    -e 'run_dual_observed_on(' -e 'measure_with(' \
-    -e 'measure_detailed_with(' -e 'measured_skew_with(' \
-    -e 'run_measures_with(' -e 'monte_carlo_yield_on(' \
-    -e 'array_characteristic_on(' -e 'trim_for_corner_on(' \
-    -e 'step_observed(' -e 'trim_observed(' -e 'transient_observed(' \
-    --include='*.rs' crates/*/src src examples \
-    | grep -v 'pub fn ' \
-    | grep -v 'note = ' \
-    || true)
-if [ -n "$deprecated_calls" ]; then
-    echo "internal code calls a deprecated pre-RunCtx variant:" >&2
-    echo "$deprecated_calls" >&2
-    exit 1
-fi
-
 echo "==> catch_unwind containment gate"
 # Panic isolation lives in exactly one place: the engine's per-job
 # catch_unwind in run_batch_isolated. Everywhere else a panic must
@@ -160,8 +138,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test --workspace"
+cargo test -q --workspace
 
 echo "==> cargo bench --no-run"
 # Benches must always compile, even when nobody runs them.
@@ -172,11 +150,6 @@ echo "==> engine suite under PSNT_JOBS=4"
 # engine's own tests plus the end-to-end parallel proptests.
 PSNT_JOBS=4 cargo test -q -p psnt-engine
 PSNT_JOBS=4 cargo test -q -p psn-thermometer --test parallel
-
-echo "==> context-equivalence proptests under PSNT_JOBS=4"
-# The RunCtx refactor contract: every deprecated shim is bit-identical
-# to the ctx path, including record-for-record telemetry streams.
-PSNT_JOBS=4 cargo test -q -p psn-thermometer --test ctx_equiv
 
 echo "==> kernel-equivalence proptests under PSNT_JOBS=4"
 # The optimized-kernel contract: reset() reuse, the delay cache and

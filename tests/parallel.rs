@@ -45,18 +45,30 @@ proptest! {
         .unwrap();
 
         let serial = campaign
-            .run(&mut RunCtx::serial(), &loads, Time::from_ns(10.0), Time::from_ns(25.0), samples)
-            .unwrap();
+            .run_resilient(
+                &mut RunCtx::serial(),
+                &loads,
+                None,
+                Time::from_ns(10.0),
+                Time::from_ns(25.0),
+                samples,
+                RetryPolicy::none(),
+            )
+            .unwrap()
+            .result;
         for jobs in JOBS {
             let parallel = campaign
-                .run(
+                .run_resilient(
                     &mut RunCtx::new(Engine::new(jobs)),
                     &loads,
+                    None,
                     Time::from_ns(10.0),
                     Time::from_ns(25.0),
                     samples,
+                    RetryPolicy::none(),
                 )
-                .unwrap();
+                .unwrap()
+                .result;
             prop_assert_eq!(&serial, &parallel, "campaign diverged at jobs={}", jobs);
         }
     }
@@ -143,28 +155,102 @@ proptest! {
         let loads = vec![Waveform::constant(idle); 4];
 
         let plain = campaign
-            .run(
+            .run_resilient(
                 &mut RunCtx::serial(),
                 &loads,
+                None,
                 Time::from_ns(10.0),
                 Time::from_ns(20.0),
                 3,
+                RetryPolicy::none(),
             )
-            .unwrap();
+            .unwrap()
+            .result;
         let mut obs = Observer::ring(256);
         let observed = campaign
-            .run_dual(
+            .run_resilient(
                 &mut RunCtx::new(Engine::new(jobs)).with_observer(&mut obs),
                 &loads,
                 None,
                 Time::from_ns(10.0),
                 Time::from_ns(20.0),
                 3,
+                RetryPolicy::none(),
             )
-            .unwrap();
+            .unwrap()
+            .result;
 
         prop_assert_eq!(&plain, &observed);
         prop_assert_eq!(obs.metrics.counter_value("campaign.sites_done"), 4);
         prop_assert_eq!(obs.metrics.counter_value("engine.jobs_done"), 4);
     }
+}
+
+/// Masks what legitimately varies with the worker count: wall times
+/// and worker tracks on spans, the pool-size gauge, and the pool's
+/// chunk-claim counter (its claim granularity scales with the pool).
+fn normalized(lines: Vec<String>) -> Vec<String> {
+    const CLAIMS: &str = "\"engine.chunks_claimed\":";
+    lines
+        .into_iter()
+        .map(|l| {
+            let mut l = psn_thermometer::obs::mask_wall_times(&l)
+                .replace("\"engine.workers\":1.0", "\"engine.workers\":\"<jobs>\"")
+                .replace("\"engine.workers\":4.0", "\"engine.workers\":\"<jobs>\"");
+            if let Some(at) = l.find(CLAIMS).map(|i| i + CLAIMS.len()) {
+                let digits = l[at..].bytes().take_while(u8::is_ascii_digit).count();
+                l.replace_range(at..at + digits, "\"<claims>\"");
+            }
+            l
+        })
+        .collect()
+}
+
+/// An observed resilient campaign with one panicking site emits a
+/// record-for-record identical telemetry stream — spans, site and
+/// degraded events, metrics — at jobs 1 and 4, once wall times, worker
+/// tracks and the pool-size gauge are masked.
+#[test]
+fn degraded_campaign_telemetry_is_worker_count_invariant() {
+    let grid = PowerGrid::corner_fed(
+        3,
+        Voltage::from_v(1.05),
+        Resistance::from_milliohms(60.0),
+        Resistance::from_milliohms(20.0),
+    )
+    .unwrap();
+    let fp = Floorplan::new(grid, Placement::EveryTile).unwrap();
+    let campaign = Campaign::new(fp, SensorConfig::default()).unwrap();
+    let mut loads = vec![Waveform::constant(0.05); 9];
+    loads[4] = Waveform::constant(0.8);
+
+    let mut runs = Vec::new();
+    for jobs in [1usize, 4] {
+        let mut obs = Observer::ring(1024);
+        let mut ctx = RunCtx::new(Engine::new(jobs))
+            .with_fault_plan(FaultPlan::new().with(Fault::SitePanic { site: 2 }))
+            .with_observer(&mut obs);
+        let result = campaign
+            .run_resilient(
+                &mut ctx,
+                &loads,
+                None,
+                Time::from_ns(10.0),
+                Time::from_ns(20.0),
+                3,
+                RetryPolicy::none(),
+            )
+            .unwrap();
+        drop(ctx);
+        obs.finish();
+        assert_eq!(result.summary.sites_degraded, 1);
+        let lines = normalized(obs.ring_lines().unwrap());
+        assert!(
+            lines.iter().any(|l| l.contains("\"degraded\"")),
+            "no degraded event"
+        );
+        runs.push((result, lines));
+    }
+    assert_eq!(runs[0].0, runs[1].0, "results diverged across jobs");
+    assert_eq!(runs[0].1, runs[1].1, "telemetry diverged across jobs");
 }

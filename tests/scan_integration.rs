@@ -22,14 +22,17 @@ fn campaign_localises_a_hotspot() {
     let mut loads = vec![Waveform::constant(0.03); 25];
     loads[12] = Waveform::constant(1.0); // centre tile burns
     let result = campaign
-        .run(
+        .run_resilient(
             &mut RunCtx::serial(),
             &loads,
+            None,
             Time::from_ns(10.0),
             Time::from_ns(20.0),
             6,
+            RetryPolicy::none(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
     let hotspot = result.hotspot().unwrap();
     // The ~30 mV/LSB quantisation can tie the centre with its immediate
     // neighbours (their IR difference is a few tens of mV), but the
@@ -63,14 +66,17 @@ fn sparse_placement_still_sees_the_hotspot_neighbourhood() {
     let mut loads = vec![Waveform::constant(0.03); 25];
     loads[12] = Waveform::constant(1.0);
     let result = campaign
-        .run(
+        .run_resilient(
             &mut RunCtx::serial(),
             &loads,
+            None,
             Time::from_ns(10.0),
             Time::from_ns(20.0),
             4,
+            RetryPolicy::none(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
     assert_eq!(result.sites.len(), 5);
     assert_eq!(result.hotspot().unwrap().tile, 12);
     // Five sites × 7 bits per frame.
@@ -83,14 +89,17 @@ fn frames_decode_back_to_measurements() {
     let campaign = Campaign::new(fp, SensorConfig::default()).unwrap();
     let loads = vec![Waveform::constant(0.2); 9];
     let result = campaign
-        .run(
+        .run_resilient(
             &mut RunCtx::serial(),
             &loads,
+            None,
             Time::from_ns(10.0),
             Time::from_ns(25.0),
             5,
+            RetryPolicy::none(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
     for (k, frame) in result.frames.iter().enumerate() {
         let codes = campaign.chain().deserialize(frame).unwrap();
         assert_eq!(codes.len(), 9);
@@ -138,14 +147,17 @@ fn site_series_statistics_are_consistent() {
     let campaign = Campaign::new(fp, SensorConfig::default()).unwrap();
     let loads = vec![Waveform::constant(0.3); 9];
     let result = campaign
-        .run(
+        .run_resilient(
             &mut RunCtx::serial(),
             &loads,
+            None,
             Time::from_ns(10.0),
             Time::from_ns(20.0),
             10,
+            RetryPolicy::none(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
     for site in &result.sites {
         let levels: Vec<f64> = site
             .measurements

@@ -26,11 +26,9 @@ use psn_thermometer::workload::{ActivityTrace, CycleStepper};
 const JOBS: [usize; 2] = [1, 4];
 
 /// Masks wall-clock span times and worker tracks so two telemetry
-/// streams of the same work compare record-for-record. Unlike the
-/// same-jobs comparisons in `ctx_equiv.rs`, this suite compares runs
-/// at *different* worker counts, so the `engine.workers` gauge — the
-/// one record field that legitimately names the worker count — is
-/// masked too.
+/// streams of the same work compare record-for-record. This suite
+/// compares runs at *different* worker counts, so the `engine.workers`
+/// gauge, which names the worker count, is masked too.
 fn normalized(lines: Vec<String>) -> Vec<String> {
     lines
         .into_iter()

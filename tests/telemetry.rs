@@ -177,13 +177,16 @@ fn campaign_result_roundtrip() {
     let campaign = Campaign::new(fp, SensorConfig::default()).unwrap();
     let loads = vec![Waveform::constant(0.2); 4];
     let result = campaign
-        .run(
+        .run_resilient(
             &mut RunCtx::serial(),
             &loads,
+            None,
             Time::from_ns(10.0),
             Time::from_ns(20.0),
             3,
+            RetryPolicy::none(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
     assert_eq!(roundtrip(&result), result);
 }

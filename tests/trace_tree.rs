@@ -95,7 +95,7 @@ fn assert_well_formed(records: &[SpanRecord]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `run_dual`'s trace is a well-formed campaign → grid_solve /
+    /// `run_resilient`'s trace is a well-formed campaign → grid_solve /
     /// measure_sweep → site → measure tree for any load level, sample
     /// count and worker count — and the traced results are
     /// bit-identical to a detached (no-observer) run.
@@ -112,15 +112,17 @@ proptest! {
 
         let mut obs = Observer::null();
         let observed = campaign
-            .run_dual(
+            .run_resilient(
                 &mut RunCtx::new(Engine::new(jobs)).with_observer(&mut obs),
                 &loads,
                 None,
                 start,
                 dt,
                 samples,
+                RetryPolicy::none(),
             )
-            .unwrap();
+            .unwrap()
+            .result;
         obs.finish();
         let records = obs.trace_records();
         assert_well_formed(records);
@@ -137,15 +139,17 @@ proptest! {
 
         // Observer passivity: the detached run returns the same bits.
         let detached = campaign
-            .run_dual(
+            .run_resilient(
                 &mut RunCtx::new(Engine::new(jobs)),
                 &loads,
                 None,
                 start,
                 dt,
                 samples,
+                RetryPolicy::none(),
             )
-            .unwrap();
+            .unwrap()
+            .result;
         prop_assert_eq!(&observed, &detached, "observer changed results at jobs={}", jobs);
     }
 
