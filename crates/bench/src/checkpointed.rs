@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use psnt_analysis::report::{fmt_v, Table};
 use psnt_cells::units::{Time, Voltage};
-use psnt_control::{PiBoost, SupplyBoost, ThresholdStretch, ThresholdThrottle};
+use psnt_control::{Mitigator, PiBoost, SupplyBoost, ThresholdStretch, ThresholdThrottle};
 use psnt_core::system::SensorSystem;
 use psnt_ctx::RunCtx;
 use psnt_scan::campaign::{SiteOutcome, StreamRecord};
@@ -82,6 +82,33 @@ impl CheckpointedRun {
             report,
             interrupted: false,
         }
+    }
+}
+
+/// The report of a run a cooperative interrupt stopped: `notice`, then
+/// where to resume from when a checkpoint reached disk. `saved` holds
+/// its path, the cycle it captured (`None` when it cannot be read back)
+/// and a suffix for the checkpoint line.
+fn interrupted(
+    mut notice: String,
+    saved: Option<(&Path, Option<usize>, String)>,
+    cycles: usize,
+    experiment: &str,
+) -> CheckpointedRun {
+    match saved {
+        Some((path, cycle, suffix)) => {
+            let cycle = cycle.map_or_else(|| "?".into(), |c| c.to_string());
+            let path = path.display();
+            notice.push_str(&format!(
+                "checkpoint: {path} (cycle {cycle} of {cycles}){suffix}\n\
+                 resume with: repro --{experiment} --resume {path}\n"
+            ));
+        }
+        None => notice.push_str("no checkpoint on disk — rerun from the start\n"),
+    }
+    CheckpointedRun {
+        report: notice,
+        interrupted: true,
     }
 }
 
@@ -149,28 +176,16 @@ pub fn noc_campaign_checkpointed(
     let out = match out {
         Ok(out) => out,
         Err(WorkloadError::Interrupted(reason)) => {
-            let mut s = String::from("== XP-NOC — INTERRUPTED ==\n");
-            s.push_str(&format!("{reason}\n"));
-            match opts.checkpoint.as_deref() {
-                Some(path) if path.exists() => {
-                    let cycle = WorkloadCheckpoint::load(path).map(|c| c.cycle()).ok();
-                    s.push_str(&format!(
-                        "checkpoint: {} (cycle {} of {})\n",
-                        path.display(),
-                        cycle.map_or_else(|| "?".into(), |c| c.to_string()),
-                        workload.config().cycles,
-                    ));
-                    s.push_str(&format!(
-                        "resume with: repro --noc-campaign --resume {}\n",
-                        path.display()
-                    ));
-                }
-                _ => s.push_str("no checkpoint on disk — rerun from the start\n"),
-            }
-            return Ok(CheckpointedRun {
-                report: s,
-                interrupted: true,
-            });
+            let saved = opts.checkpoint.as_deref().filter(|p| p.exists());
+            let cycle = saved.and_then(|p| WorkloadCheckpoint::load(p).ok().map(|c| c.cycle()));
+            let notice = format!("== XP-NOC — INTERRUPTED ==\n{reason}\n");
+            let saved = saved.map(|p| (p, cycle, String::new()));
+            return Ok(interrupted(
+                notice,
+                saved,
+                workload.config().cycles,
+                "noc-campaign",
+            ));
         }
         Err(e) => return Err(e),
     };
@@ -311,66 +326,45 @@ pub fn droop_mitigation_checkpointed(
             Some((idx, ckpt)) if *idx == k => Some(ckpt),
             _ => None,
         };
-        let (_, latency) = droop_run_shape(k);
-        let out = match k {
-            0 => workload.run_mitigated_checkpointed(ctx, None, 0, &ckpt_policy, this_resume),
-            1 => {
-                let mut m = ThresholdStretch::new(tiles, engage, release, 0.25)?.with_hold(hold);
-                workload.run_mitigated_checkpointed(ctx, Some(&mut m), 1, &ckpt_policy, this_resume)
-            }
-            2 => {
-                let mut m = ThresholdThrottle::new(tiles, engage, release)?.with_hold(hold);
-                workload.run_mitigated_checkpointed(ctx, Some(&mut m), 1, &ckpt_policy, this_resume)
-            }
-            4 => {
-                let mut m = PiBoost::new(tiles, release as f64, 0.02, 0.01)?;
-                workload.run_mitigated_checkpointed(ctx, Some(&mut m), 1, &ckpt_policy, this_resume)
-            }
-            _ => {
-                let mut m = SupplyBoost::new(tiles, engage, release, Voltage::from_v(0.06))?
-                    .with_hold(hold);
-                workload.run_mitigated_checkpointed(
-                    ctx,
-                    Some(&mut m),
-                    latency,
-                    &ckpt_policy,
-                    this_resume,
-                )
-            }
+        let (policy, latency) = droop_run_shape(k);
+        let mut mitigator: Option<Box<dyn Mitigator>> = match k {
+            0 => None,
+            1 => Some(Box::new(
+                ThresholdStretch::new(tiles, engage, release, 0.25)?.with_hold(hold),
+            )),
+            2 => Some(Box::new(
+                ThresholdThrottle::new(tiles, engage, release)?.with_hold(hold),
+            )),
+            4 => Some(Box::new(PiBoost::new(tiles, release as f64, 0.02, 0.01)?)),
+            _ => Some(Box::new(
+                SupplyBoost::new(tiles, engage, release, Voltage::from_v(0.06))?.with_hold(hold),
+            )),
         };
+        let out = workload.run_mitigated_checkpointed(
+            ctx,
+            mitigator.as_mut().map(|m| m.as_mut() as &mut dyn Mitigator),
+            latency,
+            &ckpt_policy,
+            this_resume,
+        );
         match out {
             Ok(r) => results.push(r),
             Err(WorkloadError::Interrupted(reason)) => {
-                let (policy, latency) = droop_run_shape(k);
-                let mut s = String::from("== XP-DROOP — INTERRUPTED ==\n");
-                s.push_str(&format!("{reason}\n"));
-                s.push_str(&format!(
-                    "run {}/{DROOP_RUNS}: policy {policy}, latency {latency} cy\n",
-                    k + 1
-                ));
-                match opts.checkpoint.as_deref() {
-                    Some(path) if path.exists() => {
-                        fs::write(meta_path(path), format!("droop-mitigation {k}\n"))
-                            .map_err(|e| meta_err(&meta_path(path), e))?;
-                        let cycle = MitigatedCheckpoint::load(path).map(|c| c.cycle()).ok();
-                        s.push_str(&format!(
-                            "checkpoint: {} (cycle {} of {}) + sidecar {}\n",
-                            path.display(),
-                            cycle.map_or_else(|| "?".into(), |c| c.to_string()),
-                            cfg.cycles,
-                            meta_path(path).display(),
-                        ));
-                        s.push_str(&format!(
-                            "resume with: repro --droop-mitigation --resume {}\n",
-                            path.display()
-                        ));
-                    }
-                    _ => s.push_str("no checkpoint on disk — rerun from the start\n"),
+                let saved = opts.checkpoint.as_deref().filter(|p| p.exists());
+                if let Some(path) = saved {
+                    fs::write(meta_path(path), format!("droop-mitigation {k}\n"))
+                        .map_err(|e| meta_err(&meta_path(path), e))?;
                 }
-                return Ok(CheckpointedRun {
-                    report: s,
-                    interrupted: true,
-                });
+                let cycle =
+                    saved.and_then(|p| MitigatedCheckpoint::load(p).ok().map(|c| c.cycle()));
+                let notice = format!(
+                    "== XP-DROOP — INTERRUPTED ==\n{reason}\n\
+                     run {}/{DROOP_RUNS}: policy {policy}, latency {latency} cy\n",
+                    k + 1
+                );
+                let saved =
+                    saved.map(|p| (p, cycle, format!(" + sidecar {}", meta_path(p).display())));
+                return Ok(interrupted(notice, saved, cfg.cycles, "droop-mitigation"));
             }
             Err(e) => return Err(e),
         }

@@ -26,6 +26,7 @@ use psnt_cells::units::{Current, Resistance, Time, Voltage};
 use psnt_core::system::SensorConfig;
 use psnt_ctx::RunCtx;
 use psnt_engine::RetryPolicy;
+use psnt_obs::{Observer, Span};
 use psnt_pdn::grid::PowerGrid;
 use psnt_pdn::waveform::Waveform;
 use psnt_scan::campaign::{Campaign, DegradationSummary, ResilientCampaignResult, StreamRecord};
@@ -34,9 +35,10 @@ use psnt_scan::ScanError;
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointPolicy, WorkloadCheckpoint, CHECKPOINT_VERSION};
+use crate::driver::{resume_refused, CycleDriver, Shared};
 use crate::error::WorkloadError;
 use crate::noc::NocMesh;
-use crate::stepper::CycleStepper;
+use crate::stepper::{CycleStepper, StepperSnapshot};
 use crate::traffic::TrafficPattern;
 
 /// Full description of a workload-driven campaign.
@@ -335,251 +337,19 @@ impl NocWorkload {
         move |count: u32| idle_node + flit_node * f64::from(count)
     }
 
-    /// Drives the [`CycleStepper`] through the whole run with a neutral
-    /// actuation and collects rails + noise profile — the batch entry
-    /// points are thin drivers over the per-cycle core.
-    fn solve_rails(&self, ctx: &mut RunCtx<'_>) -> Result<Rails, WorkloadError> {
-        self.solve_rails_checkpointed(ctx, &CheckpointPolicy::none(), None)
+    /// The grid node under each sensor site, in floorplan order.
+    pub(crate) fn site_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.campaign.floorplan().sites().iter().map(|s| s.tile)
     }
 
-    /// The supervised, resumable cycle loop behind every batch entry
-    /// point. With a detached supervisor, no checkpoint policy and no
-    /// resume snapshot this is exactly the old unsupervised loop —
-    /// supervision costs one atomic load per cycle.
-    ///
-    /// The context's supervisor is checked once per cycle; a trip
-    /// writes a final checkpoint (when `policy.path` is set) and
-    /// surfaces as [`WorkloadError::Interrupted`]. Harness-level
-    /// faults on the context drive deterministic chaos:
-    /// [`Fault::CancelAt`](psnt_fault::Fault::CancelAt) cancels the
-    /// supervisor's token at exactly that cycle, and
-    /// [`Fault::DeadlineTrip`](psnt_fault::Fault::DeadlineTrip) trips
-    /// the wall-clock deadline at the run's midpoint.
-    fn solve_rails_checkpointed(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        policy: &CheckpointPolicy,
-        resume: Option<&WorkloadCheckpoint>,
-    ) -> Result<Rails, WorkloadError> {
-        let cfg = &self.config;
-        let mut stepper = CycleStepper::new(self, ctx)?;
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.flits", stepper.planned_flits());
-        }
-        let grid = self.campaign.floorplan().grid();
-        let n = grid.tiles();
-        let v_nom = grid.v_pad().volts();
-        let dt = cfg.cycle_time;
-        let windows = self.windows();
-
-        let mut solve_span = ctx.observer().map(|o| {
-            o.begin_span("workload_solve")
-                .attr("cycles", &(cfg.cycles as u64))
-                .attr("nodes", &(n as u64))
-                .sim_interval_ps(0.0, (dt * cfg.cycles as f64).picoseconds())
-        });
-
-        let site_nodes: Vec<usize> = self
-            .campaign
-            .floorplan()
-            .sites()
-            .iter()
-            .map(|s| s.tile)
-            .collect();
-        let mut site_points: Vec<Vec<(Time, f64)>> =
-            vec![Vec::with_capacity(cfg.cycles); site_nodes.len()];
-        let mut stats = self.window_stats_shell();
-
-        let mut start = 0usize;
-        if let Some(ckpt) = resume {
-            start = self.restore_solve_state(
-                ctx,
-                ckpt,
-                &mut stepper,
-                &mut stats,
-                &mut site_points,
-                site_nodes.len(),
-            )?;
-        }
-
-        let sup = ctx.supervisor().clone();
-        let cancel_at = ctx.fault_plan().and_then(|p| p.cancel_at_cycle());
-        let trip_deadline_at = ctx
-            .fault_plan()
-            .is_some_and(|p| p.deadline_trip())
-            .then_some(cfg.cycles / 2);
-        let seed = ctx.seed();
-        let cadence = policy.every.or_else(|| sup.budget().checkpoint_cadence());
-        let snapshot = |stepper: &CycleStepper<'_>,
-                        stats: &[WindowStats],
-                        site_points: &[Vec<(Time, f64)>]| {
-            let done = stepper.cycle();
-            let touched = done.div_ceil(cfg.measure_every).min(windows);
-            WorkloadCheckpoint {
-                version: CHECKPOINT_VERSION,
-                seed,
-                stepper: stepper.snapshot(),
-                stats_done: stats[..touched].to_vec(),
-                site_points: site_points.to_vec(),
-            }
-        };
-
-        for c in start..cfg.cycles {
-            if cancel_at == Some(c as u64) {
-                sup.token().cancel();
-            }
-            if trip_deadline_at == Some(c) {
-                sup.force_expire();
-            }
-            if let Err(reason) = sup.check() {
-                if let Some(path) = policy.path.as_deref() {
-                    snapshot(&stepper, &stats, &site_points).save(path)?;
-                }
-                if let (Some(obs), Some(span)) = (ctx.observer(), solve_span.take()) {
-                    obs.end_span(span);
-                }
-                return Err(WorkloadError::Interrupted(reason));
-            }
-            sup.charge_events(1);
-            stepper.step()?;
-            let t_c = dt * (c as f64 + 0.5);
-            for (k, &nd) in site_nodes.iter().enumerate() {
-                site_points[k].push((t_c, stepper.voltages()[nd]));
-            }
-            self.accumulate_window(&mut stats, c, &stepper, n);
-            if let (Some(every), Some(path)) = (cadence, policy.path.as_deref()) {
-                if (c as u64 + 1).is_multiple_of(every) && c + 1 < cfg.cycles {
-                    snapshot(&stepper, &stats, &site_points).save(path)?;
-                }
-            }
-        }
-
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.delta_solves", stepper.delta_solves());
-            obs.metrics
-                .gauge_set_max("workload.windows", windows as f64);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), solve_span.take()) {
-            obs.end_span(span);
-        }
-
-        let mut tile_supplies = vec![Waveform::constant(v_nom); n];
-        for (k, points) in site_points.into_iter().enumerate() {
-            tile_supplies[site_nodes[k]] = Waveform::from_points(points)?;
-        }
-        Ok(Rails {
-            tile_supplies,
-            instants: stats.iter().map(|w| w.instant).collect(),
-            profile: NoiseProfile {
-                v_nom,
-                windows: stats,
-                flits: stepper.planned_flits(),
-            },
-        })
-    }
-
-    /// Reinstates a solve checkpoint into a freshly planned run;
-    /// returns the cycle the loop continues from.
-    fn restore_solve_state(
-        &self,
-        ctx: &RunCtx<'_>,
-        ckpt: &WorkloadCheckpoint,
-        stepper: &mut CycleStepper<'_>,
-        stats: &mut [WindowStats],
-        site_points: &mut [Vec<(Time, f64)>],
-        sites: usize,
-    ) -> Result<usize, WorkloadError> {
-        let invalid = |reason: String| WorkloadError::InvalidConfig {
-            name: "resume",
-            reason,
-        };
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(invalid(format!(
-                "checkpoint schema version {}, this build reads {CHECKPOINT_VERSION}",
-                ckpt.version
-            )));
-        }
-        if ckpt.seed != ctx.seed() {
-            return Err(invalid(format!(
-                "checkpoint was captured under seed {}, this run uses {}",
-                ckpt.seed,
-                ctx.seed()
-            )));
-        }
-        stepper.restore(&ckpt.stepper)?;
-        let done = stepper.cycle();
-        let touched = done.div_ceil(self.config.measure_every).min(self.windows());
-        if ckpt.stats_done.len() != touched {
-            return Err(invalid(format!(
-                "{} windows captured, cycle {done} expects {touched}",
-                ckpt.stats_done.len()
-            )));
-        }
-        stats[..touched].clone_from_slice(&ckpt.stats_done);
-        if ckpt.site_points.len() != sites {
-            return Err(invalid(format!(
-                "{} site series captured, floorplan has {sites}",
-                ckpt.site_points.len()
-            )));
-        }
-        for (k, series) in ckpt.site_points.iter().enumerate() {
-            if series.len() != done {
-                return Err(invalid(format!(
-                    "site {k} captured {} rail points, cycle {done} expects {done}",
-                    series.len()
-                )));
-            }
-            site_points[k] = series.clone();
-        }
-        Ok(done)
-    }
-
-    /// Empty per-window statistics, one per measurement window.
-    pub(crate) fn window_stats_shell(&self) -> Vec<WindowStats> {
-        let cfg = &self.config;
-        (0..self.windows())
-            .map(|w| {
-                let centre = w * cfg.measure_every + cfg.measure_every / 2;
-                WindowStats {
-                    window: w,
-                    start_cycle: w * cfg.measure_every,
-                    instant: cfg.cycle_time * (centre as f64 + 0.5),
-                    min_v: f64::INFINITY,
-                    worst_node: 0,
-                    mean_v: 0.0,
-                    mean_current: 0.0,
-                    events: 0,
-                }
-            })
-            .collect()
-    }
-
-    /// Folds the stepper's cycle-`c` grid state into its window's
-    /// statistics — the same arithmetic, in the same order, as the old
-    /// fused loop, so stepped profiles stay bit-identical.
-    pub(crate) fn accumulate_window(
-        &self,
-        stats: &mut [WindowStats],
-        c: usize,
-        stepper: &CycleStepper<'_>,
-        n: usize,
-    ) {
-        if let Some(w) = stats.get_mut(c / self.config.measure_every) {
-            let (node, v_min) = stepper.hotspot();
-            if v_min < w.min_v {
-                w.min_v = v_min;
-                w.worst_node = node;
-            }
-            let me = self.config.measure_every as f64;
-            w.mean_v += stepper.voltages().iter().sum::<f64>() / (n as f64 * me);
-            w.mean_current += stepper.solution().loads().iter().sum::<f64>() / me;
-            w.events += stepper
-                .raw_counts()
-                .iter()
-                .map(|&x| u64::from(x))
-                .sum::<u64>();
+    /// The open loop's per-site rail recorder, empty.
+    fn rail_recorder(&self) -> RailRecorder {
+        let site_nodes: Vec<usize> = self.site_nodes().collect();
+        RailRecorder {
+            site_points: vec![Vec::with_capacity(self.config.cycles); site_nodes.len()],
+            site_nodes,
+            nodes: self.campaign.floorplan().grid().tiles(),
+            dt: self.config.cycle_time,
         }
     }
 
@@ -596,7 +366,7 @@ impl NocWorkload {
         ctx: &mut RunCtx<'_>,
         retry: RetryPolicy,
     ) -> Result<NocCampaignResult, WorkloadError> {
-        let rails = self.solve_rails(ctx)?;
+        let rails = self.drive(ctx, &CheckpointPolicy::none(), None, self.rail_recorder())?;
         let result = self.campaign.run_resilient_from_rails(
             ctx,
             rails.tile_supplies,
@@ -626,71 +396,29 @@ impl NocWorkload {
         retry: RetryPolicy,
         sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
     ) -> Result<StreamedNocResult, WorkloadError> {
-        let rails = self.solve_rails(ctx)?;
-        let summary = self.campaign.run_streamed_from_rails(
-            ctx,
-            rails.tile_supplies,
-            None,
-            rails.instants,
-            retry,
-            sink,
-        )?;
-        Ok(StreamedNocResult {
-            summary,
-            profile: rails.profile,
-        })
+        self.run_streamed_checkpointed(ctx, retry, &CheckpointPolicy::none(), None, sink)
     }
 
-    /// [`NocWorkload::run`] under a checkpoint policy, optionally
-    /// resuming from a snapshot: the solve loop writes `policy.path`
-    /// at its cadence and on any supervisor trip, and an
-    /// interrupted-then-resumed run's result is **bit-identical** to
-    /// an uninterrupted one at any worker count.
+    /// [`NocWorkload::run_streamed`] under a checkpoint policy,
+    /// optionally resuming from a snapshot: the cycle loop writes
+    /// `policy.path` at its cadence and on any supervisor trip, and an
+    /// interrupted-then-resumed run is **bit-identical**, record for
+    /// record, to an uninterrupted one at any worker count.
     ///
     /// The resume snapshot must come from the same workload config and
-    /// seed; the scan sweep after the solve is never checkpointed — a
-    /// resumed run repeats it from the start, which changes nothing in
+    /// seed. The scan sweep after the cycle loop is never checkpointed:
+    /// a resumed run repeats it from the start, which changes nothing in
     /// the output.
     ///
     /// # Errors
     ///
-    /// As [`NocWorkload::run`], plus [`WorkloadError::Interrupted`]
-    /// when the context's supervisor trips (a final checkpoint is
-    /// written first when a path is configured),
-    /// [`WorkloadError::Checkpoint`] on snapshot I/O failures, and
-    /// [`WorkloadError::InvalidConfig`] for a mismatched resume
-    /// snapshot.
-    pub fn run_checkpointed(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        retry: RetryPolicy,
-        policy: &CheckpointPolicy,
-        resume: Option<&WorkloadCheckpoint>,
-    ) -> Result<NocCampaignResult, WorkloadError> {
-        let rails = self.solve_rails_checkpointed(ctx, policy, resume)?;
-        let result = self.campaign.run_resilient_from_rails(
-            ctx,
-            rails.tile_supplies,
-            None,
-            rails.instants,
-            retry,
-        )?;
-        Ok(NocCampaignResult {
-            result,
-            profile: rails.profile,
-        })
-    }
-
-    /// [`NocWorkload::run_streamed`] under a checkpoint policy,
-    /// optionally resuming from a snapshot — the streamed counterpart
-    /// of [`NocWorkload::run_checkpointed`], with the same bit-identity
-    /// contract record for record.
-    ///
-    /// # Errors
-    ///
-    /// As [`NocWorkload::run_streamed`] plus the checkpoint errors of
-    /// [`NocWorkload::run_checkpointed`]. A supervisor trip during the
-    /// sweep itself surfaces as the stream's terminal
+    /// As [`NocWorkload::run_streamed`], plus
+    /// [`WorkloadError::Interrupted`] when the context's supervisor
+    /// trips in the cycle loop (a final checkpoint is written first when
+    /// a path is configured), [`WorkloadError::Checkpoint`] on snapshot
+    /// I/O failures, and [`WorkloadError::InvalidConfig`] for a
+    /// mismatched resume snapshot. A supervisor trip during the sweep
+    /// itself surfaces as the stream's terminal
     /// [`StreamRecord::Aborted`] record and is not checkpointed.
     pub fn run_streamed_checkpointed(
         &self,
@@ -700,7 +428,7 @@ impl NocWorkload {
         resume: Option<&WorkloadCheckpoint>,
         sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
     ) -> Result<StreamedNocResult, WorkloadError> {
-        let rails = self.solve_rails_checkpointed(ctx, policy, resume)?;
+        let rails = self.drive(ctx, policy, resume, self.rail_recorder())?;
         let summary = self.campaign.run_streamed_from_rails(
             ctx,
             rails.tile_supplies,
@@ -712,6 +440,100 @@ impl NocWorkload {
         Ok(StreamedNocResult {
             summary,
             profile: rails.profile,
+        })
+    }
+}
+
+/// The open loop's half of the cycle: one rail knot per sensor site per
+/// cycle, sampled at the cycle midpoint.
+struct RailRecorder {
+    /// The grid node each sensor site sits on.
+    site_nodes: Vec<usize>,
+    site_points: Vec<Vec<(Time, f64)>>,
+    /// Grid nodes in total.
+    nodes: usize,
+    dt: Time,
+}
+
+impl CycleDriver for RailRecorder {
+    type Checkpoint = WorkloadCheckpoint;
+    type Output = Rails;
+
+    fn span(&self, obs: &mut Observer, cycles: usize) -> Span {
+        obs.begin_span("workload_solve")
+            .attr("cycles", &(cycles as u64))
+            .attr("nodes", &(self.nodes as u64))
+    }
+
+    fn shared(ckpt: &WorkloadCheckpoint) -> Shared<'_> {
+        (ckpt.version, ckpt.seed, &ckpt.stepper, &ckpt.stats_done)
+    }
+
+    fn restore(
+        &mut self,
+        ckpt: &WorkloadCheckpoint,
+        stepper: &CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
+        let sites = self.site_points.len();
+        if ckpt.site_points.len() != sites {
+            return Err(resume_refused(format!(
+                "{} site series captured, floorplan has {sites}",
+                ckpt.site_points.len()
+            )));
+        }
+        let done = stepper.cycle();
+        for (k, series) in ckpt.site_points.iter().enumerate() {
+            if series.len() != done {
+                return Err(resume_refused(format!(
+                    "site {k} captured {} rail points, cycle {done} expects {done}",
+                    series.len()
+                )));
+            }
+            self.site_points[k] = series.clone();
+        }
+        Ok(())
+    }
+
+    fn cycle(&mut self, c: usize, stepper: &mut CycleStepper<'_>) -> Result<(), WorkloadError> {
+        let t_c = self.dt * (c as f64 + 0.5);
+        for (points, &nd) in self.site_points.iter_mut().zip(&self.site_nodes) {
+            points.push((t_c, stepper.voltages()[nd]));
+        }
+        Ok(())
+    }
+
+    fn checkpoint(
+        &self,
+        seed: u64,
+        stepper: StepperSnapshot,
+        stats_done: Vec<WindowStats>,
+    ) -> WorkloadCheckpoint {
+        WorkloadCheckpoint {
+            version: CHECKPOINT_VERSION,
+            seed,
+            stepper,
+            stats_done,
+            site_points: self.site_points.clone(),
+        }
+    }
+
+    fn finish(
+        self,
+        profile: NoiseProfile,
+        obs: Option<&mut Observer>,
+    ) -> Result<Rails, WorkloadError> {
+        if let Some(obs) = obs {
+            let windows = profile.windows.len() as f64;
+            obs.metrics.gauge_set_max("workload.windows", windows);
+        }
+        let mut tile_supplies = vec![Waveform::constant(profile.v_nom); self.nodes];
+        for (points, &nd) in self.site_points.into_iter().zip(&self.site_nodes) {
+            tile_supplies[nd] = Waveform::from_points(points)?;
+        }
+        Ok(Rails {
+            tile_supplies,
+            instants: profile.windows.iter().map(|w| w.instant).collect(),
+            profile,
         })
     }
 }
@@ -901,6 +723,27 @@ mod tests {
         std::env::temp_dir().join(format!("psnt-ckpt-{tag}-{}.json", std::process::id()))
     }
 
+    /// The streamed checkpointed path, its records collected in memory
+    /// so a run compares whole against [`NocWorkload::run`].
+    fn run_collected(
+        w: &NocWorkload,
+        ctx: &mut RunCtx<'_>,
+        policy: &CheckpointPolicy,
+        resume: Option<&WorkloadCheckpoint>,
+    ) -> Result<NocCampaignResult, WorkloadError> {
+        let mut records = Vec::new();
+        let out = w.run_streamed_checkpointed(ctx, RetryPolicy::none(), policy, resume, |r| {
+            records.push(r);
+            Ok(())
+        })?;
+        let result = collect(records);
+        assert_eq!(out.summary, result.summary);
+        Ok(NocCampaignResult {
+            result,
+            profile: out.profile,
+        })
+    }
+
     #[test]
     fn cancel_at_fault_checkpoints_and_resumes_bit_identically() {
         use psnt_sup::Interrupt;
@@ -914,30 +757,26 @@ mod tests {
         let mut ctx = RunCtx::serial()
             .with_seed(5)
             .with_fault_plan(FaultPlan::new().with(Fault::CancelAt { cycle: 30 }));
-        let err = w
-            .run_checkpointed(&mut ctx, RetryPolicy::none(), &policy, None)
-            .unwrap_err();
+        let err = run_collected(&w, &mut ctx, &policy, None).unwrap_err();
         assert_eq!(err, WorkloadError::Interrupted(Interrupt::Cancelled));
         let ckpt = WorkloadCheckpoint::load(&path).unwrap();
         assert_eq!(ckpt.cycle(), 30, "interrupted exactly at the faulted cycle");
-        let resumed = w
-            .run_checkpointed(
-                &mut RunCtx::serial().with_seed(5),
-                RetryPolicy::none(),
-                &CheckpointPolicy::none(),
-                Some(&ckpt),
-            )
-            .unwrap();
+        let resumed = run_collected(
+            &w,
+            &mut RunCtx::serial().with_seed(5),
+            &CheckpointPolicy::none(),
+            Some(&ckpt),
+        )
+        .unwrap();
         assert_eq!(resumed, full, "interrupted-then-resumed ≡ uninterrupted");
         // A mismatched seed is refused instead of silently diverging.
-        let err = w
-            .run_checkpointed(
-                &mut RunCtx::serial().with_seed(6),
-                RetryPolicy::none(),
-                &CheckpointPolicy::none(),
-                Some(&ckpt),
-            )
-            .unwrap_err();
+        let err = run_collected(
+            &w,
+            &mut RunCtx::serial().with_seed(6),
+            &CheckpointPolicy::none(),
+            Some(&ckpt),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             WorkloadError::InvalidConfig { name: "resume", .. }
@@ -998,33 +837,163 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A closed-loop chip whose rails sit inside the sensor's dynamic
+    /// range, so a throttle actually engages.
+    fn closed_loop_chip() -> NocWorkload {
+        let mut cfg = NocWorkloadConfig::small_2x2();
+        cfg.v_pad = psnt_cells::units::Voltage::from_v(1.0);
+        cfg.flit_current = Current::from_ma(40.0);
+        cfg.pattern = TrafficPattern::Bursty {
+            injection_rate: 0.9,
+            on_cycles: 12,
+            off_cycles: 18,
+        };
+        NocWorkload::new(cfg).unwrap()
+    }
+
+    /// Rewrites a closed-loop checkpoint file in the parent layout: the
+    /// deepest droop, its cycle, the engaged cycles and the controller's
+    /// actuation stored next to the traces they derive from.
+    fn write_parent_format(path: &std::path::Path) {
+        use serde::{json, Value};
+        let Value::Map(mut entries) = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+        else {
+            panic!("a checkpoint is a JSON object");
+        };
+        let ckpt = Value::Map(entries.clone());
+        let droop: Vec<f64> = ckpt
+            .get("droop_trace")
+            .and_then(Value::as_seq)
+            .unwrap()
+            .iter()
+            .map(|d| d.as_f64().unwrap())
+            .collect();
+        let (mut worst, mut worst_cycle) = (0.0f64, 0u64);
+        for (c, &d) in droop.iter().enumerate() {
+            if d > worst {
+                worst = d;
+                worst_cycle = c as u64;
+            }
+        }
+        let engaged = ckpt
+            .get("actuation_trace")
+            .and_then(Value::as_seq)
+            .unwrap()
+            .iter()
+            .filter(|s| {
+                ["stretched", "throttled", "boosted"]
+                    .iter()
+                    .any(|k| s.get(k).and_then(Value::as_u64) != Some(0))
+            })
+            .count();
+        let act = ckpt
+            .get("stepper")
+            .and_then(|s| s.get("act"))
+            .unwrap()
+            .clone();
+        entries.push(("worst_droop".into(), Value::F64(worst)));
+        entries.push(("worst_droop_cycle".into(), Value::U64(worst_cycle)));
+        entries.push(("engaged_cycles".into(), Value::U64(engaged as u64)));
+        entries.push(("act".into(), act));
+        std::fs::write(path, json::render(&Value::Map(entries))).unwrap();
+    }
+
     #[test]
     fn cadence_checkpoints_are_resumable_mid_run() {
+        // Open loop.
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
         let path = ckpt_path("cadence");
         let policy = CheckpointPolicy::to_path(&path, 16);
-        let full = w
-            .run_checkpointed(
-                &mut RunCtx::serial().with_seed(9),
-                RetryPolicy::none(),
-                &policy,
-                None,
-            )
-            .unwrap();
+        let full = run_collected(&w, &mut RunCtx::serial().with_seed(9), &policy, None).unwrap();
         // 60 cycles at cadence 16: snapshots at 16, 32 and 48 — the
         // file on disk holds the last one.
         let ckpt = WorkloadCheckpoint::load(&path).unwrap();
         assert_eq!(ckpt.cycle(), 48);
-        let resumed = w
-            .run_checkpointed(
-                &mut RunCtx::serial().with_seed(9),
-                RetryPolicy::none(),
-                &CheckpointPolicy::none(),
-                Some(&ckpt),
-            )
-            .unwrap();
+        let resumed = run_collected(
+            &w,
+            &mut RunCtx::serial().with_seed(9),
+            &CheckpointPolicy::none(),
+            Some(&ckpt),
+        )
+        .unwrap();
         assert_eq!(resumed, full);
         std::fs::remove_file(&path).ok();
+
+        // Closed loop: a throttle observing codes at latency 2.
+        use crate::checkpoint::MitigatedCheckpoint;
+        use psnt_control::ThresholdThrottle;
+        let w = closed_loop_chip();
+        let path = ckpt_path("cadence-closed");
+        let policy = CheckpointPolicy::to_path(&path, 16);
+        let mk = || ThresholdThrottle::new(4, 6, 7).unwrap();
+        let run = |ctrl: &mut ThresholdThrottle,
+                   policy: &CheckpointPolicy,
+                   resume: Option<&MitigatedCheckpoint>| {
+            w.run_mitigated_checkpointed(
+                &mut RunCtx::serial().with_seed(9),
+                Some(ctrl),
+                2,
+                policy,
+                resume,
+            )
+            .unwrap()
+        };
+        let full = run(&mut mk(), &policy, None);
+        assert!(full.engaged_cycles > 0, "loop actually closed");
+        assert_eq!(full, run(&mut mk(), &CheckpointPolicy::none(), None));
+        let ckpt = MitigatedCheckpoint::load(&path).unwrap();
+        assert_eq!(ckpt.cycle(), 48);
+        assert_eq!(ckpt.in_flight.len(), 2);
+        let resumed = run(&mut mk(), &CheckpointPolicy::none(), Some(&ckpt));
+        assert_eq!(resumed, full, "closed loop resumed from a cadence snapshot");
+
+        // The same snapshot in the parent layout, with the four fields
+        // this build derives instead of storing, loads and resumes
+        // bit-identically.
+        write_parent_format(&path);
+        let text = std::fs::read_to_string(&path).unwrap();
+        for field in [
+            "worst_droop",
+            "worst_droop_cycle",
+            "engaged_cycles",
+            "\"act\"",
+        ] {
+            assert!(text.contains(field), "parent layout lacks {field}");
+        }
+        let parent = MitigatedCheckpoint::load(&path).unwrap();
+        assert_eq!(parent, ckpt);
+        let resumed = run(&mut mk(), &CheckpointPolicy::none(), Some(&parent));
+        assert_eq!(resumed, full, "parent-format checkpoint resumed");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_save_closes_the_run_span() {
+        use psnt_obs::Observer;
+        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("psnt-no-such-dir-{}", std::process::id()))
+            .join("run.ckpt");
+        let mut obs = Observer::ring(4096);
+        let mut ctx = RunCtx::serial().with_seed(3).with_observer(&mut obs);
+        let err = w
+            .run_streamed_checkpointed(
+                &mut ctx,
+                RetryPolicy::none(),
+                &CheckpointPolicy::to_path(&path, 4),
+                None,
+                |_| Ok(()),
+            )
+            .unwrap_err();
+        drop(ctx);
+        assert!(matches!(err, WorkloadError::Checkpoint { .. }), "{err:?}");
+        let solve = obs.trace_records().last().unwrap();
+        assert_eq!(solve.name, "workload_solve", "the run span was closed");
+        let probe = obs.begin_span("probe");
+        obs.end_span(probe);
+        let probe = obs.trace_records().last().unwrap();
+        assert_eq!(probe.name, "probe");
+        assert_eq!(probe.parent, None, "no dead span left open");
     }
 
     #[test]

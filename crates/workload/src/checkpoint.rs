@@ -2,8 +2,11 @@
 //!
 //! A supervised run snapshots its solve-phase state — the
 //! [`StepperSnapshot`] plus everything the driver accumulated — at the
-//! cadence the supervisor's [`RunBudget`](psnt_sup::RunBudget) asks
-//! for, and again the moment a cooperative interrupt trips. The
+//! cadence the policy or the supervisor's
+//! [`RunBudget`](psnt_sup::RunBudget) asks for, and again the moment a
+//! cooperative interrupt trips. Both happen at the top of a cycle, in
+//! the one cycle loop every driver shares, so a cadence boundary that
+//! is also the interrupt cycle writes one file. The
 //! snapshot restores onto a fresh run over the **same workload, seed
 //! and worker count**, after which the run is bit-identical,
 //! record for record, to one that was never interrupted: the stepper's
@@ -48,7 +51,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use psnt_cells::units::Time;
-use psnt_control::Actuation;
 use psnt_control::ControlFrame;
 use serde::{json, Deserialize, Serialize};
 
@@ -123,6 +125,13 @@ pub struct WorkloadCheckpoint {
 /// the solve state plus the control loop's traces, in-flight frames
 /// and policy state.
 ///
+/// It stores nothing its traces already hold. The deepest droop, its
+/// cycle and the engaged-cycle count are derived from `droop_trace` and
+/// `actuation_trace` when the run ends, and the controller's working
+/// actuation is the stepper's own. Files that still carry the old
+/// `worst_droop`, `worst_droop_cycle`, `engaged_cycles` and `act`
+/// fields load unchanged: decoding ignores fields it does not know.
+///
 /// [`NocWorkload::run_mitigated`]: crate::NocWorkload::run_mitigated
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MitigatedCheckpoint {
@@ -141,20 +150,12 @@ pub struct MitigatedCheckpoint {
     pub droop_trace: Vec<f64>,
     /// Per-cycle actuation summaries so far.
     pub actuation_trace: Vec<ActuationSample>,
-    /// Deepest droop so far, volts.
-    pub worst_droop: f64,
-    /// Cycle of the deepest droop so far.
-    pub worst_droop_cycle: usize,
-    /// Cycles run with non-neutral actuation so far.
-    pub engaged_cycles: u64,
     /// Site readings dropped by faults so far.
     pub degraded_readings: u64,
     /// Peak throttle backlog so far.
     pub deferred_peak: usize,
     /// Frames in the delay line, oldest first.
     pub in_flight: Vec<ControlFrame>,
-    /// The actuation the controller last derived.
-    pub act: Actuation,
     /// The mitigator's serialized state
     /// ([`Mitigator::state_snapshot`](psnt_control::Mitigator::state_snapshot));
     /// `None` when the policy is stateless or does not support
@@ -177,7 +178,7 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> WorkloadError {
 /// new one, never a partial file. It is not durable across power loss:
 /// nothing is fsynced, so after an OS crash the rename may be lost or
 /// the file may be empty.
-fn write_atomic(path: &Path, text: &str) -> Result<(), WorkloadError> {
+pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), WorkloadError> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, text).map_err(|e| io_err(&tmp, e))?;
     fs::rename(&tmp, path).map_err(|e| io_err(path, e))
@@ -435,13 +436,9 @@ mod tests {
             stats_done: Vec::new(),
             droop_trace: Vec::new(),
             actuation_trace: Vec::new(),
-            worst_droop: 0.0,
-            worst_droop_cycle: 0,
-            engaged_cycles: 0,
             degraded_readings: 0,
             deferred_peak: 0,
             in_flight: Vec::new(),
-            act: Actuation::neutral(4),
             mitigator_state: None,
         };
         let schema_error = |r: Result<(), WorkloadError>, v: u32| match r {
@@ -491,8 +488,10 @@ mod tests {
         let none = CheckpointPolicy::none();
         let mut ctx = RunCtx::serial().with_seed(5);
         resume_error(
-            w.run_checkpointed(&mut ctx, RetryPolicy::none(), &none, Some(&open))
-                .unwrap_err(),
+            w.run_streamed_checkpointed(&mut ctx, RetryPolicy::none(), &none, Some(&open), |_| {
+                Ok(())
+            })
+            .unwrap_err(),
         );
         resume_error(
             w.run_mitigated_checkpointed(&mut ctx, None, 1, &none, Some(&closed))
@@ -604,6 +603,74 @@ mod tests {
             stats_done: Vec::new(),
             site_points: vec![vec![(Time::ZERO, 0.1), (Time::from_ps(1000.0), 0.95)]],
         })
+    }
+
+    #[test]
+    fn out_of_authority_actuation_is_refused_on_resume() {
+        use crate::campaign::{NocWorkload, NocWorkloadConfig};
+        use psnt_control::Actuation;
+        use psnt_ctx::RunCtx;
+        use psnt_engine::RetryPolicy;
+        use psnt_fault::{Fault, FaultPlan};
+
+        // A real open-loop checkpoint, cancelled at cycle 30: its
+        // stepper holds the neutral actuation the edits replace.
+        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
+        let path = temp_file("actuation.ckpt");
+        let mut ctx = RunCtx::serial()
+            .with_seed(5)
+            .with_fault_plan(FaultPlan::new().with(Fault::CancelAt { cycle: 30 }));
+        let policy = CheckpointPolicy::to_path(&path, 1000);
+        let err = w
+            .run_streamed_checkpointed(&mut ctx, RetryPolicy::none(), &policy, None, |_| Ok(()))
+            .unwrap_err();
+        assert!(matches!(err, WorkloadError::Interrupted(_)), "{err:?}");
+        let doc = fs::read_to_string(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        let neutral = json::to_string(&Actuation::neutral(4));
+        assert_eq!(doc.matches(&neutral).count(), 1);
+
+        let resume = |stretch: &str, boost: &str| {
+            let act = format!(
+                r#"{{"stretch":[{stretch},1.0,1.0,1.0],"throttle":[false,false,false,false],"boost":[{boost},0.0,0.0,0.0]}}"#
+            );
+            let edited = doc.replace(&neutral, &act);
+            assert_ne!(edited, doc);
+            // Decoding bypasses the clamping setters: the edit loads.
+            let ckpt: WorkloadCheckpoint = decode_checked(&path, &edited).unwrap();
+            w.run_streamed_checkpointed(
+                &mut RunCtx::serial().with_seed(5),
+                RetryPolicy::none(),
+                &CheckpointPolicy::none(),
+                Some(&ckpt),
+                |_| Ok(()),
+            )
+        };
+        for (what, stretch, boost) in [
+            ("stretch above 1", "7.0", "0.0"),
+            ("negative stretch", "-3.0", "0.0"),
+            ("stretch below the floor", "0.1", "0.0"),
+            ("boost of 5 V", "1.0", "5.0"),
+            ("negative boost", "1.0", "-0.01"),
+            ("both", "7.0", "5.0"),
+        ] {
+            let r = resume(stretch, boost);
+            assert!(
+                matches!(
+                    r,
+                    Err(WorkloadError::InvalidConfig {
+                        name: "snapshot",
+                        ..
+                    })
+                ),
+                "{what}: {r:?}"
+            );
+        }
+        // The edges of the authority resume.
+        for (stretch, boost) in [("0.25", "0.2"), ("0.5", "0.1")] {
+            let r = resume(stretch, boost);
+            assert!(r.is_ok(), "stretch {stretch}, boost {boost}: {r:?}");
+        }
     }
 
     #[test]

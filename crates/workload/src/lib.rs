@@ -16,12 +16,20 @@
 //!   ([`PowerGrid::update_delta`](psnt_pdn::grid::PowerGrid::update_delta)),
 //!   with a sanctioned [`Actuation`](psnt_control::Actuation) door for
 //!   closed-loop control;
-//! * [`campaign`] — [`NocWorkload`]: the batch entry points, now thin
-//!   drivers over the stepper (bit-identical to the old fused loop) →
-//!   in-memory or streamed multi-site scan campaigns;
+//! * [`campaign`] — [`NocWorkload`]: the open-loop entry points, which
+//!   record every site's rail per cycle (bit-identical to the old fused
+//!   loop) → in-memory or streamed multi-site scan campaigns;
 //! * [`mitigated`] — [`NocWorkload::run_mitigated`], the closed loop:
 //!   per-cycle thermometer sensing → delayed codes → a
-//!   [`Mitigator`](psnt_control::Mitigator) actuating the next cycle.
+//!   [`Mitigator`](psnt_control::Mitigator) actuating the next cycle;
+//! * [`checkpoint`] — the snapshot formats both drivers write and
+//!   resume from.
+//!
+//! Every driver runs the same private, supervised cycle loop. It steps
+//! the [`CycleStepper`], folds each cycle into the window statistics,
+//! checks the context's supervisor, fires the harness faults, writes
+//! cadence and interrupt snapshots and closes the run span on every
+//! exit path; a driver adds only its per-cycle work.
 //!
 //! # Example
 //!
@@ -42,6 +50,7 @@
 
 pub mod campaign;
 pub mod checkpoint;
+mod driver;
 pub mod error;
 pub mod mitigated;
 pub mod noc;

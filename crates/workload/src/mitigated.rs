@@ -1,7 +1,8 @@
 //! The closed-loop co-simulation driver: stepper + sensor + mitigator.
 //!
 //! [`NocWorkload::run_mitigated`] closes the loop the paper gestures
-//! at: every cycle, the [`CycleStepper`] advances the chip one cycle,
+//! at. It plugs into the same supervised cycle loop as the open-loop
+//! campaign: every cycle, the [`CycleStepper`] advances the chip one cycle,
 //! each monitor site senses its local rail with the instantaneous
 //! [`SensorSystem::measure_value`] path (the causal sensing entry
 //! point — the windowed `measure_at` would peek into the *next*
@@ -17,16 +18,18 @@
 //! `None`, and every built-in controller holds its previous actuation
 //! for it.
 
-use psnt_cells::units::Voltage;
+use psnt_cells::units::{Time, Voltage};
 use psnt_control::{Actuation, ControlFrame, DelayLine, Mitigator, SiteReading};
 use psnt_core::SensorSystem;
 use psnt_ctx::RunCtx;
+use psnt_obs::{Observer, Span};
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{NocWorkload, NoiseProfile};
+use crate::campaign::{NocWorkload, NoiseProfile, WindowStats};
 use crate::checkpoint::{CheckpointPolicy, MitigatedCheckpoint, CHECKPOINT_VERSION};
+use crate::driver::{resume_refused, CycleDriver, Shared};
 use crate::error::WorkloadError;
-use crate::stepper::CycleStepper;
+use crate::stepper::{CycleStepper, StepperSnapshot};
 
 /// Millivolt bucket edges of the `control.droop_depth_mv` histogram.
 const DROOP_BUCKETS_MV: [f64; 6] = [10.0, 20.0, 40.0, 60.0, 80.0, 100.0];
@@ -133,7 +136,16 @@ impl NocWorkload {
     /// line's in-flight frames and the mitigator's own state (via
     /// [`Mitigator::state_snapshot`]) — so an interrupted-then-resumed
     /// run is **bit-identical** to an uninterrupted one, including the
-    /// actuation trace.
+    /// actuation trace. The deepest droop, its cycle and the engaged
+    /// cycles are derived from the traces when the run ends, and the
+    /// controller resumes from the stepper's actuation, so none of them
+    /// is stored.
+    ///
+    /// A resume with a mitigator wired must run at the snapshot's code
+    /// latency: the delay line must hold `min(cycle, latency)` frames.
+    /// The one mismatch accepted is a snapshot taken before any frame
+    /// reached the controller, where both latencies are in the same
+    /// state.
     ///
     /// A policy whose [`Mitigator::state_snapshot`] returns `None`
     /// resumes with its controller cold; the built-in controllers all
@@ -147,283 +159,256 @@ impl NocWorkload {
     /// configured), [`WorkloadError::Checkpoint`] on snapshot I/O
     /// failures, and [`WorkloadError::InvalidConfig`] when the resume
     /// snapshot's seed, policy, latency, or geometry does not match
-    /// this run.
+    /// this run, or its actuation lies outside the actuators' authority.
     pub fn run_mitigated_checkpointed(
         &self,
         ctx: &mut RunCtx<'_>,
-        mut mitigator: Option<&mut dyn Mitigator>,
+        mitigator: Option<&mut dyn Mitigator>,
         latency: usize,
         ckpt_policy: &CheckpointPolicy,
         resume: Option<&MitigatedCheckpoint>,
     ) -> Result<MitigatedNocResult, WorkloadError> {
         let cfg = self.config();
         let tiles = self.mesh().tiles();
-        let dt = cfg.cycle_time;
-        let cycles = cfg.cycles;
-        let policy = mitigator
-            .as_ref()
-            .map_or("open-loop", |m| m.name())
-            .to_string();
         let sensor = SensorSystem::new(cfg.sensor.clone())?;
         let grid = self.campaign().floorplan().grid();
-        let n = grid.tiles();
-        let v_nom = grid.v_pad().volts();
 
         // Site attribution: floorplan sites address grid nodes; the
         // controller reasons in power domains (mesh tiles).
-        let mut node_domain = vec![0usize; n];
+        let mut node_domain = vec![0usize; grid.tiles()];
         for t in 0..tiles {
             for &nd in self.block_nodes(t) {
                 node_domain[nd] = t;
             }
         }
-        let site_nodes: Vec<usize> = self
-            .campaign()
-            .floorplan()
-            .sites()
-            .iter()
-            .map(|s| s.tile)
-            .collect();
-        let panicking: Vec<usize> = ctx
-            .fault_plan()
-            .map(|p| p.panicking_sites())
-            .unwrap_or_default();
-        let drop_cycle = cycles / 2;
+        let sites = self.site_nodes().map(|nd| (nd, node_domain[nd])).collect();
+        let driver = ControlLoop {
+            policy: mitigator.as_ref().map_or("open-loop", |m| m.name()),
+            mitigator,
+            latency,
+            sensor,
+            sites,
+            panicking: ctx
+                .fault_plan()
+                .map(|p| p.panicking_sites())
+                .unwrap_or_default(),
+            drop_cycle: cfg.cycles / 2,
+            dt: cfg.cycle_time,
+            v_nom: grid.v_pad().volts(),
+            delay: DelayLine::new(latency),
+            act: Actuation::neutral(tiles),
+            droop_trace: Vec::with_capacity(cfg.cycles),
+            actuation_trace: Vec::with_capacity(cfg.cycles),
+            degraded_readings: 0,
+            deferred_peak: 0,
+        };
+        self.drive(ctx, ckpt_policy, resume, driver)
+    }
+}
 
-        let mut stepper = CycleStepper::new(self, ctx)?;
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.flits", stepper.planned_flits());
+/// The closed loop's half of the cycle: droop and actuation traces,
+/// then sense → [`DelayLine`] → [`Mitigator`] → next cycle's actuation.
+struct ControlLoop<'m> {
+    mitigator: Option<&'m mut dyn Mitigator>,
+    /// The mitigator's name, or `"open-loop"`.
+    policy: &'static str,
+    latency: usize,
+    sensor: SensorSystem,
+    /// `(grid node, power domain)` of every monitor site.
+    sites: Vec<(usize, usize)>,
+    /// Sites a `SitePanic` fault knocks out for the frame at
+    /// `drop_cycle`.
+    panicking: Vec<usize>,
+    drop_cycle: usize,
+    dt: Time,
+    v_nom: f64,
+    delay: DelayLine,
+    /// The controller's working actuation; always the stepper's, since
+    /// every `observe` is followed at once by `apply`.
+    act: Actuation,
+    droop_trace: Vec<f64>,
+    actuation_trace: Vec<ActuationSample>,
+    degraded_readings: u64,
+    deferred_peak: usize,
+}
+
+impl CycleDriver for ControlLoop<'_> {
+    type Checkpoint = MitigatedCheckpoint;
+    type Output = MitigatedNocResult;
+
+    fn span(&self, obs: &mut Observer, cycles: usize) -> Span {
+        obs.begin_span("control_loop")
+            .attr("policy", &self.policy)
+            .attr("latency", &(self.latency as u64))
+            .attr("cycles", &(cycles as u64))
+    }
+
+    fn shared(ckpt: &MitigatedCheckpoint) -> Shared<'_> {
+        (ckpt.version, ckpt.seed, &ckpt.stepper, &ckpt.stats_done)
+    }
+
+    fn restore(
+        &mut self,
+        ckpt: &MitigatedCheckpoint,
+        stepper: &CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
+        let policy = self.policy;
+        if ckpt.policy != policy {
+            return Err(resume_refused(format!(
+                "checkpoint ran policy {:?}, this run wires {policy:?}",
+                ckpt.policy
+            )));
         }
-        let mut span = ctx.observer().map(|o| {
-            o.begin_span("control_loop")
-                .attr("policy", &policy.as_str())
-                .attr("latency", &(latency as u64))
-                .attr("cycles", &(cycles as u64))
-                .sim_interval_ps(0.0, (dt * cycles as f64).picoseconds())
+        let done = stepper.cycle();
+        if ckpt.droop_trace.len() != done || ckpt.actuation_trace.len() != done {
+            return Err(resume_refused(format!(
+                "traces cover {} / {} cycles, cycle {done} expects {done}",
+                ckpt.droop_trace.len(),
+                ckpt.actuation_trace.len()
+            )));
+        }
+        // A line of latency L holds min(done, L) frames once a mitigator
+        // has seen `done` cycles, so a count mismatch is a different
+        // latency. Equal counts below both latencies mean no frame has
+        // come out yet, and the two runs are in the same state.
+        let expected = done.min(self.latency);
+        if self.mitigator.is_some() && ckpt.in_flight.len() != expected {
+            return Err(resume_refused(format!(
+                "{} frames in flight at cycle {done}, code latency {} expects {expected}",
+                ckpt.in_flight.len(),
+                self.latency
+            )));
+        }
+        self.delay = DelayLine::with_in_flight(self.latency, ckpt.in_flight.clone())?;
+        self.act = stepper.actuation().clone();
+        self.droop_trace.extend_from_slice(&ckpt.droop_trace);
+        self.actuation_trace
+            .extend_from_slice(&ckpt.actuation_trace);
+        self.degraded_readings = ckpt.degraded_readings;
+        self.deferred_peak = ckpt.deferred_peak;
+        if let Some(state) = &ckpt.mitigator_state {
+            let Some(m) = self.mitigator.as_deref_mut() else {
+                return Err(resume_refused(
+                    "checkpoint carries controller state but no mitigator is wired".into(),
+                ));
+            };
+            if !m.restore_state(state) {
+                return Err(resume_refused(format!(
+                    "controller {policy:?} refused its state snapshot"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    fn cycle(&mut self, c: usize, stepper: &mut CycleStepper<'_>) -> Result<(), WorkloadError> {
+        self.droop_trace.push(self.v_nom - stepper.hotspot().1);
+        self.deferred_peak = self.deferred_peak.max(stepper.deferred_backlog());
+        let a = stepper.actuation();
+        let tiles = a.domains();
+        self.actuation_trace.push(ActuationSample {
+            cycle: c,
+            stretched: (0..tiles).filter(|&t| a.stretch(t) < 1.0).count(),
+            throttled: (0..tiles).filter(|&t| a.throttled(t)).count(),
+            boosted: (0..tiles).filter(|&t| a.boost(t) > 0.0).count(),
         });
 
-        let mut delay = DelayLine::new(latency);
-        let mut act = Actuation::neutral(tiles);
-        let mut stats = self.window_stats_shell();
-        let mut droop_trace = Vec::with_capacity(cycles);
-        let mut actuation_trace = Vec::with_capacity(cycles);
-        let mut worst_droop = 0.0f64;
-        let mut worst_droop_cycle = 0usize;
-        let mut engaged_cycles = 0u64;
-        let mut degraded_readings = 0u64;
-        let mut deferred_peak = 0usize;
-
-        let me = cfg.measure_every;
-        let windows_n = self.windows();
-        let mut start = 0usize;
-        if let Some(ckpt) = resume {
-            let invalid = |reason: String| WorkloadError::InvalidConfig {
-                name: "resume",
-                reason,
+        // Sense frame → delay line → mitigator → next cycle's
+        // actuation. Sensing is per-site and instantaneous; a panicked
+        // site degrades to `None` for its one faulted frame instead of
+        // aborting the loop.
+        let Some(m) = self.mitigator.as_deref_mut() else {
+            return Ok(());
+        };
+        let at = self.dt * (c as f64 + 0.5);
+        let mut readings = Vec::with_capacity(self.sites.len());
+        for (k, &(nd, domain)) in self.sites.iter().enumerate() {
+            let level = if c == self.drop_cycle && self.panicking.contains(&k) {
+                self.degraded_readings += 1;
+                None
+            } else {
+                let vdd = Voltage::from_v(stepper.voltages()[nd]);
+                Some(
+                    self.sensor
+                        .measure_value(vdd, Voltage::from_v(0.0), at)?
+                        .hs_word
+                        .level,
+                )
             };
-            if ckpt.version != CHECKPOINT_VERSION {
-                return Err(invalid(format!(
-                    "checkpoint schema version {}, this build reads {CHECKPOINT_VERSION}",
-                    ckpt.version
-                )));
-            }
-            if ckpt.seed != ctx.seed() {
-                return Err(invalid(format!(
-                    "checkpoint was captured under seed {}, this run uses {}",
-                    ckpt.seed,
-                    ctx.seed()
-                )));
-            }
-            if ckpt.policy != policy {
-                return Err(invalid(format!(
-                    "checkpoint ran policy {:?}, this run wires {policy:?}",
-                    ckpt.policy
-                )));
-            }
-            stepper.restore(&ckpt.stepper)?;
-            let done = stepper.cycle();
-            let touched = done.div_ceil(me).min(windows_n);
-            if ckpt.stats_done.len() != touched
-                || ckpt.droop_trace.len() != done
-                || ckpt.actuation_trace.len() != done
-            {
-                return Err(invalid(format!(
-                    "traces cover {} windows / {} cycles, cycle {done} expects {touched} / {done}",
-                    ckpt.stats_done.len(),
-                    ckpt.droop_trace.len()
-                )));
-            }
-            stats[..touched].clone_from_slice(&ckpt.stats_done);
-            droop_trace.extend_from_slice(&ckpt.droop_trace);
-            actuation_trace.extend_from_slice(&ckpt.actuation_trace);
-            worst_droop = ckpt.worst_droop;
-            worst_droop_cycle = ckpt.worst_droop_cycle;
-            engaged_cycles = ckpt.engaged_cycles;
-            degraded_readings = ckpt.degraded_readings;
-            deferred_peak = ckpt.deferred_peak;
-            delay = DelayLine::with_in_flight(latency, ckpt.in_flight.clone())?;
-            act = ckpt.act.clone();
-            if let Some(state) = &ckpt.mitigator_state {
-                let Some(m) = mitigator.as_deref_mut() else {
-                    return Err(invalid(
-                        "checkpoint carries controller state but no mitigator is wired".into(),
-                    ));
-                };
-                if !m.restore_state(state) {
-                    return Err(invalid(format!(
-                        "controller {policy:?} refused its state snapshot"
-                    )));
-                }
-            }
-            start = done;
+            readings.push(SiteReading { domain, level });
         }
+        let frame = ControlFrame {
+            cycle: c as u64,
+            readings,
+        };
+        if let Some(observed) = self.delay.push(frame) {
+            m.observe(&observed, &mut self.act);
+            stepper.apply(&self.act)?;
+        }
+        Ok(())
+    }
 
-        let sup = ctx.supervisor().clone();
-        let cancel_at = ctx.fault_plan().and_then(|p| p.cancel_at_cycle());
-        let trip_deadline_at = ctx
-            .fault_plan()
-            .is_some_and(|p| p.deadline_trip())
-            .then_some(cycles / 2);
-        let seed = ctx.seed();
-        let cadence = ckpt_policy
-            .every
-            .or_else(|| sup.budget().checkpoint_cadence());
+    fn checkpoint(
+        &self,
+        seed: u64,
+        stepper: StepperSnapshot,
+        stats_done: Vec<WindowStats>,
+    ) -> MitigatedCheckpoint {
+        MitigatedCheckpoint {
+            version: CHECKPOINT_VERSION,
+            seed,
+            policy: self.policy.into(),
+            stepper,
+            stats_done,
+            droop_trace: self.droop_trace.clone(),
+            actuation_trace: self.actuation_trace.clone(),
+            degraded_readings: self.degraded_readings,
+            deferred_peak: self.deferred_peak,
+            in_flight: self.delay.in_flight().cloned().collect(),
+            mitigator_state: self.mitigator.as_deref().and_then(|m| m.state_snapshot()),
+        }
+    }
 
-        for c in start..cycles {
-            if cancel_at == Some(c as u64) {
-                sup.token().cancel();
-            }
-            if trip_deadline_at == Some(c) {
-                sup.force_expire();
-            }
-            let want_cadence_snap = cadence
-                .zip(ckpt_policy.path.as_deref())
-                .is_some_and(|(every, _)| c > start && (c as u64).is_multiple_of(every));
-            let tripped = sup.check().err();
-            if tripped.is_some() || want_cadence_snap {
-                if let Some(path) = ckpt_policy.path.as_deref() {
-                    let done = stepper.cycle();
-                    let touched = done.div_ceil(me).min(windows_n);
-                    MitigatedCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        seed,
-                        policy: policy.clone(),
-                        stepper: stepper.snapshot(),
-                        stats_done: stats[..touched].to_vec(),
-                        droop_trace: droop_trace.clone(),
-                        actuation_trace: actuation_trace.clone(),
-                        worst_droop,
-                        worst_droop_cycle,
-                        engaged_cycles,
-                        degraded_readings,
-                        deferred_peak,
-                        in_flight: delay.in_flight().cloned().collect(),
-                        act: act.clone(),
-                        mitigator_state: mitigator.as_deref().and_then(|m| m.state_snapshot()),
-                    }
-                    .save(path)?;
-                }
-                if let Some(reason) = tripped {
-                    if let (Some(obs), Some(sp)) = (ctx.observer(), span.take()) {
-                        obs.end_span(sp);
-                    }
-                    return Err(WorkloadError::Interrupted(reason));
-                }
-            }
-            sup.charge_events(1);
-            stepper.step()?;
-            self.accumulate_window(&mut stats, c, &stepper, n);
-
-            let droop = v_nom - stepper.hotspot().1;
+    fn finish(
+        self,
+        profile: NoiseProfile,
+        obs: Option<&mut Observer>,
+    ) -> Result<MitigatedNocResult, WorkloadError> {
+        // A strict `>` from zero: ties keep the earliest cycle, NaN never
+        // wins, and a run that never droops reports cycle 0.
+        let (mut worst_droop, mut worst_droop_cycle) = (0.0f64, 0usize);
+        for (c, &droop) in self.droop_trace.iter().enumerate() {
             if droop > worst_droop {
                 worst_droop = droop;
                 worst_droop_cycle = c;
             }
-            droop_trace.push(droop);
-            deferred_peak = deferred_peak.max(stepper.deferred_backlog());
-            let a = stepper.actuation();
-            if !a.is_neutral() {
-                engaged_cycles += 1;
-            }
-            actuation_trace.push(ActuationSample {
-                cycle: c,
-                stretched: (0..tiles).filter(|&t| a.stretch(t) < 1.0).count(),
-                throttled: (0..tiles).filter(|&t| a.throttled(t)).count(),
-                boosted: (0..tiles).filter(|&t| a.boost(t) > 0.0).count(),
-            });
-
-            // Sense frame → delay line → mitigator → next cycle's
-            // actuation. Sensing is per-site and instantaneous; a
-            // panicked site degrades to `None` for its one faulted
-            // frame instead of aborting the loop.
-            if let Some(m) = mitigator.as_deref_mut() {
-                let at = dt * (c as f64 + 0.5);
-                let mut readings = Vec::with_capacity(site_nodes.len());
-                for (k, &nd) in site_nodes.iter().enumerate() {
-                    let level = if c == drop_cycle && panicking.contains(&k) {
-                        degraded_readings += 1;
-                        None
-                    } else {
-                        let vdd = Voltage::from_v(stepper.voltages()[nd]);
-                        Some(
-                            sensor
-                                .measure_value(vdd, Voltage::from_v(0.0), at)?
-                                .hs_word
-                                .level,
-                        )
-                    };
-                    readings.push(SiteReading {
-                        domain: node_domain[nd],
-                        level,
-                    });
-                }
-                let frame = ControlFrame {
-                    cycle: c as u64,
-                    readings,
-                };
-                if let Some(observed) = delay.push(frame) {
-                    m.observe(&observed, &mut act);
-                    stepper.apply(&act)?;
-                }
+        }
+        let engaged_cycles = self
+            .actuation_trace
+            .iter()
+            .filter(|s| !s.is_neutral())
+            .count() as u64;
+        if let Some(obs) = obs {
+            let m = &mut obs.metrics;
+            m.counter_add("control.engaged_cycles", engaged_cycles);
+            m.counter_add("control.degraded_readings", self.degraded_readings);
+            m.gauge_set_max("control.deferred_peak", self.deferred_peak as f64);
+            let h = m.histogram("control.droop_depth_mv", &DROOP_BUCKETS_MV);
+            for &d in &self.droop_trace {
+                m.record(h, d * 1000.0);
             }
         }
-
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.delta_solves", stepper.delta_solves());
-            obs.metrics
-                .counter_add("control.engaged_cycles", engaged_cycles);
-            obs.metrics
-                .counter_add("control.degraded_readings", degraded_readings);
-            obs.metrics
-                .gauge_set_max("control.deferred_peak", deferred_peak as f64);
-            let h = obs
-                .metrics
-                .histogram("control.droop_depth_mv", &DROOP_BUCKETS_MV);
-            for &d in &droop_trace {
-                obs.metrics.record(h, d * 1000.0);
-            }
-        }
-        if let (Some(obs), Some(sp)) = (ctx.observer(), span.take()) {
-            obs.end_span(sp);
-        }
-
         Ok(MitigatedNocResult {
-            policy,
-            latency,
-            profile: NoiseProfile {
-                v_nom,
-                windows: stats,
-                flits: stepper.planned_flits(),
-            },
-            droop_trace,
-            actuation_trace,
+            policy: self.policy.into(),
+            latency: self.latency,
+            profile,
+            droop_trace: self.droop_trace,
+            actuation_trace: self.actuation_trace,
             worst_droop,
             worst_droop_cycle,
             engaged_cycles,
-            degraded_readings,
-            deferred_peak,
+            degraded_readings: self.degraded_readings,
+            deferred_peak: self.deferred_peak,
         })
     }
 }
@@ -604,6 +589,23 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resumed, full, "interrupted-then-resumed ≡ uninterrupted");
+        // Resuming at another code latency is refused: at latency 4 the
+        // line would hold four frames, the snapshot holds two.
+        let mut ctrl4 = mk();
+        let err = w
+            .run_mitigated_checkpointed(
+                &mut RunCtx::serial().with_seed(5),
+                Some(&mut ctrl4),
+                4,
+                &CheckpointPolicy::none(),
+                Some(&ckpt),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, WorkloadError::InvalidConfig { name: "resume", reason }
+                if reason.contains("latency 4")),
+            "{err:?}"
+        );
         // Resuming without the controller the checkpoint ran is refused.
         let err = w
             .run_mitigated_checkpointed(

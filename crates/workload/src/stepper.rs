@@ -7,8 +7,9 @@
 //! clock-stretch into node loads) → **grid state** (one in-place
 //! [`PowerGrid::update_delta`](psnt_pdn::grid::PowerGrid::update_delta)
 //! per changed cycle, plus the supply-boost overlay). The sense-frame
-//! stage sits in the drivers: the batch paths sample node voltages into
-//! rail waveforms, the mitigated driver senses thermometer codes with
+//! stage sits in the drivers that plug into the workload's one cycle
+//! loop: the open loop samples node voltages into rail waveforms, the
+//! closed loop senses thermometer codes with
 //! [`SensorSystem::measure_value`](psnt_core::SensorSystem::measure_value)
 //! every cycle.
 //!
@@ -31,7 +32,7 @@
 
 use std::collections::VecDeque;
 
-use psnt_control::Actuation;
+use psnt_control::{Actuation, MAX_BOOST_V, MIN_STRETCH};
 use psnt_ctx::RunCtx;
 use psnt_pdn::grid::GridSolution;
 use serde::{Deserialize, Serialize};
@@ -427,7 +428,9 @@ impl<'w> CycleStepper<'w> {
     ///
     /// Returns [`WorkloadError::InvalidConfig`] when the snapshot does
     /// not match this stepper's mesh geometry or traffic plan (wrong
-    /// seed, config, or a corrupted snapshot).
+    /// seed, config, or a corrupted snapshot), or when its actuation
+    /// asks for a stretch outside
+    /// `[`[`MIN_STRETCH`]`, 1]` or a boost outside `[0, `[`MAX_BOOST_V`]`]`.
     pub fn restore(&mut self, snap: &StepperSnapshot) -> Result<(), WorkloadError> {
         let tiles = self.workload.mesh().tiles();
         let invalid = |reason: String| WorkloadError::InvalidConfig {
@@ -456,6 +459,18 @@ impl<'w> CycleStepper<'w> {
                 "snapshot actuation has {} domains for a {tiles}-tile mesh",
                 snap.act.domains()
             )));
+        }
+        // Decoding bypasses the clamping setters, so the snapshot's
+        // actuation is held to the same authority here. NaN and ±∞ fail
+        // both range tests.
+        for t in 0..tiles {
+            let (stretch, boost) = (snap.act.stretch(t), snap.act.boost(t));
+            if !(MIN_STRETCH..=1.0).contains(&stretch) || !(0.0..=MAX_BOOST_V).contains(&boost) {
+                return Err(invalid(format!(
+                    "domain {t} actuates stretch {stretch} and boost {boost} V, \
+                     outside [{MIN_STRETCH}, 1] and [0, {MAX_BOOST_V}] V"
+                )));
+            }
         }
         for (t, &cur) in snap.cursors.iter().enumerate() {
             if cur > self.injections[t].len() {

@@ -107,10 +107,15 @@ echo "==> supervisor-path unwrap gate"
 # too: a malformed file must come back as `WorkloadError::Checkpoint`.
 sup_unwraps=""
 for f in crates/sup/src/lib.rs crates/ctx/src/lib.rs \
-         crates/workload/src/checkpoint.rs crates/workload/src/campaign.rs \
-         crates/workload/src/mitigated.rs crates/workload/src/stepper.rs \
+         crates/workload/src/checkpoint.rs crates/workload/src/driver.rs \
+         crates/workload/src/campaign.rs crates/workload/src/mitigated.rs \
+         crates/workload/src/stepper.rs \
          crates/scan/src/campaign.rs crates/engine/src/batch.rs \
          crates/bench/src/checkpointed.rs; do
+    if [ ! -f "$f" ]; then
+        echo "$f is listed in the supervisor-path unwrap gate but does not exist" >&2
+        exit 1
+    fi
     hits=$(awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(\)/{print FILENAME ":" FNR ": " $0}' "$f")
     if [ -n "$hits" ]; then
         sup_unwraps="${sup_unwraps}${hits}
