@@ -94,32 +94,6 @@ pub fn log2(x: f64) -> f64 {
     ln_m.mul_add(std::f64::consts::LOG2_E, e)
 }
 
-/// Both base-2 logarithms of a pair of finite, positive, normal inputs,
-/// sharing **one** division between them.
-///
-/// The threshold bisection's fails-predicate needs `log₂ v` and
-/// `log₂(v − vth)` every probe; the vectorized probe loop is
-/// divider-bound, so the two series arguments `sₓ = (mₓ−1)/(mₓ+1)` are
-/// formed from a single reciprocal of the product of denominators:
-/// `inv = 1/((mₓ+1)(m_y+1))`, `sₓ = (mₓ−1)·(m_y+1)·inv`, and likewise
-/// for `y`. Slightly different rounding than two [`log2`] calls (~1 ulp
-/// on `s`), identical on both the scalar and the 64-lane path — the
-/// bit-identity contract cares that the two paths share this exact
-/// program, not which rounding it picks.
-#[inline(always)]
-pub fn log2_pair(x: f64, y: f64) -> (f64, f64) {
-    let (mx, ex) = split_normal(x);
-    let (my, ey) = split_normal(y);
-    let dx = mx + 1.0;
-    let dy = my + 1.0;
-    let inv = 1.0 / (dx * dy);
-    let sx = (mx - 1.0) * dy * inv;
-    let sy = (my - 1.0) * dx * inv;
-    let lx = (2.0 * sx * atanh_poly(sx * sx)).mul_add(std::f64::consts::LOG2_E, ex);
-    let ly = (2.0 * sy * atanh_poly(sy * sy)).mul_add(std::f64::consts::LOG2_E, ey);
-    (lx, ly)
-}
-
 /// Natural logarithm of a finite, positive, normal `x`.
 #[inline(always)]
 pub fn ln(x: f64) -> f64 {

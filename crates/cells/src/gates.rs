@@ -216,18 +216,6 @@ impl StdCell {
         }
     }
 
-    /// Returns a copy with an explicit area (gate equivalents).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ge` is not positive.
-    #[must_use]
-    pub fn with_area_ge(mut self, ge: f64) -> StdCell {
-        assert!(ge > 0.0, "area must be positive");
-        self.area_ge = ge;
-        self
-    }
-
     /// Returns a copy with a distinct timing model for *falling* output
     /// transitions (the default model then times rising ones only).
     #[must_use]

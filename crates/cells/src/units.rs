@@ -416,12 +416,6 @@ impl Current {
     pub const fn amps(self) -> f64 {
         self.0
     }
-
-    /// The value in milliamperes.
-    #[inline]
-    pub fn milliamps(self) -> f64 {
-        self.0 * 1.0e3
-    }
 }
 
 impl Resistance {

@@ -14,7 +14,8 @@
 //!   (Fig. 1 right, Figs. 4–5), plus code↔voltage decoding;
 //! * [`code`] — thermometer codes, bubbles and correction;
 //! * [`pulsegen`] — the PG block with the published delay-code table
-//!   (Fig. 7);
+//!   (Fig. 7) and [`pulsegen::AutoRanger`], the internal delay-code
+//!   policy;
 //! * [`control`] — the CNTR FSM (Fig. 8), behavioural *and* gate-level
 //!   (reproducing the 1.22 ns critical-path claim);
 //! * [`gate_level`] — the array as an actual standard-cell netlist with
@@ -22,8 +23,6 @@
 //!   behavioural model;
 //! * [`encoder`] — the ENC block producing the `OUTE` noise word;
 //! * [`system`] — the assembled HIGH-SENSE/LOW-SENSE system (Figs. 6, 9);
-//! * [`policy`] — power-aware consumers of the measurements (noise
-//!   alarm, guard-banded DVFS governor);
 //! * [`calibration`] — characterisation sweeps and the
 //!   process-variation delay-code trim;
 //! * [`mismatch`] — local-mismatch Monte-Carlo (thermometer-property
@@ -68,7 +67,6 @@ pub mod error;
 pub mod gate_level;
 pub mod lanes;
 pub mod mismatch;
-pub mod policy;
 pub mod pulsegen;
 pub mod system;
 pub mod thermometer;
@@ -86,7 +84,6 @@ pub use encoder::{Encoder, EncodingPolicy, OuteWord};
 pub use error::SensorError;
 pub use gate_level::{GateLevelArray, GateLevelMeasure, GateLevelPulseGen, GateLevelSystem};
 pub use mismatch::{monte_carlo_yield, monte_carlo_yield_scalar, MismatchModel, YieldReport};
-pub use policy::{AutoRanger, DvfsGovernor, GovernorAction, NoiseAlarm};
 pub use pulsegen::{DelayCode, PulseGenerator, PulseTiming};
 pub use system::{Measurement, SensorConfig, SensorSystem};
 pub use thermometer::{CapacitorLadder, CodeInterval, ThermometerArray};

@@ -21,6 +21,12 @@
 //! scale with process corner and temperature like everything else —
 //! exactly the property the paper exploits to trim corners.
 //!
+//! [`AutoRanger`] is the delay-code policy the paper mentions but leaves
+//! unpublished ("the control … can define and set them internally
+//! according to a policy"): when measures saturate at either end of the
+//! dynamic range for several cycles, it steps the delay code so the
+//! range slides back over the rail.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,6 +45,7 @@ use psnt_cells::units::Time;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SensorError;
+use crate::system::Measurement;
 
 /// A 3-bit delay-code selecting one PG delay-line tap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -167,11 +174,6 @@ impl PulseGenerator {
         })
     }
 
-    /// Number of table entries.
-    pub fn tap_count(&self) -> usize {
-        self.taps.len()
-    }
-
     /// The selectable CP tap delay at the typical corner (the table value).
     ///
     /// # Panics
@@ -232,11 +234,100 @@ impl Default for PulseGenerator {
     }
 }
 
+/// The paper's on-chip delay-code policy: auto re-ranging.
+///
+/// Saturated codes carry one bit of information — "the rail is beyond
+/// this edge of the range". After `debounce` consecutive saturations on
+/// the same side, the ranger steps the HS delay code: a *smaller* tap
+/// moves the dynamic range **up** (for overflow), a *larger* tap moves
+/// it **down** (for underflow) — the direction relation of Fig. 5.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AutoRanger {
+    code: DelayCode,
+    debounce: usize,
+    over_streak: usize,
+    under_streak: usize,
+    retunes: u64,
+}
+
+impl AutoRanger {
+    /// Creates a ranger starting from `initial` with the given debounce.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SensorError::InvalidConfig`] for a zero debounce.
+    pub fn new(initial: DelayCode, debounce: usize) -> Result<AutoRanger, SensorError> {
+        if debounce == 0 {
+            return Err(SensorError::InvalidConfig {
+                name: "debounce",
+                reason: "debounce must be at least one measure".into(),
+            });
+        }
+        Ok(AutoRanger {
+            code: initial,
+            debounce,
+            over_streak: 0,
+            under_streak: 0,
+            retunes: 0,
+        })
+    }
+
+    /// The currently selected delay code.
+    pub fn code(&self) -> DelayCode {
+        self.code
+    }
+
+    /// Number of re-ranging steps taken.
+    pub fn retunes(&self) -> u64 {
+        self.retunes
+    }
+
+    /// Feeds one measurement; returns `Some(new_code)` when the policy
+    /// decides to re-range (the caller applies it with
+    /// [`crate::system::SensorSystem::set_delay_codes`]).
+    pub fn observe(&mut self, m: &Measurement) -> Option<DelayCode> {
+        if m.hs_word.overflow {
+            self.over_streak += 1;
+            self.under_streak = 0;
+        } else if m.hs_word.underflow {
+            self.under_streak += 1;
+            self.over_streak = 0;
+        } else {
+            self.over_streak = 0;
+            self.under_streak = 0;
+            return None;
+        }
+        if self.over_streak >= self.debounce {
+            // Rail above the range: shorter tap shifts the range up.
+            self.over_streak = 0;
+            return self.step(-1);
+        }
+        if self.under_streak >= self.debounce {
+            // Rail below the range: longer tap shifts the range down.
+            self.under_streak = 0;
+            return self.step(1);
+        }
+        None
+    }
+
+    fn step(&mut self, dir: i8) -> Option<DelayCode> {
+        let next = self.code.value() as i8 + dir;
+        let next = DelayCode::new(u8::try_from(next).ok()?).ok()?;
+        if next == self.code {
+            return None;
+        }
+        self.code = next;
+        self.retunes += 1;
+        Some(next)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use psnt_cells::process::ProcessCorner;
     use psnt_cells::units::{Temperature, Voltage};
+    use psnt_pdn::waveform::Waveform;
 
     #[test]
     fn delay_code_validation() {
@@ -339,5 +430,104 @@ mod tests {
         assert!(report.contains("65"));
         assert!(report.contains("107"));
         assert!(report.contains("[ps]"));
+    }
+
+    #[test]
+    fn auto_ranger_validates_and_follows_the_rail() {
+        use crate::system::{SensorConfig, SensorSystem};
+        assert!(AutoRanger::new(DelayCode::new(3).unwrap(), 0).is_err());
+
+        let mut sensor = SensorSystem::new(SensorConfig::default()).unwrap();
+        let mut ranger = AutoRanger::new(sensor.config().hs_code, 2).unwrap();
+        let gnd = Waveform::constant(0.0);
+        // The rail drifts up to 1.15 V: code 011 saturates; the ranger
+        // must walk the code down (shorter taps) until it resolves.
+        let vdd = Waveform::constant(1.15);
+        let mut resolved = false;
+        for k in 0..12 {
+            let m = sensor
+                .measure_at(&vdd, &gnd, Time::from_ns(10.0 * (k + 1) as f64))
+                .unwrap();
+            if !m.hs_word.overflow && !m.hs_word.underflow {
+                resolved = true;
+                break;
+            }
+            if let Some(code) = ranger.observe(&m) {
+                sensor.set_delay_codes(code, sensor.config().ls_code);
+            }
+        }
+        assert!(resolved, "ranger never brought 1.15 V into range");
+        assert!(ranger.code().value() < 3, "code should have stepped down");
+        assert!(ranger.retunes() >= 1);
+
+        // Now the rail collapses to 0.87 V: the ranger walks back up.
+        let vdd = Waveform::constant(0.87);
+        let mut resolved = false;
+        for k in 0..16 {
+            let m = sensor
+                .measure_at(&vdd, &gnd, Time::from_ns(10.0 * (k + 1) as f64))
+                .unwrap();
+            if !m.hs_word.overflow && !m.hs_word.underflow {
+                resolved = true;
+                break;
+            }
+            if let Some(code) = ranger.observe(&m) {
+                sensor.set_delay_codes(code, sensor.config().ls_code);
+            }
+        }
+        assert!(resolved, "ranger never brought 0.87 V into range");
+    }
+
+    #[test]
+    fn auto_ranger_saturates_at_the_table_ends() {
+        let mut ranger = AutoRanger::new(DelayCode::new(0).unwrap(), 1).unwrap();
+        // A permanently overflowing measurement cannot step below code 0.
+        let sensor =
+            crate::system::SensorSystem::new(crate::system::SensorConfig::default()).unwrap();
+        let m = sensor
+            .measure_at(
+                &Waveform::constant(1.6),
+                &Waveform::constant(0.0),
+                Time::from_ns(10.0),
+            )
+            .unwrap();
+        assert!(m.hs_word.overflow);
+        assert_eq!(ranger.observe(&m), None);
+        assert_eq!(ranger.code().value(), 0);
+
+        let mut ranger = AutoRanger::new(DelayCode::new(7).unwrap(), 1).unwrap();
+        let m = sensor
+            .measure_at(
+                &Waveform::constant(0.5),
+                &Waveform::constant(0.0),
+                Time::from_ns(10.0),
+            )
+            .unwrap();
+        assert!(m.hs_word.underflow);
+        assert_eq!(ranger.observe(&m), None);
+        assert_eq!(ranger.code().value(), 7);
+    }
+
+    #[test]
+    fn auto_ranger_debounces_single_saturations() {
+        let sensor =
+            crate::system::SensorSystem::new(crate::system::SensorConfig::default()).unwrap();
+        let gnd = Waveform::constant(0.0);
+        let mut ranger = AutoRanger::new(DelayCode::new(3).unwrap(), 3).unwrap();
+        let over = sensor
+            .measure_at(&Waveform::constant(1.2), &gnd, Time::from_ns(10.0))
+            .unwrap();
+        let fine = sensor
+            .measure_at(&Waveform::constant(0.95), &gnd, Time::from_ns(10.0))
+            .unwrap();
+        // Two saturations interrupted by a clean measure: no retune.
+        assert_eq!(ranger.observe(&over), None);
+        assert_eq!(ranger.observe(&over), None);
+        assert_eq!(ranger.observe(&fine), None);
+        assert_eq!(ranger.observe(&over), None);
+        assert_eq!(ranger.retunes(), 0);
+        // Three in a row: retune.
+        assert_eq!(ranger.observe(&over), None);
+        assert!(ranger.observe(&over).is_some());
     }
 }

@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::calibration::{trim_for_corner, TrimResult};
 use crate::code::ThermometerCode;
-use crate::control::{Controller, CtrlInputs, CtrlState};
+use crate::control::{Controller, CtrlInputs};
 use crate::element::RailMode;
 use crate::encoder::{Encoder, EncodingPolicy, OuteWord};
 use crate::error::SensorError;
@@ -155,11 +155,6 @@ impl SensorSystem {
     /// The HIGH-SENSE array.
     pub fn hs_array(&self) -> &ThermometerArray {
         &self.hs
-    }
-
-    /// The LOW-SENSE array.
-    pub fn ls_array(&self) -> &ThermometerArray {
-        &self.ls
     }
 
     /// The pulse generator.
@@ -421,11 +416,6 @@ impl SensorSystem {
             }
         }
         Ok(out)
-    }
-
-    /// The FSM state after the last [`SensorSystem::run`] (diagnostics).
-    pub fn controller_state(&self) -> CtrlState {
-        self.ctrl.state()
     }
 }
 

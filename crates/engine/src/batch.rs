@@ -290,13 +290,6 @@ pub struct BatchResult<R> {
     pub workers: usize,
 }
 
-impl<R> BatchResult<R> {
-    /// Consumes the batch, returning only the ordered results.
-    pub fn into_results(self) -> Vec<R> {
-        self.results
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,8 +40,7 @@ use psnt_cells::logic::Logic;
 use psnt_cells::process::Pvt;
 use psnt_cells::units::{Time, Voltage};
 use psnt_fault::{Fault, FaultPlan, SplitMix64};
-use psnt_obs::metrics::{GaugeId, MetricsRegistry};
-use psnt_obs::{Event as ObsEvent, Observer};
+use psnt_obs::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetlistError;
@@ -178,10 +177,9 @@ pub struct Simulator<'a> {
     stats: SimStats,
     /// Accumulated switching energy in joules (½·C·V² per transition).
     switching_energy_j: f64,
-    observer: Option<&'a mut Observer>,
-    queue_gauge: Option<GaugeId>,
-    /// Stats already folded into the observer's registry, so repeated
-    /// promotion adds only the delta.
+    /// Stats already folded into an external registry by
+    /// [`promote_stats_into`](Simulator::promote_stats_into), so
+    /// repeated promotion adds only the delta.
     promoted: SimStats,
     /// Resolved fault-injection state; `None` (the default) keeps every
     /// hot-path hook behind a single never-taken branch, so a fault-free
@@ -365,8 +363,6 @@ impl<'a> Simulator<'a> {
             meta_mode: MetastabilityMode::Deterministic,
             stats: SimStats::default(),
             switching_energy_j: 0.0,
-            observer: None,
-            queue_gauge: None,
             promoted: SimStats::default(),
             faults: None,
             profile: None,
@@ -381,8 +377,8 @@ impl<'a> Simulator<'a> {
     /// Rewinds the simulator to its just-constructed state while keeping
     /// every allocation (value arrays, event queue, flattened topology,
     /// delay cache, trace buffers) alive, so sweeps reuse one simulator
-    /// instead of paying construction per measurement. Supplies, PVT,
-    /// the metastability mode and any attached observer are retained;
+    /// instead of paying construction per measurement. Supplies, PVT
+    /// and the metastability mode are retained;
     /// simulation time, net values, pending events, statistics and
     /// accumulated switching energy are cleared and the trace restarts
     /// from the re-settled initial values.
@@ -617,16 +613,6 @@ impl<'a> Simulator<'a> {
         self.supervisor.as_ref()
     }
 
-    /// Attaches a telemetry observer for the rest of this simulator's
-    /// life. Run statistics are promoted into its metrics registry at
-    /// the end of every `run_*` call, peak queue depth is tracked in
-    /// the `sim.queue_depth_peak` gauge, and — when the observer opts
-    /// in — every net transition is logged as an event.
-    pub fn set_observer(&mut self, observer: &'a mut Observer) {
-        self.queue_gauge = Some(observer.metrics.gauge("sim.queue_depth_peak"));
-        self.observer = Some(observer);
-    }
-
     /// Enables hot-path profiling: events by gate kind, queue-depth
     /// and event-latency histograms, delay-cache and fault-hook
     /// counters, accumulated in a [`SimProfile`] until drained by
@@ -639,11 +625,6 @@ impl<'a> Simulator<'a> {
         if self.profile.is_none() {
             self.profile = Some(Box::new(SimProfile::for_netlist(self.netlist)));
         }
-    }
-
-    /// Whether [`enable_profiling`](Simulator::enable_profiling) ran.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profile.is_some()
     }
 
     /// The accumulated profile, when profiling is enabled.
@@ -661,39 +642,18 @@ impl<'a> Simulator<'a> {
     }
 
     /// Delta-promotes run statistics (and the energy gauge) into an
-    /// external registry — the same fold the attached-observer path
-    /// performs at the end of every `run_*`, exposed for pooled
-    /// simulators whose observer cannot be borrowed for the
-    /// simulator's lifetime.
+    /// external registry: the counters gain only what accumulated since
+    /// the previous promotion, so pooled simulators can fold after
+    /// every run.
     pub fn promote_stats_into(&mut self, metrics: &mut MetricsRegistry) {
         let s = self.stats;
-        Simulator::promote_delta(metrics, s, self.promoted, self.switching_energy_j);
-        self.promoted = s;
-    }
-
-    /// Folds stats accumulated since the last promotion into the
-    /// attached observer's registry (no-op when detached).
-    fn promote_stats(&mut self) {
-        let s = self.stats;
         let p = self.promoted;
-        let energy = self.switching_energy_j;
-        let mut profile = self.profile.take();
-        if let Some(obs) = self.observer.as_deref_mut() {
-            Simulator::promote_delta(&mut obs.metrics, s, p, energy);
-            if let Some(prof) = profile.as_mut() {
-                prof.fold_into(&mut obs.metrics);
-            }
-            self.promoted = s;
-        }
-        self.profile = profile;
-    }
-
-    fn promote_delta(metrics: &mut MetricsRegistry, s: SimStats, p: SimStats, energy: f64) {
         metrics.counter_add("sim.events", s.events - p.events);
         metrics.counter_add("sim.cancelled", s.cancelled - p.cancelled);
         metrics.counter_add("sim.ff_captures", s.ff_captures - p.ff_captures);
         metrics.counter_add("sim.ff_violations", s.ff_violations - p.ff_violations);
-        metrics.gauge_set("sim.switching_energy_j", energy);
+        metrics.gauge_set("sim.switching_energy_j", self.switching_energy_j);
+        self.promoted = s;
     }
 
     /// The supply voltage powering the default (core) domain.
@@ -985,7 +945,6 @@ impl<'a> Simulator<'a> {
             self.apply(ev);
             if let Some(b) = budget {
                 if self.stats.events > b {
-                    self.promote_stats();
                     return Err(NetlistError::BudgetExceeded {
                         budget: b,
                         events: self.stats.events,
@@ -998,14 +957,12 @@ impl<'a> Simulator<'a> {
                     until_check = SUPERVISION_STRIDE;
                     s.charge_events(SUPERVISION_STRIDE);
                     if let Err(reason) = s.check_at(self.now.picoseconds()) {
-                        self.promote_stats();
                         return Err(NetlistError::Interrupted(reason));
                     }
                 }
             }
         }
         self.now = self.now.max(t);
-        self.promote_stats();
         Ok(self.stats.events - before)
     }
 
@@ -1062,7 +1019,6 @@ impl<'a> Simulator<'a> {
                 }
                 if let Some(b) = budget {
                     if self.stats.events > b {
-                        self.promote_stats();
                         return Err(NetlistError::BudgetExceeded {
                             budget: b,
                             events: self.stats.events,
@@ -1075,14 +1031,12 @@ impl<'a> Simulator<'a> {
                         until_check = SUPERVISION_STRIDE;
                         s.charge_events(SUPERVISION_STRIDE);
                         if let Err(reason) = s.check_at(self.now.picoseconds()) {
-                            self.promote_stats();
                             return Err(NetlistError::Interrupted(reason));
                         }
                     }
                 }
             }
         }
-        self.promote_stats();
         Ok(self.now)
     }
 
@@ -1165,20 +1119,6 @@ impl<'a> Simulator<'a> {
         let v = self.domain_supply[self.topo.driver_domain(ev.net).index()].volts();
         self.switching_energy_j += 0.5 * self.topo.load(ev.net).farads() * v * v;
 
-        if let Some(obs) = self.observer.as_deref_mut() {
-            if let Some(g) = self.queue_gauge {
-                obs.metrics.set_max(g, self.queue.len() as f64);
-            }
-            if obs.config().net_transitions {
-                obs.event(
-                    ObsEvent::new("sim", "net_transition")
-                        .at(ev.time)
-                        .field("net", &self.netlist.net(ev.net).name())
-                        .field("value", &ev.value.to_string()),
-                );
-            }
-        }
-
         // Re-evaluate combinational fanout (index loop: the CSR slice is
         // immutable during simulation, and indexing re-borrows per
         // iteration so `evaluate_gate` can take `&mut self`).
@@ -1238,17 +1178,6 @@ impl<'a> Simulator<'a> {
         self.stats.ff_captures += 1;
         let value = if outcome.metastable {
             self.stats.ff_violations += 1;
-            // Violations are rare and diagnostic gold: log each one with
-            // the offending arrival time relative to the clock edge.
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.event(
-                    ObsEvent::new("sim", "ff_violation")
-                        .at(edge)
-                        .field("ff", &self.netlist.dffs()[fi.index()].name())
-                        .field("arrival_ps", &arrival.picoseconds())
-                        .field("severity", &outcome.severity),
-                );
-            }
             match self.meta_mode {
                 MetastabilityMode::Deterministic => outcome.value,
                 MetastabilityMode::PropagateX => Logic::X,

@@ -215,14 +215,6 @@ impl JsonlSink {
             write_errors: 0,
         })
     }
-
-    /// Wraps an arbitrary writer.
-    pub fn from_writer(out: Box<dyn Write>) -> JsonlSink {
-        JsonlSink {
-            out,
-            write_errors: 0,
-        }
-    }
 }
 
 impl EventSink for JsonlSink {

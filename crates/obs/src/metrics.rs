@@ -235,15 +235,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Lowers a gauge to `value` if it is below the current reading —
-    /// a running minimum, e.g. worst supply droop.
-    pub fn set_min(&mut self, id: GaugeId, value: f64) {
-        let g = &mut self.gauges[id.0].1;
-        if value < *g {
-            *g = value;
-        }
-    }
-
     /// Records a sample into a histogram by id.
     pub fn record(&mut self, id: HistogramId, value: f64) {
         self.histograms[id.0].1.record(value);
@@ -275,12 +266,6 @@ impl MetricsRegistry {
     pub fn gauge_set_max(&mut self, name: &str, value: f64) {
         let id = self.gauge(name);
         self.set_max(id, value);
-    }
-
-    /// Running-minimum gauge update by name (cold paths only).
-    pub fn gauge_set_min(&mut self, name: &str, value: f64) {
-        let id = self.gauge(name);
-        self.set_min(id, value);
     }
 
     /// Current counter value, zero if never registered.
@@ -598,9 +583,6 @@ mod tests {
         m.set_max(g, 7.0);
         m.set_max(g, 2.0);
         assert_eq!(m.gauge_value("depth"), Some(7.0));
-        m.set_min(g, -1.0);
-        m.set_min(g, 4.0);
-        assert_eq!(m.gauge_value("depth"), Some(-1.0));
     }
 
     #[test]

@@ -20,9 +20,6 @@ use crate::span::{RemoteSpan, Span, SpanRecord};
 /// are opt-in because they can dominate the log.
 #[derive(Debug, Clone, Copy)]
 pub struct ObserverConfig {
-    /// Emit one event per net value transition in the gate-level
-    /// simulator (high volume).
-    pub net_transitions: bool,
     /// Emit one event per PDN solver step (high volume).
     pub solver_steps: bool,
     /// Events below this severity are dropped (and counted) before
@@ -37,7 +34,6 @@ pub struct ObserverConfig {
 impl Default for ObserverConfig {
     fn default() -> ObserverConfig {
         ObserverConfig {
-            net_transitions: false,
             solver_steps: false,
             min_severity: Severity::Debug,
             sample_every: 1,
@@ -132,12 +128,6 @@ impl Observer {
             filtered: 0,
             sampled_out: 0,
         }
-    }
-
-    /// Enables or disables per-net transition events.
-    pub fn net_transitions(mut self, on: bool) -> Observer {
-        self.config.net_transitions = on;
-        self
     }
 
     /// Enables or disables per-solver-step events.

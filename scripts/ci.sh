@@ -134,6 +134,11 @@ if [ -n "$sup_unwraps" ]; then
     exit 1
 fi
 
+echo "==> code size (informational)"
+# Code lines and `pub` items per crate, so every CI log shows the
+# size of the public surface. Prints only; no threshold.
+scripts/size.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -91,7 +91,6 @@ pub mod prelude {
     pub use psnt_control::{Actuation, Mitigator};
     pub use psnt_core::code::ThermometerCode;
     pub use psnt_core::element::{RailMode, SenseElement};
-    pub use psnt_core::policy::{DvfsGovernor, GovernorAction, NoiseAlarm};
     pub use psnt_core::pulsegen::{DelayCode, PulseGenerator};
     pub use psnt_core::system::{Measurement, SensorConfig, SensorSystem};
     pub use psnt_core::thermometer::{CapacitorLadder, ThermometerArray};

@@ -14,9 +14,15 @@
 //! * determinism — two closed-loop runs with the same seed and latency
 //!   produce bit-identical droop and actuation traces at any worker
 //!   count.
+//!
+//! The same vocabulary is the sensor's minimal alarm: a one-domain
+//! threshold controller behind a one-frame delay line trips on a deep
+//! transient and clears after it passes.
 
 use proptest::prelude::*;
-use psn_thermometer::control::{PiBoost, SupplyBoost, ThresholdStretch, ThresholdThrottle};
+use psn_thermometer::control::{
+    ControlFrame, DelayLine, PiBoost, SiteReading, SupplyBoost, ThresholdStretch, ThresholdThrottle,
+};
 use psn_thermometer::prelude::*;
 
 /// A bursty chip inside the sensor's dynamic range: 2×2 mesh, 1.0 V
@@ -110,6 +116,67 @@ fn stretch_never_deepens_any_cycle() {
         }
         assert!(out.worst_droop <= base.worst_droop + 1e-12);
     }
+}
+
+/// The alarm trips during a deep transient and clears after it passes.
+/// The one-frame delay line holds the trip back: a reading at or below
+/// level 2 engages the throttle one sample later, which keeps the trip
+/// after the 300 ns droop onset.
+#[test]
+fn alarm_tracks_a_transient() {
+    let sensor = SensorSystem::new(SensorConfig::default()).unwrap();
+    let gnd = Waveform::constant(0.0);
+    let vdd = SupplyNoiseBuilder::new(Voltage::from_v(1.0))
+        .span(Time::ZERO, Time::from_us(1.0))
+        .resolution(Time::from_ps(250.0))
+        .droop(
+            Time::from_ns(300.0),
+            Voltage::from_mv(120.0),
+            Time::from_ns(60.0),
+            Frequency::from_mhz(3.0),
+        )
+        .build()
+        .unwrap();
+    let mut alarm = ThresholdThrottle::new(1, 2, 3).unwrap();
+    let mut line = DelayLine::new(1);
+    let mut act = Actuation::neutral(1);
+    let mut trips = 0;
+    let mut trip_time = None;
+    let mut clear_time = None;
+    for k in 0..90 {
+        let at = Time::from_ns(20.0) + Time::from_ns(10.0) * k as f64;
+        let m = sensor.measure_at(&vdd, &gnd, at).unwrap();
+        let was = act.throttled(0);
+        let frame = ControlFrame {
+            cycle: k,
+            readings: vec![SiteReading {
+                domain: 0,
+                level: Some(m.hs_word.level),
+            }],
+        };
+        if let Some(sensed) = line.push(frame) {
+            alarm.observe(&sensed, &mut act);
+        }
+        let now = act.throttled(0);
+        if !was && now {
+            trips += 1;
+            if trip_time.is_none() {
+                trip_time = Some(at);
+            }
+        }
+        if was && !now {
+            clear_time = Some(at);
+        }
+    }
+    let trip = trip_time.expect("the 120 mV droop must trip the alarm");
+    let clear = clear_time.expect("the alarm must clear after recovery");
+    assert!(
+        trip > Time::from_ns(300.0),
+        "tripped before the droop: {trip}"
+    );
+    assert!(trip < Time::from_ns(450.0), "tripped too late: {trip}");
+    assert!(clear > trip);
+    assert_eq!(trips, 1);
 }
 
 proptest! {

@@ -3,10 +3,12 @@
 //! measurements are checked against the simulation's ground truth.
 
 use psn_thermometer::analysis::reconstruct::score_series;
+use psn_thermometer::analysis::spectrum::dominant_frequency;
 use psn_thermometer::pdn::rlc::LumpedPdn;
 use psn_thermometer::pdn::workload::resonant_loop;
 use psn_thermometer::prelude::*;
 use psn_thermometer::sensor::baseline::{RazorOutcome, RazorStage, RingOscillatorSensor};
+use rand::{Rng, SeedableRng};
 
 /// Full chain: bursty workload → RLC transient → sensor series → decoded
 /// intervals contain the true (window-averaged) voltage.
@@ -207,4 +209,52 @@ fn measurement_implements_common_traits() {
     let text = format!("{m:?}");
     assert!(text.contains("hs_code"));
     assert_eq!(m.clone(), m);
+}
+
+/// End-to-end spectral identification: a resonant workload's frequency
+/// is recovered from decoded sensor samples to within 2 %.
+#[test]
+fn resonance_identified_from_sensor_samples() {
+    let pdn = LumpedPdn::new(
+        Voltage::from_v(0.95),
+        Resistance::from_milliohms(5.0),
+        psn_thermometer::cells::units::Inductance::from_ph(100.0),
+        Capacitance::from_nf(100.0),
+    )
+    .unwrap();
+    let f_true = pdn.resonance_frequency();
+    let span = Time::from_us(8.0);
+    let load = resonant_loop(Current::from_a(0.3), Current::from_a(0.9), f_true, span, 3).unwrap();
+    let vdd = pdn
+        .transient(&mut RunCtx::serial(), &load, Time::from_ps(200.0), span)
+        .unwrap();
+    let gnd = Waveform::constant(0.0);
+    let sensor = SensorSystem::new(SensorConfig::default()).unwrap();
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut samples = Vec::new();
+    let mut t = Time::from_ns(400.0);
+    while t < span - Time::from_ns(10.0) {
+        let m = sensor.measure_at(&vdd, &gnd, t).unwrap();
+        if let Some(v) = m.hs_interval.midpoint() {
+            samples.push((t, v.volts()));
+        }
+        t += Time::from_ns(17.0 + rng.gen_range(0.0..12.0));
+    }
+    assert!(samples.len() > 200, "too few resolved samples");
+    let (f_est, amp) = dominant_frequency(
+        &samples,
+        Frequency::from_mhz(10.0),
+        Frequency::from_mhz(200.0),
+        200,
+    )
+    .unwrap();
+    let rel = (f_est.hertz() - f_true.hertz()).abs() / f_true.hertz();
+    assert!(
+        rel < 0.02,
+        "estimated {:.3e} vs true {:.3e}",
+        f_est.hertz(),
+        f_true.hertz()
+    );
+    assert!(amp > 0.03, "implausibly small identified amplitude {amp}");
 }
