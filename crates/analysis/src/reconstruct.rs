@@ -27,18 +27,6 @@ pub struct FidelityReport {
     pub max_error: f64,
 }
 
-impl FidelityReport {
-    /// Fraction of resolved measurements whose interval contained the
-    /// truth.
-    pub fn hit_rate(&self) -> f64 {
-        if self.resolved == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.resolved as f64
-        }
-    }
-}
-
 /// Scores a HIGH-SENSE measurement series against the true supply
 /// waveform. `window` is the sensor's P→CP skew (the averaging window
 /// used at capture).
@@ -134,7 +122,7 @@ mod tests {
         assert_eq!(report.total, 50);
         assert_eq!(report.resolved, 50, "0.95 ± 25 mV stays in range");
         // Decoding is interval-exact by construction.
-        assert_eq!(report.hit_rate(), 1.0);
+        assert_eq!(report.hits, 50);
         // Midpoint error bounded by half a code width (~17 mV).
         assert!(report.rmse < 0.02, "rmse {}", report.rmse);
         assert!(report.max_error < 0.035, "max {}", report.max_error);
@@ -156,7 +144,6 @@ mod tests {
         let report = score_series(&measurements, &vdd, skew);
         assert_eq!(report.resolved, 0);
         assert_eq!(report.rmse, 0.0);
-        assert_eq!(report.hit_rate(), 0.0);
         // Overflow interval (lower bound only) still contains the truth.
         assert_eq!(report.hits, 5);
     }

@@ -104,25 +104,9 @@ impl Histogram {
         self.outliers
     }
 
-    /// The centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
     /// Total in-range samples.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// The index of the fullest bin.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 }
 
@@ -163,8 +147,6 @@ mod tests {
         assert_eq!(h.counts(), &[1, 2, 0, 1]);
         assert_eq!(h.outliers(), 2);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.mode_bin(), 1);
-        assert!((h.bin_center(0) - 0.125).abs() < 1e-12);
     }
 
     proptest! {

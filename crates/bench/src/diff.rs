@@ -145,11 +145,6 @@ impl BenchDiff {
             .filter(|r| r.delta_pct().is_some_and(|d| d > self.threshold_pct))
             .collect()
     }
-
-    /// True when any bench regressed past the threshold.
-    pub fn has_regressions(&self) -> bool {
-        !self.regressions().is_empty()
-    }
 }
 
 /// Renders nanoseconds with a readable unit (`ns`, `µs`, `ms`, `s`).
@@ -252,10 +247,9 @@ mod tests {
         let diff = BenchDiff::between(&before, &after, 25.0);
         let regressed: Vec<&str> = diff.regressions().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(regressed, ["b"]);
-        assert!(diff.has_regressions());
         // Exactly at the threshold is not a regression.
         let at = BenchDiff::between(&before, &snapshot(&[("k", &[("a", 125.0)])]), 25.0);
-        assert!(!at.has_regressions());
+        assert!(at.regressions().is_empty());
     }
 
     #[test]
@@ -263,7 +257,7 @@ mod tests {
         let before = snapshot(&[("k", &[("gone", 100.0)])]);
         let after = snapshot(&[("k", &[("new", 5000.0)])]);
         let diff = BenchDiff::between(&before, &after, 25.0);
-        assert!(!diff.has_regressions());
+        assert!(diff.regressions().is_empty());
         assert_eq!(diff.rows().len(), 2);
         let table = diff.to_string();
         assert!(table.contains("removed"), "{table}");

@@ -13,6 +13,7 @@
 //! results.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablations;
 pub mod checkpointed;

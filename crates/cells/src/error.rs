@@ -10,8 +10,6 @@ pub enum CellError {
     /// A character other than `0`, `1`, `x`/`X`, `z`/`Z` was parsed as a
     /// logic level.
     InvalidLogicChar(char),
-    /// A cell name was not found in the library.
-    UnknownCell(String),
     /// A delay table was constructed with non-monotonic or empty axes.
     InvalidTable(String),
     /// A physical parameter was outside its valid domain (e.g. supply at or
@@ -30,7 +28,6 @@ impl fmt::Display for CellError {
             CellError::InvalidLogicChar(c) => {
                 write!(f, "invalid logic character {c:?} (expected 0, 1, x or z)")
             }
-            CellError::UnknownCell(name) => write!(f, "unknown cell {name:?}"),
             CellError::InvalidTable(why) => write!(f, "invalid delay table: {why}"),
             CellError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter {name}: {reason}")
@@ -48,9 +45,6 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(CellError::InvalidLogicChar('q').to_string().contains("'q'"));
-        assert!(CellError::UnknownCell("INVX9".into())
-            .to_string()
-            .contains("INVX9"));
         assert!(CellError::InvalidTable("empty axis".into())
             .to_string()
             .contains("empty axis"));

@@ -130,22 +130,6 @@ impl GateFunction {
             GateFunction::Aoi21 | GateFunction::Oai21 => 1.5,
         }
     }
-
-    /// `true` when the output inverts a rising input majority (used to pick
-    /// the right arc in slew-aware extensions; informational here).
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            GateFunction::Inv
-                | GateFunction::Nand2
-                | GateFunction::Nor2
-                | GateFunction::Xnor2
-                | GateFunction::Nand3
-                | GateFunction::Nor3
-                | GateFunction::Aoi21
-                | GateFunction::Oai21
-        )
-    }
 }
 
 impl fmt::Display for GateFunction {
@@ -278,16 +262,6 @@ impl StdCell {
         StdCell::standard("XNOR2", GateFunction::Xnor2, 30.0, drive)
     }
 
-    /// 3-input NAND.
-    pub fn nand3(drive: f64) -> StdCell {
-        StdCell::standard("NAND3", GateFunction::Nand3, 22.0, drive)
-    }
-
-    /// 3-input NOR.
-    pub fn nor3(drive: f64) -> StdCell {
-        StdCell::standard("NOR3", GateFunction::Nor3, 26.0, drive)
-    }
-
     /// 3-input AND.
     pub fn and3(drive: f64) -> StdCell {
         StdCell::standard("AND3", GateFunction::And3, 32.0, drive)
@@ -302,16 +276,6 @@ impl StdCell {
     /// cancels — paper Fig. 7).
     pub fn mux2(drive: f64) -> StdCell {
         StdCell::standard("MUX2", GateFunction::Mux2, 34.0, drive)
-    }
-
-    /// AND-OR-INVERT 2-1.
-    pub fn aoi21(drive: f64) -> StdCell {
-        StdCell::standard("AOI21", GateFunction::Aoi21, 20.0, drive)
-    }
-
-    /// OR-AND-INVERT 2-1.
-    pub fn oai21(drive: f64) -> StdCell {
-        StdCell::standard("OAI21", GateFunction::Oai21, 20.0, drive)
     }
 
     /// The cell's library name, e.g. `NAND2X1`.
@@ -536,14 +500,6 @@ mod tests {
             sym.propagation_delay_edge(v, c, &pvt, true),
             sym.propagation_delay_edge(v, c, &pvt, false)
         );
-    }
-
-    #[test]
-    fn inverting_classification() {
-        assert!(GateFunction::Inv.is_inverting());
-        assert!(GateFunction::Nand3.is_inverting());
-        assert!(!GateFunction::Buf.is_inverting());
-        assert!(!GateFunction::Mux2.is_inverting());
     }
 
     #[test]

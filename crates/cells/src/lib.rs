@@ -10,14 +10,12 @@
 //!   [`units::Voltage`], [`units::Capacitance`], …);
 //! * [`logic`] — four-valued logic and vectors;
 //! * [`process`] — process corners, temperature derating, PVT points;
-//! * [`mosfet`] — the Sakurai–Newton alpha-power-law drive model;
-//! * [`delay`] — gate delay models (analytic alpha-power and NLDM-style
-//!   tables), the physics behind the sensor's voltage→delay conversion;
+//! * [`delay`] — gate delay models (the Sakurai–Newton alpha-power law
+//!   and NLDM-style tables), the physics behind the sensor's
+//!   voltage→delay conversion;
 //! * [`gates`] — combinational standard cells;
 //! * [`dff`] — the flip-flop with setup/hold windows and metastability,
-//!   the element the sensor deliberately drives into violation;
-//! * [`latch`] — a level-sensitive latch (used by the Razor baseline);
-//! * [`library`] — a named cell collection (the `.lib` analogue).
+//!   the element the sensor deliberately drives into violation.
 //!
 //! # Example: the sensing principle in three lines
 //!
@@ -35,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod delay;
@@ -42,10 +41,7 @@ pub mod dff;
 pub mod error;
 pub mod fastmath;
 pub mod gates;
-pub mod latch;
-pub mod library;
 pub mod logic;
-pub mod mosfet;
 pub mod process;
 pub mod units;
 
@@ -53,10 +49,7 @@ pub use delay::{AlphaPowerDelay, DelayModel, TableDelay};
 pub use dff::{Dff, SampleOutcome};
 pub use error::CellError;
 pub use gates::{GateFunction, StdCell};
-pub use latch::Latch;
-pub use library::CellLibrary;
 pub use logic::{Logic, LogicVector};
-pub use mosfet::AlphaPowerModel;
 pub use process::{ProcessCorner, Pvt};
 pub use units::{
     Capacitance, Current, Frequency, Inductance, Resistance, Temperature, Time, Voltage,
@@ -70,7 +63,6 @@ mod tests {
         assert_send_sync::<crate::AlphaPowerDelay>();
         assert_send_sync::<crate::TableDelay>();
         assert_send_sync::<crate::Dff>();
-        assert_send_sync::<crate::CellLibrary>();
         assert_send_sync::<crate::LogicVector>();
         assert_send_sync::<crate::Pvt>();
     }

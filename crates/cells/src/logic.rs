@@ -228,11 +228,6 @@ impl LogicVector {
         LogicVector::repeat(Logic::One, n)
     }
 
-    /// Creates a vector from booleans.
-    pub fn from_bools<I: IntoIterator<Item = bool>>(bits: I) -> LogicVector {
-        LogicVector(bits.into_iter().map(Logic::from).collect())
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -482,10 +477,6 @@ mod tests {
     fn vector_constructors() {
         assert_eq!(LogicVector::zeros(3).to_string(), "000");
         assert_eq!(LogicVector::ones(2).to_string(), "11");
-        assert_eq!(
-            LogicVector::from_bools([true, false, true]).to_string(),
-            "101"
-        );
         assert!(LogicVector::new().is_empty());
     }
 

@@ -513,12 +513,6 @@ impl Temperature {
     pub const fn celsius(self) -> f64 {
         self.0
     }
-
-    /// The value in kelvin.
-    #[inline]
-    pub fn kelvin(self) -> f64 {
-        self.0 + 273.15
-    }
 }
 
 /// `R · C` has the dimension of time: convenience for RC time constants.
@@ -549,11 +543,6 @@ pub fn charge_time(c: Capacitance, v: Voltage, i: Current) -> Time {
 pub fn ohms_law_current(v: Voltage, r: Resistance) -> Current {
     assert!(r.ohms() != 0.0, "ohms_law_current with zero resistance");
     Current::from_a(v.volts() / r.ohms())
-}
-
-/// Ohm's law: `I · R`.
-pub fn ohms_law_voltage(i: Current, r: Resistance) -> Voltage {
-    Voltage::from_v(i.amps() * r.ohms())
 }
 
 #[cfg(test)]
@@ -652,8 +641,6 @@ mod tests {
     fn ohms_law_helpers() {
         let i = ohms_law_current(Voltage::from_v(1.0), Resistance::from_ohms(50.0));
         assert!((i.amps() - 0.02).abs() < 1e-12);
-        let v = ohms_law_voltage(Current::from_a(0.02), Resistance::from_ohms(50.0));
-        assert!((v.volts() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -663,11 +650,6 @@ mod tests {
         assert!((t.nanoseconds() - 10.0).abs() < 1e-9);
         let f2 = Frequency::from_period(t);
         assert!((f2.hertz() - f.hertz()).abs() < 1.0);
-    }
-
-    #[test]
-    fn temperature_kelvin() {
-        assert!((Temperature::from_celsius(25.0).kelvin() - 298.15).abs() < 1e-12);
     }
 
     #[test]

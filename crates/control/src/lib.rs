@@ -32,6 +32,7 @@
 //! limit-cycling when a code hovers at the threshold.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod controllers;
@@ -196,13 +197,6 @@ impl Actuation {
             && self.throttle.iter().all(|&t| !t)
             && self.boost.iter().all(|&b| b == 0.0)
     }
-
-    /// Number of domains with any engaged actuator.
-    pub fn engaged_domains(&self) -> usize {
-        (0..self.domains())
-            .filter(|&d| self.stretch[d] < 1.0 || self.throttle[d] || self.boost[d] > 0.0)
-            .count()
-    }
 }
 
 /// A droop-mitigation policy: observes the thermometer codes of one
@@ -363,7 +357,6 @@ mod tests {
         assert_eq!(a.boost(1), 0.0);
         a.set_throttle(1, true);
         assert!(a.throttled(1) && !a.is_neutral());
-        assert_eq!(a.engaged_domains(), 1);
         // Out-of-range domains are ignored, not panicked on.
         a.set_stretch(7, 0.5);
         a.set_throttle(7, true);

@@ -140,34 +140,6 @@ impl RazorStage {
             RazorOutcome::Missed
         }
     }
-
-    /// Error-detection statistics over a cycle-by-cycle supply trace with
-    /// the given per-cycle activity pattern. Returns
-    /// `(detected, missed, unobserved_droops)` where the last counts
-    /// cycles whose supply violated timing while the path was idle.
-    pub fn run_trace(
-        &self,
-        supplies: &[Voltage],
-        activity: &[bool],
-        period: Time,
-    ) -> (usize, usize, usize) {
-        let mut detected = 0;
-        let mut missed = 0;
-        let mut unobserved = 0;
-        for (v, &active) in supplies.iter().zip(activity) {
-            match self.evaluate(*v, active, period) {
-                RazorOutcome::Detected => detected += 1,
-                RazorOutcome::Missed => missed += 1,
-                RazorOutcome::NotExercised => {
-                    if self.path_delay(*v) > period - self.setup {
-                        unobserved += 1;
-                    }
-                }
-                RazorOutcome::NoError => {}
-            }
-        }
-        (detected, missed, unobserved)
-    }
 }
 
 #[cfg(test)]
@@ -210,24 +182,6 @@ mod tests {
             s.evaluate(Voltage::from_v(0.5), false, period()),
             RazorOutcome::NotExercised
         );
-    }
-
-    #[test]
-    fn trace_accounts_unobserved_droops() {
-        let s = RazorStage::typical_pipeline();
-        let vmin = s.min_supply(period());
-        let low = vmin - Voltage::from_mv(30.0);
-        let supplies = vec![
-            Voltage::from_v(1.0), // fine, active
-            low,                  // violating, active → detected
-            low,                  // violating, idle → unobserved
-            Voltage::from_v(1.0), // fine, idle
-        ];
-        let activity = vec![true, true, false, false];
-        let (detected, missed, unobserved) = s.run_trace(&supplies, &activity, period());
-        assert_eq!(detected, 1);
-        assert_eq!(missed, 0);
-        assert_eq!(unobserved, 1);
     }
 
     #[test]

@@ -127,39 +127,6 @@ impl RingOscillatorSensor {
         }
         phase as u64
     }
-
-    /// Inverts a count back into the estimated *average* effective swing
-    /// over the window, by bisection on the monotone count model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::ThresholdOutOfRange`] when the count is not
-    /// reachable inside the 0.4–2.0 V search range.
-    pub fn estimate_swing(
-        &self,
-        count: u64,
-        window: Time,
-        pvt: &Pvt,
-    ) -> Result<Voltage, SensorError> {
-        let expected = |v: Voltage| window.seconds() * self.frequency(v, pvt);
-        let (mut lo, mut hi) = (Voltage::from_v(0.4), Voltage::from_v(2.0));
-        let target = count as f64;
-        if expected(lo) > target || expected(hi) < target {
-            return Err(SensorError::ThresholdOutOfRange {
-                lo: lo.volts(),
-                hi: hi.volts(),
-            });
-        }
-        for _ in 0..60 {
-            let mid = lo.lerp(hi, 0.5);
-            if expected(mid) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo.lerp(hi, 0.5))
-    }
 }
 
 #[cfg(test)]
@@ -266,34 +233,6 @@ mod tests {
         let rel = (quiet as f64 - with_droop as f64) / quiet as f64;
         assert!(rel > 0.0, "droop must reduce the count");
         assert!(rel < 0.03, "count shift {rel:.4} should be marginal");
-    }
-
-    #[test]
-    fn estimate_swing_inverts_count() {
-        let r = ro();
-        let window = Time::from_us(1.0);
-        for v in [0.9, 1.0, 1.1] {
-            let count = r.count(
-                &Waveform::constant(v),
-                &Waveform::constant(0.0),
-                Time::ZERO,
-                window,
-                &pvt(),
-            );
-            let est = r.estimate_swing(count, window, &pvt()).unwrap();
-            assert!(
-                (est.volts() - v).abs() < 0.01,
-                "estimated {est} for true {v} V"
-            );
-        }
-    }
-
-    #[test]
-    fn estimate_out_of_range_rejected() {
-        let r = ro();
-        assert!(r
-            .estimate_swing(u64::MAX, Time::from_ns(1.0), &pvt())
-            .is_err());
     }
 
     #[test]

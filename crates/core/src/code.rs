@@ -137,15 +137,6 @@ impl ThermometerCode {
         let level = ones + unknowns / 2;
         ThermometerCode::from_fail_count(self.width() - level, self.width())
     }
-
-    /// Binary-encodes the level in `ceil(log2(width+1))` bits, MSB first —
-    /// what the paper's ENC block emits as the noise word `OUTE`.
-    pub fn encode_binary(&self) -> LogicVector {
-        let width = self.width();
-        let bits_needed = usize::BITS as usize - width.leading_zeros() as usize;
-        let level = self.correct_bubbles().level() as u64;
-        LogicVector::from_u64(level, bits_needed.max(1))
-    }
 }
 
 impl FromStr for ThermometerCode {
@@ -226,17 +217,6 @@ mod tests {
         assert!(!c.is_resolved());
         // X counts as half a pass: 4 ones + 0 (1 unknown / 2) → level 4.
         assert_eq!(c.correct_bubbles().to_string(), "0001111");
-    }
-
-    #[test]
-    fn binary_encoding() {
-        let c: ThermometerCode = "0011111".parse().unwrap();
-        // 7 elements → 3 bits; level 5 → 101.
-        assert_eq!(c.encode_binary().to_string(), "101");
-        let all: ThermometerCode = "1111111".parse().unwrap();
-        assert_eq!(all.encode_binary().to_string(), "111");
-        let none: ThermometerCode = "0000000".parse().unwrap();
-        assert_eq!(none.encode_binary().to_string(), "000");
     }
 
     #[test]

@@ -132,48 +132,6 @@ impl PulseGenerator {
         }
     }
 
-    /// A PG with a custom monotone tap table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::InvalidConfig`] when the table is empty or
-    /// not strictly increasing, or any delay is non-positive.
-    pub fn with_taps(
-        taps: Vec<Time>,
-        insertion: Time,
-        mux_delay: Time,
-    ) -> Result<PulseGenerator, SensorError> {
-        if taps.is_empty() {
-            return Err(SensorError::InvalidConfig {
-                name: "taps",
-                reason: "table must be non-empty".into(),
-            });
-        }
-        if taps.iter().any(|&t| t <= Time::ZERO) {
-            return Err(SensorError::InvalidConfig {
-                name: "taps",
-                reason: "tap delays must be positive".into(),
-            });
-        }
-        if taps.windows(2).any(|w| w[1] <= w[0]) {
-            return Err(SensorError::InvalidConfig {
-                name: "taps",
-                reason: "tap delays must be strictly increasing".into(),
-            });
-        }
-        if insertion < Time::ZERO || mux_delay < Time::ZERO {
-            return Err(SensorError::InvalidConfig {
-                name: "insertion/mux_delay",
-                reason: "must be non-negative".into(),
-            });
-        }
-        Ok(PulseGenerator {
-            taps,
-            insertion,
-            mux_delay,
-        })
-    }
-
     /// The selectable CP tap delay at the typical corner (the table value).
     ///
     /// # Panics
@@ -371,18 +329,15 @@ mod tests {
         // skew must not depend on the mux delay.
         let pvt = Pvt::typical();
         let code = DelayCode::new(3).unwrap();
-        let a = PulseGenerator::with_taps(
-            vec![Time::from_ps(65.0)],
-            Time::from_ps(84.0),
-            Time::from_ps(10.0),
-        )
-        .unwrap();
-        let b = PulseGenerator::with_taps(
-            vec![Time::from_ps(65.0)],
-            Time::from_ps(84.0),
-            Time::from_ps(500.0),
-        )
-        .unwrap();
+        let a = PulseGenerator {
+            taps: vec![Time::from_ps(65.0)],
+            insertion: Time::from_ps(84.0),
+            mux_delay: Time::from_ps(10.0),
+        };
+        let b = PulseGenerator {
+            mux_delay: Time::from_ps(500.0),
+            ..a.clone()
+        };
         let c0 = DelayCode::new(0).unwrap();
         assert_eq!(a.skew(c0, &pvt), b.skew(c0, &pvt));
         // And for the paper table, skew = insertion + tap.
@@ -410,16 +365,6 @@ mod tests {
         let t = pg.emit(DelayCode::new(0).unwrap(), &Pvt::typical());
         assert!(t.cp_edge > t.p_edge);
         assert_eq!(t.skew(), Time::from_ps(84.0 + 26.0));
-    }
-
-    #[test]
-    fn custom_table_validation() {
-        let ps = Time::from_ps;
-        assert!(PulseGenerator::with_taps(vec![], ps(80.0), ps(30.0)).is_err());
-        assert!(PulseGenerator::with_taps(vec![ps(0.0)], ps(80.0), ps(30.0)).is_err());
-        assert!(PulseGenerator::with_taps(vec![ps(20.0), ps(20.0)], ps(80.0), ps(30.0)).is_err());
-        assert!(PulseGenerator::with_taps(vec![ps(20.0), ps(30.0)], ps(-1.0), ps(30.0)).is_err());
-        assert!(PulseGenerator::with_taps(vec![ps(20.0), ps(30.0)], ps(80.0), ps(30.0)).is_ok());
     }
 
     #[test]

@@ -37,7 +37,6 @@ use psnt_cells::units::{Time, Voltage};
 use psnt_ctx::RunCtx;
 use psnt_obs::Event as ObsEvent;
 use psnt_pdn::waveform::Waveform;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::calibration::{trim_for_corner, TrimResult};
@@ -248,29 +247,6 @@ impl SensorSystem {
 
         let hs_code = self.hs.measure(v, hs_skew, pvt);
         let ls_code = self.ls.measure(g, ls_skew, pvt);
-        self.package(at, hs_code, ls_code, hs_skew, ls_skew)
-    }
-
-    /// Stochastic variant of [`SensorSystem::measure_at`] (metastable
-    /// boundary elements resolve randomly).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SensorSystem::measure_at`].
-    pub fn measure_at_with_rng<R: Rng + ?Sized>(
-        &self,
-        vdd: &Waveform,
-        gnd: &Waveform,
-        at: Time,
-        rng: &mut R,
-    ) -> Result<Measurement, SensorError> {
-        let pvt = &self.config.pvt;
-        let hs_skew = self.pg.skew(self.config.hs_code, pvt);
-        let ls_skew = self.pg.skew(self.config.ls_code, pvt);
-        let v = self.window_value(vdd, at, hs_skew)?;
-        let g = self.window_value(gnd, at, ls_skew)?;
-        let hs_code = self.hs.measure_with_rng(v, hs_skew, pvt, rng);
-        let ls_code = self.ls.measure_with_rng(g, ls_skew, pvt, rng);
         self.package(at, hs_code, ls_code, hs_skew, ls_skew)
     }
 
@@ -609,24 +585,6 @@ mod tests {
         assert_eq!(sys.config().ls_code, ls_trim.code);
         assert_eq!(sys.config().pvt, ss);
         assert!(hs_trim.residual <= hs_trim.untrimmed_residual);
-    }
-
-    #[test]
-    fn stochastic_measure_is_seeded() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let sys = system();
-        let vdd = Waveform::constant(0.992); // near a threshold
-        let gnd = Waveform::constant(0.0);
-        let mut r1 = StdRng::seed_from_u64(3);
-        let mut r2 = StdRng::seed_from_u64(3);
-        let a = sys
-            .measure_at_with_rng(&vdd, &gnd, Time::from_ns(10.0), &mut r1)
-            .unwrap();
-        let b = sys
-            .measure_at_with_rng(&vdd, &gnd, Time::from_ns(10.0), &mut r2)
-            .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

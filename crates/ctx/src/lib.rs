@@ -43,8 +43,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-use psnt_engine::{split_seed, Engine};
+use psnt_engine::Engine;
 use psnt_fault::FaultPlan;
 use psnt_netlist::{BatchSimulator, Netlist, Simulator};
 use psnt_obs::Observer;
@@ -275,13 +276,6 @@ impl<'env> RunCtx<'env> {
         self.seed
     }
 
-    /// Derives the `index`-th decorrelated child seed from the base
-    /// seed via SplitMix64 — one stream per trial, so results are
-    /// independent of how trials are scheduled across workers.
-    pub fn child_seed(&self, index: u64) -> u64 {
-        split_seed(self.seed, index)
-    }
-
     /// Replaces the base seed in place — the sweep-friendly twin of
     /// [`RunCtx::with_seed`]: an experiment driver comparing policy
     /// arms re-arms the same context (keeping its warm simulator
@@ -296,11 +290,6 @@ impl<'env> RunCtx<'env> {
     /// reborrow, so a single context serves many sequential stages.
     pub fn observer(&mut self) -> Option<&mut Observer> {
         self.observer.as_deref_mut()
-    }
-
-    /// True when an observer is attached (without borrowing it).
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
     }
 
     /// Replaces the fault plan in place — the sweep-friendly twin of
@@ -331,19 +320,6 @@ impl<'env> RunCtx<'env> {
         &mut self.batch_pool
     }
 
-    /// Splits the context into its engine, observer and pool parts so
-    /// a call site can hold the pool and the observer at once.
-    pub fn parts(&mut self) -> (&Engine, Option<&mut Observer>, &mut SimPool<'env>) {
-        (&self.engine, self.observer.as_deref_mut(), &mut self.pool)
-    }
-
-    /// Splits the context into its pool and fault-plan parts so a call
-    /// site can install the plan on a pooled simulator while holding
-    /// the pool borrow.
-    pub fn pool_parts(&mut self) -> (&mut SimPool<'env>, Option<&FaultPlan>) {
-        (&mut self.pool, self.fault_plan.as_ref())
-    }
-
     /// Splits the context into observer, pool and fault-plan parts —
     /// for kernels that run a pooled simulator *and* fold its
     /// profiling counters into the observer afterwards, which needs
@@ -371,7 +347,6 @@ mod tests {
     fn default_ctx_is_serial_unobserved_seed_zero() {
         let mut ctx = RunCtx::default();
         assert_eq!(ctx.engine().jobs(), 1);
-        assert!(!ctx.has_observer());
         assert!(ctx.observer().is_none());
         assert_eq!(ctx.seed(), 0);
         assert!(ctx.pool().is_empty());
@@ -385,7 +360,6 @@ mod tests {
             .with_observer(&mut obs);
         assert_eq!(ctx.engine().jobs(), 3);
         assert_eq!(ctx.seed(), 7);
-        assert!(ctx.has_observer());
         // Two sequential reborrows from the same context.
         ctx.observer().unwrap().metrics.counter_add("ctx.test", 1);
         ctx.observer().unwrap().metrics.counter_add("ctx.test", 1);
@@ -399,26 +373,16 @@ mod tests {
         use psnt_fault::{Fault, FaultPlan};
         let ctx = RunCtx::serial().with_fault_plan(FaultPlan::new());
         assert!(ctx.fault_plan().is_none(), "empty plan must vanish");
-        let mut ctx = RunCtx::serial()
+        let ctx = RunCtx::serial()
             .with_fault_plan(FaultPlan::new().with(Fault::stuck_at("n", Logic::Zero)));
         assert_eq!(ctx.fault_plan().map(FaultPlan::len), Some(1));
-        let (pool, plan) = ctx.pool_parts();
-        assert!(pool.is_empty() && plan.is_some());
     }
 
     #[test]
-    fn child_seeds_match_engine_seed_policy() {
+    fn set_seed_matches_the_builder() {
         let mut ctx = RunCtx::serial().with_seed(99);
-        assert_eq!(ctx.child_seed(0), split_seed(99, 0));
-        assert_eq!(ctx.child_seed(5), split_seed(99, 5));
-        // In-place re-seed matches the builder path exactly.
         ctx.set_seed(7);
         assert_eq!(ctx.seed(), 7);
-        assert_eq!(
-            ctx.child_seed(0),
-            RunCtx::serial().with_seed(7).child_seed(0)
-        );
-        assert_ne!(ctx.child_seed(0), ctx.child_seed(1));
     }
 
     #[test]

@@ -60,6 +60,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod batch;
 pub mod pool;

@@ -27,6 +27,8 @@
 //! assert_eq!(FaultPlan::from_json(&json).unwrap(), plan);
 //! ```
 
+#![warn(unreachable_pub)]
+
 use psnt_cells::logic::Logic;
 use psnt_cells::units::{Time, Voltage};
 use serde::{json, Deserialize, Serialize};
@@ -171,21 +173,6 @@ impl Fault {
     /// delay cache, so it cannot be confined to one lane of a word.
     pub fn batch_supported(&self) -> bool {
         !matches!(self, Fault::SupplyGlitch { .. })
-    }
-
-    /// True for the harness-level faults the event kernel ignores —
-    /// faults applied by the campaign/workload layers (panics, sink
-    /// errors, cancellation, deadline trips) rather than inside the
-    /// simulated die.
-    pub fn is_harness_level(&self) -> bool {
-        matches!(
-            self,
-            Fault::SitePanic { .. }
-                | Fault::SinkError { .. }
-                | Fault::WorkerPanic { .. }
-                | Fault::CancelAt { .. }
-                | Fault::DeadlineTrip
-        )
     }
 }
 
@@ -445,13 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn harness_faults_are_classified_and_absent_by_default() {
-        assert!(Fault::SitePanic { site: 0 }.is_harness_level());
-        assert!(Fault::SinkError { after_records: 1 }.is_harness_level());
-        assert!(Fault::WorkerPanic { job: 0, attempt: 0 }.is_harness_level());
-        assert!(Fault::CancelAt { cycle: 1 }.is_harness_level());
-        assert!(Fault::DeadlineTrip.is_harness_level());
-        assert!(!Fault::stuck_at("n", Logic::Zero).is_harness_level());
+    fn harness_faults_are_absent_by_default() {
         let empty = FaultPlan::new();
         assert_eq!(empty.sink_error_after(), None);
         assert!(empty.worker_panics().is_empty());

@@ -135,18 +135,9 @@ impl Trace {
 
     /// Number of rising (`0→1`) transitions of a signal.
     pub fn rising_edges(&self, id: SignalId) -> usize {
-        self.transition_count(id, Logic::Zero, Logic::One)
-    }
-
-    /// Number of falling (`1→0`) transitions of a signal.
-    pub fn falling_edges(&self, id: SignalId) -> usize {
-        self.transition_count(id, Logic::One, Logic::Zero)
-    }
-
-    fn transition_count(&self, id: SignalId, from: Logic, to: Logic) -> usize {
         self.edges[id.0]
             .windows(2)
-            .filter(|w| w[0].value == from && w[1].value == to)
+            .filter(|w| w[0].value == Logic::Zero && w[1].value == Logic::One)
             .count()
     }
 
@@ -156,15 +147,6 @@ impl Trace {
             .iter()
             .find(|e| e.time >= from && e.value == value)
             .map(|e| e.time)
-    }
-
-    /// The latest edge time across all signals.
-    pub fn end_time(&self) -> Time {
-        self.edges
-            .iter()
-            .filter_map(|e| e.last())
-            .map(|e| e.time)
-            .fold(Time::ZERO, Time::max)
     }
 
     /// Serialises the trace as a VCD document (timescale 1 ps).
@@ -282,7 +264,6 @@ mod tests {
             tr.record(s, ps(10.0 * i as f64), Logic::from(i % 2 == 1));
         }
         assert_eq!(tr.rising_edges(s), 3);
-        assert_eq!(tr.falling_edges(s), 2);
     }
 
     #[test]
@@ -299,17 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn end_time_across_signals() {
-        let mut tr = Trace::new();
-        let a = tr.add_signal("a");
-        let b = tr.add_signal("b");
-        tr.record(a, ps(10.0), Logic::One);
-        tr.record(b, ps(40.0), Logic::Zero);
-        assert_eq!(tr.end_time(), ps(40.0));
-        assert_eq!(Trace::new().end_time(), Time::ZERO);
-    }
-
-    #[test]
     fn clear_edges_keeps_signals() {
         let (mut tr, a, b) = busy_trace();
         tr.clear_edges();
@@ -320,7 +290,6 @@ mod tests {
         // The trace accepts a fresh history from time zero again.
         tr.record(a, ps(0.0), Logic::One);
         assert_eq!(tr.edges(a).len(), 1);
-        assert_eq!(tr.end_time(), ps(0.0));
     }
 
     #[test]

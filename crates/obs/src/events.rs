@@ -19,34 +19,6 @@ use crate::manifest::RunManifest;
 use crate::span::SpanRecord;
 use psnt_cells::units::Time;
 
-/// How important an event is. Observers drop events below their
-/// configured minimum before they reach the sink (counted, never
-/// silent). The default is [`Severity::Info`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Severity {
-    /// High-volume diagnostics (per-transition, per-solver-step).
-    Debug,
-    /// Normal progress events.
-    #[default]
-    Info,
-    /// Degradation the run survived (retries, fallbacks).
-    Warn,
-    /// Failures surfaced to the caller.
-    Error,
-}
-
-impl Severity {
-    /// The lowercase wire name (`"debug"`, `"info"`, ...).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Debug => "debug",
-            Severity::Info => "info",
-            Severity::Warn => "warn",
-            Severity::Error => "error",
-        }
-    }
-}
-
 /// One structured event: where it happened, what happened, when in
 /// simulated time, and an open key/value payload.
 #[derive(Debug, Clone)]
@@ -58,8 +30,6 @@ pub struct Event {
     pub subsystem: String,
     /// What happened (`"transition"`, `"trim"`, `"site_done"`, ...).
     pub kind: String,
-    /// How important it is; serialized only when not [`Severity::Info`].
-    pub severity: Severity,
     /// Additional payload, flattened into the record's JSON object.
     pub fields: Vec<(String, Value)>,
 }
@@ -71,15 +41,8 @@ impl Event {
             t_ps: None,
             subsystem: subsystem.into(),
             kind: kind.into(),
-            severity: Severity::Info,
             fields: Vec::new(),
         }
-    }
-
-    /// Sets the event's severity.
-    pub fn severity(mut self, severity: Severity) -> Event {
-        self.severity = severity;
-        self
     }
 
     /// Stamps the event with a simulated time.
@@ -130,12 +93,6 @@ impl Serialize for Record {
                 }
                 entries.push(("subsystem".to_string(), Value::Str(e.subsystem.clone())));
                 entries.push(("kind".to_string(), Value::Str(e.kind.clone())));
-                if e.severity != Severity::Info {
-                    entries.push((
-                        "severity".to_string(),
-                        Value::Str(e.severity.as_str().to_string()),
-                    ));
-                }
                 entries.extend(e.fields.iter().cloned());
             }
             Record::Span(s) => {
@@ -183,9 +140,9 @@ pub trait EventSink {
     /// Flushes buffered output; called once when the stream ends.
     fn flush(&mut self) {}
 
-    /// Records this sink has lost (evicted, failed to write, or
-    /// deleted by rotation). Promoted to `obs.events_dropped` when the
-    /// observer finishes, so truncation is never silent.
+    /// Records this sink has lost (evicted or failed to write).
+    /// Promoted to `obs.events_dropped` when the observer finishes, so
+    /// truncation is never silent.
     fn dropped(&self) -> u64 {
         0
     }
@@ -232,111 +189,6 @@ impl EventSink for JsonlSink {
 
     fn dropped(&self) -> u64 {
         self.write_errors
-    }
-}
-
-/// Bounded-disk JSON-Lines: writes to `path`, and when the active file
-/// exceeds `max_bytes` shifts it to `path.1` (older generations move
-/// to `path.2`, `path.3`, ...). At most `keep` rotated files survive;
-/// records in a deleted generation count as dropped.
-pub struct RotatingJsonlSink {
-    path: std::path::PathBuf,
-    max_bytes: u64,
-    keep: usize,
-    out: Option<BufWriter<File>>,
-    bytes: u64,
-    /// Lines written to the active file and to each live rotated
-    /// generation (index 0 is `path.1`), so deletions can be counted.
-    lines_in_file: u64,
-    rotated_lines: Vec<u64>,
-    dropped: u64,
-    write_errors: u64,
-}
-
-impl RotatingJsonlSink {
-    /// Creates (truncating) the active file at `path`.
-    ///
-    /// `max_bytes` bounds the active file (at least one record is
-    /// always written before rotating); `keep` is how many rotated
-    /// generations survive (0 means rotation deletes immediately).
-    pub fn create(
-        path: impl AsRef<Path>,
-        max_bytes: u64,
-        keep: usize,
-    ) -> std::io::Result<RotatingJsonlSink> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
-        Ok(RotatingJsonlSink {
-            path,
-            max_bytes: max_bytes.max(1),
-            keep,
-            out: Some(BufWriter::new(file)),
-            bytes: 0,
-            lines_in_file: 0,
-            rotated_lines: Vec::new(),
-            dropped: 0,
-            write_errors: 0,
-        })
-    }
-
-    fn generation_path(&self, gen: usize) -> std::path::PathBuf {
-        let mut os = self.path.clone().into_os_string();
-        os.push(format!(".{gen}"));
-        std::path::PathBuf::from(os)
-    }
-
-    fn rotate(&mut self) {
-        drop(self.out.take());
-        // Shift generations up: path.(keep-1) -> path.keep, ...,
-        // path -> path.1. The generation pushed past `keep` dies.
-        if self.rotated_lines.len() >= self.keep {
-            if let Some(lost) = self.rotated_lines.pop() {
-                self.dropped += lost;
-            }
-            let _ = std::fs::remove_file(self.generation_path(self.keep.max(1)));
-        }
-        for gen in (1..=self.rotated_lines.len()).rev() {
-            let _ = std::fs::rename(self.generation_path(gen), self.generation_path(gen + 1));
-        }
-        if self.keep == 0 {
-            self.dropped += self.lines_in_file;
-            let _ = std::fs::remove_file(&self.path);
-        } else {
-            let _ = std::fs::rename(&self.path, self.generation_path(1));
-            self.rotated_lines.insert(0, self.lines_in_file);
-        }
-        self.lines_in_file = 0;
-        self.bytes = 0;
-        self.out = File::create(&self.path).map(BufWriter::new).ok();
-    }
-}
-
-impl EventSink for RotatingJsonlSink {
-    fn emit(&mut self, record: &Record) {
-        if self.bytes >= self.max_bytes {
-            self.rotate();
-        }
-        let line = record.to_json();
-        let wrote = match self.out.as_mut() {
-            Some(out) => writeln!(out, "{line}").is_ok(),
-            None => false,
-        };
-        if wrote {
-            self.bytes += line.len() as u64 + 1;
-            self.lines_in_file += 1;
-        } else {
-            self.write_errors += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped + self.write_errors
     }
 }
 
@@ -401,17 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn severity_serializes_only_when_not_info() {
-        let info = Record::Event(Event::new("a", "b")).to_json();
-        assert!(!info.contains("severity"), "info is the default: {info}");
-        let warn = Record::Event(Event::new("a", "b").severity(Severity::Warn)).to_json();
-        let v = json::parse(&warn).unwrap();
-        assert_eq!(v.get("severity").and_then(Value::as_str), Some("warn"));
-        assert!(Severity::Debug < Severity::Info);
-        assert!(Severity::Warn < Severity::Error);
-    }
-
-    #[test]
     fn span_record_serializes_tree_fields() {
         let line = Record::Span(SpanRecord {
             id: 5,
@@ -442,44 +283,6 @@ mod tests {
             sink.emit(&span_record("s", 1.0));
         }
         assert_eq!(sink.dropped(), 3);
-    }
-
-    #[test]
-    fn rotating_sink_rotates_and_counts_deleted_lines() {
-        let dir = std::env::temp_dir().join("psnt_obs_rotate_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.jsonl");
-        // Tiny budget: every record overflows the active file, so each
-        // emit after the first rotates. Keep one generation.
-        let mut sink = RotatingJsonlSink::create(&path, 8, 1).unwrap();
-        for i in 0..4 {
-            sink.emit(&span_record(&format!("s{i}"), 1.0));
-        }
-        sink.flush();
-        // Active file holds s3, path.1 holds s2; s0 and s1 died.
-        assert_eq!(sink.dropped(), 2);
-        let active = std::fs::read_to_string(&path).unwrap();
-        assert!(active.contains("s3"), "active file: {active}");
-        let gen1 = std::fs::read_to_string(dir.join("out.jsonl.1")).unwrap();
-        assert!(gen1.contains("s2"), "rotated file: {gen1}");
-        assert!(!dir.join("out.jsonl.2").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rotating_sink_under_budget_drops_nothing() {
-        let dir = std::env::temp_dir().join("psnt_obs_rotate_nodrop");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.jsonl");
-        let mut sink = RotatingJsonlSink::create(&path, 1 << 20, 2).unwrap();
-        for _ in 0..50 {
-            sink.emit(&span_record("s", 1.0));
-        }
-        sink.flush();
-        assert_eq!(sink.dropped(), 0);
-        let active = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(active.lines().count(), 50);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   never hash or compare strings;
 //! * [`events`] — a structured event log: serde-serialized records
 //!   carrying sim time, subsystem and key/value payloads, written
-//!   through an [`events::EventSink`] (JSON-Lines file or in-memory
-//!   ring buffer);
+//!   through an [`events::EventSink`] (JSON-Lines file, in-memory ring
+//!   buffer, or a null sink for trace-only runs). Every event reaches
+//!   the sink, and whatever a sink loses is counted into
+//!   `obs.events_dropped`;
 //! * [`span`] — hierarchical spans carrying wall-clock *and*
 //!   simulation-time intervals plus typed attributes, forming a causal
 //!   tree (campaign → site → grid-solve → measure);
@@ -39,6 +41,8 @@
 //! assert!(obs.ring_lines().unwrap().len() >= 4);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod events;
 pub mod manifest;
 pub mod metrics;
@@ -46,9 +50,7 @@ pub mod observer;
 pub mod span;
 pub mod trace;
 
-pub use events::{
-    Event, EventSink, JsonlSink, NullSink, Record, RingBufferSink, RotatingJsonlSink, Severity,
-};
+pub use events::{Event, EventSink, JsonlSink, NullSink, Record, RingBufferSink};
 pub use manifest::RunManifest;
 pub use metrics::{
     CounterId, GaugeId, Histogram, HistogramId, MetricsDiff, MetricsRegistry, MetricsSnapshot,

@@ -523,15 +523,6 @@ impl MetricsDiff {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
-
-    /// Counter delta by name, zero when unchanged.
-    pub fn counter_delta(&self, name: &str) -> i128 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
 }
 
 impl std::fmt::Display for MetricsDiff {
@@ -723,9 +714,15 @@ mod tests {
 
         let diff = after.diff(&before);
         assert!(!diff.is_empty());
-        assert_eq!(diff.counter_delta("jobs"), 3);
-        assert_eq!(diff.counter_delta("fresh"), 1);
-        assert_eq!(diff.counter_delta("unchanged"), 0);
+        let delta = |name: &str| {
+            diff.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        assert_eq!(delta("jobs"), 3);
+        assert_eq!(delta("fresh"), 1);
+        assert_eq!(delta("unchanged"), 0);
 
         let table = diff.to_string();
         assert!(table.contains("jobs"), "diff table lists jobs: {table}");

@@ -5,41 +5,10 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use crate::events::{
-    Event, EventSink, JsonlSink, NullSink, Record, RingBufferSink, RingHandle, RotatingJsonlSink,
-    Severity,
-};
+use crate::events::{Event, EventSink, JsonlSink, NullSink, Record, RingBufferSink, RingHandle};
 use crate::manifest::RunManifest;
 use crate::metrics::MetricsRegistry;
 use crate::span::{RemoteSpan, Span, SpanRecord};
-
-/// What optional (higher-volume) instrumentation an observer wants.
-///
-/// Phase-level events and counters are always on — they are cheap and
-/// an observer was explicitly attached. Per-simulation-event streams
-/// are opt-in because they can dominate the log.
-#[derive(Debug, Clone, Copy)]
-pub struct ObserverConfig {
-    /// Emit one event per PDN solver step (high volume).
-    pub solver_steps: bool,
-    /// Events below this severity are dropped (and counted) before
-    /// reaching the sink. Default: [`Severity::Debug`], i.e. keep all.
-    pub min_severity: Severity,
-    /// Keep one event in `sample_every`; the rest are dropped (and
-    /// counted). Default 1 — no sampling. Sampling is deterministic:
-    /// it counts events, not time.
-    pub sample_every: u32,
-}
-
-impl Default for ObserverConfig {
-    fn default() -> ObserverConfig {
-        ObserverConfig {
-            solver_steps: false,
-            min_severity: Severity::Debug,
-            sample_every: 1,
-        }
-    }
-}
 
 /// The telemetry handle simulators accept as `Option<&mut Observer>`.
 ///
@@ -50,7 +19,6 @@ pub struct Observer {
     /// The run's metrics; public so call sites can intern ids once
     /// and update by id in hot loops.
     pub metrics: MetricsRegistry,
-    config: ObserverConfig,
     sink: Box<dyn EventSink>,
     ring: Option<RingHandle>,
     finished: bool,
@@ -62,17 +30,12 @@ pub struct Observer {
     stack: Vec<u64>,
     /// Every closed span, retained for trace export.
     trace: Vec<SpanRecord>,
-    /// Events that passed the severity filter (sampling counts these).
-    event_seq: u64,
-    filtered: u64,
-    sampled_out: u64,
 }
 
 impl std::fmt::Debug for Observer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Observer")
             .field("metrics", &self.metrics)
-            .field("config", &self.config)
             .field("finished", &self.finished)
             .finish_non_exhaustive()
     }
@@ -93,18 +56,6 @@ impl Observer {
         obs
     }
 
-    /// An observer with bounded-disk output: JSON-Lines at `path`,
-    /// rotated past `max_bytes` with `keep` old generations retained.
-    pub fn rotating(
-        path: impl AsRef<std::path::Path>,
-        max_bytes: u64,
-        keep: usize,
-    ) -> std::io::Result<Observer> {
-        Ok(Observer::with_sink(Box::new(RotatingJsonlSink::create(
-            path, max_bytes, keep,
-        )?)))
-    }
-
     /// An observer that records metrics and the span tree but streams
     /// nothing — for trace-only runs (`repro --trace` without
     /// `--telemetry`).
@@ -116,7 +67,6 @@ impl Observer {
     pub fn with_sink(sink: Box<dyn EventSink>) -> Observer {
         Observer {
             metrics: MetricsRegistry::new(),
-            config: ObserverConfig::default(),
             sink,
             ring: None,
             finished: false,
@@ -124,34 +74,7 @@ impl Observer {
             next_span_id: 1,
             stack: Vec::new(),
             trace: Vec::new(),
-            event_seq: 0,
-            filtered: 0,
-            sampled_out: 0,
         }
-    }
-
-    /// Enables or disables per-solver-step events.
-    pub fn solver_steps(mut self, on: bool) -> Observer {
-        self.config.solver_steps = on;
-        self
-    }
-
-    /// Drops (and counts) events below `min` before they hit the sink.
-    pub fn min_severity(mut self, min: Severity) -> Observer {
-        self.config.min_severity = min;
-        self
-    }
-
-    /// Keeps one event in `n` (deterministically, by event count);
-    /// the rest are dropped and counted. `n <= 1` disables sampling.
-    pub fn sample_events(mut self, n: u32) -> Observer {
-        self.config.sample_every = n.max(1);
-        self
-    }
-
-    /// The current instrumentation configuration.
-    pub fn config(&self) -> ObserverConfig {
-        self.config
     }
 
     /// Emits the run manifest; call once, before any event.
@@ -159,20 +82,8 @@ impl Observer {
         self.sink.emit(&Record::Manifest(manifest.clone()));
     }
 
-    /// Emits one structured event, subject to the severity floor and
-    /// 1-in-N sampling; dropped events are counted, never silent.
+    /// Emits one structured event.
     pub fn event(&mut self, event: Event) {
-        if event.severity < self.config.min_severity {
-            self.filtered += 1;
-            return;
-        }
-        self.event_seq += 1;
-        if self.config.sample_every > 1
-            && !(self.event_seq - 1).is_multiple_of(u64::from(self.config.sample_every))
-        {
-            self.sampled_out += 1;
-            return;
-        }
         self.sink.emit(&Record::Event(event));
     }
 
@@ -304,23 +215,11 @@ impl Observer {
     pub fn finish(&mut self) {
         if !self.finished {
             self.finished = true;
-            let sink_dropped = self.sink.dropped();
-            let dropped = self.filtered + self.sampled_out + sink_dropped;
+            let dropped = self.sink.dropped();
             // Registered only when nonzero, so lossless streams keep
             // their exact pre-existing snapshot shape.
-            if self.filtered > 0 {
-                self.metrics
-                    .counter_add("obs.events_filtered", self.filtered);
-            }
-            if self.sampled_out > 0 {
-                self.metrics
-                    .counter_add("obs.events_sampled_out", self.sampled_out);
-            }
-            if sink_dropped > 0 {
-                self.metrics
-                    .counter_add("obs.events_sink_dropped", sink_dropped);
-            }
             if dropped > 0 {
+                self.metrics.counter_add("obs.events_sink_dropped", dropped);
                 self.metrics.counter_add("obs.events_dropped", dropped);
             }
             self.sink
@@ -334,22 +233,6 @@ impl Observer {
         self.ring
             .as_ref()
             .map(|r| r.borrow().iter().cloned().collect())
-    }
-}
-
-/// Extension helpers for the `Option<&mut Observer>` handles that
-/// simulators store: instrument a site in one expression without an
-/// `if let` at every call site.
-pub trait ObserverExt {
-    /// Runs `f` on the observer when one is attached.
-    fn observe(&mut self, f: impl FnOnce(&mut Observer));
-}
-
-impl ObserverExt for Option<&mut Observer> {
-    fn observe(&mut self, f: impl FnOnce(&mut Observer)) {
-        if let Some(obs) = self.as_deref_mut() {
-            f(obs);
-        }
     }
 }
 
@@ -440,17 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_helper_skips_detached() {
-        let mut none: Option<&mut Observer> = None;
-        none.observe(|_| panic!("must not run detached"));
-
-        let mut obs = Observer::ring(8);
-        let mut some: Option<&mut Observer> = Some(&mut obs);
-        some.observe(|o| o.metrics.counter_add("hits", 1));
-        assert_eq!(obs.metrics.counter_value("hits"), 1);
-    }
-
-    #[test]
     fn begin_span_builds_a_causal_tree() {
         let mut obs = Observer::ring(32);
         let campaign = obs.begin_span("campaign");
@@ -513,27 +385,6 @@ mod tests {
         assert_eq!(t[2].parent, Some(3), "measure under its own site");
         assert_eq!(t[0].track, 1);
         assert_eq!(t[1].track, 2);
-    }
-
-    #[test]
-    fn severity_floor_and_sampling_count_drops() {
-        let mut obs = Observer::ring(64)
-            .min_severity(Severity::Info)
-            .sample_events(3);
-        for _ in 0..2 {
-            obs.event(Event::new("sim", "noise").severity(Severity::Debug));
-        }
-        for _ in 0..7 {
-            obs.event(Event::new("sim", "step"));
-        }
-        obs.finish();
-
-        let lines = obs.ring_lines().unwrap();
-        let events = lines.iter().filter(|l| l.contains("\"step\"")).count();
-        assert_eq!(events, 3, "kept 1-in-3 of 7: events 1, 4, 7");
-        assert_eq!(obs.metrics.counter_value("obs.events_filtered"), 2);
-        assert_eq!(obs.metrics.counter_value("obs.events_sampled_out"), 4);
-        assert_eq!(obs.metrics.counter_value("obs.events_dropped"), 6);
     }
 
     #[test]

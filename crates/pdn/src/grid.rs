@@ -387,23 +387,6 @@ impl PowerGrid {
         self.v_pad
     }
 
-    /// Converts a (row, col) coordinate to a tile index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::OutOfBounds`] outside the grid.
-    pub fn tile_index(&self, row: usize, col: usize) -> Result<usize, PdnError> {
-        if row >= self.rows || col >= self.cols {
-            return Err(PdnError::OutOfBounds {
-                row,
-                col,
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        Ok(row * self.cols + col)
-    }
-
     fn neighbours(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
         let (r, c) = (idx / self.cols, idx % self.cols);
         let mut out = Vec::with_capacity(4);
@@ -971,10 +954,8 @@ mod tests {
     }
 
     #[test]
-    fn tile_index_bounds() {
+    fn grid_reports_its_shape() {
         let grid = mk(3);
-        assert_eq!(grid.tile_index(1, 2).unwrap(), 5);
-        assert!(grid.tile_index(3, 0).is_err());
         assert_eq!(grid.tiles(), 9);
         assert_eq!(grid.rows(), 3);
         assert_eq!(grid.cols(), 3);

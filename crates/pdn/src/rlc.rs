@@ -40,7 +40,6 @@ use std::f64::consts::TAU;
 
 use psnt_cells::units::{Capacitance, Current, Frequency, Inductance, Resistance, Time, Voltage};
 use psnt_ctx::RunCtx;
-use psnt_obs::Event as ObsEvent;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PdnError;
@@ -156,10 +155,8 @@ impl LumpedPdn {
     /// When the context carries an observer: counts RK4 steps into
     /// `pdn.solver_steps`, accounts the energy delivered to the load and
     /// dissipated in the series resistance (`pdn.load_energy_j`,
-    /// `pdn.dissipated_energy_j` gauges), and — when the observer has
-    /// per-step events enabled — emits one `pdn`/`step` event per RK4
-    /// step. The returned waveform is identical with and without an
-    /// observer.
+    /// `pdn.dissipated_energy_j` gauges). The returned waveform is
+    /// identical with and without an observer.
     ///
     /// # Errors
     ///
@@ -217,7 +214,6 @@ impl LumpedPdn {
         // Energy accounting (trapezoidal in the per-step endpoint values).
         let mut load_energy_j = 0.0;
         let mut dissipated_j = 0.0;
-        let per_step_events = ctx.observer().is_some_and(|obs| obs.config().solver_steps);
         for k in 0..steps {
             let t = start + dt * k as f64;
             let t_mid = t + dt / 2.0;
@@ -232,18 +228,9 @@ impl LumpedPdn {
             il += h / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i);
             v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v);
             points.push((t_end, v));
-            if let Some(obs) = ctx.observer() {
+            if ctx.observer().is_some() {
                 load_energy_j += 0.5 * (v_prev * i_a + v * i_b) * h;
                 dissipated_j += 0.5 * r * (il_prev * il_prev + il * il) * h;
-                if per_step_events {
-                    obs.event(
-                        ObsEvent::new("pdn", "step")
-                            .at(t_end)
-                            .field("v_die", &v)
-                            .field("i_l", &il)
-                            .field("i_load", &i_b),
-                    );
-                }
             }
         }
         if let Some(obs) = ctx.observer() {

@@ -7,10 +7,10 @@
 //! sampling instant's codes are serialized through the scan chain — "a
 //! PSN scan chain" in operation.
 //!
-//! Every entry point runs one sweep. [`Campaign::run_resilient`] solves
-//! the rails from per-tile loads and [`Campaign::run_resilient_from_rails`]
-//! takes them already solved; both collect in memory the record stream
-//! that [`Campaign::run_streamed_from_rails`] hands to a sink.
+//! Both entry points run one sweep. [`Campaign::run_resilient`] solves
+//! the rails from per-tile loads and collects the record stream in
+//! memory; [`Campaign::run_streamed_from_rails`] takes the rails already
+//! solved and hands each record to a sink.
 //!
 //! # Examples
 //!
@@ -228,53 +228,6 @@ pub enum StreamRecord {
     },
 }
 
-impl StreamRecord {
-    /// Renders the record as a structured [`psnt_obs`] event so a
-    /// streamed campaign can flow straight into any `psnt-obs` sink
-    /// (JSONL file, ring buffer, rotating log, …) without buffering.
-    pub fn to_event(&self) -> ObsEvent {
-        match self {
-            StreamRecord::Site {
-                site,
-                windows,
-                series,
-                outcome,
-            } => {
-                let mut e = ObsEvent::new("scan", "stream_site")
-                    .field("site", &(*site as u64))
-                    .field("windows", &(windows.len() as u64))
-                    .field("tile", &(series.tile as u64))
-                    .field("name", &series.name)
-                    .field("measured", &outcome.is_measured())
-                    .field("worst_level", &(series.worst_level() as u64));
-                if let SiteOutcome::Degraded { error } = outcome {
-                    e = e.field("error", error);
-                }
-                e
-            }
-            StreamRecord::Frame {
-                index,
-                instant,
-                frame,
-            } => ObsEvent::new("scan", "stream_frame")
-                .field("index", &(*index as u64))
-                .field("t_ps", &instant.picoseconds())
-                .field("bits", &(frame.len() as u64)),
-            StreamRecord::Summary { windows, summary } => ObsEvent::new("scan", "stream_summary")
-                .field("windows", &(*windows as u64))
-                .field("sites_degraded", &(summary.sites_degraded as u64))
-                .field("dead_elements", &(summary.dead_elements as u64))
-                .field("worst_code_error", &(summary.worst_code_error as u64)),
-            StreamRecord::Aborted {
-                sites_completed,
-                reason,
-            } => ObsEvent::new("scan", "stream_aborted")
-                .field("sites_completed", &(*sites_completed as u64))
-                .field("reason", reason),
-        }
-    }
-}
-
 /// Sites per producer batch of the campaign sweep. Fixed (not
 /// worker-count dependent), so chunk boundaries — and therefore record
 /// order and seeds — are identical at any worker count.
@@ -444,48 +397,22 @@ impl Campaign {
         collect_stream(|sink| self.sweep(ctx, rails, retry, sink))
     }
 
-    /// [`Campaign::run_resilient`] against **externally solved rails**:
-    /// per-tile supply (and optionally ground-bounce) waveforms plus
-    /// explicit sampling instants, skipping the internal grid transient
-    /// entirely. This is the path for workload-driven campaigns whose
-    /// rail waveforms come from per-cycle delta solves
-    /// ([`psnt_pdn::grid::PowerGrid::update_delta`]).
+    /// Streams a campaign over **externally solved rails**: per-tile
+    /// supply (and optionally ground-bounce) waveforms plus explicit
+    /// sampling instants, skipping the internal grid transient entirely.
+    /// This is the path for workload-driven campaigns whose rail
+    /// waveforms come from per-cycle delta solves
+    /// ([`psnt_pdn::grid::PowerGrid::update_delta`]). Only instrumented
+    /// tiles' waveforms are sampled; uninstrumented entries may be cheap
+    /// placeholders (e.g. a constant), but the vectors must still be
+    /// grid-shaped so tile indexing stays honest.
     ///
-    /// Only instrumented tiles' waveforms are sampled; uninstrumented
-    /// entries may be cheap placeholders (e.g. a constant), but the
-    /// vectors must still be grid-shaped so tile indexing stays honest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScanError::InvalidConfig`] for grid-shape mismatches or
-    /// empty/unsorted instants; per-site failures degrade as in
-    /// [`Campaign::run_resilient`].
-    pub fn run_resilient_from_rails(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_supplies: Vec<Waveform>,
-        tile_bounces: Option<Vec<Waveform>>,
-        instants: Vec<Time>,
-        retry: RetryPolicy,
-    ) -> Result<ResilientCampaignResult, ScanError> {
-        let rails = Rails::Given {
-            tile_supplies,
-            tile_bounces,
-            instants,
-        };
-        collect_stream(|sink| self.sweep(ctx, rails, retry, sink))
-    }
-
-    /// Streams a campaign over externally solved rails (see
-    /// [`Campaign::run_resilient_from_rails`] for the rails contract)
-    /// instead of accumulating it: site records flow through a **bounded
-    /// channel** from the measuring workers to the calling thread, which
-    /// hands each one to `sink` and drops it — so peak memory holds at
-    /// most a couple of chunks of in-flight sites plus a per-instant code
-    /// buffer for frame assembly, never a full [`CampaignResult`]. That
-    /// is what lets a 256+-site workload campaign run with flat memory
-    /// while its records land directly in a `psnt-obs` sink (see
-    /// [`StreamRecord::to_event`]).
+    /// Site records flow through a **bounded channel** from the
+    /// measuring workers to the calling thread, which hands each one to
+    /// `sink` and drops it — so peak memory holds at most a couple of
+    /// chunks of in-flight sites plus a per-instant code buffer for
+    /// frame assembly, never a full [`CampaignResult`]. That is what
+    /// lets a 256+-site workload campaign run with flat memory.
     ///
     /// Semantics and telemetry are those of [`Campaign::run_resilient`],
     /// which is this stream collected in memory. Records are delivered
@@ -495,8 +422,9 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Rail validation as [`Campaign::run_resilient_from_rails`] and
-    /// chain-capture failures; additionally, the first error the sink
+    /// Returns [`ScanError::InvalidConfig`] for grid-shape mismatches or
+    /// empty/unsorted instants, and propagates chain-capture failures;
+    /// additionally, the first error the sink
     /// returns aborts the stream and is propagated (workers stop at the
     /// next chunk boundary), and a trip of the context's supervisor stops
     /// the sweep at the next chunk boundary with
@@ -1693,31 +1621,17 @@ mod tests {
         let prep = c.rails_inputs(rails(), None, instants.clone()).unwrap();
         let expected = reference(&c, &prep, &[]);
         for jobs in [1usize, 4] {
-            let collected = c
-                .run_resilient_from_rails(
-                    &mut RunCtx::new(Engine::new(jobs)),
-                    rails(),
-                    None,
-                    instants.clone(),
-                    RetryPolicy::none(),
-                )
-                .unwrap();
-            assert_matches_reference(
-                &collected,
-                &expected,
-                &[],
-                &format!("collected jobs={jobs}"),
-            );
             let streamed = stream_rails(&c, &mut RunCtx::new(Engine::new(jobs)), &prep);
             assert_matches_reference(&streamed, &expected, &[], &format!("streamed jobs={jobs}"));
         }
         assert!(matches!(
-            c.run_resilient_from_rails(
+            c.run_streamed_from_rails(
                 &mut RunCtx::serial(),
                 vec![Waveform::constant(1.05); 4],
                 None,
                 instants.clone(),
                 RetryPolicy::none(),
+                |_| Ok(()),
             ),
             Err(ScanError::InvalidConfig {
                 name: "tile_supplies",
@@ -1725,12 +1639,13 @@ mod tests {
             })
         ));
         assert!(matches!(
-            c.run_resilient_from_rails(
+            c.run_streamed_from_rails(
                 &mut RunCtx::serial(),
                 rails(),
                 None,
                 vec![],
                 RetryPolicy::none(),
+                |_| Ok(()),
             ),
             Err(ScanError::InvalidConfig {
                 name: "instants",
@@ -1738,12 +1653,13 @@ mod tests {
             })
         ));
         assert!(matches!(
-            c.run_resilient_from_rails(
+            c.run_streamed_from_rails(
                 &mut RunCtx::serial(),
                 rails(),
                 None,
                 vec![Time::from_ns(10.0), Time::from_ns(10.0)],
                 RetryPolicy::none(),
+                |_| Ok(()),
             ),
             Err(ScanError::InvalidConfig {
                 name: "instants",
@@ -1878,28 +1794,6 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(full.last(), Some(StreamRecord::Summary { .. })));
-    }
-
-    #[test]
-    fn streamed_records_render_as_events() {
-        let c = campaign();
-        let mut kinds = Vec::new();
-        c.run_streamed_from_rails(
-            &mut RunCtx::serial(),
-            vec![Waveform::constant(1.04); 9],
-            None,
-            vec![Time::from_ns(5.0), Time::from_ns(20.0)],
-            RetryPolicy::none(),
-            |r| {
-                kinds.push(r.to_event().kind);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(kinds.len(), 9 + 2 + 1);
-        assert!(kinds[..9].iter().all(|k| k == "stream_site"));
-        assert!(kinds[9..11].iter().all(|k| k == "stream_frame"));
-        assert_eq!(kinds[11], "stream_summary");
     }
 
     mod stream_properties {

@@ -24,7 +24,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use psnt_cells::logic::{Logic, LogicVector};
+use psnt_cells::logic::LogicVector;
 use psnt_core::code::ThermometerCode;
 use serde::{Deserialize, Serialize};
 
@@ -127,18 +127,6 @@ impl ScanChain {
             })
             .collect()
     }
-
-    /// Simulates the serial shift: returns the bit presented at the scan
-    /// output on each cycle (frame head first), exactly `len()` entries.
-    pub fn shift_out(&self, frame: &LogicVector) -> Result<Vec<Logic>, ScanError> {
-        if frame.len() != self.len() {
-            return Err(ScanError::FrameMismatch {
-                expected: self.len(),
-                got: frame.len(),
-            });
-        }
-        Ok(frame.iter().collect())
-    }
 }
 
 #[cfg(test)]
@@ -180,16 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_out_streams_head_first() {
-        let c = chain(1);
-        let frame = c.capture(&[code("0011111")]).unwrap();
-        let stream = c.shift_out(&frame).unwrap();
-        assert_eq!(stream.len(), 7);
-        assert_eq!(stream[0], Logic::Zero);
-        assert_eq!(stream[2], Logic::One);
-    }
-
-    #[test]
     fn mismatches_rejected() {
         let c = chain(2);
         assert!(matches!(
@@ -202,7 +180,6 @@ mod tests {
         assert!(c.capture(&[code("011"), code("0011111")]).is_err());
         let short = LogicVector::zeros(3);
         assert!(c.deserialize(&short).is_err());
-        assert!(c.shift_out(&short).is_err());
     }
 
     #[test]
@@ -223,7 +200,6 @@ mod tests {
         let frame = c.capture(&codes).unwrap();
         assert_eq!(frame.len(), 1792);
         assert_eq!(c.deserialize(&frame).unwrap(), codes);
-        assert_eq!(c.shift_out(&frame).unwrap().len(), 1792);
     }
 
     proptest! {

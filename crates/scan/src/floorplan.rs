@@ -188,11 +188,6 @@ impl Floorplan {
         &self.sites
     }
 
-    /// Looks a site up by its tile index.
-    pub fn site_at(&self, tile: usize) -> Option<&SensorSite> {
-        self.sites.iter().find(|s| s.tile == tile)
-    }
-
     /// Instrumentation coverage as a fraction of tiles.
     pub fn coverage(&self) -> f64 {
         self.sites.len() as f64 / self.grid.tiles() as f64
@@ -237,8 +232,6 @@ mod tests {
         let fp = Floorplan::new(grid(5), Placement::CornersAndCentre).unwrap();
         let tiles: Vec<usize> = fp.sites().iter().map(|s| s.tile).collect();
         assert_eq!(tiles, vec![0, 4, 12, 20, 24]);
-        assert!(fp.site_at(12).is_some());
-        assert!(fp.site_at(13).is_none());
     }
 
     #[test]

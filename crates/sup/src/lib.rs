@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 use std::fmt;
@@ -127,16 +128,6 @@ impl RunBudget {
         self
     }
 
-    /// The wall-clock deadline, if any.
-    pub fn wall_deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The sim-time budget in picoseconds, if any.
-    pub fn sim_budget_ps(&self) -> Option<f64> {
-        self.sim_time_ps
-    }
-
     /// The global event budget, if any.
     pub fn event_budget(&self) -> Option<u64> {
         self.events
@@ -145,15 +136,6 @@ impl RunBudget {
     /// The checkpoint cadence in cycles, if any.
     pub fn checkpoint_cadence(&self) -> Option<u64> {
         self.checkpoint_every
-    }
-
-    /// True when no budget is set (a supervisor over such a budget can
-    /// only trip through its token or [`Supervisor::force_expire`]).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.sim_time_ps.is_none()
-            && self.events.is_none()
-            && self.checkpoint_every.is_none()
     }
 }
 
@@ -266,11 +248,6 @@ impl Supervisor {
         self.events.fetch_add(n, Ordering::Relaxed) + n
     }
 
-    /// Events charged so far across every clone.
-    pub fn events_used(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
     /// Trips the wall-clock deadline immediately, regardless of the
     /// budget — the deterministic lever the chaos harness's
     /// `DeadlineTrip` fault pulls so the genuine deadline path is
@@ -352,21 +329,8 @@ pub enum Supervised<T, P = T> {
 }
 
 impl<T, P> Supervised<T, P> {
-    /// True for [`Supervised::Done`].
-    pub fn is_done(&self) -> bool {
-        matches!(self, Supervised::Done(_))
-    }
-
     /// The completed result, consuming the value.
     pub fn done(self) -> Option<T> {
-        match self {
-            Supervised::Done(t) => Some(t),
-            Supervised::Interrupted { .. } => None,
-        }
-    }
-
-    /// The completed result by reference.
-    pub fn as_done(&self) -> Option<&T> {
         match self {
             Supervised::Done(t) => Some(t),
             Supervised::Interrupted { .. } => None,
@@ -384,44 +348,6 @@ impl<T, P> Supervised<T, P> {
                 partial,
             } => Some((*at, reason, partial)),
         }
-    }
-}
-
-/// A stride counter for amortising supervision checks inside hot
-/// loops: `tick()` returns true every `stride`-th call, so a
-/// per-event loop pays one decrement per event and the supervisor's
-/// atomics only every `stride` events.
-#[derive(Debug, Clone)]
-pub struct Pacer {
-    stride: u32,
-    left: u32,
-}
-
-impl Pacer {
-    /// A pacer firing every `stride` ticks (clamped to at least 1).
-    pub fn new(stride: u32) -> Pacer {
-        let stride = stride.max(1);
-        Pacer {
-            stride,
-            left: stride,
-        }
-    }
-
-    /// Counts one iteration; true when this tick crosses the stride
-    /// boundary (time to check the supervisor).
-    pub fn tick(&mut self) -> bool {
-        self.left -= 1;
-        if self.left == 0 {
-            self.left = self.stride;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The configured stride.
-    pub fn stride(&self) -> u32 {
-        self.stride
     }
 }
 
@@ -469,7 +395,6 @@ mod tests {
                 used: 120
             }
         );
-        assert_eq!(sup.events_used(), 120);
     }
 
     #[test]
@@ -512,19 +437,13 @@ mod tests {
             .sim_time_ps(1e6)
             .events(1_000_000)
             .checkpoint_every(0);
-        assert_eq!(b.wall_deadline(), Some(Duration::from_secs(5)));
-        assert_eq!(b.sim_budget_ps(), Some(1e6));
         assert_eq!(b.event_budget(), Some(1_000_000));
         assert_eq!(b.checkpoint_cadence(), Some(1), "cadence clamps to 1");
-        assert!(!b.is_unlimited());
-        assert!(RunBudget::unlimited().is_unlimited());
     }
 
     #[test]
     fn supervised_accessors() {
         let done: Supervised<u32> = Supervised::Done(7);
-        assert!(done.is_done());
-        assert_eq!(done.as_done(), Some(&7));
         assert_eq!(done.interrupted(), None);
         assert_eq!(done.done(), Some(7));
         let cut: Supervised<u32, Vec<u32>> = Supervised::Interrupted {
@@ -532,25 +451,10 @@ mod tests {
             reason: Interrupt::Cancelled,
             partial: vec![0, 1, 2],
         };
-        assert!(!cut.is_done());
         let (at, reason, partial) = cut.interrupted().unwrap();
         assert_eq!((at, partial.len()), (3, 3));
         assert_eq!(reason, &Interrupt::Cancelled);
         assert_eq!(cut.done(), None);
-    }
-
-    #[test]
-    fn pacer_fires_every_stride() {
-        let mut p = Pacer::new(4);
-        let fired: Vec<bool> = (0..9).map(|_| p.tick()).collect();
-        assert_eq!(
-            fired,
-            vec![false, false, false, true, false, false, false, true, false]
-        );
-        assert_eq!(p.stride(), 4);
-        // Degenerate stride clamps to 1: every tick fires.
-        let mut every = Pacer::new(0);
-        assert!(every.tick() && every.tick());
     }
 
     #[test]

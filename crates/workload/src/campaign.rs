@@ -12,13 +12,10 @@
 //!    1,600-node grid sustains 1,000-cycle campaigns in well under a
 //!    second;
 //! 3. the per-site rail waveforms and window-centre instants feed the
-//!    scan layer's `from_rails` entry points, in memory
-//!    ([`NocWorkload::run`]) or streamed record-by-record
-//!    ([`NocWorkload::run_streamed`]) with flat memory. Both run the
-//!    scan layer's one campaign sweep; the in-memory path only collects
-//!    its records.
+//!    scan layer's campaign sweep, streamed record-by-record
+//!    ([`NocWorkload::run_streamed`]) with flat memory.
 //!
-//! Both paths are bit-identical at any worker count, and a
+//! The stream is bit-identical at any worker count, and a
 //! `psnt-fault` plan on the context degrades faulted sites instead of
 //! aborting the campaign.
 
@@ -29,7 +26,7 @@ use psnt_engine::RetryPolicy;
 use psnt_obs::{Observer, Span};
 use psnt_pdn::grid::PowerGrid;
 use psnt_pdn::waveform::Waveform;
-use psnt_scan::campaign::{Campaign, DegradationSummary, ResilientCampaignResult, StreamRecord};
+use psnt_scan::campaign::{Campaign, DegradationSummary, StreamRecord};
 use psnt_scan::floorplan::Floorplan;
 use psnt_scan::ScanError;
 use serde::{Deserialize, Serialize};
@@ -181,15 +178,6 @@ impl NoiseProfile {
     pub fn worst_droop(&self) -> f64 {
         self.worst().map_or(0.0, |w| self.v_nom - w.min_v)
     }
-}
-
-/// An in-memory workload campaign result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NocCampaignResult {
-    /// The scan campaign's (possibly partially degraded) result.
-    pub result: ResilientCampaignResult,
-    /// The PDN-side noise profile.
-    pub profile: NoiseProfile,
 }
 
 /// The summary a streamed workload campaign returns after every record
@@ -353,43 +341,18 @@ impl NocWorkload {
         }
     }
 
-    /// Runs the campaign in memory: traffic → per-cycle sparse solves →
-    /// resilient multi-site sweep at the window centres.
+    /// Runs the campaign: traffic → per-cycle sparse solves → resilient
+    /// multi-site sweep at the window centres. Every per-site series and
+    /// frame goes through `sink` as a [`StreamRecord`] instead of
+    /// accumulating in memory — the path that keeps a 256-site
+    /// campaign's footprint flat.
     ///
     /// # Errors
     ///
-    /// Propagates solver and campaign errors; per-site failures (e.g. a
-    /// `psnt-fault` [`SitePanic`](psnt_fault::Fault::SitePanic) on the
-    /// context) degrade instead of aborting.
-    pub fn run(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        retry: RetryPolicy,
-    ) -> Result<NocCampaignResult, WorkloadError> {
-        let rails = self.drive(ctx, &CheckpointPolicy::none(), None, self.rail_recorder())?;
-        let result = self.campaign.run_resilient_from_rails(
-            ctx,
-            rails.tile_supplies,
-            None,
-            rails.instants,
-            retry,
-        )?;
-        Ok(NocCampaignResult {
-            result,
-            profile: rails.profile,
-        })
-    }
-
-    /// Runs the campaign streamed: identical results to
-    /// [`NocWorkload::run`], but every per-site series and frame goes
-    /// through `sink` as a [`StreamRecord`] instead of accumulating in
-    /// memory — the path that keeps a 256-site campaign's footprint
-    /// flat.
-    ///
-    /// # Errors
-    ///
-    /// As [`NocWorkload::run`]; a sink error aborts the run and is
-    /// returned.
+    /// Propagates solver and campaign errors; a sink error aborts the
+    /// run and is returned. Per-site failures (e.g. a `psnt-fault`
+    /// [`SitePanic`](psnt_fault::Fault::SitePanic) on the context)
+    /// degrade instead of aborting.
     pub fn run_streamed(
         &self,
         ctx: &mut RunCtx<'_>,
@@ -543,7 +506,7 @@ mod tests {
     use super::*;
     use psnt_engine::Engine;
     use psnt_fault::{Fault, FaultPlan};
-    use psnt_scan::campaign::{CampaignResult, SiteOutcome};
+    use psnt_scan::campaign::{CampaignResult, ResilientCampaignResult, SiteOutcome};
 
     #[test]
     fn config_validation_rejects_nonsense() {
@@ -585,9 +548,7 @@ mod tests {
     #[test]
     fn small_run_produces_profile_and_measurements() {
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
-        let out = w
-            .run(&mut RunCtx::serial().with_seed(17), RetryPolicy::none())
-            .unwrap();
+        let out = collected(&w, &mut RunCtx::serial().with_seed(17), RetryPolicy::none()).unwrap();
         assert_eq!(out.result.result.sites.len(), 4);
         assert_eq!(out.result.result.frames.len(), 3);
         assert_eq!(out.profile.windows.len(), 3);
@@ -608,16 +569,14 @@ mod tests {
     #[test]
     fn run_is_worker_count_independent() {
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
-        let base = w
-            .run(&mut RunCtx::serial().with_seed(3), RetryPolicy::none())
-            .unwrap();
+        let base = collected(&w, &mut RunCtx::serial().with_seed(3), RetryPolicy::none()).unwrap();
         for jobs in [2usize, 4] {
-            let out = w
-                .run(
-                    &mut RunCtx::new(Engine::new(jobs)).with_seed(3),
-                    RetryPolicy::none(),
-                )
-                .unwrap();
+            let out = collected(
+                &w,
+                &mut RunCtx::new(Engine::new(jobs)).with_seed(3),
+                RetryPolicy::none(),
+            )
+            .unwrap();
             assert_eq!(out, base, "jobs={jobs}");
         }
     }
@@ -657,65 +616,27 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_in_memory_at_any_worker_count() {
-        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
-        let in_memory = w
-            .run(&mut RunCtx::serial().with_seed(29), RetryPolicy::none())
-            .unwrap();
-        for jobs in [1usize, 4] {
-            let mut records = Vec::new();
-            let out = w
-                .run_streamed(
-                    &mut RunCtx::new(Engine::new(jobs)).with_seed(29),
-                    RetryPolicy::none(),
-                    |r| {
-                        records.push(r);
-                        Ok(())
-                    },
-                )
-                .unwrap();
-            assert_eq!(out.profile, in_memory.profile, "jobs={jobs}");
-            assert_eq!(out.summary, in_memory.result.summary, "jobs={jobs}");
-            assert_eq!(collect(records), in_memory.result, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn fault_plan_degrades_sites_without_aborting() {
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
         let plan = || FaultPlan::new().with(Fault::SitePanic { site: 2 });
-        let out = w
-            .run(
-                &mut RunCtx::serial().with_seed(5).with_fault_plan(plan()),
-                RetryPolicy::none(),
-            )
-            .unwrap();
+        let out = collected(
+            &w,
+            &mut RunCtx::serial().with_seed(5).with_fault_plan(plan()),
+            RetryPolicy::none(),
+        )
+        .unwrap();
         assert_eq!(out.result.summary.sites_degraded, 1);
         assert!(matches!(
             out.result.outcomes[2],
             SiteOutcome::Degraded { .. }
         ));
-        // Streamed path degrades identically.
-        let mut records = Vec::new();
-        let streamed = w
-            .run_streamed(
-                &mut RunCtx::serial().with_seed(5).with_fault_plan(plan()),
-                RetryPolicy::none(),
-                |r| {
-                    records.push(r);
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert_eq!(streamed.summary, out.result.summary);
-        assert_eq!(collect(records), out.result);
         // A retry recovers the attempt-0-only panic.
-        let recovered = w
-            .run(
-                &mut RunCtx::serial().with_seed(5).with_fault_plan(plan()),
-                RetryPolicy::attempts(2),
-            )
-            .unwrap();
+        let recovered = collected(
+            &w,
+            &mut RunCtx::serial().with_seed(5).with_fault_plan(plan()),
+            RetryPolicy::attempts(2),
+        )
+        .unwrap();
         assert_eq!(recovered.result.summary.sites_degraded, 0);
     }
 
@@ -723,47 +644,64 @@ mod tests {
         std::env::temp_dir().join(format!("psnt-ckpt-{tag}-{}.json", std::process::id()))
     }
 
+    /// A whole run: the stream's records reassembled in memory, plus
+    /// the noise profile.
+    #[derive(Debug, PartialEq)]
+    struct Collected {
+        result: ResilientCampaignResult,
+        profile: NoiseProfile,
+    }
+
     /// The streamed checkpointed path, its records collected in memory
-    /// so a run compares whole against [`NocWorkload::run`].
+    /// so a run compares whole against another.
     fn run_collected(
         w: &NocWorkload,
         ctx: &mut RunCtx<'_>,
+        retry: RetryPolicy,
         policy: &CheckpointPolicy,
         resume: Option<&WorkloadCheckpoint>,
-    ) -> Result<NocCampaignResult, WorkloadError> {
+    ) -> Result<Collected, WorkloadError> {
         let mut records = Vec::new();
-        let out = w.run_streamed_checkpointed(ctx, RetryPolicy::none(), policy, resume, |r| {
+        let out = w.run_streamed_checkpointed(ctx, retry, policy, resume, |r| {
             records.push(r);
             Ok(())
         })?;
         let result = collect(records);
         assert_eq!(out.summary, result.summary);
-        Ok(NocCampaignResult {
+        Ok(Collected {
             result,
             profile: out.profile,
         })
+    }
+
+    /// An uncheckpointed run under `retry`, collected.
+    fn collected(
+        w: &NocWorkload,
+        ctx: &mut RunCtx<'_>,
+        retry: RetryPolicy,
+    ) -> Result<Collected, WorkloadError> {
+        run_collected(w, ctx, retry, &CheckpointPolicy::none(), None)
     }
 
     #[test]
     fn cancel_at_fault_checkpoints_and_resumes_bit_identically() {
         use psnt_sup::Interrupt;
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
-        let full = w
-            .run(&mut RunCtx::serial().with_seed(5), RetryPolicy::none())
-            .unwrap();
+        let full = collected(&w, &mut RunCtx::serial().with_seed(5), RetryPolicy::none()).unwrap();
         let path = ckpt_path("cancel");
         // Cadence far past the horizon: only the trip writes.
         let policy = CheckpointPolicy::to_path(&path, 1000);
         let mut ctx = RunCtx::serial()
             .with_seed(5)
             .with_fault_plan(FaultPlan::new().with(Fault::CancelAt { cycle: 30 }));
-        let err = run_collected(&w, &mut ctx, &policy, None).unwrap_err();
+        let err = run_collected(&w, &mut ctx, RetryPolicy::none(), &policy, None).unwrap_err();
         assert_eq!(err, WorkloadError::Interrupted(Interrupt::Cancelled));
         let ckpt = WorkloadCheckpoint::load(&path).unwrap();
         assert_eq!(ckpt.cycle(), 30, "interrupted exactly at the faulted cycle");
         let resumed = run_collected(
             &w,
             &mut RunCtx::serial().with_seed(5),
+            RetryPolicy::none(),
             &CheckpointPolicy::none(),
             Some(&ckpt),
         )
@@ -773,6 +711,7 @@ mod tests {
         let err = run_collected(
             &w,
             &mut RunCtx::serial().with_seed(6),
+            RetryPolicy::none(),
             &CheckpointPolicy::none(),
             Some(&ckpt),
         )
@@ -904,7 +843,14 @@ mod tests {
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
         let path = ckpt_path("cadence");
         let policy = CheckpointPolicy::to_path(&path, 16);
-        let full = run_collected(&w, &mut RunCtx::serial().with_seed(9), &policy, None).unwrap();
+        let full = run_collected(
+            &w,
+            &mut RunCtx::serial().with_seed(9),
+            RetryPolicy::none(),
+            &policy,
+            None,
+        )
+        .unwrap();
         // 60 cycles at cadence 16: snapshots at 16, 32 and 48 — the
         // file on disk holds the last one.
         let ckpt = WorkloadCheckpoint::load(&path).unwrap();
@@ -912,6 +858,7 @@ mod tests {
         let resumed = run_collected(
             &w,
             &mut RunCtx::serial().with_seed(9),
+            RetryPolicy::none(),
             &CheckpointPolicy::none(),
             Some(&ckpt),
         )
@@ -1044,7 +991,8 @@ mod tests {
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
         let mut obs = Observer::ring(4096);
         let mut ctx = RunCtx::serial().with_seed(9).with_observer(&mut obs);
-        w.run(&mut ctx, RetryPolicy::none()).unwrap();
+        w.run_streamed(&mut ctx, RetryPolicy::none(), |_| Ok(()))
+            .unwrap();
         drop(ctx);
         assert!(obs.metrics.counter_value("workload.flits") > 0);
         assert!(obs.metrics.counter_value("workload.delta_solves") > 0);
@@ -1057,7 +1005,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
             #[test]
-            fn workload_bit_identity_across_paths_and_workers(
+            fn workload_bit_identity_across_workers(
                 seed in 0u64..1000,
                 rate in 0.05f64..0.9,
                 bursty in any::<bool>(),
@@ -1075,29 +1023,15 @@ mod tests {
                     TrafficPattern::Uniform { injection_rate: rate }
                 };
                 let w = NocWorkload::new(cfg).unwrap();
-                let base = w
-                    .run(&mut RunCtx::serial().with_seed(seed), RetryPolicy::none())
+                let base = collected(&w, &mut RunCtx::serial().with_seed(seed), RetryPolicy::none())
                     .unwrap();
-                let par = w
-                    .run(
-                        &mut RunCtx::new(Engine::new(4)).with_seed(seed),
-                        RetryPolicy::none(),
-                    )
-                    .unwrap();
+                let par = collected(
+                    &w,
+                    &mut RunCtx::new(Engine::new(4)).with_seed(seed),
+                    RetryPolicy::none(),
+                )
+                .unwrap();
                 prop_assert_eq!(&par, &base);
-                let mut records = Vec::new();
-                let streamed = w
-                    .run_streamed(
-                        &mut RunCtx::new(Engine::new(4)).with_seed(seed),
-                        RetryPolicy::none(),
-                        |r| {
-                            records.push(r);
-                            Ok(())
-                        },
-                    )
-                    .unwrap();
-                prop_assert_eq!(&streamed.profile, &base.profile);
-                prop_assert_eq!(collect(records), base.result);
             }
         }
     }

@@ -99,10 +99,9 @@ impl CheckpointPolicy {
     }
 }
 
-/// A batch-path solve checkpoint ([`NocWorkload::run`] /
-/// [`NocWorkload::run_streamed`] drivers).
+/// An open-loop solve checkpoint (the [`NocWorkload::run_streamed`]
+/// drivers).
 ///
-/// [`NocWorkload::run`]: crate::NocWorkload::run
 /// [`NocWorkload::run_streamed`]: crate::NocWorkload::run_streamed
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadCheckpoint {

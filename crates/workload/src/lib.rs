@@ -18,7 +18,7 @@
 //!   closed-loop control;
 //! * [`campaign`] — [`NocWorkload`]: the open-loop entry points, which
 //!   record every site's rail per cycle (bit-identical to the old fused
-//!   loop) → in-memory or streamed multi-site scan campaigns;
+//!   loop) → a streamed multi-site scan campaign;
 //! * [`mitigated`] — [`NocWorkload::run_mitigated`], the closed loop:
 //!   per-cycle thermometer sensing → delayed codes → a
 //!   [`Mitigator`](psnt_control::Mitigator) actuating the next cycle;
@@ -39,13 +39,22 @@
 //! use psnt_workload::{NocWorkload, NocWorkloadConfig};
 //!
 //! let workload = NocWorkload::new(NocWorkloadConfig::small_2x2())?;
-//! let out = workload.run(&mut RunCtx::serial().with_seed(7), RetryPolicy::none())?;
-//! assert_eq!(out.result.result.sites.len(), 4);
+//! let mut records = 0;
+//! let out = workload.run_streamed(
+//!     &mut RunCtx::serial().with_seed(7),
+//!     RetryPolicy::none(),
+//!     |_record| {
+//!         records += 1;
+//!         Ok(())
+//!     },
+//! )?;
+//! assert_eq!(records, 4 + 3 + 1); // sites, frames, summary
 //! assert!(out.profile.worst_droop() > 0.0);
 //! # Ok::<(), psnt_workload::WorkloadError>(())
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
@@ -57,9 +66,7 @@ pub mod noc;
 pub mod stepper;
 pub mod traffic;
 
-pub use campaign::{
-    NocCampaignResult, NocWorkload, NocWorkloadConfig, NoiseProfile, StreamedNocResult, WindowStats,
-};
+pub use campaign::{NocWorkload, NocWorkloadConfig, NoiseProfile, StreamedNocResult, WindowStats};
 pub use checkpoint::{CheckpointPolicy, MitigatedCheckpoint, WorkloadCheckpoint};
 pub use error::WorkloadError;
 pub use mitigated::{ActuationSample, MitigatedNocResult};

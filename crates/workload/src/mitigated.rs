@@ -114,7 +114,7 @@ impl NocWorkload {
     /// cycles of code-distribution delay.
     ///
     /// With `mitigator: None` the loop is open and the noise profile is
-    /// **bit-identical** to [`NocWorkload::run`]'s (same seed, any
+    /// **bit-identical** to [`NocWorkload::run_streamed`]'s (same seed, any
     /// worker count) — the baseline every mitigation arm compares
     /// against.
     ///
@@ -443,7 +443,11 @@ mod tests {
     fn open_loop_profile_is_bit_identical_to_batch() {
         let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
         let batch = w
-            .run(&mut RunCtx::serial().with_seed(23), RetryPolicy::none())
+            .run_streamed(
+                &mut RunCtx::serial().with_seed(23),
+                RetryPolicy::none(),
+                |_| Ok(()),
+            )
             .unwrap();
         let open = w
             .run_mitigated(&mut RunCtx::serial().with_seed(23), None, 0)

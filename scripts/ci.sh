@@ -148,6 +148,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> portable-ISA output gate (target-cpu=x86-64 vs native)"
+# .cargo/config.toml builds for the host ISA so the lane kernels
+# auto-vectorize. Rust never contracts or reassociates float ops, so a
+# build for the baseline x86-64 ISA must print byte-identical reports.
+# RUSTFLAGS overrides the config's rustflags; the portable build gets
+# its own target dir so it never evicts the native artifacts.
+portable_target=target/portable-x86-64
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR="$portable_target" \
+    cargo build -q --release -p psnt-bench --bin repro
+isa_out="$(mktemp -d)"
+mkdir "$isa_out/native" "$isa_out/portable"
+target/release/repro --out "$isa_out/native" >"$isa_out/native/stdout.txt"
+"$portable_target/release/repro" --out "$isa_out/portable" >"$isa_out/portable/stdout.txt"
+if ! diff -r "$isa_out/native" "$isa_out/portable"; then
+    echo "repro output differs between the native and the x86-64 build" >&2
+    rm -rf "$isa_out"
+    exit 1
+fi
+rm -rf "$isa_out"
+
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 

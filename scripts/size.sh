@@ -3,7 +3,9 @@
 # each for src/, examples/ and tests/:
 #
 #   code  non-blank, non-comment lines above each file's first
-#         `#[cfg(test)]` (a file without one counts in full)
+#         column-0 `#[cfg(test)]`, i.e. the file's test module (a file
+#         without one counts in full; an indented `#[cfg(test)]` on a
+#         single item inside an impl does not stop the count)
 #   pub   `pub` item lines (fn/struct/enum/trait/const/type/mod/use)
 #         in the same region
 #
@@ -21,7 +23,7 @@ count() {
     fi
     awk '
         FNR == 1 { live = 1 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        /^#\[cfg\(test\)\]/ { live = 0 }
         !live { next }
         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
         { code++ }

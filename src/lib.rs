@@ -69,6 +69,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use psnt_analysis as analysis;
 pub use psnt_cells as cells;

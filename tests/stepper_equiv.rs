@@ -6,8 +6,8 @@
 //! (a) a neutral [`CycleStepper`] reproduces the batch
 //!     [`ActivityTrace`] cycle-for-cycle and is worker-count
 //!     independent, for any traffic pattern and seed;
-//! (b) `NocWorkload::run` (now a stepper driver) returns bit-identical
-//!     campaigns — sites, codes, rails, noise profile — with
+//! (b) `NocWorkload::run_streamed` (a stepper driver) returns
+//!     bit-identical campaigns — records, summary, noise profile — with
 //!     record-for-record identical telemetry (wall times masked) at
 //!     jobs ∈ {1, 4};
 //! (c) the open-loop `run_mitigated(None)` profile equals the batch
@@ -125,14 +125,21 @@ proptest! {
             let mut ctx = RunCtx::new(Engine::new(jobs))
                 .with_seed(seed)
                 .with_observer(&mut obs);
-            let out = w.run(&mut ctx, RetryPolicy::none()).unwrap();
+            let mut records = Vec::new();
+            let out = w
+                .run_streamed(&mut ctx, RetryPolicy::none(), |r| {
+                    records.push(r);
+                    Ok(())
+                })
+                .unwrap();
             drop(ctx);
             obs.finish();
-            runs.push((out, normalized(obs.ring_lines().unwrap())));
+            runs.push((out, records, normalized(obs.ring_lines().unwrap())));
         }
-        let (ref a, ref a_tel) = runs[0];
-        let (ref b, ref b_tel) = runs[1];
+        let (ref a, ref a_records, ref a_tel) = runs[0];
+        let (ref b, ref b_records, ref b_tel) = runs[1];
         prop_assert_eq!(a, b, "campaign diverged across jobs");
+        prop_assert_eq!(a_records, b_records, "records diverged across jobs");
         prop_assert_eq!(a_tel, b_tel, "telemetry diverged across jobs");
 
         let open = w
