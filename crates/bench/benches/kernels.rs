@@ -193,8 +193,8 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    // Repeat decodes at one operating point: the threshold memo removes
-    // the seven bisection searches behind each decode after the first.
+    // Repeat decodes at one operating point: after the first, each
+    // decode indexes the memoised ascending thresholds in place.
     c.bench_function("array_decode_memoised", |b| {
         let a = ThermometerArray::paper(RailMode::Supply);
         let code = a.measure(Voltage::from_v(0.97), skew, &pvt);
@@ -209,6 +209,25 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("array_measure_7bit", |b| {
         let a = ThermometerArray::paper(RailMode::Supply);
         b.iter(|| a.measure(std::hint::black_box(Voltage::from_v(0.97)), skew, &pvt))
+    });
+
+    // One closed-loop sense frame: 64 two-rail measures over the droop
+    // chip's rail spread (0.85–1.00 V), default sensor configuration.
+    c.bench_function("sense_frame_64", |b| {
+        use psnt_core::system::{SensorConfig, SensorSystem};
+        let sensor = SensorSystem::new(SensorConfig::default()).unwrap();
+        let rails: Vec<Voltage> = (0..64)
+            .map(|k| Voltage::from_v(0.85 + 0.15 * k as f64 / 63.0))
+            .collect();
+        b.iter(|| {
+            for &vdd in &rails {
+                std::hint::black_box(
+                    sensor
+                        .measure_value(vdd, Voltage::ZERO, Time::ZERO)
+                        .unwrap(),
+                );
+            }
+        })
     });
 
     c.bench_function("element_threshold_bisection", |b| {

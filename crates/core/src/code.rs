@@ -132,10 +132,18 @@ impl ThermometerCode {
     /// bubble-correction rule.
     #[must_use]
     pub fn correct_bubbles(&self) -> ThermometerCode {
-        let ones = self.0.count_ones();
-        let unknowns = self.width() - self.0.count_ones() - self.0.count_zeros();
-        let level = ones + unknowns / 2;
-        ThermometerCode::from_fail_count(self.width() - level, self.width())
+        ThermometerCode::from_fail_count(self.width() - self.corrected_level(), self.width())
+    }
+
+    /// The level of [`ThermometerCode::correct_bubbles`], without
+    /// building the corrected code.
+    pub(crate) fn corrected_level(&self) -> usize {
+        let (ones, zeros) = self.0.iter().fold((0, 0), |(o, z), b| match b {
+            Logic::One => (o + 1, z),
+            Logic::Zero => (o, z + 1),
+            _ => (o, z),
+        });
+        ones + (self.width() - ones - zeros) / 2
     }
 }
 
@@ -238,6 +246,12 @@ mod tests {
             let twice = once.correct_bubbles();
             prop_assert_eq!(once.clone(), twice);
             prop_assert!(once.is_canonical());
+        }
+
+        #[test]
+        fn corrected_level_matches_the_corrected_code(s in "[01xX]{7}") {
+            let c: ThermometerCode = s.parse().unwrap();
+            prop_assert_eq!(c.corrected_level(), c.correct_bubbles().level());
         }
 
         #[test]

@@ -115,7 +115,7 @@ impl Encoder {
         );
         let bubbled = !code.is_canonical();
         let level = match self.policy {
-            EncodingPolicy::BubbleCorrect => code.correct_bubbles().level(),
+            EncodingPolicy::BubbleCorrect => code.corrected_level(),
             EncodingPolicy::Truncate => {
                 // Scan from the most-loaded element: count definite 1s
                 // after the last leading failure; the first 0 *after* a 1

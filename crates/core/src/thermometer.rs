@@ -146,37 +146,64 @@ impl CodeInterval {
     }
 }
 
-/// Bounded memo for the per-element threshold search: the array's
+/// Bounded memo of the array's per-operating-point state. The
 /// thresholds are a pure function of `(skew, pvt)` (and the elements,
 /// which are immutable post-construction), and virtually every caller —
-/// `decode`, [`crate::system::SensorSystem`], the scan campaign, the
-/// equivalent-time sampler — re-asks at a handful of operating points
-/// many times. Each miss costs seven bisection searches (~18 `powf`
-/// evaluations apiece), so the memo removes the dominant cost of repeat
-/// decodes. A small move-to-front map (rather than the original
+/// `measure`, `decode`, [`crate::system::SensorSystem`], the scan
+/// campaign, the equivalent-time sampler — re-asks at a handful of
+/// operating points many times. A miss solves every element at once
+/// through the 64-lane `exp2_fast` bisection kernel
+/// ([`ThermometerArray::thresholds`]), so the memo removes that solve
+/// from every repeat. A small move-to-front map (rather than a
 /// single-entry memo) keeps alternating-corner sweeps — e.g.
 /// `calibration::trim_for_corner` bouncing between the reference and
-/// corner PVT points — from thrashing the cache.
+/// corner PVT points — from thrashing it.
+///
+/// Each entry also carries the point's [`FlashTable`], built by the
+/// first `measure` or `decode` there (never by `thresholds`, so
+/// Monte-Carlo trials and trim sweeps on fresh arrays do not pay for
+/// it).
+///
+/// The tally counts threshold requests (`thresholds`,
+/// `thresholds_ctx`, `decode`): a hit is a request answered from the
+/// memo, a miss is a solve, whoever triggered it. A failed solve is
+/// remembered like a successful one. `measure`'s table reads are not
+/// requests and are not tallied. The totals surface through
+/// [`ThermometerArray::memo_stats`] so ctx-threaded callers can fold
+/// them into a `MetricsRegistry`.
 ///
 /// A `Mutex` (not a `RefCell`) keeps the array `Sync`: Monte-Carlo yield
 /// closures capture `&ThermometerArray` across engine worker threads.
 /// Key-based lookup makes invalidation automatic — a new skew or PVT
 /// point simply misses and evicts the coldest entry — and perturbed
 /// copies built through [`ThermometerArray::from_elements`] start with
-/// a fresh (empty) memo. Hit/miss totals are tallied here and surfaced
-/// through [`ThermometerArray::memo_stats`] so ctx-threaded callers can
-/// fold them into a `MetricsRegistry`.
+/// an empty memo.
 #[derive(Debug, Default)]
 struct ThresholdMemo {
-    state: Mutex<MemoState>,
-}
-
-/// Entries plus the hit/miss tally, guarded by one lock.
-#[derive(Debug, Default)]
-struct MemoState {
-    entries: Vec<(Time, Pvt, Vec<Voltage>)>,
+    entries: Vec<MemoEntry>,
     hits: u64,
     misses: u64,
+}
+
+/// One memoised `(skew, pvt)` operating point.
+#[derive(Debug)]
+struct MemoEntry {
+    skew: Time,
+    pvt: Pvt,
+    /// The kernel thresholds in ascending-load order, or the solve's
+    /// error.
+    thresholds: Result<Vec<Voltage>, SensorError>,
+    /// Built on first use by [`MemoEntry::flash`].
+    flash: Option<FlashTable>,
+}
+
+impl MemoEntry {
+    /// The entry's flash table, built and verified on first use.
+    fn flash(&mut self, elements: &[SenseElement]) -> &FlashTable {
+        let (skew, pvt, thresholds) = (self.skew, self.pvt, &self.thresholds);
+        self.flash
+            .get_or_insert_with(|| FlashTable::build(elements, thresholds, skew, &pvt))
+    }
 }
 
 /// Distinct `(skew, pvt)` operating points retained per array. Sized
@@ -184,44 +211,113 @@ struct MemoState {
 /// few corners, a characterisation sweep one PVT point per code.
 const THRESHOLD_MEMO_CAPACITY: usize = 8;
 
-impl ThresholdMemo {
-    fn get(&self, skew: Time, pvt: &Pvt) -> Option<Vec<Voltage>> {
-        let mut state = self.state.lock().expect("threshold memo poisoned");
-        match state
-            .entries
-            .iter()
-            .position(|(s, p, _)| *s == skew && p == pvt)
-        {
-            Some(ix) => {
-                state.hits += 1;
-                // Move-to-front: the hottest operating points survive
-                // eviction.
-                let entry = state.entries.remove(ix);
-                let thresholds = entry.2.clone();
-                state.entries.insert(0, entry);
-                Some(thresholds)
+/// Half-width of an element's bracket around its kernel threshold:
+/// ten times the kernel's 10 µV bisection tolerance, and far above the
+/// `exp2_fast`-vs-`powf_pos` difference (~1e-10 relative), so the
+/// direct model's switching point lies strictly inside the bracket and
+/// the build-time check passes.
+const BRACKET_HALF_WIDTH_V: f64 = 100e-6;
+
+/// How far past its bracket edge an element's outcome is taken from
+/// the table. Beyond it the rail is unphysical (the alpha-power kernel
+/// is only defined on finite, moderate supplies) and goes to the
+/// direct model.
+const LOOKUP_SPAN_V: f64 = 0.5;
+
+/// The flash-ADC view of one operating point: the array is a
+/// comparator ladder against fixed per-element thresholds, so a rail
+/// clear of an element's threshold settles that bit with two compares.
+#[derive(Debug)]
+struct FlashTable {
+    /// One bracket per element, ascending-load order.
+    brackets: Vec<Bracket>,
+    /// The thresholds sorted ascending — `decode`'s interval table.
+    /// Empty when the threshold solve failed.
+    ascending: Vec<Voltage>,
+}
+
+impl FlashTable {
+    fn build(
+        elements: &[SenseElement],
+        thresholds: &Result<Vec<Voltage>, SensorError>,
+        skew: Time,
+        pvt: &Pvt,
+    ) -> FlashTable {
+        match thresholds {
+            Ok(th) => {
+                let mut ascending = th.clone();
+                ascending.sort_by(Voltage::total_cmp);
+                FlashTable {
+                    brackets: elements
+                        .iter()
+                        .zip(th)
+                        .map(|(e, &t)| Bracket::verified(e, t, skew, pvt))
+                        .collect(),
+                    ascending,
+                }
             }
-            None => {
-                state.misses += 1;
-                None
-            }
+            Err(_) => FlashTable {
+                brackets: vec![Bracket::EMPTY; elements.len()],
+                ascending: Vec::new(),
+            },
+        }
+    }
+}
+
+/// The rails, as closed intervals in volts, at which one element's
+/// outcome is known without evaluating it.
+///
+/// Exactness: the inner edges `t ∓ δ` are checked against
+/// [`SenseElement::measure`] when the bracket is built — HIGH-SENSE
+/// must fail at `t − δ` and pass at `t + δ`, LOW-SENSE the mirror
+/// image — and the direct model is monotone in the rail
+/// (`tests/characteristic.rs` pins it over the whole span). So every
+/// rail in `fail` fails and every rail in `pass` passes, bit for bit
+/// what the direct model would say. Rails strictly between the edges,
+/// beyond the span, and NaN (every compare is false) go to the direct
+/// model. An element whose check fails gets [`Bracket::EMPTY`] and is
+/// always evaluated directly.
+#[derive(Debug, Clone, Copy)]
+struct Bracket {
+    fail: (f64, f64),
+    pass: (f64, f64),
+}
+
+impl Bracket {
+    /// Contains no rail: every measure evaluates the element.
+    const EMPTY: Bracket = Bracket {
+        fail: (f64::INFINITY, f64::NEG_INFINITY),
+        pass: (f64::INFINITY, f64::NEG_INFINITY),
+    };
+
+    fn verified(e: &SenseElement, threshold: Voltage, skew: Time, pvt: &Pvt) -> Bracket {
+        let t = threshold.volts();
+        let (below, above) = (t - BRACKET_HALF_WIDTH_V, t + BRACKET_HALF_WIDTH_V);
+        let passes = |v: f64| e.measure(Voltage::from_v(v), skew, pvt).passed;
+        let low = (below - LOOKUP_SPAN_V, below);
+        let high = (above, above + LOOKUP_SPAN_V);
+        match (e.mode(), passes(below), passes(above)) {
+            (RailMode::Supply, false, true) => Bracket {
+                fail: low,
+                pass: high,
+            },
+            (RailMode::Ground, true, false) => Bracket {
+                fail: high,
+                pass: low,
+            },
+            _ => Bracket::EMPTY,
         }
     }
 
-    fn put(&self, skew: Time, pvt: &Pvt, thresholds: &[Voltage]) {
-        let mut state = self.state.lock().expect("threshold memo poisoned");
-        if state.entries.iter().any(|(s, p, _)| *s == skew && p == pvt) {
-            return;
+    /// The element's outcome at rail `v`, when the table knows it.
+    fn outcome(&self, v: f64) -> Option<bool> {
+        if self.pass.0 <= v && v <= self.pass.1 {
+            Some(true)
+        } else if self.fail.0 <= v && v <= self.fail.1 {
+            Some(false)
+        } else {
+            None
         }
-        if state.entries.len() >= THRESHOLD_MEMO_CAPACITY {
-            state.entries.pop();
-        }
-        state.entries.insert(0, (skew, *pvt, thresholds.to_vec()));
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        let state = self.state.lock().expect("threshold memo poisoned");
-        (state.hits, state.misses)
     }
 }
 
@@ -231,7 +327,7 @@ pub struct ThermometerArray {
     elements: Vec<SenseElement>,
     mode: RailMode,
     #[serde(skip, default)]
-    memo: ThresholdMemo,
+    memo: Mutex<ThresholdMemo>,
 }
 
 impl Clone for ThermometerArray {
@@ -239,7 +335,7 @@ impl Clone for ThermometerArray {
         ThermometerArray {
             elements: self.elements.clone(),
             mode: self.mode,
-            memo: ThresholdMemo::default(),
+            memo: Mutex::default(),
         }
     }
 }
@@ -261,7 +357,7 @@ impl ThermometerArray {
                 .map(|&c| SenseElement::paper(c, mode))
                 .collect(),
             mode,
-            memo: ThresholdMemo::default(),
+            memo: Mutex::default(),
         }
     }
 
@@ -289,7 +385,7 @@ impl ThermometerArray {
         ThermometerArray {
             elements,
             mode,
-            memo: ThresholdMemo::default(),
+            memo: Mutex::default(),
         }
     }
 
@@ -310,12 +406,38 @@ impl ThermometerArray {
 
     /// Performs one measurement; the code prints most-loaded element
     /// first, matching the paper's `0011111` notation.
+    ///
+    /// A flash lookup: each bit is read from the operating point's
+    /// per-element bracket around the memoised threshold, checked
+    /// against the delay model when the point is first measured or
+    /// decoded. Only an element whose bracket holds the rail is
+    /// evaluated directly. The code is bit-identical to
+    /// [`ThermometerArray::measure_detailed`]'s.
     pub fn measure(&self, rail: Voltage, skew: Time, pvt: &Pvt) -> ThermometerCode {
-        self.measure_detailed(rail, skew, pvt).0
+        let v = rail.volts();
+        self.with_entry(skew, pvt, false, |entry| {
+            let table = entry.flash(&self.elements);
+            // Most-loaded first: reverse of the ascending element order.
+            let bits: LogicVector = self
+                .elements
+                .iter()
+                .zip(&table.brackets)
+                .rev()
+                .map(|(e, b)| {
+                    let passed = b
+                        .outcome(v)
+                        .unwrap_or_else(|| e.measure(rail, skew, pvt).passed);
+                    psnt_cells::logic::Logic::from(passed)
+                })
+                .collect();
+            ThermometerCode::new(bits)
+        })
     }
 
     /// Like [`ThermometerArray::measure`] but also returning each
-    /// element's reading (ascending-load order).
+    /// element's reading (ascending-load order). Always evaluates every
+    /// element: this is the direct reference the lookup is tested
+    /// against.
     pub fn measure_detailed(
         &self,
         rail: Voltage,
@@ -450,24 +572,64 @@ impl ThermometerArray {
     /// Per-element failure thresholds, ascending-load order. For
     /// HIGH-SENSE these rise with load; for LOW-SENSE (ground) they fall.
     ///
-    /// The last `(skew, pvt)` result is memoised, so repeated decodes at
-    /// one operating point — the common case for a system run or scan
-    /// campaign — skip the per-element searches entirely. Misses solve
-    /// every element at once through the 64-lane lockstep kernel
-    /// ([`crate::lanes::solve`], one lane per element) — bit-identical
-    /// to the per-element [`SenseElement::threshold`] calls, which share
-    /// the same float program.
+    /// Memoised per `(skew, pvt)` in a small move-to-front map, so
+    /// repeated requests at an operating point —
+    /// the common case for a system run or scan campaign — skip the
+    /// solve entirely. Misses solve every element at once through the
+    /// 64-lane lockstep kernel ([`crate::lanes::solve`], one lane per
+    /// element) — bit-identical to the per-element
+    /// [`SenseElement::threshold`] calls, which share the same float
+    /// program.
     ///
     /// # Errors
     ///
     /// Propagates [`SenseElement::threshold`] failures.
     pub fn thresholds(&self, skew: Time, pvt: &Pvt) -> Result<Vec<Voltage>, SensorError> {
-        if let Some(hit) = self.memo.get(skew, pvt) {
-            return Ok(hit);
+        self.with_entry(skew, pvt, true, |entry| entry.thresholds.clone())
+    }
+
+    /// Runs `f` on the memo entry for `(skew, pvt)` under the memo lock,
+    /// solving the entry on a miss and moving it to the front. A
+    /// `request` counts a hit when the entry was there already.
+    fn with_entry<R>(
+        &self,
+        skew: Time,
+        pvt: &Pvt,
+        request: bool,
+        f: impl FnOnce(&mut MemoEntry) -> R,
+    ) -> R {
+        let mut memo = self.memo.lock().expect("threshold memo poisoned");
+        match memo
+            .entries
+            .iter()
+            .position(|e| e.skew == skew && e.pvt == *pvt)
+        {
+            Some(ix) => {
+                if request {
+                    memo.hits += 1;
+                }
+                // Move-to-front: the hottest operating points survive
+                // eviction.
+                memo.entries[..=ix].rotate_right(1);
+            }
+            None => {
+                memo.misses += 1;
+                if memo.entries.len() >= THRESHOLD_MEMO_CAPACITY {
+                    memo.entries.pop();
+                }
+                let thresholds = self.solve_thresholds(skew, pvt);
+                memo.entries.insert(
+                    0,
+                    MemoEntry {
+                        skew,
+                        pvt: *pvt,
+                        thresholds,
+                        flash: None,
+                    },
+                );
+            }
         }
-        let th = self.solve_thresholds(skew, pvt)?;
-        self.memo.put(skew, pvt, &th);
-        Ok(th)
+        f(&mut memo.entries[0])
     }
 
     /// The memo-miss path: all elements through the lanes kernel, 64 per
@@ -529,17 +691,10 @@ impl ThermometerArray {
         skew: Time,
         pvt: &Pvt,
     ) -> Result<Vec<Voltage>, SensorError> {
-        let (hits_before, misses_before) = self.memo.stats();
-        let th = match self.memo.get(skew, pvt) {
-            Some(hit) => hit,
-            None => {
-                let th = self.solve_thresholds(skew, pvt)?;
-                self.memo.put(skew, pvt, &th);
-                th
-            }
-        };
+        let (hits_before, misses_before) = self.memo_stats();
+        let th = self.thresholds(skew, pvt)?;
         if let Some(obs) = ctx.observer() {
-            let (hits, misses) = self.memo.stats();
+            let (hits, misses) = self.memo_stats();
             obs.metrics
                 .counter_add("thermometer.memo_hits", hits - hits_before);
             obs.metrics
@@ -552,7 +707,8 @@ impl ThermometerArray {
     /// `(hits, misses)`. Derived state only: clones and deserialised
     /// arrays restart at zero.
     pub fn memo_stats(&self) -> (u64, u64) {
-        self.memo.stats()
+        let memo = self.memo.lock().expect("threshold memo poisoned");
+        (memo.hits, memo.misses)
     }
 
     /// The measurable span `(min, max)` of rail values: outside it the
@@ -576,7 +732,8 @@ impl ThermometerArray {
 
     /// Decodes a measured code into the rail-voltage interval it implies
     /// (the inverse of the array characteristic). Bubbles are corrected
-    /// first.
+    /// first. The interval is read in place from the operating point's
+    /// ascending thresholds, kept beside its flash table.
     ///
     /// # Errors
     ///
@@ -598,11 +755,22 @@ impl ThermometerArray {
                 ),
             });
         }
-        let mut asc = self.thresholds(skew, pvt)?;
-        asc.sort_by(Voltage::total_cmp);
         let n = self.bits();
-        let f = code.correct_bubbles().fail_count();
-        Ok(match self.mode {
+        let f = n - code.corrected_level();
+        self.with_entry(skew, pvt, true, |entry| {
+            if let Err(e) = &entry.thresholds {
+                return Err(e.clone());
+            }
+            let asc = &entry.flash(&self.elements).ascending;
+            Ok(self.interval(asc, f))
+        })
+    }
+
+    /// The interval between the ascending thresholds that `f` failing
+    /// elements imply.
+    fn interval(&self, asc: &[Voltage], f: usize) -> CodeInterval {
+        let n = asc.len();
+        match self.mode {
             RailMode::Supply => CodeInterval {
                 // f elements fail ⇒ the rail sits between the (n−f)-th and
                 // (n−f+1)-th ascending thresholds.
@@ -615,7 +783,7 @@ impl ThermometerArray {
                 lower: (f > 0).then(|| asc[f - 1]),
                 upper: (f < n).then(|| asc[f]),
             },
-        })
+        }
     }
 }
 
@@ -972,7 +1140,231 @@ mod tests {
         let _ = array().oversampled_level(Voltage::from_v(1.0), skew011(), &pvt(), 0, &mut rng);
     }
 
+    /// Every operating point the paper array runs at: both rails, all
+    /// eight delay codes, the typical, slow and fast corners.
+    fn operating_points() -> Vec<(RailMode, Time, Pvt)> {
+        let pg = crate::pulsegen::PulseGenerator::paper_table();
+        let mut points = Vec::new();
+        for mode in [RailMode::Supply, RailMode::Ground] {
+            for pvt in [Pvt::typical(), Pvt::slow(), Pvt::fast()] {
+                for code in crate::pulsegen::DelayCode::all() {
+                    points.push((mode, pg.skew(code, &pvt), pvt));
+                }
+            }
+        }
+        points
+    }
+
+    /// Mismatched copies of the paper arrays, wide enough that some
+    /// thresholds invert.
+    fn perturbed_arrays() -> Vec<ThermometerArray> {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let model = crate::mismatch::MismatchModel::local_90nm().scaled(6.0);
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut arrays = Vec::new();
+        for mode in [RailMode::Supply, RailMode::Ground] {
+            for _ in 0..4 {
+                arrays.push(model.perturb_array(&ThermometerArray::paper(mode), &mut rng));
+            }
+        }
+        let inverted = arrays.iter().any(|a| {
+            let th = a.thresholds(skew011(), &pvt()).unwrap();
+            th.windows(2).any(|w| match a.mode() {
+                RailMode::Supply => w[1] < w[0],
+                RailMode::Ground => w[1] > w[0],
+            })
+        });
+        assert!(inverted, "no mismatched array inverts a threshold pair");
+        arrays
+    }
+
+    /// The rails the lookup pivots on at one operating point: every
+    /// threshold and every finite bracket edge, each with its two ulp
+    /// neighbours.
+    fn pivot_rails(a: &ThermometerArray, skew: Time, pvt: &Pvt) -> Vec<f64> {
+        a.measure(Voltage::ZERO, skew, pvt);
+        let mut memo = a.memo.lock().unwrap();
+        let entry = memo
+            .entries
+            .iter_mut()
+            .find(|e| e.skew == skew && e.pvt == *pvt)
+            .expect("measure memoises its operating point");
+        let mut pivots: Vec<f64> = match &entry.thresholds {
+            Ok(th) => th.iter().map(|t| t.volts()).collect(),
+            Err(_) => Vec::new(),
+        };
+        for b in &entry.flash(&a.elements).brackets {
+            pivots.extend([b.fail.0, b.fail.1, b.pass.0, b.pass.1]);
+        }
+        pivots
+            .into_iter()
+            .filter(|v| v.is_finite())
+            .flat_map(|v| {
+                let bits = v.to_bits();
+                [
+                    f64::from_bits(bits.wrapping_sub(1)),
+                    v,
+                    f64::from_bits(bits.wrapping_add(1)),
+                ]
+            })
+            .collect()
+    }
+
+    fn assert_lookup_matches_direct(a: &ThermometerArray, rail: f64, skew: Time, pvt: &Pvt) {
+        let v = Voltage::from_v(rail);
+        assert_eq!(
+            a.measure(v, skew, pvt),
+            a.measure_detailed(v, skew, pvt).0,
+            "{:?} array at {rail:e} V, skew {skew}, {:?}",
+            a.mode(),
+            pvt.corner
+        );
+    }
+
+    #[test]
+    fn lookup_matches_direct_at_every_bracket_edge() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+        ];
+        for (mode, skew, pvt) in operating_points() {
+            let a = ThermometerArray::paper(mode);
+            let pivots = pivot_rails(&a, skew, &pvt);
+            assert_eq!(pivots.len(), 7 * 5 * 3, "{mode:?} {:?}", pvt.corner);
+            for rail in pivots.into_iter().chain(specials) {
+                assert_lookup_matches_direct(&a, rail, skew, &pvt);
+            }
+            // Every paper element passes its build-time check, so no
+            // bit of a clear rail falls back to the direct model.
+            let memo = a.memo.lock().unwrap();
+            let table = memo.entries[0].flash.as_ref().unwrap();
+            assert!(table.brackets.iter().all(|b| b.pass.0 <= b.pass.1));
+        }
+        let (skew, pvt) = (skew011(), pvt());
+        for a in perturbed_arrays() {
+            for rail in pivot_rails(&a, skew, &pvt).into_iter().chain(specials) {
+                assert_lookup_matches_direct(&a, rail, skew, &pvt);
+            }
+        }
+    }
+
+    /// The decode this crate shipped before the flash table: clone the
+    /// thresholds, sort them, and index by the corrected code's fails.
+    fn decode_by_sorting(
+        a: &ThermometerArray,
+        code: &ThermometerCode,
+        skew: Time,
+        pvt: &Pvt,
+    ) -> CodeInterval {
+        let mut asc = a.thresholds(skew, pvt).unwrap();
+        asc.sort_by(Voltage::total_cmp);
+        let (n, f) = (a.bits(), code.correct_bubbles().fail_count());
+        match a.mode() {
+            RailMode::Supply => CodeInterval {
+                lower: (f < n).then(|| asc[n - f - 1]),
+                upper: (f > 0).then(|| asc[n - f]),
+            },
+            RailMode::Ground => CodeInterval {
+                lower: (f > 0).then(|| asc[f - 1]),
+                upper: (f < n).then(|| asc[f]),
+            },
+        }
+    }
+
+    #[test]
+    fn decode_matches_the_sorting_decode_for_every_fail_count() {
+        let arrays = [
+            ThermometerArray::paper(RailMode::Supply),
+            ThermometerArray::paper(RailMode::Ground),
+        ];
+        for a in arrays.iter().chain(&perturbed_arrays()) {
+            for fails in 0..=a.bits() {
+                let code = ThermometerCode::from_fail_count(fails, a.bits());
+                assert_eq!(
+                    a.decode(&code, skew011(), &pvt()).unwrap(),
+                    decode_by_sorting(a, &code, skew011(), &pvt()),
+                    "{:?} array, {fails} fails",
+                    a.mode()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_tallies_requests_and_solves_not_lookups() {
+        let a = array();
+        a.measure(Voltage::from_v(0.95), skew011(), &pvt());
+        a.measure(Voltage::from_v(0.90), skew011(), &pvt());
+        // The first measure solved the point; measures are not requests.
+        assert_eq!(a.memo_stats(), (0, 1));
+        let code = a.measure(Voltage::from_v(0.95), skew011(), &pvt());
+        a.decode(&code, skew011(), &pvt()).unwrap();
+        a.thresholds(skew011(), &pvt()).unwrap();
+        assert_eq!(a.memo_stats(), (2, 1));
+        // Requesting thresholds never builds the flash table.
+        let cold = array();
+        cold.thresholds(skew010(), &pvt()).unwrap();
+        assert!(cold.memo.lock().unwrap().entries[0].flash.is_none());
+    }
+
     proptest! {
+        #[test]
+        fn lookup_matches_direct_for_random_rails(
+            ground in any::<bool>(),
+            corner in 0usize..3,
+            code in 0u8..8,
+            rail in -1.0..2.5f64,
+        ) {
+            let mode = if ground { RailMode::Ground } else { RailMode::Supply };
+            let pvt = [Pvt::typical(), Pvt::slow(), Pvt::fast()][corner];
+            let code = crate::pulsegen::DelayCode::new(code).unwrap();
+            let skew = crate::pulsegen::PulseGenerator::paper_table().skew(code, &pvt);
+            let a = ThermometerArray::paper(mode);
+            let v = Voltage::from_v(rail);
+            prop_assert_eq!(a.measure(v, skew, &pvt), a.measure_detailed(v, skew, &pvt).0);
+        }
+
+        #[test]
+        fn lookup_matches_direct_on_mismatched_arrays(
+            seed in any::<u64>(),
+            ground in any::<bool>(),
+            rail in -0.5..1.5f64,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+            let mode = if ground { RailMode::Ground } else { RailMode::Supply };
+            let model = crate::mismatch::MismatchModel::local_90nm().scaled(6.0);
+            let a = model.perturb_array(
+                &ThermometerArray::paper(mode),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let v = Voltage::from_v(rail);
+            prop_assert_eq!(
+                a.measure(v, skew011(), &pvt()),
+                a.measure_detailed(v, skew011(), &pvt()).0
+            );
+        }
+
+        #[test]
+        fn decode_matches_the_sorting_decode_for_any_code(s in "[01xX]{7}") {
+            let code: ThermometerCode = s.parse().unwrap();
+            for a in [
+                ThermometerArray::paper(RailMode::Supply),
+                ThermometerArray::paper(RailMode::Ground),
+            ] {
+                prop_assert_eq!(
+                    a.decode(&code, skew011(), &pvt()).unwrap(),
+                    decode_by_sorting(&a, &code, skew011(), &pvt())
+                );
+            }
+        }
+
         #[test]
         fn measured_code_always_canonical(mv in 600.0..1300.0f64) {
             let code = array().measure(Voltage::from_mv(mv), skew011(), &pvt());

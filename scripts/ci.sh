@@ -168,6 +168,44 @@ if ! diff -r "$isa_out/native" "$isa_out/portable"; then
 fi
 rm -rf "$isa_out"
 
+echo "==> golden-report gate (repro --out vs artifacts/)"
+# Every report repro writes must equal its committed artifact byte for
+# byte, and every committed artifact must still be written. The reports
+# in the skip list are known stale: some change since the seed moved
+# their numbers, and ROADMAP item 2's bisect has not yet found and
+# re-pinned it. They stay listed by name until that bisect lands.
+stale_reports="encoding fault-coverage mismatch oversampling"
+golden_out="$(mktemp -d)"
+target/release/repro --out "$golden_out" >/dev/null
+golden_fail=0
+for report in "$golden_out"/*.txt; do
+    name=$(basename "$report")
+    case " $stale_reports " in
+        *" ${name%.txt} "*)
+            echo "skipped (stale, ROADMAP item 2): $name"
+            continue
+            ;;
+    esac
+    if [ ! -f "artifacts/$name" ]; then
+        echo "repro writes $name but artifacts/ has no copy" >&2
+        golden_fail=1
+    elif ! diff -u "artifacts/$name" "$report" >&2; then
+        echo "repro's $name differs from artifacts/$name" >&2
+        golden_fail=1
+    fi
+done
+for artifact in artifacts/*.txt; do
+    name=$(basename "$artifact")
+    if [ ! -f "$golden_out/$name" ]; then
+        echo "artifacts/$name is no longer written by repro --out" >&2
+        golden_fail=1
+    fi
+done
+rm -rf "$golden_out"
+if [ "$golden_fail" -ne 0 ]; then
+    exit 1
+fi
+
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
