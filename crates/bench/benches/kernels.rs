@@ -306,6 +306,32 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
     });
 
+    // The same delta shape on the droop-mitigation chip's 24×24 grid
+    // (576 nodes, band 24): 48 of its 64 3×3 tile blocks, block 0
+    // included.
+    c.bench_function("grid_solve_delta_576_48blocks", |b| {
+        let grid = PowerGrid::new(
+            24,
+            24,
+            Voltage::from_v(1.0),
+            Resistance::from_milliohms(120.0),
+            Resistance::from_milliohms(20.0),
+            vec![(0, 0), (0, 23), (23, 0), (23, 23)],
+        )
+        .unwrap();
+        let loads: Vec<f64> = (0..576).map(|i| 3.0e-3 * (1 + i % 7) as f64).collect();
+        let prior = grid.solve_sparse(&loads).unwrap();
+        let changed: Vec<(usize, f64)> = (0..64)
+            .filter(|blk| blk % 4 != 3)
+            .flat_map(|blk: usize| {
+                let (br, bc) = (blk / 8, blk % 8);
+                let load = 3.0e-3 * (2 + blk % 5) as f64;
+                (0..9).map(move |q| ((br * 3 + q / 3) * 24 + bc * 3 + q % 3, load))
+            })
+            .collect();
+        b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
+    });
+
     // One `CycleStepper::step` of the reference 8×8-mesh chip (uniform
     // traffic, 40×40 grid): activity, current map, the in-place delta
     // update and the boost check. The run rewinds to cycle 1 (past the

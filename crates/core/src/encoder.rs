@@ -113,8 +113,20 @@ impl Encoder {
             self.width,
             code.width()
         );
-        let bubbled = !code.is_canonical();
-        let level = match self.policy {
+        let level = self.level(code);
+        OuteWord {
+            level,
+            binary: LogicVector::from_u64(level as u64, self.binary_bits()),
+            underflow: level == 0,
+            overflow: level == self.width,
+            bubbled: !code.is_canonical(),
+        }
+    }
+
+    /// The thermometer level [`Encoder::encode`] puts in the word,
+    /// without building the rest of it.
+    pub(crate) fn level(&self, code: &ThermometerCode) -> usize {
+        match self.policy {
             EncodingPolicy::BubbleCorrect => code.corrected_level(),
             EncodingPolicy::Truncate => {
                 // Scan from the most-loaded element: count definite 1s
@@ -134,13 +146,6 @@ impl Encoder {
                 }
                 level
             }
-        };
-        OuteWord {
-            level,
-            binary: LogicVector::from_u64(level as u64, self.binary_bits()),
-            underflow: level == 0,
-            overflow: level == self.width,
-            bubbled,
         }
     }
 }
@@ -257,6 +262,14 @@ mod tests {
                 prop_assert!(word.level <= 7);
                 prop_assert_eq!(word.underflow, word.level == 0);
                 prop_assert_eq!(word.overflow, word.level == 7);
+            }
+        }
+
+        #[test]
+        fn level_is_the_encoded_level(s in "[01x]{7}") {
+            for policy in [EncodingPolicy::Truncate, EncodingPolicy::BubbleCorrect] {
+                let e = enc(policy);
+                prop_assert_eq!(e.level(&code(&s)), e.encode(&code(&s)).level);
             }
         }
 

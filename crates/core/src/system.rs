@@ -277,6 +277,26 @@ impl SensorSystem {
         self.package(at, hs_code, ls_code, hs_skew, ls_skew)
     }
 
+    /// The HIGH-SENSE level of one instantaneous measurement: exactly
+    /// `measure_value(vdd, 0 V, at)?.hs_word.level` for any `at`,
+    /// failing exactly when that fails and with the same error. Both
+    /// of its failures are threshold-solve errors at the configured
+    /// delay codes and PVT point (HIGH-SENSE first), which do not
+    /// depend on the rails; this checks them without the LOW-SENSE
+    /// measure, the two decodes and the binary words.
+    ///
+    /// # Errors
+    ///
+    /// As [`SensorSystem::measure_value`].
+    pub fn hs_level(&self, vdd: Voltage) -> Result<usize, SensorError> {
+        let pvt = &self.config.pvt;
+        let hs_skew = self.pg.skew(self.config.hs_code, pvt);
+        let ls_skew = self.pg.skew(self.config.ls_code, pvt);
+        let code = self.hs.measure_checked(vdd, hs_skew, pvt)?;
+        self.ls.check_thresholds(ls_skew, pvt)?;
+        Ok(self.hs_encoder.level(&code))
+    }
+
     fn window_value(&self, wave: &Waveform, at: Time, skew: Time) -> Result<Voltage, SensorError> {
         if at < wave.start() || at + skew > wave.end() {
             // Constant waveforms extend infinitely by definition.
@@ -617,5 +637,105 @@ mod tests {
         // and the rail recovers by the end.
         assert!(min_level < first, "droop not captured: {levels:?}");
         assert_eq!(first, last, "rail should recover: {levels:?}");
+    }
+
+    /// A 7-element array for `mode`, its inverters' threshold at
+    /// `vth_v`, whose most-loaded element sits far beyond the threshold
+    /// search range, so every threshold solve on it fails (with an
+    /// error that names the search range, hence `vth_v`).
+    fn unsolvable_array(mode: RailMode, vth_v: f64) -> ThermometerArray {
+        use crate::element::SenseElement;
+        use crate::thermometer::CapacitorLadder;
+        use psnt_cells::delay::AlphaPowerDelay;
+        use psnt_cells::dff::Dff;
+        use psnt_cells::units::Capacitance;
+        let mut caps = CapacitorLadder::paper_fig5().caps().to_vec();
+        caps[6] = Capacitance::from_pf(40.0);
+        let inv = AlphaPowerDelay::new(
+            32.0,
+            Capacitance::from_ff(205.0),
+            Time::ZERO,
+            Voltage::from_v(vth_v),
+            1.3,
+        )
+        .unwrap();
+        let elements = caps
+            .into_iter()
+            .map(|c| SenseElement::new(inv, Dff::standard_90nm(), c, mode))
+            .collect();
+        ThermometerArray::from_elements(elements, mode)
+    }
+
+    /// The system at HIGH-SENSE delay code `hs` and `corner` (0 TT,
+    /// 1 SS, 2 FF), with the LOW-SENSE code rotated off the HS one;
+    /// `broken` bit 0 / bit 1 swaps in an unsolvable HS / LS array, the
+    /// two failing with different errors.
+    fn level_system(hs: u8, corner: usize, broken: u8) -> SensorSystem {
+        let pvt = [Pvt::typical(), Pvt::slow(), Pvt::fast()][corner];
+        let mut sys = SensorSystem::new(SensorConfig {
+            hs_code: DelayCode::new(hs).unwrap(),
+            ls_code: DelayCode::new((hs + 3) % 8).unwrap(),
+            pvt,
+            ..SensorConfig::default()
+        })
+        .unwrap();
+        if broken & 1 != 0 {
+            sys.hs = unsolvable_array(RailMode::Supply, 0.30);
+        }
+        if broken & 2 != 0 {
+            sys.ls = unsolvable_array(RailMode::Ground, 0.35);
+        }
+        sys
+    }
+
+    #[test]
+    fn hs_level_fails_exactly_like_measure_value() {
+        // Healthy, HS-broken, LS-broken and both-broken systems: the
+        // level path returns measure_value's error, HS first.
+        for broken in 0..4u8 {
+            let sys = level_system(3, 0, broken);
+            let full = sys.measure_value(Voltage::from_v(1.0), Voltage::ZERO, Time::ZERO);
+            assert_eq!(full.is_err(), broken != 0, "broken {broken}");
+            let expected = full.map(|m| m.hs_word.level);
+            assert_eq!(
+                sys.hs_level(Voltage::from_v(1.0)),
+                expected,
+                "broken {broken}"
+            );
+        }
+        let hs_err = level_system(3, 0, 1).hs_level(Voltage::from_v(1.0));
+        let ls_err = level_system(3, 0, 2).hs_level(Voltage::from_v(1.0));
+        assert_ne!(hs_err, ls_err, "the two failures must be told apart");
+        assert_eq!(level_system(3, 0, 3).hs_level(Voltage::from_v(1.0)), hs_err);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// `hs_level` is `measure_value(..)?.hs_word.level` over
+            /// rails from −1 to 2.5 V at every HS delay code and the
+            /// TT/SS/FF corners, errors included.
+            #[test]
+            fn hs_level_matches_measure_value(
+                rails in proptest::collection::vec(-1.0..2.5f64, 1..16),
+                corner in 0usize..3,
+                broken in 0u8..4,
+            ) {
+                for hs in 0..8u8 {
+                    let sys = level_system(hs, corner, broken);
+                    for &v in &rails {
+                        let vdd = Voltage::from_v(v);
+                        let full = sys
+                            .measure_value(vdd, Voltage::ZERO, Time::from_ns(1.0))
+                            .map(|m| m.hs_word.level);
+                        prop_assert_eq!(sys.hs_level(vdd), full, "code {} rail {}", hs, v);
+                    }
+                }
+            }
+        }
     }
 }

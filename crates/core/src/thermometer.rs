@@ -414,24 +414,64 @@ impl ThermometerArray {
     /// evaluated directly. The code is bit-identical to
     /// [`ThermometerArray::measure_detailed`]'s.
     pub fn measure(&self, rail: Voltage, skew: Time, pvt: &Pvt) -> ThermometerCode {
-        let v = rail.volts();
         self.with_entry(skew, pvt, false, |entry| {
-            let table = entry.flash(&self.elements);
-            // Most-loaded first: reverse of the ascending element order.
-            let bits: LogicVector = self
-                .elements
-                .iter()
-                .zip(&table.brackets)
-                .rev()
-                .map(|(e, b)| {
-                    let passed = b
-                        .outcome(v)
-                        .unwrap_or_else(|| e.measure(rail, skew, pvt).passed);
-                    psnt_cells::logic::Logic::from(passed)
-                })
-                .collect();
-            ThermometerCode::new(bits)
+            self.flash_code(entry, rail, skew, pvt)
         })
+    }
+
+    /// [`ThermometerArray::measure`] under the same memo lock as the
+    /// check [`ThermometerArray::decode`] makes: fails with the
+    /// operating point's threshold-solve error exactly when `decode`
+    /// would, and counts as one threshold request like it.
+    pub(crate) fn measure_checked(
+        &self,
+        rail: Voltage,
+        skew: Time,
+        pvt: &Pvt,
+    ) -> Result<ThermometerCode, SensorError> {
+        self.with_entry(skew, pvt, true, |entry| {
+            if let Err(e) = &entry.thresholds {
+                return Err(e.clone());
+            }
+            Ok(self.flash_code(entry, rail, skew, pvt))
+        })
+    }
+
+    /// Fails with the threshold-solve error at `(skew, pvt)` exactly
+    /// when [`ThermometerArray::decode`] would, as one threshold
+    /// request.
+    pub(crate) fn check_thresholds(&self, skew: Time, pvt: &Pvt) -> Result<(), SensorError> {
+        self.with_entry(skew, pvt, true, |entry| match &entry.thresholds {
+            Ok(_) => Ok(()),
+            Err(e) => Err(e.clone()),
+        })
+    }
+
+    /// The flash lookup behind [`ThermometerArray::measure`], on the
+    /// memo entry of `(skew, pvt)`.
+    fn flash_code(
+        &self,
+        entry: &mut MemoEntry,
+        rail: Voltage,
+        skew: Time,
+        pvt: &Pvt,
+    ) -> ThermometerCode {
+        let v = rail.volts();
+        let table = entry.flash(&self.elements);
+        // Most-loaded first: reverse of the ascending element order.
+        let bits: LogicVector = self
+            .elements
+            .iter()
+            .zip(&table.brackets)
+            .rev()
+            .map(|(e, b)| {
+                let passed = b
+                    .outcome(v)
+                    .unwrap_or_else(|| e.measure(rail, skew, pvt).passed);
+                psnt_cells::logic::Logic::from(passed)
+            })
+            .collect();
+        ThermometerCode::new(bits)
     }
 
     /// Like [`ThermometerArray::measure`] but also returning each

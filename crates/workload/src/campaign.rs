@@ -35,7 +35,7 @@ use crate::checkpoint::{CheckpointPolicy, WorkloadCheckpoint, CHECKPOINT_VERSION
 use crate::driver::{resume_refused, CycleDriver, Shared};
 use crate::error::WorkloadError;
 use crate::noc::NocMesh;
-use crate::stepper::{CycleStepper, StepperSnapshot};
+use crate::stepper::{CycleStepper, GridScan, StepperSnapshot};
 use crate::traffic::TrafficPattern;
 
 /// Full description of a workload-driven campaign.
@@ -457,7 +457,12 @@ impl CycleDriver for RailRecorder {
         Ok(())
     }
 
-    fn cycle(&mut self, c: usize, stepper: &mut CycleStepper<'_>) -> Result<(), WorkloadError> {
+    fn cycle(
+        &mut self,
+        c: usize,
+        _scan: &GridScan,
+        stepper: &mut CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
         let t_c = self.dt * (c as f64 + 0.5);
         for (points, &nd) in self.site_points.iter_mut().zip(&self.site_nodes) {
             points.push((t_c, stepper.voltages()[nd]));

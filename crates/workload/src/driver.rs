@@ -30,7 +30,7 @@ use serde::{json, Serialize};
 use crate::campaign::{NocWorkload, NoiseProfile, WindowStats};
 use crate::checkpoint::{write_atomic, CheckpointPolicy, CHECKPOINT_VERSION};
 use crate::error::WorkloadError;
-use crate::stepper::{CycleStepper, StepperSnapshot};
+use crate::stepper::{CycleStepper, GridScan, StepperSnapshot};
 
 /// The part of a checkpoint every driver shares, as the loop checks it
 /// on resume: schema version, run seed, stepper image and the
@@ -60,8 +60,13 @@ pub(crate) trait CycleDriver {
     ) -> Result<(), WorkloadError>;
 
     /// The driver's half of cycle `c`, run right after the stepper
-    /// computed it.
-    fn cycle(&mut self, c: usize, stepper: &mut CycleStepper<'_>) -> Result<(), WorkloadError>;
+    /// computed it; `scan` is the stepper's [`GridScan`] of that cycle.
+    fn cycle(
+        &mut self,
+        c: usize,
+        scan: &GridScan,
+        stepper: &mut CycleStepper<'_>,
+    ) -> Result<(), WorkloadError>;
 
     /// A checkpoint of the run so far, around the shared state the loop
     /// captured at the current cycle.
@@ -167,8 +172,9 @@ impl NocWorkload {
             }
             sup.charge_events(1);
             stepper.step()?;
-            self.accumulate_window(&mut stats, c, stepper);
-            driver.cycle(c, stepper)?;
+            let scan = stepper.scan();
+            self.accumulate_window(&mut stats, c, &scan, stepper);
+            driver.cycle(c, &scan, stepper)?;
         }
 
         if let Some(obs) = ctx.observer() {
@@ -236,21 +242,28 @@ impl NocWorkload {
             .collect()
     }
 
-    /// Folds the stepper's cycle-`c` grid state into its window's
-    /// statistics — the same arithmetic, in the same order, as the old
-    /// fused loop, so stepped profiles stay bit-identical.
-    fn accumulate_window(&self, stats: &mut [WindowStats], c: usize, stepper: &CycleStepper<'_>) {
+    /// Folds the stepper's cycle-`c` grid state, scanned once into
+    /// `scan`, into its window's statistics — the same arithmetic, in
+    /// the same order, as the old fused loop, so stepped profiles stay
+    /// bit-identical.
+    fn accumulate_window(
+        &self,
+        stats: &mut [WindowStats],
+        c: usize,
+        scan: &GridScan,
+        stepper: &CycleStepper<'_>,
+    ) {
         let me = self.config().measure_every;
         if let Some(w) = stats.get_mut(c / me) {
-            let (node, v_min) = stepper.hotspot();
+            let (node, v_min) = scan.hotspot;
             if v_min < w.min_v {
                 w.min_v = v_min;
                 w.worst_node = node;
             }
             let me = me as f64;
-            let v = stepper.voltages();
-            w.mean_v += v.iter().sum::<f64>() / (v.len() as f64 * me);
-            w.mean_current += stepper.solution().loads().iter().sum::<f64>() / me;
+            let nodes = stepper.voltages().len() as f64;
+            w.mean_v += scan.voltage_sum / (nodes * me);
+            w.mean_current += scan.load_sum / me;
             w.events += stepper
                 .raw_counts()
                 .iter()

@@ -71,7 +71,7 @@ pub use checkpoint::{CheckpointPolicy, MitigatedCheckpoint, WorkloadCheckpoint};
 pub use error::WorkloadError;
 pub use mitigated::{ActuationSample, MitigatedNocResult};
 pub use noc::{ActivityTrace, NocMesh};
-pub use stepper::{CycleStepper, StepperSnapshot};
+pub use stepper::{CycleStepper, GridScan, StepperSnapshot};
 pub use traffic::{TileTraffic, TrafficPattern};
 
 #[cfg(test)]

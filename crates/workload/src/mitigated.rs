@@ -3,10 +3,12 @@
 //! [`NocWorkload::run_mitigated`] closes the loop the paper gestures
 //! at. It plugs into the same supervised cycle loop as the open-loop
 //! campaign: every cycle, the [`CycleStepper`] advances the chip one cycle,
-//! each monitor site senses its local rail with the instantaneous
-//! [`SensorSystem::measure_value`] path (the causal sensing entry
-//! point — the windowed `measure_at` would peek into the *next*
-//! cycle's waveform), and the thermometer levels travel through a
+//! each monitor site senses its local rail through
+//! [`SensorSystem::hs_level`] (the instantaneous
+//! [`SensorSystem::measure_value`] path, the causal sensing entry point
+//! — the windowed `measure_at` would peek into the *next* cycle's
+//! waveform — reduced to the HIGH-SENSE level the loop keeps), and the
+//! thermometer levels travel through a
 //! [`DelayLine`] modelling code-distribution latency before a
 //! [`Mitigator`] turns them into the [`Actuation`] the stepper honours
 //! from the following cycle.
@@ -18,7 +20,7 @@
 //! `None`, and every built-in controller holds its previous actuation
 //! for it.
 
-use psnt_cells::units::{Time, Voltage};
+use psnt_cells::units::Voltage;
 use psnt_control::{Actuation, ControlFrame, DelayLine, Mitigator, SiteReading};
 use psnt_core::SensorSystem;
 use psnt_ctx::RunCtx;
@@ -29,7 +31,7 @@ use crate::campaign::{NocWorkload, NoiseProfile, WindowStats};
 use crate::checkpoint::{CheckpointPolicy, MitigatedCheckpoint, CHECKPOINT_VERSION};
 use crate::driver::{resume_refused, CycleDriver, Shared};
 use crate::error::WorkloadError;
-use crate::stepper::{CycleStepper, StepperSnapshot};
+use crate::stepper::{CycleStepper, GridScan, StepperSnapshot};
 
 /// Millivolt bucket edges of the `control.droop_depth_mv` histogram.
 const DROOP_BUCKETS_MV: [f64; 6] = [10.0, 20.0, 40.0, 60.0, 80.0, 100.0];
@@ -193,7 +195,6 @@ impl NocWorkload {
                 .map(|p| p.panicking_sites())
                 .unwrap_or_default(),
             drop_cycle: cfg.cycles / 2,
-            dt: cfg.cycle_time,
             v_nom: grid.v_pad().volts(),
             delay: DelayLine::new(latency),
             act: Actuation::neutral(tiles),
@@ -220,7 +221,6 @@ struct ControlLoop<'m> {
     /// `drop_cycle`.
     panicking: Vec<usize>,
     drop_cycle: usize,
-    dt: Time,
     v_nom: f64,
     delay: DelayLine,
     /// The controller's working actuation; always the stepper's, since
@@ -301,8 +301,13 @@ impl CycleDriver for ControlLoop<'_> {
         Ok(())
     }
 
-    fn cycle(&mut self, c: usize, stepper: &mut CycleStepper<'_>) -> Result<(), WorkloadError> {
-        self.droop_trace.push(self.v_nom - stepper.hotspot().1);
+    fn cycle(
+        &mut self,
+        c: usize,
+        scan: &GridScan,
+        stepper: &mut CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
+        self.droop_trace.push(self.v_nom - scan.hotspot.1);
         self.deferred_peak = self.deferred_peak.max(stepper.deferred_backlog());
         let a = stepper.actuation();
         let tiles = a.domains();
@@ -320,19 +325,15 @@ impl CycleDriver for ControlLoop<'_> {
         let Some(m) = self.mitigator.as_deref_mut() else {
             return Ok(());
         };
-        let at = self.dt * (c as f64 + 0.5);
         let mut readings = Vec::with_capacity(self.sites.len());
         for (k, &(nd, domain)) in self.sites.iter().enumerate() {
             let level = if c == self.drop_cycle && self.panicking.contains(&k) {
                 self.degraded_readings += 1;
                 None
             } else {
-                let vdd = Voltage::from_v(stepper.voltages()[nd]);
                 Some(
                     self.sensor
-                        .measure_value(vdd, Voltage::from_v(0.0), at)?
-                        .hs_word
-                        .level,
+                        .hs_level(Voltage::from_v(stepper.voltages()[nd]))?,
                 )
             };
             readings.push(SiteReading { domain, level });

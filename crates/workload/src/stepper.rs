@@ -9,8 +9,8 @@
 //! per changed cycle, plus the supply-boost overlay). The sense-frame
 //! stage sits in the drivers that plug into the workload's one cycle
 //! loop: the open loop samples node voltages into rail waveforms, the
-//! closed loop senses thermometer codes with
-//! [`SensorSystem::measure_value`](psnt_core::SensorSystem::measure_value)
+//! closed loop senses thermometer levels with
+//! [`SensorSystem::hs_level`](psnt_core::SensorSystem::hs_level)
 //! every cycle.
 //!
 //! Driven with a neutral [`Actuation`], the stepper is **bit-identical**
@@ -91,6 +91,19 @@ impl StepperSnapshot {
     pub fn spawned_flits(&self) -> u64 {
         self.spawned_flits
     }
+}
+
+/// The per-cycle grid statistics of [`CycleStepper::scan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridScan {
+    /// The worst (lowest) node voltage with its node index, boost
+    /// overlay included; ties resolve to the first minimum.
+    pub hotspot: (usize, f64),
+    /// The sum of the node voltages in node order, boost overlay
+    /// included.
+    pub voltage_sum: f64,
+    /// The sum of the node loads (amperes) in node order.
+    pub load_sum: f64,
 }
 
 /// The per-cycle co-simulation engine over one [`NocWorkload`].
@@ -353,6 +366,36 @@ impl<'w> CycleStepper<'w> {
             (idx, worst)
         } else {
             self.solution().hotspot()
+        }
+    }
+
+    /// One pass over the last stepped cycle's grid state: the
+    /// [`hotspot`](CycleStepper::hotspot) and the voltage and load sums
+    /// the window statistics fold in. Each reduction keeps its own
+    /// order and start value, so the result is bit-identical to the
+    /// three separate passes (`hotspot()`, `Σ voltages()`,
+    /// `Σ solution().loads()` by `Iterator::sum`); the fused loop runs
+    /// the three independent chains side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first [`CycleStepper::step`].
+    pub fn scan(&self) -> GridScan {
+        let v = self.voltages();
+        let (mut node, mut worst) = (0, v[0]);
+        // `Iterator::sum`'s start value.
+        let (mut voltage_sum, mut load_sum) = (-0.0, -0.0);
+        for (i, (&vi, &li)) in v.iter().zip(self.solution().loads()).enumerate() {
+            if vi.total_cmp(&worst).is_lt() {
+                (node, worst) = (i, vi);
+            }
+            voltage_sum += vi;
+            load_sum += li;
+        }
+        GridScan {
+            hotspot: (node, worst),
+            voltage_sum,
+            load_sum,
         }
     }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the Criterion suites and writes the median estimates to a
 # machine-readable JSON snapshot at the repo root (BENCH_PR3.json by
-# default) — the perf trajectory future PRs diff against.
+# default) — the perf trajectory future PRs diff against. The snapshot
+# also records the scripts/size.sh table (code lines and `pub` items
+# per row) under "size", so code size is tracked alongside speed.
 #
 # Usage: scripts/bench_snapshot.sh [output.json]
 #
@@ -63,6 +65,10 @@ done
             echo "    },"
         fi
     done
+    echo "  },"
+    echo "  \"size\": {"
+    scripts/size.sh | awk 'NR > 1 { rows[++n] = sprintf("    \"%s\": {\"code\": %d, \"pub\": %d}", $1, $2, $3) }
+        END { for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "") }'
     echo "  }"
     echo "}"
 } >"$OUT"

@@ -14,7 +14,11 @@
 //!     profile bit-for-bit;
 //! (d) a `SitePanic` degrading one mid-loop control frame never
 //!     desyncs the closed loop: same frame stream, same profile, same
-//!     actuation trace as the healthy run.
+//!     actuation trace as the healthy run;
+//! (e) the one-pass [`CycleStepper::scan`] equals the three passes it
+//!     fused (hotspot, Σ voltages, Σ loads) bit for bit, boost overlay
+//!     included, and a driven run's window statistics equal the
+//!     three-pass fold of the same cycles.
 
 use proptest::prelude::*;
 use psn_thermometer::control::{Actuation, ControlFrame, Mitigator};
@@ -147,6 +151,87 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&open.profile, &a.profile, "open loop diverged from batch");
         prop_assert_eq!(open.engaged_cycles, 0);
+    }
+}
+
+/// The window statistics a neutral stepped run folds, each cycle
+/// scanned in three separate passes: `(min_v, worst_node, mean_v,
+/// mean_current, events)` per window.
+fn three_pass_windows(w: &NocWorkload, seed: u64) -> Vec<(f64, usize, f64, f64, u64)> {
+    let cfg = w.config();
+    let me = cfg.measure_every;
+    let mut stepper = CycleStepper::new(w, &mut RunCtx::serial().with_seed(seed)).unwrap();
+    let mut windows = vec![(f64::INFINITY, 0, 0.0, 0.0, 0); cfg.cycles / me];
+    for c in 0..cfg.cycles {
+        stepper.step().unwrap();
+        if let Some(win) = windows.get_mut(c / me) {
+            let (node, v_min) = stepper.hotspot();
+            if v_min < win.0 {
+                (win.0, win.1) = (v_min, node);
+            }
+            let v = stepper.voltages();
+            win.2 += v.iter().sum::<f64>() / (v.len() as f64 * me as f64);
+            win.3 += stepper.solution().loads().iter().sum::<f64>() / me as f64;
+            win.4 += stepper
+                .raw_counts()
+                .iter()
+                .map(|&x| u64::from(x))
+                .sum::<u64>();
+        }
+    }
+    windows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// (e) Fused scan ≡ three passes, cycle by cycle with a boost
+    /// switched on and off mid-run, and driven window statistics ≡
+    /// the three-pass fold.
+    #[test]
+    fn fused_window_statistics_match_three_passes(
+        seed in any::<u64>(),
+        kind in any::<u8>(),
+        rate in 0.1f64..0.8,
+    ) {
+        let w = chip(pattern_from_draw(kind, rate), 30);
+        let tiles = w.mesh().tiles();
+        let mut stepper =
+            CycleStepper::new(&w, &mut RunCtx::serial().with_seed(seed)).unwrap();
+        for c in 0..30 {
+            if c == 10 {
+                let mut act = Actuation::neutral(tiles);
+                act.set_boost(1, 0.02);
+                stepper.apply(&act).unwrap();
+            }
+            if c == 20 {
+                stepper.apply(&Actuation::neutral(tiles)).unwrap();
+            }
+            stepper.step().unwrap();
+            let scan = stepper.scan();
+            let (node, v_min) = stepper.hotspot();
+            let v_sum = stepper.voltages().iter().sum::<f64>();
+            let load_sum = stepper.solution().loads().iter().sum::<f64>();
+            prop_assert_eq!(scan.hotspot.0, node, "cycle {}", c);
+            prop_assert_eq!(scan.hotspot.1.to_bits(), v_min.to_bits(), "cycle {}", c);
+            prop_assert_eq!(scan.voltage_sum.to_bits(), v_sum.to_bits(), "cycle {}", c);
+            prop_assert_eq!(scan.load_sum.to_bits(), load_sum.to_bits(), "cycle {}", c);
+        }
+
+        let open = w
+            .run_mitigated(&mut RunCtx::serial().with_seed(seed), None, 0)
+            .unwrap();
+        let folded = three_pass_windows(&w, seed);
+        prop_assert_eq!(open.profile.windows.len(), folded.len());
+        for (win, &(min_v, worst, mean_v, mean_i, events)) in
+            open.profile.windows.iter().zip(&folded)
+        {
+            prop_assert_eq!(win.min_v.to_bits(), min_v.to_bits());
+            prop_assert_eq!(win.worst_node, worst);
+            prop_assert_eq!(win.mean_v.to_bits(), mean_v.to_bits());
+            prop_assert_eq!(win.mean_current.to_bits(), mean_i.to_bits());
+            prop_assert_eq!(win.events, events);
+        }
     }
 }
 
