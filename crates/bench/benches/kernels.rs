@@ -2,6 +2,8 @@
 //! element measurement, array measurement, PDN transients, grid solve,
 //! event-driven simulation and STA.
 
+use std::time::{Duration, Instant};
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use psnt_cells::process::Pvt;
 use psnt_cells::units::{Capacitance, Resistance, Time, Voltage};
@@ -11,7 +13,7 @@ use psnt_core::thermometer::ThermometerArray;
 use psnt_ctx::RunCtx;
 use psnt_netlist::sim::Simulator;
 use psnt_netlist::sta::{analyze, StaConfig};
-use psnt_pdn::grid::PowerGrid;
+use psnt_pdn::grid::{DeltaBatch, GridSolution, PowerGrid, DELTA_LANES};
 use psnt_pdn::rlc::LumpedPdn;
 use psnt_pdn::waveform::Waveform;
 
@@ -306,6 +308,46 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
     });
 
+    // The same 48-block shape, eight updates at a time: each timed
+    // round plans eight delta updates into one `DeltaBatch`, solves
+    // them in one lane-kernel pass and applies them, and the time is
+    // reported per right-hand side. The updates alternate between two
+    // load sets, so every one of them moves its loads.
+    c.bench_function("grid_solve_delta_1600_48blocks_x8", |b| {
+        let grid = chip_grid();
+        let prior = grid.solve_sparse(&chip_loads).unwrap();
+        let sets = [blocks_48(40, 1.0e-4), blocks_48(40, 1.5e-4)];
+        b.iter_custom(|iters| batched_deltas(&grid, prior.clone(), &sets, iters))
+    });
+
+    // The same two on a 64×64 grid (4,096 nodes, 8×8-node blocks),
+    // whose 2.1 MB factor no longer fits in L2: one lane streams `L`
+    // from memory once per solve, eight lanes once per eight.
+    let big_grid = || {
+        PowerGrid::new(
+            64,
+            64,
+            Voltage::from_v(1.05),
+            Resistance::from_milliohms(60.0),
+            Resistance::from_milliohms(20.0),
+            vec![(0, 0), (0, 63), (63, 0), (63, 63)],
+        )
+        .unwrap()
+    };
+    let big_loads: Vec<f64> = (0..4096).map(|i| 1.0e-4 * (1 + i % 7) as f64).collect();
+    c.bench_function("grid_solve_delta_4096_48blocks", |b| {
+        let grid = big_grid();
+        let prior = grid.solve_sparse(&big_loads).unwrap();
+        let changed = blocks_48(64, 1.0e-4);
+        b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
+    });
+    c.bench_function("grid_solve_delta_4096_48blocks_x8", |b| {
+        let grid = big_grid();
+        let prior = grid.solve_sparse(&big_loads).unwrap();
+        let sets = [blocks_48(64, 1.0e-4), blocks_48(64, 1.5e-4)];
+        b.iter_custom(|iters| batched_deltas(&grid, prior.clone(), &sets, iters))
+    });
+
     // The same delta shape on the droop-mitigation chip's 24×24 grid
     // (576 nodes, band 24): 48 of its 64 3×3 tile blocks, block 0
     // included.
@@ -465,6 +507,49 @@ fn bench_kernels(c: &mut Criterion) {
             sim.run_until(Time::from_ns(50.0));
         })
     });
+}
+
+/// The NoC campaign's delta shape on a `side × side` grid split into
+/// 8×8 tile blocks: 48 of the 64 blocks change (every fourth is
+/// skipped, block 0 changes, so the forward pass starts at node 0),
+/// block `blk` to `scale · (2 + blk % 5)` amperes per node.
+fn blocks_48(side: usize, scale: f64) -> Vec<(usize, f64)> {
+    let block = side / 8;
+    (0..64)
+        .filter(|blk| blk % 4 != 3)
+        .flat_map(|blk: usize| {
+            let (br, bc) = (blk / 8, blk % 8);
+            let load = scale * (2 + blk % 5) as f64;
+            (0..block * block).map(move |q| {
+                (
+                    (br * block + q / block) * side + bc * block + q % block,
+                    load,
+                )
+            })
+        })
+        .collect()
+}
+
+/// Runs `iters` rounds of [`DELTA_LANES`] delta updates of `sol`, each
+/// round planned into one `DeltaBatch`, settled in one pass and
+/// applied; the updates alternate between the two `sets`. Returns the
+/// time per update.
+fn batched_deltas(
+    grid: &PowerGrid,
+    mut sol: GridSolution,
+    sets: &[Vec<(usize, f64)>; 2],
+    iters: u64,
+) -> Duration {
+    let mut batch = DeltaBatch::new(DELTA_LANES);
+    let t = Instant::now();
+    for _ in 0..iters {
+        for k in 0..DELTA_LANES {
+            grid.plan_delta(&mut batch, &sol, &sets[k % 2]).unwrap();
+        }
+        grid.settle_deltas(&mut batch, &sol);
+        while batch.apply(&mut sol).is_some() {}
+    }
+    t.elapsed() / DELTA_LANES as u32
 }
 
 criterion_group!(benches, bench_kernels);

@@ -6,13 +6,14 @@
 //! ```
 //!
 //! Prints the full regression table (before / after / delta per
-//! bench), then exits:
+//! bench), then, when both snapshots carry the `scripts/size.sh`
+//! table, the code-line and `pub`-item change per row, then exits:
 //!
 //! * `0` — no bench slowed down past the threshold (default 25%);
 //! * `1` — at least one bench regressed past the threshold;
 //! * `2` — a snapshot could not be read or parsed, or bad usage.
 
-use psnt_bench::diff::{BenchDiff, BenchSnapshot};
+use psnt_bench::diff::{BenchDiff, BenchSnapshot, SizeDiff};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,6 +62,9 @@ fn main() {
 
     let diff = BenchDiff::between(&before, &after, threshold_pct);
     print!("{diff}");
+    if let Some(size) = SizeDiff::between(&before, &after) {
+        print!("{size}");
+    }
     let regressions = diff.regressions();
     if regressions.is_empty() {
         println!("no regressions past {threshold_pct}%");

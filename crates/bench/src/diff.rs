@@ -5,7 +5,10 @@
 //! two such snapshots bench-by-bench and flags every benchmark whose
 //! median grew past a threshold. The `bench-diff` binary wraps this as
 //! the CI perf gate: exit 0 when clean, 1 when a regression crosses
-//! the threshold, 2 when a snapshot cannot be parsed.
+//! the threshold, 2 when a snapshot cannot be parsed. When both
+//! snapshots carry the `scripts/size.sh` table, [`SizeDiff::between`]
+//! gives the code-line and `pub`-item change per row, which the binary
+//! prints after the timings; it gates nothing.
 //!
 //! [`scripts/bench_snapshot.sh`]: ../../../scripts/bench_snapshot.sh
 
@@ -18,6 +21,18 @@ use serde::{json, Value};
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchSnapshot {
     suites: Vec<(String, Vec<(String, f64)>)>,
+    /// The `scripts/size.sh` table, in file order; empty when the
+    /// snapshot predates it.
+    size: Vec<(String, SizeRow)>,
+}
+
+/// One row of the `scripts/size.sh` table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SizeRow {
+    /// Code lines.
+    code: u64,
+    /// `pub` items.
+    items: u64,
 }
 
 impl BenchSnapshot {
@@ -26,8 +41,9 @@ impl BenchSnapshot {
     /// # Errors
     ///
     /// Returns a description of the first structural problem: invalid
-    /// JSON, a missing/non-object `suites` key, or a non-numeric
-    /// median.
+    /// JSON, a missing/non-object `suites` key, a non-numeric median,
+    /// or a `size` table (optional) whose rows are not `{code, pub}`
+    /// counts.
     pub fn from_json(text: &str) -> Result<BenchSnapshot, String> {
         let v = json::parse(text).map_err(|e| format!("invalid JSON: {e:?}"))?;
         let Some(Value::Map(suite_entries)) = v.get("suites") else {
@@ -47,7 +63,21 @@ impl BenchSnapshot {
             }
             suites.push((suite.clone(), rows));
         }
-        Ok(BenchSnapshot { suites })
+        let mut size = Vec::new();
+        match v.get("size") {
+            None => {}
+            Some(Value::Map(rows)) => {
+                for (row, counts) in rows {
+                    let count = |key: &str| counts.get(key).and_then(Value::as_u64);
+                    let (Some(code), Some(items)) = (count("code"), count("pub")) else {
+                        return Err(format!("size row {row:?} is not a {{code, pub}} count"));
+                    };
+                    size.push((row.clone(), SizeRow { code, items }));
+                }
+            }
+            Some(_) => return Err("\"size\" is not an object".into()),
+        }
+        Ok(BenchSnapshot { suites, size })
     }
 
     /// The suites, in file order.
@@ -144,6 +174,74 @@ impl BenchDiff {
             .iter()
             .filter(|r| r.delta_pct().is_some_and(|d| d > self.threshold_pct))
             .collect()
+    }
+}
+
+/// The code-size change between two snapshots' `size` tables, row by
+/// row: baseline order, then the rows only the current table has.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SizeDiff {
+    rows: Vec<(String, Option<SizeRow>, Option<SizeRow>)>,
+}
+
+impl SizeDiff {
+    /// Compares `after`'s size table against `before`'s; `None` when
+    /// either snapshot has none.
+    pub fn between(before: &BenchSnapshot, after: &BenchSnapshot) -> Option<SizeDiff> {
+        if before.size.is_empty() || after.size.is_empty() {
+            return None;
+        }
+        let find = |s: &BenchSnapshot, row: &str| {
+            s.size
+                .iter()
+                .find(|(r, _)| r == row)
+                .map(|&(_, counts)| counts)
+        };
+        let mut rows: Vec<_> = before
+            .size
+            .iter()
+            .map(|(row, counts)| (row.clone(), Some(*counts), find(after, row)))
+            .collect();
+        for (row, counts) in &after.size {
+            if find(before, row).is_none() {
+                rows.push((row.clone(), None, Some(*counts)));
+            }
+        }
+        Some(SizeDiff { rows })
+    }
+}
+
+impl fmt::Display for SizeDiff {
+    /// One aligned row per table row: code lines and `pub` items before
+    /// and after, with the signed change; `-` marks a side without the
+    /// row.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let width = self.rows.iter().map(|(r, ..)| r.len()).max().unwrap_or(0);
+        let side = |c: Option<u64>| c.map_or_else(|| "-".into(), |c| c.to_string());
+        let delta = |b: Option<u64>, a: Option<u64>| match (b, a) {
+            (Some(b), Some(a)) => format!("{:+}", a as i64 - b as i64),
+            _ => "-".into(),
+        };
+        writeln!(
+            f,
+            "{:<width$}  {:>8}  {:>7}  {:>6}  {:>7}  {:>6}  {:>5}",
+            "size", "code was", "now", "delta", "pub was", "now", "delta"
+        )?;
+        for (row, before, after) in &self.rows {
+            let code = (before.map(|c| c.code), after.map(|c| c.code));
+            let items = (before.map(|c| c.items), after.map(|c| c.items));
+            writeln!(
+                f,
+                "{row:<width$}  {:>8}  {:>7}  {:>6}  {:>7}  {:>6}  {:>5}",
+                side(code.0),
+                side(code.1),
+                delta(code.0, code.1),
+                side(items.0),
+                side(items.1),
+                delta(items.0, items.1)
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -262,6 +360,66 @@ mod tests {
         let table = diff.to_string();
         assert!(table.contains("removed"), "{table}");
         assert!(table.contains("added"), "{table}");
+    }
+
+    #[test]
+    fn size_tables_diff_row_by_row() {
+        let with_size = |size: &str| {
+            BenchSnapshot::from_json(&format!(
+                r#"{{ "suites": {{ "k": {{ "a": 1.0 }} }}, "size": {{ {size} }} }}"#
+            ))
+            .unwrap()
+        };
+        let before = with_size(
+            r#""crates/pdn/src": { "code": 1532, "pub": 99 },
+               "gone": { "code": 10, "pub": 1 }"#,
+        );
+        let after = with_size(
+            r#""crates/pdn/src": { "code": 1650, "pub": 104 },
+               "new": { "code": 7, "pub": 0 }"#,
+        );
+        assert_eq!(
+            before.size[0],
+            (
+                "crates/pdn/src".to_string(),
+                SizeRow {
+                    code: 1532,
+                    items: 99
+                }
+            )
+        );
+        let table = SizeDiff::between(&before, &after).unwrap().to_string();
+        assert_eq!(table.lines().count(), 4, "a header and three rows: {table}");
+        let pdn = table
+            .lines()
+            .find(|l| l.starts_with("crates/pdn/src"))
+            .unwrap();
+        assert!(pdn.contains("+118") && pdn.contains("+5"), "{table}");
+        let gone = table.lines().find(|l| l.starts_with("gone")).unwrap();
+        assert!(gone.contains("10") && gone.ends_with('-'), "{table}");
+        assert!(table.lines().any(|l| l.starts_with("new")), "{table}");
+    }
+
+    #[test]
+    fn size_diff_is_silent_without_two_tables() {
+        let bare = snapshot(&[("k", &[("a", 1.0)])]);
+        let sized = BenchSnapshot::from_json(
+            r#"{ "suites": { "k": { "a": 1.0 } }, "size": { "src": { "code": 36, "pub": 33 } } }"#,
+        )
+        .unwrap();
+        assert!(bare.size.is_empty());
+        assert!(SizeDiff::between(&bare, &sized).is_none());
+        assert!(SizeDiff::between(&sized, &bare).is_none());
+        assert!(SizeDiff::between(&sized, &sized).is_some());
+        // A size table that is there must be well formed.
+        for bad in [
+            r#""size": []"#,
+            r#""size": { "src": { "code": 36 } }"#,
+            r#""size": { "src": { "code": -1, "pub": 3 } }"#,
+        ] {
+            let text = format!(r#"{{ "suites": {{}}, {bad} }}"#);
+            assert!(BenchSnapshot::from_json(&text).is_err(), "{bad}");
+        }
     }
 
     #[test]

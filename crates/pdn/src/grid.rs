@@ -19,15 +19,23 @@
 //!   changed: the right-hand side is assembled in O(changed loads) and
 //!   the forward substitution starts at the first changed node, but the
 //!   backward substitution always sweeps the whole band, so a delta
-//!   solve costs O(n · band) like a full solve, with a smaller constant.
+//!   solve costs O(n · band) like a full solve, with a smaller constant;
+//! * a [`DeltaBatch`] holds up to [`DELTA_LANES`] delta updates of one
+//!   solution planned ahead ([`PowerGrid::plan_delta`]) and solves them
+//!   in one pass over the factor ([`PowerGrid::settle_deltas`]); each
+//!   update then applies in turn, bit-identical to an
+//!   [`PowerGrid::update_delta`] chain.
 //!
-//! Both substitutions are bound by latency, not by flops: each row
-//! needs the row solved just before it. The kernel therefore schedules
-//! the rows so that independent work overlaps (see [`GridFactor`]'s
-//! float contract): at best each pass costs ~8 ns per row on a 2-vCPU
-//! x86-64 host, whatever the band, against ~17 ns row at a time, and a
-//! campaign-shaped delta solve on a 40×40 (1,600-node) grid takes
-//! ~45 µs.
+//! One substitution is bound by latency, not by flops: each row needs
+//! the row solved just before it. The one-lane kernel therefore
+//! schedules the rows so that independent work overlaps (see
+//! [`GridFactor`]'s float contract): at best each pass costs ~8 ns per
+//! row on a 2-vCPU x86-64 host, whatever the band, against ~17 ns row at
+//! a time, and a campaign-shaped delta solve on a 40×40 (1,600-node)
+//! grid takes ~45 µs. Eight right-hand sides side by side are
+//! independent work by construction: the lane kernel streams `L` once
+//! for all of them and runs at the host's vector throughput instead,
+//! ~12–15 µs per right-hand side on the same grid.
 //!
 //! Gauss–Seidel relaxation survives only as the test-side oracle the
 //! direct solver is checked against.
@@ -114,6 +122,29 @@ struct GridCache {
 ///
 /// The `#[cfg(test)]` row-at-a-time kernel is kept, and the scheduled
 /// one is tested against it bit for bit.
+///
+/// The lane kernel (up to [`DELTA_LANES`] right-hand sides, interleaved
+/// node-major, lane-minor) keeps the same program for every lane, so
+/// each lane equals the one-lane kernel bit for bit. Only the chunking of
+/// a forward row's dot product depends on where the lane's window
+/// starts, so:
+///
+/// * a forward row whose window no lane's `first` clips runs for all
+///   lanes at once, one vector of lanes per column; a lane whose window
+///   is clipped runs that row alone, and a lane that has not started
+///   keeps its entry;
+/// * every lane covers every backward row, so the backward pass runs for
+///   all lanes at once from the top. It is computed entry by entry: the
+///   row-at-a-time pass hands entry `j` the terms of rows
+///   `min(j + band, n − 1)` down to `j + 1`, one per row as the rows
+///   come down; the lane kernel runs that same chain of subtractions,
+///   in that order, from the solved entries above `j`, four entries
+///   side by side. Only the solved entry is stored, and the chain form
+///   keeps LLVM vectorising across the lanes rather than across the
+///   window.
+///
+/// It is tested against the one-lane kernel and against
+/// [`PowerGrid::update_delta`] chains bit for bit.
 #[derive(Debug, Clone)]
 pub struct GridFactor {
     n: usize,
@@ -131,6 +162,10 @@ pub struct GridFactor {
 /// independent chains per row dot product, which LLVM maps onto one
 /// 256-bit vector. Also the number of rows one backward sweep takes.
 const LANES: usize = 4;
+
+/// Right-hand sides the lane kernel solves in one pass over the factor:
+/// the most delta updates one [`DeltaBatch`] holds.
+pub const DELTA_LANES: usize = 8;
 
 /// `Σ a[k]·b[k]` over equal-length slices, accumulated in [`LANES`]
 /// fixed partial sums (then the scalar tail) so the loop vectorises.
@@ -152,6 +187,26 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // PDN HOT LOOP START
+/// [`dot`] of `a` with lane `r` of `R` interleaved vectors (`b[j·R + r]`
+/// is entry `j`), chunk for chunk.
+#[inline(always)]
+fn dot_lane<const R: usize>(a: &[f64], b: &[f64], r: usize) -> f64 {
+    let ac = a.chunks_exact(LANES);
+    let body = a.len() - ac.remainder().len();
+    let tail = ac
+        .remainder()
+        .iter()
+        .enumerate()
+        .fold(0.0, |s, (j, x)| s + x * b[(body + j) * R + r]);
+    let mut acc = [0.0; LANES];
+    for (c, x) in ac.enumerate() {
+        for k in 0..LANES {
+            acc[k] += x[k] * b[(c * LANES + k) * R + r];
+        }
+    }
+    acc.iter().sum::<f64>() + tail
+}
+
 /// `v[q] − a[0][q]·x[0] − a[1][q]·x[1] − a[2][q]·x[2] − a[3][q]·x[3]`
 /// for the first [`LANES`] entries, subtracted left to right: four rows'
 /// backward updates of [`LANES`] entries at once.
@@ -381,6 +436,183 @@ impl GridFactor {
         window[0] -= rows[3][0] * x[3];
         (next_diag, next_pivots)
     }
+
+    /// Solves `width` right-hand sides (at most [`DELTA_LANES`]) in one
+    /// pass over the factor. They are interleaved node-major,
+    /// lane-minor: entry `i` of lane `r` lives at `b[i·width + r]`.
+    /// Lane `r < first.len()` is zero before node `first[r]`, as in
+    /// [`GridFactor::solve_in_place`], which one lane runs unchanged;
+    /// the lanes past `first.len()` must be all zero and stay so. Every
+    /// lane gets exactly that kernel's float operations (see the "Float
+    /// contract" on [`GridFactor`]).
+    fn solve_lanes(&self, b: &mut [f64], width: usize, first: &[usize]) {
+        match width {
+            1 => self.solve_in_place(b, first[0]),
+            2 => self.lanes::<2>(b, first),
+            3 => self.lanes::<3>(b, first),
+            4 => self.lanes::<4>(b, first),
+            5 => self.lanes::<5>(b, first),
+            6 => self.lanes::<6>(b, first),
+            7 => self.lanes::<7>(b, first),
+            8 => self.lanes::<8>(b, first),
+            w => panic!("{w} lanes, the kernel takes 1 to {DELTA_LANES}"),
+        }
+    }
+
+    /// [`GridFactor::solve_lanes`] for `R ≥ 2` lanes.
+    ///
+    /// Forward: a row runs for all lanes at once where no lane's
+    /// `first` clips its window; a lane whose window is clipped gets its
+    /// own row, and a lane that has not started keeps its entry, before
+    /// the row's lanes are stored together. The all-zero lanes count as
+    /// starting at node 0: every row leaves them `0.0`.
+    ///
+    /// Backward: every lane covers every row, so the pass runs for all
+    /// lanes at once from the top, in [`GridFactor::backward_lanes`].
+    #[inline(never)]
+    fn lanes<const R: usize>(&self, b: &mut [f64], first: &[usize]) {
+        let (n, w) = (self.n, self.band);
+        let first: [usize; R] = std::array::from_fn(|r| first.get(r).copied().unwrap_or(0));
+        let start = first.iter().copied().min().unwrap_or(0);
+        // From here on no lane's window is clipped.
+        let clipped_end = first.iter().map(|&f| f + w).max().unwrap_or(0).min(n);
+        for i in start..clipped_end {
+            let lo = i.saturating_sub(w);
+            let mut y = if first.iter().any(|&f| f <= lo) {
+                self.forward_lanes::<R>(b, i, lo)
+            } else {
+                [0.0; R]
+            };
+            for (r, (yr, &f)) in y.iter_mut().zip(&first).enumerate() {
+                if f > i {
+                    *yr = b[i * R + r];
+                } else if f > lo {
+                    let row = self.row(i, f);
+                    *yr = (b[i * R + r] - dot_lane::<R>(row, &b[f * R..], r)) * self.inv_diag[i];
+                }
+            }
+            b[i * R..(i + 1) * R].copy_from_slice(&y);
+        }
+        for i in clipped_end.max(start)..n {
+            let y = self.forward_lanes::<R>(b, i, i - w);
+            b[i * R..(i + 1) * R].copy_from_slice(&y);
+        }
+        self.backward_lanes::<R>(b);
+    }
+
+    /// Forward row `i` of every lane over the window `lo..i`: `R`
+    /// [`dot`]s side by side, each lane's partial sums and tail in
+    /// [`dot`]'s order.
+    #[inline(always)]
+    fn forward_lanes<const R: usize>(&self, b: &[f64], i: usize, lo: usize) -> [f64; R] {
+        let (xc, (ys, _)) = (
+            self.row(i, lo).chunks_exact(LANES),
+            b[lo * R..i * R].as_chunks::<R>(),
+        );
+        let yc = ys.chunks_exact(LANES);
+        let mut tail = [0.0; R];
+        for (x, y) in xc.remainder().iter().zip(yc.remainder()) {
+            for r in 0..R {
+                tail[r] += x * y[r];
+            }
+        }
+        let mut acc = [[0.0; R]; LANES];
+        for (x, y) in xc.zip(yc) {
+            for k in 0..LANES {
+                for r in 0..R {
+                    acc[k][r] += x[k] * y[k][r];
+                }
+            }
+        }
+        let inv = self.inv_diag[i];
+        std::array::from_fn(|r| {
+            let sum = [acc[0][r], acc[1][r], acc[2][r], acc[3][r]];
+            (b[i * R + r] - (sum.iter().sum::<f64>() + tail[r])) * inv
+        })
+    }
+
+    /// The backward pass of `R` interleaved lanes, entry by entry from
+    /// the top. [`GridFactor::backward_row`] subtracts row `i`'s terms
+    /// from every entry below it as the rows come down, so entry `j`
+    /// receives `L[i][j]·x[i]` for `i = min(j + band, n − 1)` down to
+    /// `j + 1`, in that order, before it is scaled. Here entry `j` runs
+    /// that chain itself, from the solved `x` above it, in the same
+    /// order: the same float operations per lane, with nothing stored
+    /// but the solved entry. Entries go four at a time (`band ≥ 4`):
+    ///
+    /// 1. each of the four chains first takes its rows above the
+    ///    others' reach,
+    /// 2. then the rows all four reach, side by side, each row's four
+    ///    coefficients read as one,
+    /// 3. then the rows inside the block, solved in turn from the top.
+    ///
+    /// The remaining bottom entries (and small bands) run one by one.
+    #[inline(always)]
+    fn backward_lanes<const R: usize>(&self, b: &mut [f64]) {
+        let (n, w) = (self.n, self.band);
+        let stride = w + 1;
+        let entry = |b: &[f64], i: usize| -> [f64; R] {
+            b[i * R..(i + 1) * R].try_into().expect("R entries")
+        };
+        let mut t = n;
+        if w >= LANES {
+            while t >= LANES {
+                let top = t - 1;
+                // s[m] is the chain of entry top − m.
+                let mut s: [[f64; R]; LANES] = std::array::from_fn(|m| entry(b, top - m));
+                let shared = (top + 1 - LANES + w).min(n - 1);
+                for (m, sm) in s.iter_mut().enumerate() {
+                    for i in (shared + 1..=(top - m + w).min(n - 1)).rev() {
+                        let (xi, lij) = (entry(b, i), self.l[i * stride + (top - m + w - i)]);
+                        for r in 0..R {
+                            sm[r] -= lij * xi[r];
+                        }
+                    }
+                }
+                for i in (top + 1..=shared).rev() {
+                    let xi = entry(b, i);
+                    // Columns top − 3 ..= top of row i.
+                    let at = i * stride + (top + 1 - LANES + w - i);
+                    let li = &self.l[at..at + LANES];
+                    for (m, sm) in s.iter_mut().enumerate() {
+                        for r in 0..R {
+                            sm[r] -= li[LANES - 1 - m] * xi[r];
+                        }
+                    }
+                }
+                let mut x = [[0.0; R]; LANES];
+                for m in 0..LANES {
+                    let j = top - m;
+                    for (q, xq) in x.iter().enumerate().take(m) {
+                        let lij = self.l[(top - q) * stride + (j + w + q - top)];
+                        for r in 0..R {
+                            s[m][r] -= lij * xq[r];
+                        }
+                    }
+                    let inv = self.inv_diag[j];
+                    for r in 0..R {
+                        x[m][r] = s[m][r] * inv;
+                    }
+                    b[j * R..(j + 1) * R].copy_from_slice(&x[m]);
+                }
+                t -= LANES;
+            }
+        }
+        for j in (0..t).rev() {
+            let mut s = entry(b, j);
+            for i in (j + 1..=(j + w).min(n - 1)).rev() {
+                let (xi, lij) = (entry(b, i), self.l[i * stride + (j + w - i)]);
+                for r in 0..R {
+                    s[r] -= lij * xi[r];
+                }
+            }
+            let inv = self.inv_diag[j];
+            for sr in &mut s {
+                *sr *= inv;
+            }
+            b[j * R..(j + 1) * R].copy_from_slice(&s);
+        }
+    }
     // PDN HOT LOOP END
 
     /// The row-at-a-time kernel [`GridFactor::solve_in_place`]
@@ -492,6 +724,145 @@ impl GridSolution {
             .expect("grid has at least one tile");
         (idx, worst)
     }
+}
+
+/// Delta updates of one [`GridSolution`], planned ahead and solved
+/// together: the right-hand sides of up to `width` updates (at most
+/// [`DELTA_LANES`]) take one pass over the factor instead of one pass
+/// each.
+///
+/// [`PowerGrid::plan_delta`] writes each update's `Δb` into the next
+/// lane, assembled by [`PowerGrid::update_delta`]'s rules against the
+/// loads the updates planned before it leave, and keeps the loads it
+/// leaves in turn;
+/// [`PowerGrid::settle_deltas`] solves every planned lane at once; and
+/// [`DeltaBatch::apply`] brings the solution through the updates one at
+/// a time, in plan order. Each applied update leaves the solution
+/// bit-identical to an [`PowerGrid::update_delta`] chain over the same
+/// changed sets. Once all are applied the batch is empty again and its
+/// buffers are reused, so a steady stream of batches allocates nothing.
+/// A one-lane batch solves with the single-lane kernel
+/// [`PowerGrid::update_delta`] uses.
+#[derive(Debug)]
+pub struct DeltaBatch {
+    /// Lanes per pass: the stride of `rhs`.
+    width: usize,
+    /// Per lane, the loads its update leaves; applying the update
+    /// swaps them into the solution.
+    loads: Vec<Vec<f64>>,
+    /// Per planned update, its lane if it moved any load.
+    updates: Vec<Option<usize>>,
+    /// The first changed node of each lane.
+    first: Vec<usize>,
+    /// `Δb` of every lane, node-major, lane-minor: entry `i` of lane
+    /// `r` at `rhs[i·width + r]`; the solved lanes once settled.
+    rhs: Vec<f64>,
+    /// Updates applied so far.
+    applied: usize,
+    /// Whether the planned lanes are solved.
+    settled: bool,
+}
+
+impl DeltaBatch {
+    /// An empty batch of `width` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ width ≤ DELTA_LANES`.
+    pub fn new(width: usize) -> DeltaBatch {
+        assert!(
+            (1..=DELTA_LANES).contains(&width),
+            "a batch takes 1 to {DELTA_LANES} lanes, not {width}"
+        );
+        DeltaBatch {
+            width,
+            loads: vec![Vec::new(); width],
+            updates: Vec::new(),
+            first: Vec::new(),
+            rhs: Vec::new(),
+            applied: 0,
+            settled: false,
+        }
+    }
+
+    /// Lanes per pass.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Updates planned and not yet applied.
+    pub(crate) fn pending(&self) -> usize {
+        self.updates.len() - self.applied
+    }
+
+    /// Applies the oldest pending update to `sol`, the solution the
+    /// batch was planned against: if the update moved any load, the
+    /// solution takes the loads it leaves and adds its solved lane to
+    /// the voltages. Returns whether a load moved, as
+    /// [`PowerGrid::update_delta`] does, or `None` when nothing is
+    /// pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the update moved a load and the batch is not
+    /// settled.
+    pub fn apply(&mut self, sol: &mut GridSolution) -> Option<bool> {
+        // PDN HOT LOOP START
+        let lane = *self.updates.get(self.applied)?;
+        if let Some(r) = lane {
+            assert!(self.settled, "settle the batch before applying it");
+            std::mem::swap(&mut sol.loads, &mut self.loads[r]);
+            if self.width == 1 {
+                // One lane is contiguous; this loop vectorises.
+                for (v, dv) in sol.voltages.iter_mut().zip(&self.rhs) {
+                    *v += dv;
+                }
+            } else {
+                for (v, dv) in sol
+                    .voltages
+                    .iter_mut()
+                    .zip(self.rhs.chunks_exact(self.width))
+                {
+                    *v += dv[r];
+                }
+            }
+        }
+        self.applied += 1;
+        if self.applied == self.updates.len() {
+            self.updates.clear();
+            self.first.clear();
+            self.applied = 0;
+            self.settled = false;
+        }
+        // PDN HOT LOOP END
+        Some(lane.is_some())
+    }
+}
+
+/// The `Δb` assembly every delta path shares. Walks `changed` in order
+/// against `loads`: a change whose load difference is not zero hands
+/// `(node, difference)` to `put` and updates `loads`, so a later
+/// duplicate of a node wins; a zero difference (±0 alike) is skipped.
+/// Returns the first changed node, or `loads.len()` when no load
+/// moved.
+#[inline(always)]
+fn assemble_delta(
+    loads: &mut [f64],
+    changed: &[(usize, f64)],
+    mut put: impl FnMut(usize, f64),
+) -> usize {
+    // PDN HOT LOOP START
+    let mut first = loads.len();
+    for &(node, new_load) in changed {
+        let delta = new_load - loads[node];
+        if delta != 0.0 {
+            put(node, delta);
+            loads[node] = new_load;
+            first = first.min(node);
+        }
+    }
+    // PDN HOT LOOP END
+    first
 }
 
 /// A rectangular resistive power grid with pad connections.
@@ -860,6 +1231,30 @@ impl PowerGrid {
         sol: &mut GridSolution,
         changed: &[(usize, f64)],
     ) -> Result<bool, PdnError> {
+        self.check_delta(sol, changed)?;
+        let n = self.tiles();
+        // PDN HOT LOOP START
+        let GridSolution {
+            voltages,
+            loads,
+            rhs,
+        } = sol;
+        rhs.clear();
+        rhs.resize(n, 0.0);
+        let first = assemble_delta(loads, changed, |node, delta| rhs[node] -= delta);
+        if first == n {
+            return Ok(false);
+        }
+        self.factor().solve_in_place(rhs, first);
+        for (v, dv) in voltages.iter_mut().zip(rhs.iter()) {
+            *v += dv;
+        }
+        // PDN HOT LOOP END
+        Ok(true)
+    }
+
+    /// The shape and bounds checks of [`PowerGrid::update_delta`].
+    fn check_delta(&self, sol: &GridSolution, changed: &[(usize, f64)]) -> Result<(), PdnError> {
         let n = self.tiles();
         if sol.voltages.len() != n || sol.loads.len() != n {
             return Err(PdnError::InvalidParameter {
@@ -880,32 +1275,100 @@ impl PowerGrid {
                 cols: self.cols,
             });
         }
+        Ok(())
+    }
+
+    /// Plans the next delta update of `sol` into `batch`: the loads that
+    /// changed, as for [`PowerGrid::update_delta`], taken against the
+    /// loads the batch's earlier updates leave, with `Δb` written into
+    /// the next lane. The first update of a batch reads `sol`'s loads;
+    /// every later one must be planned against the same, unchanged
+    /// solution. An update that moves a load takes a lane; one that
+    /// moves none takes no lane and returns `false`, and applying it
+    /// changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`PowerGrid::update_delta`], and
+    /// [`PdnError::InvalidParameter`] when the batch is settled with
+    /// updates still pending or every lane is taken; the batch is
+    /// untouched on error.
+    pub fn plan_delta(
+        &self,
+        batch: &mut DeltaBatch,
+        sol: &GridSolution,
+        changed: &[(usize, f64)],
+    ) -> Result<bool, PdnError> {
+        self.check_delta(sol, changed)?;
+        if batch.settled {
+            return Err(PdnError::InvalidParameter {
+                name: "batch",
+                reason: "the batch is settled; apply its pending updates first".into(),
+            });
+        }
+        if batch.first.len() == batch.width {
+            return Err(PdnError::InvalidParameter {
+                name: "batch",
+                reason: format!(
+                    "all {} lanes are taken; settle and apply first",
+                    batch.width
+                ),
+            });
+        }
         // PDN HOT LOOP START
-        let GridSolution {
-            voltages,
+        let n = self.tiles();
+        let DeltaBatch {
+            width,
             loads,
+            updates,
+            first,
             rhs,
-        } = sol;
-        rhs.clear();
-        rhs.resize(n, 0.0);
-        let mut first = n;
-        for &(node, new_load) in changed {
-            let delta = new_load - loads[node];
-            if delta != 0.0 {
-                rhs[node] -= delta;
-                loads[node] = new_load;
-                first = first.min(node);
-            }
+            ..
+        } = batch;
+        if updates.is_empty() {
+            rhs.clear();
+            rhs.resize(n * *width, 0.0);
         }
-        if first == n {
-            return Ok(false);
+        let (width, lane) = (*width, first.len());
+        // Start from the loads the last lane leaves, or the solution's.
+        let (done, next) = loads.split_at_mut(lane);
+        let next = &mut next[0];
+        next.clear();
+        next.extend_from_slice(done.last().unwrap_or(&sol.loads));
+        let at = assemble_delta(next, changed, |node, delta| {
+            rhs[node * width + lane] -= delta
+        });
+        let moved = at < n;
+        if moved {
+            first.push(at);
         }
-        self.factor().solve_in_place(rhs, first);
-        for (v, dv) in voltages.iter_mut().zip(rhs.iter()) {
-            *v += dv;
-        }
+        updates.push(moved.then_some(lane));
         // PDN HOT LOOP END
-        Ok(true)
+        Ok(moved)
+    }
+
+    /// Solves every lane planned into `batch` in one pass over the
+    /// factor. `sol` is the solution the batch was planned against, as
+    /// the updates applied so far left it; debug builds check that it
+    /// satisfies KCL to `1e-10` of its current scale, the bound
+    /// [`PowerGrid::quasi_static_transient`] holds every instant to.
+    /// Settling a settled or an empty batch does nothing.
+    pub fn settle_deltas(&self, batch: &mut DeltaBatch, sol: &GridSolution) {
+        debug_assert!(
+            self.kcl_residual(sol.voltages(), sol.loads())
+                <= 1e-10 * self.kcl_scale(sol.voltages(), sol.loads()),
+            "KCL residual before a delta batch"
+        );
+        if batch.settled || batch.pending() == 0 {
+            return;
+        }
+        // PDN HOT LOOP START
+        if !batch.first.is_empty() {
+            self.factor()
+                .solve_lanes(&mut batch.rhs, batch.width, &batch.first);
+        }
+        batch.settled = true;
+        // PDN HOT LOOP END
     }
 
     /// Quasi-static transient: solves the grid at every sample instant of
@@ -1679,6 +2142,271 @@ mod tests {
         }
     }
 
+    /// A grid of `rows × cols` fed at two opposite corners.
+    fn shape(rows: usize, cols: usize) -> PowerGrid {
+        PowerGrid::new(
+            rows,
+            cols,
+            Voltage::from_v(1.05),
+            Resistance::from_milliohms(60.0),
+            Resistance::from_milliohms(20.0),
+            vec![(0, 0), (rows - 1, cols - 1)],
+        )
+        .unwrap()
+    }
+
+    /// Interleaves `live` seeded right-hand sides into a `width`-lane
+    /// buffer, each zero before its own first node (0, 1, the middle,
+    /// the last or a random one; the lanes past `live` all zero), solves
+    /// them in one lane-kernel pass, and checks every lane against
+    /// `solve_in_place` alone, bit for bit.
+    fn assert_lanes_are_exact(grid: &PowerGrid, width: usize, live: usize, seed: u64) {
+        let n = grid.tiles();
+        let mut rng = Lcg(seed);
+        let first: Vec<usize> = (0..live)
+            .map(|_| match (rng.unit() * 5.0) as usize {
+                0 => 0,
+                1 => 1.min(n - 1),
+                2 => n / 2,
+                3 => n - 1,
+                _ => (rng.unit() * n as f64) as usize,
+            })
+            .collect();
+        let lanes: Vec<Vec<f64>> = first
+            .iter()
+            .enumerate()
+            .map(|(r, &f)| mixed_rhs(n, f, seed ^ (r as u64 + 1).wrapping_mul(0x9e37_79b9)))
+            .collect();
+        let mut b = vec![0.0; n * width];
+        for (r, lane) in lanes.iter().enumerate() {
+            for (i, &v) in lane.iter().enumerate() {
+                b[i * width + r] = v;
+            }
+        }
+        grid.factor().solve_lanes(&mut b, width, &first);
+        for (r, lane) in lanes.iter().enumerate() {
+            let mut one = lane.clone();
+            grid.factor().solve_in_place(&mut one, first[r]);
+            for (i, x) in one.iter().enumerate() {
+                assert_eq!(
+                    b[i * width + r].to_bits(),
+                    x.to_bits(),
+                    "{}×{} lane {r} of {live} (first {}) node {i}",
+                    grid.rows(),
+                    grid.cols(),
+                    first[r]
+                );
+            }
+        }
+        for r in live..width {
+            assert!(
+                (0..n).all(|i| b[i * width + r].to_bits() == 0),
+                "an all-zero lane stays +0"
+            );
+        }
+    }
+
+    /// A seeded chain of changed sets, `moving` of which move a load,
+    /// each starting at its own node (0, the middle, the last or a
+    /// random one) with duplicates, ±0 loads and subnormal or mixed
+    /// loads; between them sit empty sets and sets that move nothing
+    /// (every load already in place, or a zero load's sign flipped).
+    fn change_chain(
+        grid: &PowerGrid,
+        start: &GridSolution,
+        moving: usize,
+        seed: u64,
+    ) -> Vec<Vec<(usize, f64)>> {
+        let n = grid.tiles();
+        let mut rng = Lcg(seed);
+        let mut at = start.clone();
+        let mut sets = Vec::new();
+        let still = |at: &GridSolution, rng: &mut Lcg| -> Vec<(usize, f64)> {
+            if rng.unit() < 0.4 {
+                return Vec::new();
+            }
+            (0..1 + (rng.unit() * 6.0) as usize)
+                .map(|_| {
+                    let node = (rng.unit() * n as f64) as usize;
+                    let load = at.loads()[node];
+                    (node, if load == 0.0 { -load } else { load })
+                })
+                .collect()
+        };
+        for _ in 0..moving {
+            for _ in 0..(rng.unit() * 3.0) as usize {
+                sets.push(still(&at, &mut rng));
+            }
+            let f = match (rng.unit() * 4.0) as usize {
+                0 => 0,
+                1 => n / 2,
+                2 => n - 1,
+                _ => (rng.unit() * n as f64) as usize,
+            };
+            let mut set = vec![(f, at.loads()[f] + 1e-3 * (1.0 + rng.unit()))];
+            for _ in 0..(rng.unit() * 12.0) as usize {
+                let node = f + (rng.unit() * (n - f) as f64) as usize;
+                let load = match (rng.unit() * 6.0) as usize {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::from_bits(1 + (rng.unit() * 1e12) as u64),
+                    3 => at.loads()[node],
+                    _ => rng.unit() * 0.1,
+                };
+                set.push((node, load));
+                if rng.unit() < 0.2 {
+                    // A later duplicate wins.
+                    set.push((node, rng.unit() * 0.05));
+                }
+            }
+            assert!(grid.update_delta(&mut at, &set).unwrap());
+            sets.push(set);
+        }
+        sets
+    }
+
+    /// Plans `sets` into one `width`-lane batch, settles it and applies
+    /// it update by update; after each, the solution must equal an
+    /// `update_delta` chain over the same sets bit for bit, voltages and
+    /// loads, and report the same `moved`.
+    fn assert_batch_matches_chain(
+        grid: &PowerGrid,
+        start: &GridSolution,
+        width: usize,
+        sets: &[Vec<(usize, f64)>],
+    ) {
+        let mut batch = DeltaBatch::new(width);
+        let mut batched = start.clone();
+        let mut chain = start.clone();
+        let planned: Vec<bool> = sets
+            .iter()
+            .map(|set| grid.plan_delta(&mut batch, &batched, set).unwrap())
+            .collect();
+        assert_eq!(batch.pending(), sets.len());
+        grid.settle_deltas(&mut batch, &batched);
+        for (k, set) in sets.iter().enumerate() {
+            let moved = grid.update_delta(&mut chain, set).unwrap();
+            assert_eq!(planned[k], moved, "update {k} plans as it moves");
+            assert_eq!(batch.apply(&mut batched), Some(moved), "update {k}");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(batched.voltages()),
+                bits(chain.voltages()),
+                "{}×{} update {k}: voltages",
+                grid.rows(),
+                grid.cols()
+            );
+            assert_eq!(
+                bits(batched.loads()),
+                bits(chain.loads()),
+                "update {k}: loads"
+            );
+        }
+        assert_eq!(batch.apply(&mut batched), None);
+        assert_eq!(batch.pending(), 0);
+    }
+
+    /// Seeded start loads with exact zeros among them.
+    fn start_solution(grid: &PowerGrid, seed: u64) -> GridSolution {
+        let mut rng = Lcg(seed);
+        let loads: Vec<f64> = (0..grid.tiles())
+            .map(|_| {
+                if rng.unit() < 0.3 {
+                    0.0
+                } else {
+                    rng.unit() * 0.01
+                }
+            })
+            .collect();
+        grid.solve_sparse(&loads).unwrap()
+    }
+
+    #[test]
+    fn lane_kernel_is_bit_identical_at_every_band() {
+        // Bands 1 to 40 with 2 to 12 rows, every lane count: the forward
+        // rows clipped per lane, the shared ones, the four-entry backward
+        // blocks and the entries left below them.
+        for band in 1..=40usize {
+            let grid = shape(2 + band % 11, band);
+            for live in 1..=DELTA_LANES {
+                assert_lanes_are_exact(&grid, DELTA_LANES, live, (band * 8 + live) as u64);
+                assert_lanes_are_exact(&grid, live, live, (band * 8 + live) as u64 ^ 7);
+            }
+        }
+    }
+
+    #[test]
+    fn delta_batch_matches_update_delta_chains_on_the_campaign_grid() {
+        // 48 of the 64 5×5 blocks of the reference chip's grid switching,
+        // eight updates per batch, for 25 batches.
+        let grid = PowerGrid::new(
+            40,
+            40,
+            Voltage::from_v(1.05),
+            Resistance::from_milliohms(120.0),
+            Resistance::from_milliohms(20.0),
+            vec![(0, 0), (0, 39), (39, 0), (39, 39)],
+        )
+        .unwrap();
+        let mut sol = start_solution(&grid, 2009);
+        for round in 0..25usize {
+            let sets: Vec<Vec<(usize, f64)>> = (0..DELTA_LANES)
+                .map(|k| {
+                    let step = round * DELTA_LANES + k;
+                    (0..64)
+                        .filter(|blk| (blk + step) % 4 != 3)
+                        .flat_map(|blk: usize| {
+                            let (br, bc) = (blk / 8, blk % 8);
+                            let l = 8.0e-3 + 2.0e-3 * ((blk * 7 + step) % 5) as f64;
+                            (0..25).map(move |q| ((br * 5 + q / 5) * 40 + bc * 5 + q % 5, l))
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_batch_matches_chain(&grid, &sol, DELTA_LANES, &sets);
+            for set in &sets {
+                grid.update_delta(&mut sol, set).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn delta_batch_refuses_misuse() {
+        let grid = mk(4);
+        let sol = grid.solve_sparse(&[0.01; 16]).unwrap();
+        let mut batch = DeltaBatch::new(2);
+        assert!(matches!(
+            grid.plan_delta(&mut batch, &sol, &[(16, 0.1)]),
+            Err(PdnError::OutOfBounds { .. })
+        ));
+        let other = mk(3).solve_sparse(&[0.0; 9]).unwrap();
+        assert!(grid.plan_delta(&mut batch, &other, &[(0, 0.1)]).is_err());
+        assert_eq!(batch.pending(), 0, "refused plans leave the batch empty");
+        assert!(grid.plan_delta(&mut batch, &sol, &[(3, 0.2)]).unwrap());
+        assert!(grid.plan_delta(&mut batch, &sol, &[(5, 0.2)]).unwrap());
+        // Both lanes are taken; even an update that moves nothing waits.
+        assert!(grid.plan_delta(&mut batch, &sol, &[]).is_err());
+        grid.settle_deltas(&mut batch, &sol);
+        assert!(grid.plan_delta(&mut batch, &sol, &[(7, 0.2)]).is_err());
+        assert_eq!(batch.pending(), 2);
+        let mut applied = sol.clone();
+        assert_eq!(batch.apply(&mut applied), Some(true));
+        assert_eq!(batch.apply(&mut applied), Some(true));
+        assert_eq!(batch.apply(&mut applied), None);
+        // Drained, the batch plans again.
+        assert!(!grid.plan_delta(&mut batch, &applied, &[(3, 0.2)]).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "settle the batch before applying it")]
+    fn delta_batch_applies_only_settled_lanes() {
+        let grid = mk(4);
+        let mut sol = grid.solve_sparse(&[0.01; 16]).unwrap();
+        let mut batch = DeltaBatch::new(DELTA_LANES);
+        grid.plan_delta(&mut batch, &sol, &[(3, 0.2)]).unwrap();
+        batch.apply(&mut sol);
+    }
+
     #[test]
     fn grid_solution_hotspot_matches_grid_hotspot() {
         let grid = mk(5);
@@ -1813,6 +2541,28 @@ mod tests {
                         let rhs = mixed_rhs(n, first, seed ^ first as u64);
                         assert_schedule_is_exact(&grid, first, &rhs);
                     }
+                }
+            }
+
+            /// The lane kernel, through a `DeltaBatch`, matches a chain of
+            /// one-lane `update_delta` calls bit for bit on degenerate,
+            /// odd, small and campaign shapes: one to eight lanes with
+            /// their own first nodes, with empty and load-keeping
+            /// updates, duplicates, ±0 and subnormal loads between them.
+            #[test]
+            fn lane_kernel_matches_update_delta_chains(
+                live in 1usize..=DELTA_LANES,
+                seed in any::<u64>(),
+            ) {
+                let shapes =
+                    [(1, 1), (1, 9), (9, 1), (2, 3), (5, 7), (8, 8), (24, 24), (40, 40)];
+                for (rows, cols) in shapes {
+                    let grid = shape(rows, cols);
+                    let start = start_solution(&grid, seed);
+                    let sets = change_chain(&grid, &start, live, seed ^ 0x5eed);
+                    assert_batch_matches_chain(&grid, &start, DELTA_LANES, &sets);
+                    assert_batch_matches_chain(&grid, &start, live, &sets);
+                    assert_lanes_are_exact(&grid, DELTA_LANES, live, seed);
                 }
             }
 

@@ -51,7 +51,7 @@ pub mod waveform;
 pub mod workload;
 
 pub use error::PdnError;
-pub use grid::{GridFactor, GridSolution, PowerGrid};
+pub use grid::{DeltaBatch, GridFactor, GridSolution, PowerGrid, DELTA_LANES};
 pub use impedance::{impedance_magnitude, impedance_peak, impedance_profile, ImpedancePoint};
 pub use rlc::LumpedPdn;
 pub use sources::{ground_bounce, supply_step, SupplyNoiseBuilder};

@@ -24,7 +24,7 @@ use psnt_core::system::SensorConfig;
 use psnt_ctx::RunCtx;
 use psnt_engine::RetryPolicy;
 use psnt_obs::{Observer, Span};
-use psnt_pdn::grid::PowerGrid;
+use psnt_pdn::grid::{PowerGrid, DELTA_LANES};
 use psnt_pdn::waveform::Waveform;
 use psnt_scan::campaign::{Campaign, DegradationSummary, StreamRecord};
 use psnt_scan::floorplan::Floorplan;
@@ -334,7 +334,11 @@ impl NocWorkload {
     fn rail_recorder(&self) -> RailRecorder {
         let site_nodes: Vec<usize> = self.site_nodes().collect();
         RailRecorder {
-            site_points: vec![Vec::with_capacity(self.config.cycles); site_nodes.len()],
+            // One allocation per site up front: `vec![v; n]` would clone
+            // `v`, and a clone of an empty vector has no capacity.
+            site_points: (0..site_nodes.len())
+                .map(|_| Vec::with_capacity(self.config.cycles))
+                .collect(),
             site_nodes,
             nodes: self.campaign.floorplan().grid().tiles(),
             dt: self.config.cycle_time,
@@ -421,6 +425,7 @@ struct RailRecorder {
 impl CycleDriver for RailRecorder {
     type Checkpoint = WorkloadCheckpoint;
     type Output = Rails;
+    const LANES: usize = DELTA_LANES;
 
     fn span(&self, obs: &mut Observer, cycles: usize) -> Span {
         obs.begin_span("workload_solve")

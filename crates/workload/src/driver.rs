@@ -17,6 +17,14 @@
 //! loop is generic over the driver, so the per-cycle path makes no
 //! `dyn` call.
 //!
+//! The loop plans up to [`CycleDriver::LANES`] cycles (stages 1–2 and
+//! the grid update) before it drains them: one lane-kernel pass solves
+//! their grid updates, then each cycle in turn is advanced, scanned,
+//! folded into its window and handed to the driver. It drains when the
+//! batch is full, before any snapshot, on a plan error and at the end,
+//! so every snapshot and every driver call sees the state a
+//! cycle-by-cycle loop would.
+//!
 //! Snapshots are taken at the top of a cycle, before the supervisor
 //! check: cycle `c` writes one when `c` is a positive multiple of the
 //! cadence past the resume point, or when the check trips. A cadence
@@ -43,6 +51,12 @@ pub(crate) trait CycleDriver {
     type Checkpoint: Serialize;
     /// What a completed run returns.
     type Output;
+    /// Cycles the loop may plan before the driver sees the first of
+    /// them: 1 for a driver that feeds back through
+    /// [`CycleStepper::apply`], up to
+    /// [`DELTA_LANES`](psnt_pdn::grid::DELTA_LANES) for one that only
+    /// reads the grid, whose cycles then share one lane-kernel pass.
+    const LANES: usize;
 
     /// Opens the run span over `cycles` with the driver's name and
     /// attributes.
@@ -159,6 +173,7 @@ impl NocWorkload {
                 c > start && cadence.is_some_and(|every| (c as u64).is_multiple_of(every));
             let tripped = sup.check().err();
             if tripped.is_some() || cadence_due {
+                self.drain(&mut stats, &mut driver, stepper)?;
                 if let Some(path) = policy.path.as_deref() {
                     // Windows holding at least one finished cycle.
                     let touched = c.div_ceil(cfg.measure_every).min(stats.len());
@@ -171,11 +186,17 @@ impl NocWorkload {
                 }
             }
             sup.charge_events(1);
-            stepper.step()?;
-            let scan = stepper.scan();
-            self.accumulate_window(&mut stats, c, &scan, stepper);
-            driver.cycle(c, &scan, stepper)?;
+            if let Err(e) = stepper.plan(D::LANES) {
+                // The cycles before this one finish first, as they
+                // would have one at a time.
+                self.drain(&mut stats, &mut driver, stepper)?;
+                return Err(e);
+            }
+            if stepper.pending() == D::LANES {
+                self.drain(&mut stats, &mut driver, stepper)?;
+            }
         }
+        self.drain(&mut stats, &mut driver, stepper)?;
 
         if let Some(obs) = ctx.observer() {
             let solves = stepper.delta_solves();
@@ -187,6 +208,26 @@ impl NocWorkload {
             flits: stepper.planned_flits(),
         };
         driver.finish(profile, ctx.observer())
+    }
+
+    /// Settles the planned cycles in one lane-kernel pass, then gives
+    /// each, oldest first, its grid state, its window statistics and
+    /// the driver's half of the cycle.
+    fn drain<D: CycleDriver>(
+        &self,
+        stats: &mut [WindowStats],
+        driver: &mut D,
+        stepper: &mut CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
+        // PDN HOT LOOP START
+        stepper.settle();
+        while let Some(c) = stepper.advance() {
+            let scan = stepper.scan();
+            self.accumulate_window(stats, c, &scan, stepper);
+            driver.cycle(c, &scan, stepper)?;
+        }
+        // PDN HOT LOOP END
+        Ok(())
     }
 
     /// Checks a checkpoint's schema version and seed, then restores the

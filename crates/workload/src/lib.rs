@@ -29,7 +29,10 @@
 //! the [`CycleStepper`], folds each cycle into the window statistics,
 //! checks the context's supervisor, fires the harness faults, writes
 //! cadence and interrupt snapshots and closes the run span on every
-//! exit path; a driver adds only its per-cycle work.
+//! exit path; a driver adds only its per-cycle work. A driver that
+//! never feeds back (the open loop) lets the loop plan up to eight
+//! cycles ahead, so their grid updates share one pass of the PDN lane
+//! kernel; the closed loop runs one cycle at a time.
 //!
 //! # Example
 //!

@@ -235,6 +235,7 @@ struct ControlLoop<'m> {
 impl CycleDriver for ControlLoop<'_> {
     type Checkpoint = MitigatedCheckpoint;
     type Output = MitigatedNocResult;
+    const LANES: usize = 1;
 
     fn span(&self, obs: &mut Observer, cycles: usize) -> Span {
         obs.begin_span("control_loop")

@@ -4,9 +4,10 @@
 //! batch pipeline used to fuse: **activity source** (the seed-split
 //! injection plan from [`ActivityTrace::plan`], walked flit-by-flit) →
 //! **current map** (per-tile switching counts scaled by the actuation's
-//! clock-stretch into node loads) → **grid state** (one in-place
-//! [`PowerGrid::update_delta`](psnt_pdn::grid::PowerGrid::update_delta)
-//! per changed cycle, plus the supply-boost overlay). The sense-frame
+//! clock-stretch into node loads) → **grid state** (one delta update
+//! per changed cycle, bit-identical to an in-place
+//! [`PowerGrid::update_delta`](psnt_pdn::grid::PowerGrid::update_delta),
+//! plus the supply-boost overlay). The sense-frame
 //! stage sits in the drivers that plug into the workload's one cycle
 //! loop: the open loop samples node voltages into rail waveforms, the
 //! closed loop senses thermometer levels with
@@ -29,12 +30,22 @@
 //! injections into a FIFO that drains one flit per cycle on release,
 //! stretched tiles scale their switching counts, boosted tiles see
 //! their block nodes lifted after the solve.
+//!
+//! [`CycleStepper::step`] runs three crate-private stages on one cycle:
+//! `plan` (stages 1–2 and the cycle's grid update written into the next
+//! lane of a [`DeltaBatch`]), `settle` (one lane-kernel pass over every
+//! planned lane) and `advance` (the planned cycle becomes the stepped
+//! one: its counts, `v += dv`, its loads and the boost overlay). The
+//! open-loop driver plans up to [`DELTA_LANES`] cycles before it
+//! settles; nothing in stages 1–2 reads the grid, and a driver that
+//! never calls [`CycleStepper::apply`] keeps the actuation fixed, so
+//! planning ahead changes no cycle.
 
 use std::collections::VecDeque;
 
 use psnt_control::{Actuation, MAX_BOOST_V, MIN_STRETCH};
 use psnt_ctx::RunCtx;
-use psnt_pdn::grid::GridSolution;
+use psnt_pdn::grid::{DeltaBatch, GridSolution, DELTA_LANES};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::NocWorkload;
@@ -137,6 +148,29 @@ pub struct CycleStepper<'w> {
     delta_solves: u64,
     planned_flits: u64,
     spawned_flits: u64,
+    /// Raw and effective counts of the cycles planned ahead, one
+    /// `tiles`-long slot per cycle.
+    planned_counts: Vec<u32>,
+    planned_eff: Vec<u32>,
+    /// What each planned cycle does to the grid.
+    kinds: [Planned; DELTA_LANES],
+    /// Cycles planned in the current batch, and how many of them are
+    /// advanced; both return to zero once every planned cycle is.
+    planned: usize,
+    advanced: usize,
+    /// The planned cycles' grid updates.
+    batch: DeltaBatch,
+}
+
+/// What a planned cycle does to the grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Planned {
+    /// The run's first cycle, solved in full when planned.
+    Initial,
+    /// No effective count moved, so the grid stands still.
+    Still,
+    /// A delta update in the batch.
+    Delta,
 }
 
 impl<'w> CycleStepper<'w> {
@@ -173,6 +207,12 @@ impl<'w> CycleStepper<'w> {
             delta_solves: 0,
             planned_flits,
             spawned_flits: 0,
+            planned_counts: vec![0; tiles * DELTA_LANES],
+            planned_eff: vec![0; tiles * DELTA_LANES],
+            kinds: [Planned::Still; DELTA_LANES],
+            planned: 0,
+            advanced: 0,
+            batch: DeltaBatch::new(1),
         })
     }
 
@@ -184,6 +224,7 @@ impl<'w> CycleStepper<'w> {
     /// Returns [`WorkloadError::InvalidConfig`] when the actuation's
     /// domain count differs from the mesh tile count.
     pub fn apply(&mut self, act: &Actuation) -> Result<(), WorkloadError> {
+        debug_assert_eq!(self.pending(), 0, "actuation changed under planned cycles");
         let tiles = self.workload.mesh().tiles();
         if act.domains() != tiles {
             return Err(WorkloadError::InvalidConfig {
@@ -203,8 +244,31 @@ impl<'w> CycleStepper<'w> {
     ///
     /// Propagates PDN solver errors.
     pub fn step(&mut self) -> Result<usize, WorkloadError> {
-        let c = self.cycle;
+        debug_assert_eq!(self.pending(), 0, "step() with cycles planned ahead");
+        self.plan(1)?;
+        self.settle();
+        Ok(self.advance().expect("one cycle planned"))
+    }
+
+    /// Stages 1–2 of the next unplanned cycle, plus its grid update
+    /// planned into the next lane of a delta batch `lanes` wide. Cycles
+    /// planned ahead of [`CycleStepper::advance`] see the same
+    /// actuation, so only a driver that never calls
+    /// [`CycleStepper::apply`] between cycles plans more than one (at
+    /// most `lanes ≤` [`DELTA_LANES`]).
+    ///
+    /// The first cycle of a run has no prior solution: it is solved in
+    /// full right here, so the solution runs one cycle ahead until that
+    /// cycle is advanced.
+    pub(crate) fn plan(&mut self, lanes: usize) -> Result<(), WorkloadError> {
+        let k = self.planned;
+        debug_assert!(k < lanes, "more than {lanes} cycles planned");
+        if self.pending() == 0 && self.batch.width() != lanes {
+            self.batch = DeltaBatch::new(lanes);
+        }
+        let c = self.cycle + k;
         let tiles = self.workload.mesh().tiles();
+        let slot = k * tiles;
 
         // Stage 1 — activity source: spawn this cycle's planned
         // injections; throttled tiles defer them instead. A released
@@ -235,11 +299,9 @@ impl<'w> CycleStepper<'w> {
                 }
             }
         }
-        self.counts.fill(0);
-        let CycleStepper {
-            flights, counts, ..
-        } = self;
-        flights.retain_mut(|f| {
+        let counts = &mut self.planned_counts[slot..slot + tiles];
+        counts.fill(0);
+        self.flights.retain_mut(|f| {
             counts[f.route[f.hop]] += 1;
             f.hop += 1;
             f.hop < f.route.len()
@@ -247,42 +309,86 @@ impl<'w> CycleStepper<'w> {
 
         // Stage 2 — current map: clock-stretch scales activity. At
         // scale 1.0, ⌊count · 1.0⌋ recovers the raw count exactly.
-        for t in 0..tiles {
-            self.eff_counts[t] = (f64::from(self.counts[t]) * self.act.stretch(t)).floor() as u32;
+        let eff = &mut self.planned_eff[slot..slot + tiles];
+        for (t, (e, &raw)) in eff.iter_mut().zip(counts.iter()).enumerate() {
+            *e = (f64::from(raw) * self.act.stretch(t)).floor() as u32;
         }
 
         // Stage 3 — grid state: full sparse solve at cycle 0, then one
-        // in-place delta update per cycle whose effective counts moved
-        // (the same arithmetic as `PowerGrid::solve_delta`, minus the
-        // clone; the changed set and the solve scratch are reused).
+        // delta update per cycle whose effective counts moved, planned
+        // into the batch (the same arithmetic as
+        // `PowerGrid::update_delta`; the changed set, the batch and its
+        // lanes are reused).
         let grid = self.workload.campaign().floorplan().grid();
         let node_load = self.workload.node_load_fn();
-        if let Some(sol) = self.sol.as_mut() {
+        let kind = if let Some(sol) = self.sol.as_ref() {
             // PDN HOT LOOP START
             self.changed.clear();
-            for t in 0..tiles {
-                if self.eff_counts[t] != self.prev_eff[t] {
-                    let l = node_load(self.eff_counts[t]);
+            for (t, (&e, &prev)) in eff.iter().zip(&self.prev_eff).enumerate() {
+                if e != prev {
+                    let l = node_load(e);
                     self.changed
                         .extend(self.workload.block_nodes(t).iter().map(|&nd| (nd, l)));
                 }
             }
-            if !self.changed.is_empty() {
-                grid.update_delta(sol, &self.changed)?;
-                self.delta_solves += 1;
+            if self.changed.is_empty() {
+                Planned::Still
+            } else {
+                grid.plan_delta(&mut self.batch, sol, &self.changed)?;
+                Planned::Delta
             }
             // PDN HOT LOOP END
         } else {
             let mut loads = vec![0.0; grid.tiles()];
-            for t in 0..tiles {
-                let l = node_load(self.eff_counts[t]);
+            for (t, &e) in eff.iter().enumerate() {
+                let l = node_load(e);
                 for &nd in self.workload.block_nodes(t) {
                     loads[nd] = l;
                 }
             }
             self.sol = Some(grid.solve_sparse(&loads)?);
+            Planned::Initial
+        };
+        self.prev_eff.copy_from_slice(eff);
+        self.kinds[k] = kind;
+        self.planned = k + 1;
+        Ok(())
+    }
+
+    /// Solves the grid updates of every cycle planned so far in one
+    /// pass of the lane kernel.
+    pub(crate) fn settle(&mut self) {
+        if let Some(sol) = self.sol.as_ref() {
+            let grid = self.workload.campaign().floorplan().grid();
+            grid.settle_deltas(&mut self.batch, sol);
         }
-        self.prev_eff.copy_from_slice(&self.eff_counts);
+    }
+
+    /// Makes the oldest planned cycle the stepped one: its counts, its
+    /// grid update (`v += dv` and the new loads) and the supply-boost
+    /// overlay. Returns its index, or `None` when no cycle is planned.
+    pub(crate) fn advance(&mut self) -> Option<usize> {
+        // PDN HOT LOOP START
+        if self.advanced == self.planned {
+            return None;
+        }
+        let k = self.advanced;
+        let tiles = self.workload.mesh().tiles();
+        let slot = k * tiles;
+        self.counts
+            .copy_from_slice(&self.planned_counts[slot..slot + tiles]);
+        self.eff_counts
+            .copy_from_slice(&self.planned_eff[slot..slot + tiles]);
+        if self.kinds[k] == Planned::Delta {
+            let sol = self.sol.as_mut().expect("a delta follows a solution");
+            self.batch.apply(sol);
+            self.delta_solves += 1;
+        }
+        self.advanced = k + 1;
+        if self.advanced == self.planned {
+            (self.advanced, self.planned) = (0, 0);
+        }
+        // PDN HOT LOOP END
 
         // Stage 3b — supply-boost overlay: a post-solve lift of the
         // boosted tiles' block nodes (a header-switch model, not a
@@ -303,8 +409,14 @@ impl<'w> CycleStepper<'w> {
             }
         }
 
+        let c = self.cycle;
         self.cycle = c + 1;
-        Ok(c)
+        Some(c)
+    }
+
+    /// Cycles planned and not yet advanced.
+    pub(crate) fn pending(&self) -> usize {
+        self.planned - self.advanced
     }
 
     fn spawn(&mut self, src: usize, dst: u32) {
@@ -382,18 +494,26 @@ impl<'w> CycleStepper<'w> {
     /// Panics before the first [`CycleStepper::step`].
     pub fn scan(&self) -> GridScan {
         let v = self.voltages();
-        let (mut node, mut worst) = (0, v[0]);
+        // `f64::total_cmp` orders floats as these integer keys do; the
+        // running minimum keeps its key, so the compare that carries
+        // from node to node is one integer compare.
+        let key = |x: f64| {
+            let bits = x.to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        };
+        let (mut node, mut worst) = (0, key(v[0]));
         // `Iterator::sum`'s start value.
         let (mut voltage_sum, mut load_sum) = (-0.0, -0.0);
         for (i, (&vi, &li)) in v.iter().zip(self.solution().loads()).enumerate() {
-            if vi.total_cmp(&worst).is_lt() {
-                (node, worst) = (i, vi);
+            let k = key(vi);
+            if k < worst {
+                (node, worst) = (i, k);
             }
             voltage_sum += vi;
             load_sum += li;
         }
         GridScan {
-            hotspot: (node, worst),
+            hotspot: (node, v[node]),
             voltage_sum,
             load_sum,
         }
@@ -436,6 +556,7 @@ impl<'w> CycleStepper<'w> {
     /// snapshot restores onto a fresh stepper built over the **same
     /// workload and seed** (see [`CycleStepper::restore`]).
     pub fn snapshot(&self) -> StepperSnapshot {
+        debug_assert_eq!(self.pending(), 0, "snapshot with cycles planned ahead");
         StepperSnapshot {
             cursors: self.cursors.clone(),
             deferred: self
@@ -550,6 +671,8 @@ impl<'w> CycleStepper<'w> {
         self.cycle = snap.cycle;
         self.delta_solves = snap.delta_solves;
         self.spawned_flits = snap.spawned_flits;
+        (self.planned, self.advanced) = (0, 0);
+        self.batch = DeltaBatch::new(self.batch.width());
         Ok(())
     }
 }

@@ -58,13 +58,15 @@ fi
 
 echo "==> PDN hot-loop allocation gate"
 # The per-cycle PDN path must not allocate: the banded substitution
-# kernel and the in-place delta update (crates/pdn/src/grid.rs) and the
-# stepper's grid stage (crates/workload/src/stepper.rs) reuse their
+# kernels (one lane and eight), the in-place delta update and the delta
+# batch's plan/settle/apply (crates/pdn/src/grid.rs), the stepper's
+# grid stage (crates/workload/src/stepper.rs) and the cycle loop's
+# drain of planned cycles (crates/workload/src/driver.rs) reuse their
 # buffers. Between the PDN HOT LOOP markers no `Vec<`, `vec!`,
 # `.clone()` or `.to_vec()` may appear, and the markers must be present
 # and paired so deleting one cannot switch the gate off.
 pdn_hot=""
-for f in crates/pdn/src/grid.rs crates/workload/src/stepper.rs; do
+for f in crates/pdn/src/grid.rs crates/workload/src/stepper.rs crates/workload/src/driver.rs; do
     starts=$(grep -c 'PDN HOT LOOP START' "$f" || true)
     ends=$(grep -c 'PDN HOT LOOP END' "$f" || true)
     if [ "$starts" -eq 0 ] || [ "$starts" -ne "$ends" ]; then

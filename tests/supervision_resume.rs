@@ -13,15 +13,21 @@
 //!     resumes (controller state restored from the snapshot) into a
 //!     result bit-identical to the uninterrupted one, at any code
 //!     latency.
+//! (d) The open loop plans up to eight cycles ahead and solves their
+//!     grid updates in one pass: interrupt and cadence snapshots that
+//!     land inside such a batch equal, field for field, the checkpoint
+//!     of a cycle-by-cycle `CycleStepper::step` loop, and resuming from
+//!     them is bit-identical.
 
 use proptest::prelude::*;
 use psn_thermometer::control::ThresholdThrottle;
 use psn_thermometer::prelude::*;
 use psn_thermometer::scan::campaign::StreamRecord;
 use psn_thermometer::sup::Interrupt;
-use psn_thermometer::workload::checkpoint::CheckpointPolicy;
+use psn_thermometer::workload::checkpoint::{CheckpointPolicy, CHECKPOINT_VERSION};
 use psn_thermometer::workload::{
-    MitigatedCheckpoint, NocWorkload, StreamedNocResult, WorkloadCheckpoint, WorkloadError,
+    CycleStepper, MitigatedCheckpoint, NocWorkload, StreamedNocResult, WindowStats,
+    WorkloadCheckpoint, WorkloadError,
 };
 
 /// The worker counts the supervision contract is pinned at.
@@ -193,5 +199,139 @@ proptest! {
             .unwrap();
         prop_assert_eq!(out, clean, "mitigated run diverged after resume");
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The checkpoint an open-loop run interrupted at cycle `at` must write,
+/// built by stepping one cycle at a time and sampling as the open loop
+/// does: each site's rail knot, and the window statistics folded from
+/// the three separate grid passes.
+fn stepped_checkpoint(w: &NocWorkload, seed: u64, at: usize) -> WorkloadCheckpoint {
+    let cfg = w.config();
+    let me = cfg.measure_every;
+    let mut stepper = CycleStepper::new(w, &mut RunCtx::serial().with_seed(seed)).unwrap();
+    let sites: Vec<usize> = w
+        .campaign()
+        .floorplan()
+        .sites()
+        .iter()
+        .map(|s| s.tile)
+        .collect();
+    let mut site_points = vec![Vec::new(); sites.len()];
+    let mut stats: Vec<WindowStats> = (0..w.windows())
+        .map(|k| WindowStats {
+            window: k,
+            start_cycle: k * me,
+            instant: cfg.cycle_time * ((k * me + me / 2) as f64 + 0.5),
+            min_v: f64::INFINITY,
+            worst_node: 0,
+            mean_v: 0.0,
+            mean_current: 0.0,
+            events: 0,
+        })
+        .collect();
+    for c in 0..at {
+        stepper.step().unwrap();
+        let v = stepper.voltages();
+        for (points, &nd) in site_points.iter_mut().zip(&sites) {
+            points.push((cfg.cycle_time * (c as f64 + 0.5), v[nd]));
+        }
+        let win = &mut stats[c / me];
+        let (node, v_min) = stepper.hotspot();
+        if v_min < win.min_v {
+            win.min_v = v_min;
+            win.worst_node = node;
+        }
+        win.mean_v += v.iter().sum::<f64>() / (v.len() as f64 * me as f64);
+        win.mean_current += stepper.solution().loads().iter().sum::<f64>() / me as f64;
+        win.events += stepper
+            .raw_counts()
+            .iter()
+            .map(|&x| u64::from(x))
+            .sum::<u64>();
+    }
+    let touched = at.div_ceil(me).min(stats.len());
+    WorkloadCheckpoint {
+        version: CHECKPOINT_VERSION,
+        seed,
+        stepper: stepper.snapshot(),
+        stats_done: stats[..touched].to_vec(),
+        site_points,
+    }
+}
+
+/// Compares two checkpoints field by field, rail bits included.
+fn assert_same_checkpoint(got: &WorkloadCheckpoint, want: &WorkloadCheckpoint, case: &str) {
+    assert_eq!(got.version, want.version, "{case}: version");
+    assert_eq!(got.seed, want.seed, "{case}: seed");
+    assert_eq!(got.stepper, want.stepper, "{case}: stepper snapshot");
+    assert_eq!(got.stats_done, want.stats_done, "{case}: window statistics");
+    let bits = |c: &WorkloadCheckpoint| -> Vec<Vec<(f64, u64)>> {
+        c.site_points
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .map(|&(t, v)| (t.picoseconds(), v.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    assert_eq!(bits(got), bits(want), "{case}: site rails");
+}
+
+/// (d) Interrupts at cycles 1, 7, 8, 9 and the last, with no cadence
+/// and cadences 3, 8 and 13, at jobs ∈ {1, 4}: every snapshot lands
+/// inside or at the edge of an eight-cycle batch, and each equals the
+/// cycle-by-cycle checkpoint and resumes bit-identically. A completed
+/// run at each cadence leaves its last cadence snapshot, which must
+/// equal the stepped one too.
+#[test]
+fn snapshots_inside_a_lane_batch_match_the_stepped_loop() {
+    let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
+    let cycles = w.config().cycles;
+    let seed = 2009;
+    for jobs in JOBS {
+        let mut ctx = RunCtx::new(Engine::new(jobs)).with_seed(seed);
+        let (clean_records, clean) = run_collect(&w, &mut ctx, &CheckpointPolicy::none(), None);
+        let clean = clean.unwrap();
+        for every in [None, Some(3u64), Some(8), Some(13)] {
+            let path = ckpt_path(&format!("lanes-{jobs}-{every:?}"));
+            let policy = CheckpointPolicy {
+                path: Some(path.clone()),
+                every,
+            };
+            if let Some(k) = every {
+                let _ = std::fs::remove_file(&path);
+                let mut cctx = RunCtx::new(Engine::new(jobs)).with_seed(seed);
+                let (records, out) = run_collect(&w, &mut cctx, &policy, None);
+                assert_eq!(records, clean_records, "cadence {k}: records");
+                assert_eq!(out.unwrap(), clean, "cadence {k}: summary");
+                let last = (cycles as u64 - 1) / k * k;
+                let ckpt = WorkloadCheckpoint::load(&path).unwrap();
+                let want = stepped_checkpoint(&w, seed, last as usize);
+                assert_same_checkpoint(&ckpt, &want, &format!("cadence {k} at {last}"));
+            }
+            for cancel in [1, 7, 8, 9, cycles - 1] {
+                let case = format!("jobs {jobs}, cadence {every:?}, cancel at {cancel}");
+                let _ = std::fs::remove_file(&path);
+                let mut ictx = RunCtx::new(Engine::new(jobs)).with_seed(seed);
+                ictx.set_fault_plan(Some(FaultPlan::new().with(Fault::CancelAt {
+                    cycle: cancel as u64,
+                })));
+                let (_, err) = run_collect(&w, &mut ictx, &policy, None);
+                assert!(
+                    matches!(err, Err(WorkloadError::Interrupted(Interrupt::Cancelled))),
+                    "{case}: {err:?}"
+                );
+                let ckpt = WorkloadCheckpoint::load(&path).unwrap();
+                assert_same_checkpoint(&ckpt, &stepped_checkpoint(&w, seed, cancel), &case);
+                let mut rctx = RunCtx::new(Engine::new(jobs)).with_seed(seed);
+                let (records, out) =
+                    run_collect(&w, &mut rctx, &CheckpointPolicy::none(), Some(&ckpt));
+                assert_eq!(records, clean_records, "{case}: resumed records");
+                assert_eq!(out.unwrap(), clean, "{case}: resumed summary");
+            }
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }
