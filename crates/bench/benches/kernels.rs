@@ -195,12 +195,21 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    // Repeat decodes at one operating point: after the first, each
-    // decode indexes the memoised ascending thresholds in place.
-    c.bench_function("array_decode_memoised", |b| {
+    // Decodes at one operating point: each indexes the point's
+    // ascending thresholds in place.
+    c.bench_function("array_decode", |b| {
+        let p = ThermometerArray::paper(RailMode::Supply)
+            .at(skew, &pvt)
+            .unwrap();
+        let code = p.measure(Voltage::from_v(0.97));
+        b.iter(|| p.decode(std::hint::black_box(&code)).unwrap())
+    });
+
+    // Building one operating point: the 7-element threshold solve plus
+    // the bracket checks (two delay-model evaluations per element).
+    c.bench_function("array_at_7bit", |b| {
         let a = ThermometerArray::paper(RailMode::Supply);
-        let code = a.measure(Voltage::from_v(0.97), skew, &pvt);
-        b.iter(|| a.decode(std::hint::black_box(&code), skew, &pvt).unwrap())
+        b.iter(|| a.at(std::hint::black_box(skew), &pvt).unwrap())
     });
 
     c.bench_function("element_measure", |b| {
@@ -209,8 +218,10 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     c.bench_function("array_measure_7bit", |b| {
-        let a = ThermometerArray::paper(RailMode::Supply);
-        b.iter(|| a.measure(std::hint::black_box(Voltage::from_v(0.97)), skew, &pvt))
+        let p = ThermometerArray::paper(RailMode::Supply)
+            .at(skew, &pvt)
+            .unwrap();
+        b.iter(|| p.measure(std::hint::black_box(Voltage::from_v(0.97))))
     });
 
     // One closed-loop sense frame: 64 two-rail measures over the droop
@@ -228,6 +239,21 @@ fn bench_kernels(c: &mut Criterion) {
                         .measure_value(vdd, Voltage::ZERO, Time::ZERO)
                         .unwrap(),
                 );
+            }
+        })
+    });
+
+    // The closed loop's real read path over the same frame: 64
+    // HIGH-SENSE levels, no words, codes or decodes.
+    c.bench_function("hs_level_frame_64", |b| {
+        use psnt_core::system::{SensorConfig, SensorSystem};
+        let sensor = SensorSystem::new(SensorConfig::default()).unwrap();
+        let rails: Vec<Voltage> = (0..64)
+            .map(|k| Voltage::from_v(0.85 + 0.15 * k as f64 / 63.0))
+            .collect();
+        b.iter(|| {
+            for &vdd in &rails {
+                std::hint::black_box(sensor.hs_level(std::hint::black_box(vdd)));
             }
         })
     });

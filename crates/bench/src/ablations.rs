@@ -80,9 +80,11 @@ pub fn ladder() -> String {
         &["design", "range", "LSB", "max |DNL|", "max |INL|"],
     );
     for (name, ladder) in designs {
-        let array = ThermometerArray::new(&ladder, RailMode::Supply);
-        let th = array.thresholds(sk, &pvt).expect("in range");
-        let rep = linearity(&th);
+        let point = ThermometerArray::new(&ladder, RailMode::Supply)
+            .at(sk, &pvt)
+            .expect("in range");
+        let th = point.thresholds();
+        let rep = linearity(th);
         t.row([
             name.to_string(),
             format!(
@@ -110,7 +112,8 @@ pub fn encoding() -> String {
     let pvt = Pvt::typical();
     let sk = skew011();
     let array = ThermometerArray::paper(RailMode::Supply);
-    let th = array.thresholds(sk, &pvt).expect("in range");
+    let point = array.at(sk, &pvt).expect("in range");
+    let th = point.thresholds();
     let enc_trunc = Encoder::new(7, EncodingPolicy::Truncate).expect("valid");
     let enc_fix = Encoder::new(7, EncodingPolicy::BubbleCorrect).expect("valid");
     let mut rng = StdRng::seed_from_u64(2024);
@@ -370,19 +373,18 @@ pub fn temperature(ctx: &mut psnt_ctx::RunCtx<'_>) -> String {
 /// threshold-derived DNL.
 pub fn code_density() -> String {
     use psnt_analysis::adc_metrics::code_density_widths;
-    let array = ThermometerArray::paper(RailMode::Supply);
-    let pvt = Pvt::typical();
-    let sk = skew011();
+    let point = ThermometerArray::paper(RailMode::Supply)
+        .at(skew011(), &Pvt::typical())
+        .expect("in range");
     // A uniform ramp across the full dynamic range (plus margins).
     let mut hits = vec![0u64; 8]; // 8 codes for 7 elements
     let n = 40_000;
     for i in 0..n {
         let v = 0.80 + 0.30 * (i as f64 / n as f64);
-        let code = array.measure(Voltage::from_v(v), sk, &pvt);
-        hits[code.level()] += 1;
+        hits[point.measure(Voltage::from_v(v)).level()] += 1;
     }
     let widths = code_density_widths(&hits).expect("interior hits");
-    let th = array.thresholds(sk, &pvt).expect("in range");
+    let th = point.thresholds();
     let lsb = (th[6] - th[0]).volts() / 6.0;
     let mut t = Table::new(
         "XP-CODE-DENSITY — code widths from a 40 000-point ramp (0.80–1.10 V)",
@@ -427,7 +429,8 @@ pub fn oversampling() -> String {
     let array = ThermometerArray::paper(RailMode::Supply);
     let pvt = Pvt::typical();
     let sk = skew011();
-    let th = array.thresholds(sk, &pvt).expect("in range");
+    let point = array.at(sk, &pvt).expect("in range");
+    let th = point.thresholds();
     let mut rng = StdRng::seed_from_u64(7);
 
     let mut t = Table::new(
@@ -445,10 +448,7 @@ pub fn oversampling() -> String {
         let mut sq = 0.0;
         for &v in &probes {
             let mean = array.oversampled_level(v, sk, &pvt, n, &mut rng);
-            let est = array
-                .decode_oversampled(mean, sk, &pvt)
-                .expect("in range")
-                .expect("not saturated");
+            let est = point.decode_oversampled(mean).expect("not saturated");
             sq += (est - v).volts().powi(2);
         }
         let rms_mv = (sq / probes.len() as f64).sqrt() * 1e3;

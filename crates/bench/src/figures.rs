@@ -681,9 +681,10 @@ pub fn gate_level() -> String {
     use psnt_netlist::sta::{analyze_with_domain_supplies, StaConfig};
 
     let gate = GateLevelArray::paper().expect("valid netlist");
-    let behavioural = ThermometerArray::paper(RailMode::Supply);
-    let pvt = Pvt::typical();
     let sk = skew(code011());
+    let behavioural = ThermometerArray::paper(RailMode::Supply)
+        .at(sk, &Pvt::typical())
+        .expect("in range");
 
     let mut t = Table::new(
         "XP-GATE — event-driven netlist twin vs behavioural model (delay code 011)",
@@ -696,7 +697,7 @@ pub fn gate_level() -> String {
     for mv in (820..=1080).step_by(40) {
         let v = Voltage::from_mv(mv as f64 + 3.0);
         let a = gate.measure(&mut ctx, v, sk).expect("simulates");
-        let b = behavioural.measure(v, sk, &pvt);
+        let b = behavioural.measure(v);
         let agree = a == b;
         all_agree &= agree;
         t.row([

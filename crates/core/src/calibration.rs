@@ -128,23 +128,23 @@ impl ArrayCharacteristic {
 ///
 /// The per-element threshold searches run as one 64-lane lockstep solve
 /// (one lane per element, see `psnt_core::lanes`) — bit-identical to a
-/// serial per-element sweep at any worker count. Results are served
-/// from the array's threshold memo on repeat visits, and the memo's
-/// hit/miss deltas land in the context observer's metrics.
+/// serial per-element sweep at any worker count. The context is taken
+/// for symmetry with the other calibration entry points; the solve is
+/// one serial kernel call and records nothing.
 ///
 /// # Errors
 ///
 /// Propagates threshold-search failures (lowest-indexed element wins
 /// when several fail).
 pub fn array_characteristic(
-    ctx: &mut RunCtx<'_>,
+    _ctx: &mut RunCtx<'_>,
     array: &ThermometerArray,
     pg: &PulseGenerator,
     code: DelayCode,
     pvt: &Pvt,
 ) -> Result<ArrayCharacteristic, SensorError> {
     let skew = pg.skew(code, pvt);
-    let thresholds = array.thresholds_ctx(ctx, skew, pvt)?;
+    let thresholds = array.solve_thresholds(skew, pvt)?;
     let lo = thresholds
         .iter()
         .copied()

@@ -62,6 +62,10 @@ pub struct OuteWord {
     pub bubbled: bool,
 }
 
+/// The widest array [`Encoder::level_table`] serves: its table has
+/// `2^width` entries.
+pub(crate) const LEVEL_TABLE_MAX_BITS: usize = 16;
+
 /// The thermometer-to-binary encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Encoder {
@@ -147,6 +151,31 @@ impl Encoder {
                 level
             }
         }
+    }
+
+    /// [`Encoder::encode`]'s level of every binary code, indexed by the
+    /// code's pass bits packed into an integer: bit `i` is element `i`
+    /// in ascending-load order, i.e. code position `width − 1 − i`, so
+    /// the index written in binary is the code as it prints.
+    ///
+    /// # Panics
+    ///
+    /// Panics for widths above [`LEVEL_TABLE_MAX_BITS`].
+    pub(crate) fn level_table(&self) -> Box<[u8]> {
+        assert!(
+            self.width <= LEVEL_TABLE_MAX_BITS,
+            "no level table for a {}-bit array",
+            self.width
+        );
+        (0..1usize << self.width)
+            .map(|word| {
+                let bits: LogicVector = (0..self.width)
+                    .rev()
+                    .map(|i| Logic::from(word >> i & 1 == 1))
+                    .collect();
+                self.level(&ThermometerCode::new(bits)) as u8
+            })
+            .collect()
     }
 }
 
@@ -252,6 +281,23 @@ mod tests {
         assert_eq!(e.encode(&code("0000011")).level, 2);
         assert_eq!(e.encode(&code("0011111")).binary.to_string(), "101");
         assert_eq!(e.encode(&code("0000011")).binary.to_string(), "010");
+    }
+
+    #[test]
+    fn level_table_matches_the_encoder_for_every_binary_code() {
+        for policy in [EncodingPolicy::Truncate, EncodingPolicy::BubbleCorrect] {
+            let e = enc(policy);
+            let table = e.level_table();
+            assert_eq!(table.len(), 1 << 7);
+            for (word, &level) in table.iter().enumerate() {
+                let c = code(&format!("{word:07b}"));
+                assert_eq!(
+                    usize::from(level),
+                    e.encode(&c).level,
+                    "{policy:?} code {c}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -520,14 +520,15 @@ mod tests {
         // association order could legitimately differ). One context pools
         // one simulator for the whole sweep.
         let gate = GateLevelArray::paper().unwrap();
-        let behavioural = ThermometerArray::paper(RailMode::Supply);
-        let pvt = Pvt::typical();
         let sk = skew011();
+        let behavioural = ThermometerArray::paper(RailMode::Supply)
+            .at(sk, &Pvt::typical())
+            .unwrap();
         let mut ctx = RunCtx::serial();
         for i in 0..=60 {
             let v = Voltage::from_v(0.8013 + 0.005 * i as f64);
             let a = gate.measure(&mut ctx, v, sk).unwrap();
-            let b = behavioural.measure(v, sk, &pvt);
+            let b = behavioural.measure(v);
             assert_eq!(a, b, "divergence at {v}");
         }
     }
@@ -541,10 +542,11 @@ mod tests {
         let mut ctx = RunCtx::serial();
         for code_val in [0u8, 2, 5, 7] {
             let sk = pg.skew(DelayCode::new(code_val).unwrap(), &pvt);
+            let point = behavioural.at(sk, &pvt).unwrap();
             for mv in [880.0, 960.0, 1040.0, 1120.0, 1200.0] {
                 let v = Voltage::from_mv(mv + 3.0);
                 let a = gate.measure(&mut ctx, v, sk).unwrap();
-                let b = behavioural.measure(v, sk, &pvt);
+                let b = point.measure(v);
                 assert_eq!(a, b, "divergence at {v}, code {code_val:03b}");
             }
         }
@@ -567,7 +569,7 @@ mod tests {
                 let v = Voltage::from_mv(mv);
                 let sk = Time::from_ps(149.0);
                 let a = gate.measure(&mut RunCtx::serial(), v, sk).unwrap();
-                let b = behavioural.measure(v, sk, &Pvt::typical());
+                let b = behavioural.at(sk, &Pvt::typical()).unwrap().measure(v);
                 prop_assert_eq!(a, b);
             }
         }
@@ -1237,7 +1239,7 @@ mod system_tests {
                 (skew - Time::from_ps(149.0)).abs() < Time::from_ps(5.0),
                 "pin skew {skew} off the 149 ps model"
             );
-            let expect = behavioural.measure(rail, skew, &pvt);
+            let expect = behavioural.at(skew, &pvt).unwrap().measure(rail);
             assert_eq!(m.code, expect, "rail {rail}: skew {skew}");
         }
         // And the headline: the gate-level system reads the paper's

@@ -87,7 +87,7 @@ pub use gate_level::{GateLevelArray, GateLevelMeasure, GateLevelPulseGen, GateLe
 pub use mismatch::{monte_carlo_yield, monte_carlo_yield_scalar, MismatchModel, YieldReport};
 pub use pulsegen::{DelayCode, PulseGenerator, PulseTiming};
 pub use system::{Measurement, SensorConfig, SensorSystem};
-pub use thermometer::{CapacitorLadder, CodeInterval, ThermometerArray};
+pub use thermometer::{CapacitorLadder, CodeInterval, OperatingPoint, ThermometerArray};
 
 #[cfg(test)]
 mod tests {
@@ -96,6 +96,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<crate::SensorSystem>();
         assert_send_sync::<crate::ThermometerArray>();
+        assert_send_sync::<crate::OperatingPoint>();
         assert_send_sync::<crate::Measurement>();
         assert_send_sync::<crate::SensorError>();
     }

@@ -354,8 +354,7 @@ fn run_lane_batch(
 /// the *same* stream trial `b·64+i` consumed before batching existed, so
 /// reports are bit-identical to [`monte_carlo_yield_scalar`] and to any
 /// worker count. When the context carries an observer, the batch's
-/// worker metrics (and the threshold memo's hit/miss tally) are folded
-/// into its registry.
+/// worker metrics are folded into its registry.
 ///
 /// # Errors
 ///
@@ -372,7 +371,7 @@ pub fn monte_carlo_yield(
     model: &MismatchModel,
     n: usize,
 ) -> Result<YieldReport, SensorError> {
-    let nominal = array.thresholds_ctx(ctx, skew, pvt)?;
+    let nominal = array.solve_thresholds(skew, pvt)?;
     let seed = ctx.seed();
     let batches = n.div_ceil(LANES);
     let batch = ctx.engine().run_batch_supervised(
@@ -435,7 +434,7 @@ pub fn monte_carlo_yield_scalar(
     model: &MismatchModel,
     n: usize,
 ) -> Result<YieldReport, SensorError> {
-    let nominal = array.thresholds_ctx(ctx, skew, pvt)?;
+    let nominal = array.solve_thresholds(skew, pvt)?;
     let seed = ctx.seed();
     let batch = ctx.engine().run_batch_supervised(
         &JobSpec::new(n).seed(seed),
@@ -444,7 +443,7 @@ pub fn monte_carlo_yield_scalar(
             let mut rng = job.rng();
             let drawn = model.perturb_array(array, &mut rng);
             let th = drawn
-                .thresholds(skew, pvt)
+                .solve_thresholds(skew, pvt)
                 .map_err(|e| SensorError::Trial {
                     index: job.index(),
                     source: Box::new(e),
@@ -521,8 +520,8 @@ mod tests {
         let model = MismatchModel::new(0.0, 0.0, Voltage::ZERO).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let drawn = model.perturb_array(&array(), &mut rng);
-        let a = array().thresholds(skew(), &Pvt::typical()).unwrap();
-        let b = drawn.thresholds(skew(), &Pvt::typical()).unwrap();
+        let a = array().solve_thresholds(skew(), &Pvt::typical()).unwrap();
+        let b = drawn.solve_thresholds(skew(), &Pvt::typical()).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!((*x - *y).abs() < Voltage::from_mv(0.02));
         }
@@ -762,7 +761,7 @@ mod tests {
         for k in 0..100usize {
             let mut rng = StdRng::seed_from_u64(psnt_engine::split_seed(5, k as u64));
             let drawn = model.perturb_array(&array(), &mut rng);
-            if drawn.thresholds(skew(), &Pvt::typical()).is_err() {
+            if drawn.solve_thresholds(skew(), &Pvt::typical()).is_err() {
                 first_failing = Some(k);
                 break;
             }

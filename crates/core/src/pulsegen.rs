@@ -398,7 +398,9 @@ mod tests {
                 break;
             }
             if let Some(code) = ranger.observe(&m) {
-                sensor.set_delay_codes(code, sensor.config().ls_code);
+                sensor
+                    .set_delay_codes(code, sensor.config().ls_code)
+                    .unwrap();
             }
         }
         assert!(resolved, "ranger never brought 1.15 V into range");
@@ -417,7 +419,9 @@ mod tests {
                 break;
             }
             if let Some(code) = ranger.observe(&m) {
-                sensor.set_delay_codes(code, sensor.config().ls_code);
+                sensor
+                    .set_delay_codes(code, sensor.config().ls_code)
+                    .unwrap();
             }
         }
         assert!(resolved, "ranger never brought 0.87 V into range");

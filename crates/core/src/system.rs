@@ -37,16 +37,16 @@ use psnt_cells::units::{Time, Voltage};
 use psnt_ctx::RunCtx;
 use psnt_obs::Event as ObsEvent;
 use psnt_pdn::waveform::Waveform;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::calibration::{trim_for_corner, TrimResult};
 use crate::code::ThermometerCode;
 use crate::control::{Controller, CtrlInputs};
 use crate::element::RailMode;
-use crate::encoder::{Encoder, EncodingPolicy, OuteWord};
+use crate::encoder::{Encoder, EncodingPolicy, OuteWord, LEVEL_TABLE_MAX_BITS};
 use crate::error::SensorError;
 use crate::pulsegen::{DelayCode, PulseGenerator};
-use crate::thermometer::{CodeInterval, ThermometerArray};
+use crate::thermometer::{CodeInterval, OperatingPoint, ThermometerArray};
 
 /// Static configuration of a sensor system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,20 +97,98 @@ pub struct Measurement {
 }
 
 /// The assembled sensor system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The two arrays are held at their operating points (the configured
+/// delay codes and PVT point), rebuilt whenever those change, so a
+/// measurement solves nothing and a threshold-solve failure surfaces
+/// where the codes are set, not at the next read. A deserialised
+/// system rebuilds them the same way.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SensorSystem {
     hs: ThermometerArray,
     ls: ThermometerArray,
     pg: PulseGenerator,
-    #[serde(skip, default = "default_controller")]
+    #[serde(skip)]
     ctrl: Controller,
+    hs_encoder: Encoder,
+    ls_encoder: Encoder,
+    config: SensorConfig,
+    #[serde(skip)]
+    hs_at: OperatingPoint,
+    #[serde(skip)]
+    ls_at: OperatingPoint,
+    /// The HIGH-SENSE encoder's level of every binary code, indexed by
+    /// the packed pass bits ([`Encoder::level_table`]).
+    #[serde(skip)]
+    hs_levels: Box<[u8]>,
+}
+
+/// The serialised fields of a [`SensorSystem`]; the operating points
+/// and the level table are derived from them.
+#[derive(Deserialize)]
+struct SensorParts {
+    hs: ThermometerArray,
+    ls: ThermometerArray,
+    pg: PulseGenerator,
     hs_encoder: Encoder,
     ls_encoder: Encoder,
     config: SensorConfig,
 }
 
-fn default_controller() -> Controller {
-    Controller::new(None)
+impl Deserialize for SensorSystem {
+    fn from_value(v: &Value) -> Result<SensorSystem, DeError> {
+        SensorSystem::from_parts(SensorParts::from_value(v)?)
+            .map_err(|e| DeError::new(e.to_string()))
+    }
+}
+
+impl SensorSystem {
+    fn from_parts(p: SensorParts) -> Result<SensorSystem, SensorError> {
+        if p.hs_encoder.width() != p.hs.bits()
+            || p.ls_encoder.width() != p.ls.bits()
+            || p.hs.bits() > LEVEL_TABLE_MAX_BITS
+        {
+            return Err(SensorError::InvalidConfig {
+                name: "encoder",
+                reason: format!(
+                    "encoders of {} and {} bits for arrays of {} and {} \
+                     (HIGH-SENSE at most {LEVEL_TABLE_MAX_BITS})",
+                    p.hs_encoder.width(),
+                    p.ls_encoder.width(),
+                    p.hs.bits(),
+                    p.ls.bits()
+                ),
+            });
+        }
+        let (hs_at, ls_at) = operating_points(&p.hs, &p.ls, &p.pg, &p.config)?;
+        Ok(SensorSystem {
+            hs_levels: p.hs_encoder.level_table(),
+            hs: p.hs,
+            ls: p.ls,
+            pg: p.pg,
+            ctrl: Controller::new(None),
+            hs_encoder: p.hs_encoder,
+            ls_encoder: p.ls_encoder,
+            config: p.config,
+            hs_at,
+            ls_at,
+        })
+    }
+}
+
+/// The HIGH-SENSE and LOW-SENSE arrays at `config`'s delay codes and
+/// PVT point, solved in that order (so a HIGH-SENSE failure is the one
+/// reported when both fail).
+fn operating_points(
+    hs: &ThermometerArray,
+    ls: &ThermometerArray,
+    pg: &PulseGenerator,
+    config: &SensorConfig,
+) -> Result<(OperatingPoint, OperatingPoint), SensorError> {
+    let pvt = &config.pvt;
+    let hs_at = hs.at(pg.skew(config.hs_code, pvt), pvt)?;
+    let ls_at = ls.at(pg.skew(config.ls_code, pvt), pvt)?;
+    Ok((hs_at, ls_at))
 }
 
 impl SensorSystem {
@@ -120,7 +198,9 @@ impl SensorSystem {
     /// # Errors
     ///
     /// Returns [`SensorError::InvalidConfig`] for a clock period that the
-    /// control system cannot meet (below 1.5 ns).
+    /// control system cannot meet (below 1.5 ns), and propagates a
+    /// threshold-solve failure at the configured delay codes and PVT
+    /// point (HIGH-SENSE first).
     pub fn new(config: SensorConfig) -> Result<SensorSystem, SensorError> {
         if config.clock_period < Time::from_ps(1500.0) {
             return Err(SensorError::InvalidConfig {
@@ -131,19 +211,35 @@ impl SensorSystem {
                 ),
             });
         }
-        let hs = ThermometerArray::paper(RailMode::Supply);
-        let ls = ThermometerArray::paper(RailMode::Ground);
-        let hs_encoder = Encoder::new(hs.bits(), config.encoding)?;
-        let ls_encoder = Encoder::new(ls.bits(), config.encoding)?;
-        Ok(SensorSystem {
+        SensorSystem::assemble(
+            ThermometerArray::paper(RailMode::Supply),
+            ThermometerArray::paper(RailMode::Ground),
+            config,
+        )
+    }
+
+    /// The system over explicit arrays and the paper's PG table.
+    fn assemble(
+        hs: ThermometerArray,
+        ls: ThermometerArray,
+        config: SensorConfig,
+    ) -> Result<SensorSystem, SensorError> {
+        SensorSystem::from_parts(SensorParts {
+            hs_encoder: Encoder::new(hs.bits(), config.encoding)?,
+            ls_encoder: Encoder::new(ls.bits(), config.encoding)?,
             hs,
             ls,
             pg: PulseGenerator::paper_table(),
-            ctrl: Controller::new(None),
-            hs_encoder,
-            ls_encoder,
             config,
         })
+    }
+
+    /// Moves both arrays to `config`'s operating points. On a failed
+    /// threshold solve the system keeps its previous configuration.
+    fn retune(&mut self, config: SensorConfig) -> Result<(), SensorError> {
+        (self.hs_at, self.ls_at) = operating_points(&self.hs, &self.ls, &self.pg, &config)?;
+        self.config = config;
+        Ok(())
     }
 
     /// The active configuration.
@@ -161,11 +257,24 @@ impl SensorSystem {
         &self.pg
     }
 
+    /// The HIGH-SENSE array at its configured operating point.
+    pub fn hs_point(&self) -> &OperatingPoint {
+        &self.hs_at
+    }
+
     /// Reprograms the delay codes on-site — the paper's dynamic-range
     /// adaptation.
-    pub fn set_delay_codes(&mut self, hs: DelayCode, ls: DelayCode) {
-        self.config.hs_code = hs;
-        self.config.ls_code = ls;
+    ///
+    /// # Errors
+    ///
+    /// Propagates a threshold-solve failure at the new codes
+    /// (HIGH-SENSE first); the system then keeps its previous codes.
+    pub fn set_delay_codes(&mut self, hs: DelayCode, ls: DelayCode) -> Result<(), SensorError> {
+        self.retune(SensorConfig {
+            hs_code: hs,
+            ls_code: ls,
+            ..self.config.clone()
+        })
     }
 
     /// Retrims both arrays' delay codes for a different operating point
@@ -179,7 +288,9 @@ impl SensorSystem {
     ///
     /// # Errors
     ///
-    /// Propagates characterisation failures.
+    /// Propagates characterisation failures and a threshold-solve
+    /// failure at the trimmed operating points; the system then keeps
+    /// its previous configuration.
     pub fn trim(
         &mut self,
         ctx: &mut RunCtx<'_>,
@@ -201,9 +312,12 @@ impl SensorSystem {
             &self.config.pvt,
             corner,
         )?;
-        self.config.hs_code = hs_trim.code;
-        self.config.ls_code = ls_trim.code;
-        self.config.pvt = *corner;
+        self.retune(SensorConfig {
+            hs_code: hs_trim.code,
+            ls_code: ls_trim.code,
+            pvt: *corner,
+            ..self.config.clone()
+        })?;
         if let Some(obs) = ctx.observer() {
             obs.metrics.counter_add("sensor.trims", 1);
             obs.event(
@@ -238,16 +352,9 @@ impl SensorSystem {
         gnd: &Waveform,
         at: Time,
     ) -> Result<Measurement, SensorError> {
-        let pvt = &self.config.pvt;
-        let hs_skew = self.pg.skew(self.config.hs_code, pvt);
-        let ls_skew = self.pg.skew(self.config.ls_code, pvt);
-
-        let v = self.window_value(vdd, at, hs_skew)?;
-        let g = self.window_value(gnd, at, ls_skew)?;
-
-        let hs_code = self.hs.measure(v, hs_skew, pvt);
-        let ls_code = self.ls.measure(g, ls_skew, pvt);
-        self.package(at, hs_code, ls_code, hs_skew, ls_skew)
+        let v = self.window_value(vdd, at, self.hs_at.skew())?;
+        let g = self.window_value(gnd, at, self.ls_at.skew())?;
+        self.package(at, self.hs_at.measure(v), self.ls_at.measure(g))
     }
 
     /// Performs one measurement from *instantaneous* rail values instead
@@ -262,40 +369,26 @@ impl SensorSystem {
     ///
     /// # Errors
     ///
-    /// Propagates decode failures.
+    /// Propagates decode failures (none at the arrays' own width).
     pub fn measure_value(
         &self,
         vdd: Voltage,
         gnd: Voltage,
         at: Time,
     ) -> Result<Measurement, SensorError> {
-        let pvt = &self.config.pvt;
-        let hs_skew = self.pg.skew(self.config.hs_code, pvt);
-        let ls_skew = self.pg.skew(self.config.ls_code, pvt);
-        let hs_code = self.hs.measure(vdd, hs_skew, pvt);
-        let ls_code = self.ls.measure(gnd, ls_skew, pvt);
-        self.package(at, hs_code, ls_code, hs_skew, ls_skew)
+        self.package(at, self.hs_at.measure(vdd), self.ls_at.measure(gnd))
     }
 
+    // SENSE READ PATH START
     /// The HIGH-SENSE level of one instantaneous measurement: exactly
     /// `measure_value(vdd, 0 V, at)?.hs_word.level` for any `at`,
-    /// failing exactly when that fails and with the same error. Both
-    /// of its failures are threshold-solve errors at the configured
-    /// delay codes and PVT point (HIGH-SENSE first), which do not
-    /// depend on the rails; this checks them without the LOW-SENSE
-    /// measure, the two decodes and the binary words.
-    ///
-    /// # Errors
-    ///
-    /// As [`SensorSystem::measure_value`].
-    pub fn hs_level(&self, vdd: Voltage) -> Result<usize, SensorError> {
-        let pvt = &self.config.pvt;
-        let hs_skew = self.pg.skew(self.config.hs_code, pvt);
-        let ls_skew = self.pg.skew(self.config.ls_code, pvt);
-        let code = self.hs.measure_checked(vdd, hs_skew, pvt)?;
-        self.ls.check_thresholds(ls_skew, pvt)?;
-        Ok(self.hs_encoder.level(&code))
+    /// without the LOW-SENSE measure, the decodes or the words. The
+    /// array's pass bits, packed into an integer, index the encoder's
+    /// level table: no lock, no allocation, nothing re-solved.
+    pub fn hs_level(&self, vdd: Voltage) -> usize {
+        usize::from(self.hs_levels[self.hs_at.passed_bits(vdd) as usize])
     }
+    // SENSE READ PATH END
 
     fn window_value(&self, wave: &Waveform, at: Time, skew: Time) -> Result<Voltage, SensorError> {
         if at < wave.start() || at + skew > wave.end() {
@@ -316,14 +409,11 @@ impl SensorSystem {
         at: Time,
         hs_code: ThermometerCode,
         ls_code: ThermometerCode,
-        hs_skew: Time,
-        ls_skew: Time,
     ) -> Result<Measurement, SensorError> {
-        let pvt = &self.config.pvt;
         let hs_word = self.hs_encoder.encode(&hs_code);
         let ls_word = self.ls_encoder.encode(&ls_code);
-        let hs_interval = self.hs.decode(&hs_code, hs_skew, pvt)?;
-        let ls_interval = self.ls.decode(&ls_code, ls_skew, pvt)?;
+        let hs_interval = self.hs_at.decode(&hs_code)?;
+        let ls_interval = self.ls_at.decode(&ls_code)?;
         Ok(Measurement {
             at,
             hs_code,
@@ -584,7 +674,8 @@ mod tests {
         assert!(sat.hs_word.overflow);
         // Code 010 shifts the range up ("also overvoltages can be
         // measured"): the same rail now resolves.
-        sys.set_delay_codes(DelayCode::new(2).unwrap(), DelayCode::new(3).unwrap());
+        sys.set_delay_codes(DelayCode::new(2).unwrap(), DelayCode::new(3).unwrap())
+            .unwrap();
         let resolved = sys.measure_at(&vdd, &gnd, Time::from_ns(10.0)).unwrap();
         assert!(!resolved.hs_word.overflow && !resolved.hs_word.underflow);
         assert!(resolved.hs_interval.contains(Voltage::from_v(1.15)));
@@ -666,73 +757,148 @@ mod tests {
         ThermometerArray::from_elements(elements, mode)
     }
 
-    /// The system at HIGH-SENSE delay code `hs` and `corner` (0 TT,
-    /// 1 SS, 2 FF), with the LOW-SENSE code rotated off the HS one;
-    /// `broken` bit 0 / bit 1 swaps in an unsolvable HS / LS array, the
-    /// two failing with different errors.
-    fn level_system(hs: u8, corner: usize, broken: u8) -> SensorSystem {
-        let pvt = [Pvt::typical(), Pvt::slow(), Pvt::fast()][corner];
-        let mut sys = SensorSystem::new(SensorConfig {
+    /// The configuration at HIGH-SENSE delay code `hs` and `corner`
+    /// (0 TT, 1 SS, 2 FF), with the LOW-SENSE code rotated off the HS
+    /// one.
+    fn level_config(hs: u8, corner: usize) -> SensorConfig {
+        SensorConfig {
             hs_code: DelayCode::new(hs).unwrap(),
             ls_code: DelayCode::new((hs + 3) % 8).unwrap(),
-            pvt,
+            pvt: [Pvt::typical(), Pvt::slow(), Pvt::fast()][corner],
             ..SensorConfig::default()
-        })
-        .unwrap();
-        if broken & 1 != 0 {
-            sys.hs = unsolvable_array(RailMode::Supply, 0.30);
         }
-        if broken & 2 != 0 {
-            sys.ls = unsolvable_array(RailMode::Ground, 0.35);
-        }
-        sys
     }
 
     #[test]
-    fn hs_level_fails_exactly_like_measure_value() {
-        // Healthy, HS-broken, LS-broken and both-broken systems: the
-        // level path returns measure_value's error, HS first.
-        for broken in 0..4u8 {
-            let sys = level_system(3, 0, broken);
-            let full = sys.measure_value(Voltage::from_v(1.0), Voltage::ZERO, Time::ZERO);
-            assert_eq!(full.is_err(), broken != 0, "broken {broken}");
-            let expected = full.map(|m| m.hs_word.level);
-            assert_eq!(
-                sys.hs_level(Voltage::from_v(1.0)),
-                expected,
-                "broken {broken}"
-            );
-        }
-        let hs_err = level_system(3, 0, 1).hs_level(Voltage::from_v(1.0));
-        let ls_err = level_system(3, 0, 2).hs_level(Voltage::from_v(1.0));
+    fn broken_arrays_fail_at_construction_hs_first() {
+        // `broken` bit 0 / bit 1 swaps in an unsolvable HS / LS array,
+        // the two failing with different errors.
+        let build = |broken: u8| {
+            let hs = if broken & 1 != 0 {
+                unsolvable_array(RailMode::Supply, 0.30)
+            } else {
+                ThermometerArray::paper(RailMode::Supply)
+            };
+            let ls = if broken & 2 != 0 {
+                unsolvable_array(RailMode::Ground, 0.35)
+            } else {
+                ThermometerArray::paper(RailMode::Ground)
+            };
+            SensorSystem::assemble(hs, ls, level_config(3, 0))
+        };
+        assert!(build(0).is_ok());
+        let hs_err = build(1).unwrap_err();
+        let ls_err = build(2).unwrap_err();
+        assert!(matches!(hs_err, SensorError::ThresholdOutOfRange { .. }));
         assert_ne!(hs_err, ls_err, "the two failures must be told apart");
-        assert_eq!(level_system(3, 0, 3).hs_level(Voltage::from_v(1.0)), hs_err);
+        assert_eq!(build(3).unwrap_err(), hs_err);
+    }
+
+    #[test]
+    fn failed_retune_keeps_the_previous_configuration() {
+        let mut sys = system();
+        let before = sys.clone();
+        sys.hs = unsolvable_array(RailMode::Supply, 0.30);
+        let codes = (DelayCode::new(2).unwrap(), DelayCode::new(2).unwrap());
+        assert!(sys.set_delay_codes(codes.0, codes.1).is_err());
+        assert_eq!(sys.config(), before.config());
+        assert_eq!(sys.hs_point(), before.hs_point());
+    }
+
+    #[test]
+    fn mismatched_encoder_widths_are_refused() {
+        let wide = ThermometerArray::new(
+            &crate::thermometer::CapacitorLadder::linear(
+                psnt_cells::units::Capacitance::from_pf(1.75),
+                psnt_cells::units::Capacitance::from_ff(30.0),
+                17,
+            )
+            .unwrap(),
+            RailMode::Supply,
+        );
+        let err = SensorSystem::assemble(
+            wide,
+            ThermometerArray::paper(RailMode::Ground),
+            SensorConfig::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            SensorError::InvalidConfig {
+                name: "encoder",
+                ..
+            }
+        ));
+        let mut json = serde::json::to_value(&system());
+        if let serde::Value::Map(fields) = &mut json {
+            let enc = fields.iter_mut().find(|(k, _)| k == "hs_encoder").unwrap();
+            enc.1 = serde::json::to_value(&Encoder::new(6, EncodingPolicy::Truncate).unwrap());
+        }
+        assert!(serde::json::from_value::<SensorSystem>(&json).is_err());
+    }
+
+    #[test]
+    fn deserialised_system_rebuilds_its_operating_points() {
+        let mut sys = system();
+        sys.set_delay_codes(DelayCode::new(2).unwrap(), DelayCode::new(5).unwrap())
+            .unwrap();
+        let json = serde::json::to_string(&sys);
+        let back: SensorSystem = serde::json::from_str(&json).unwrap();
+        assert_eq!(back, sys);
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
+        /// Rails for the level proptest: `kind` 0–1 draws `uniform`
+        /// (−1 to 2.5 V), 2 a non-finite rail, 3 a HIGH-SENSE
+        /// threshold ±1 ulp.
+        fn pick_rail(sys: &SensorSystem, kind: u8, uniform: f64, pick: usize) -> Voltage {
+            let v = match kind {
+                0 | 1 => uniform,
+                2 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][pick % 3],
+                _ => {
+                    let th = sys.hs_point().thresholds();
+                    let bits = th[pick % th.len()].volts().to_bits();
+                    f64::from_bits(bits - 1 + (pick as u64 / 8) % 3)
+                }
+            };
+            Voltage::from_v(v)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// `hs_level` is `measure_value(..)?.hs_word.level` over
-            /// rails from −1 to 2.5 V at every HS delay code and the
-            /// TT/SS/FF corners, errors included.
+            /// rails from −1 to 2.5 V, non-finite rails and the
+            /// thresholds ±1 ulp, at every HS delay code, the TT/SS/FF
+            /// corners and both encoding policies.
             #[test]
             fn hs_level_matches_measure_value(
-                rails in proptest::collection::vec(-1.0..2.5f64, 1..16),
+                rails in proptest::collection::vec((0u8..4, -1.0..2.5f64, 0usize..64), 1..16),
                 corner in 0usize..3,
-                broken in 0u8..4,
+                truncate in any::<bool>(),
             ) {
                 for hs in 0..8u8 {
-                    let sys = level_system(hs, corner, broken);
-                    for &v in &rails {
-                        let vdd = Voltage::from_v(v);
+                    let encoding = if truncate {
+                        EncodingPolicy::Truncate
+                    } else {
+                        EncodingPolicy::BubbleCorrect
+                    };
+                    let sys = SensorSystem::new(SensorConfig {
+                        encoding,
+                        ..level_config(hs, corner)
+                    })
+                    .unwrap();
+                    for &(kind, uniform, pick) in &rails {
+                        let vdd = pick_rail(&sys, kind, uniform, pick);
                         let full = sys
                             .measure_value(vdd, Voltage::ZERO, Time::from_ns(1.0))
-                            .map(|m| m.hs_word.level);
-                        prop_assert_eq!(sys.hs_level(vdd), full, "code {} rail {}", hs, v);
+                            .unwrap()
+                            .hs_word
+                            .level;
+                        prop_assert_eq!(sys.hs_level(vdd), full, "code {} rail {:?}", hs, vdd);
                     }
                 }
             }

@@ -25,23 +25,26 @@
 //!
 //! let array = ThermometerArray::paper(RailMode::Supply);
 //! let skew = Time::from_ps(149.0); // delay code 011
-//! let code = array.measure(Voltage::from_v(1.0), skew, &Pvt::typical());
+//! let point = array.at(skew, &Pvt::typical())?;
+//! let code = point.measure(Voltage::from_v(1.0));
 //! assert_eq!(code.to_string(), "0011111"); // paper Fig. 9, first measure
 //! # let _ = CapacitorLadder::paper_fig5();
+//! # Ok::<(), psnt_core::error::SensorError>(())
 //! ```
 
-use std::sync::Mutex;
-
-use psnt_cells::logic::LogicVector;
+use psnt_cells::logic::{Logic, LogicVector};
 use psnt_cells::process::Pvt;
 use psnt_cells::units::{Capacitance, Time, Voltage};
-use psnt_ctx::RunCtx;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::code::ThermometerCode;
 use crate::element::{ElementReading, RailMode, SenseElement};
 use crate::error::SensorError;
+
+/// The most elements an array measured at an [`OperatingPoint`] may
+/// have: a measurement packs its outcomes into one `u64`.
+pub const MAX_ELEMENTS: usize = 64;
 
 /// An ascending ladder of load capacitances, one per array element.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -146,71 +149,6 @@ impl CodeInterval {
     }
 }
 
-/// Bounded memo of the array's per-operating-point state. The
-/// thresholds are a pure function of `(skew, pvt)` (and the elements,
-/// which are immutable post-construction), and virtually every caller —
-/// `measure`, `decode`, [`crate::system::SensorSystem`], the scan
-/// campaign, the equivalent-time sampler — re-asks at a handful of
-/// operating points many times. A miss solves every element at once
-/// through the 64-lane `exp2_fast` bisection kernel
-/// ([`ThermometerArray::thresholds`]), so the memo removes that solve
-/// from every repeat. A small move-to-front map (rather than a
-/// single-entry memo) keeps alternating-corner sweeps — e.g.
-/// `calibration::trim_for_corner` bouncing between the reference and
-/// corner PVT points — from thrashing it.
-///
-/// Each entry also carries the point's [`FlashTable`], built by the
-/// first `measure` or `decode` there (never by `thresholds`, so
-/// Monte-Carlo trials and trim sweeps on fresh arrays do not pay for
-/// it).
-///
-/// The tally counts threshold requests (`thresholds`,
-/// `thresholds_ctx`, `decode`): a hit is a request answered from the
-/// memo, a miss is a solve, whoever triggered it. A failed solve is
-/// remembered like a successful one. `measure`'s table reads are not
-/// requests and are not tallied. The totals surface through
-/// [`ThermometerArray::memo_stats`] so ctx-threaded callers can fold
-/// them into a `MetricsRegistry`.
-///
-/// A `Mutex` (not a `RefCell`) keeps the array `Sync`: Monte-Carlo yield
-/// closures capture `&ThermometerArray` across engine worker threads.
-/// Key-based lookup makes invalidation automatic — a new skew or PVT
-/// point simply misses and evicts the coldest entry — and perturbed
-/// copies built through [`ThermometerArray::from_elements`] start with
-/// an empty memo.
-#[derive(Debug, Default)]
-struct ThresholdMemo {
-    entries: Vec<MemoEntry>,
-    hits: u64,
-    misses: u64,
-}
-
-/// One memoised `(skew, pvt)` operating point.
-#[derive(Debug)]
-struct MemoEntry {
-    skew: Time,
-    pvt: Pvt,
-    /// The kernel thresholds in ascending-load order, or the solve's
-    /// error.
-    thresholds: Result<Vec<Voltage>, SensorError>,
-    /// Built on first use by [`MemoEntry::flash`].
-    flash: Option<FlashTable>,
-}
-
-impl MemoEntry {
-    /// The entry's flash table, built and verified on first use.
-    fn flash(&mut self, elements: &[SenseElement]) -> &FlashTable {
-        let (skew, pvt, thresholds) = (self.skew, self.pvt, &self.thresholds);
-        self.flash
-            .get_or_insert_with(|| FlashTable::build(elements, thresholds, skew, &pvt))
-    }
-}
-
-/// Distinct `(skew, pvt)` operating points retained per array. Sized
-/// for the workloads in-tree: a trim sweep touches a reference plus a
-/// few corners, a characterisation sweep one PVT point per code.
-const THRESHOLD_MEMO_CAPACITY: usize = 8;
-
 /// Half-width of an element's bracket around its kernel threshold:
 /// ten times the kernel's 10 µV bisection tolerance, and far above the
 /// `exp2_fast`-vs-`powf_pos` difference (~1e-10 relative), so the
@@ -223,46 +161,6 @@ const BRACKET_HALF_WIDTH_V: f64 = 100e-6;
 /// is only defined on finite, moderate supplies) and goes to the
 /// direct model.
 const LOOKUP_SPAN_V: f64 = 0.5;
-
-/// The flash-ADC view of one operating point: the array is a
-/// comparator ladder against fixed per-element thresholds, so a rail
-/// clear of an element's threshold settles that bit with two compares.
-#[derive(Debug)]
-struct FlashTable {
-    /// One bracket per element, ascending-load order.
-    brackets: Vec<Bracket>,
-    /// The thresholds sorted ascending — `decode`'s interval table.
-    /// Empty when the threshold solve failed.
-    ascending: Vec<Voltage>,
-}
-
-impl FlashTable {
-    fn build(
-        elements: &[SenseElement],
-        thresholds: &Result<Vec<Voltage>, SensorError>,
-        skew: Time,
-        pvt: &Pvt,
-    ) -> FlashTable {
-        match thresholds {
-            Ok(th) => {
-                let mut ascending = th.clone();
-                ascending.sort_by(Voltage::total_cmp);
-                FlashTable {
-                    brackets: elements
-                        .iter()
-                        .zip(th)
-                        .map(|(e, &t)| Bracket::verified(e, t, skew, pvt))
-                        .collect(),
-                    ascending,
-                }
-            }
-            Err(_) => FlashTable {
-                brackets: vec![Bracket::EMPTY; elements.len()],
-                ascending: Vec::new(),
-            },
-        }
-    }
-}
 
 /// The rails, as closed intervals in volts, at which one element's
 /// outcome is known without evaluating it.
@@ -277,7 +175,7 @@ impl FlashTable {
 /// beyond the span, and NaN (every compare is false) go to the direct
 /// model. An element whose check fails gets [`Bracket::EMPTY`] and is
 /// always evaluated directly.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Bracket {
     fail: (f64, f64),
     pass: (f64, f64),
@@ -309,42 +207,22 @@ impl Bracket {
         }
     }
 
-    /// The element's outcome at rail `v`, when the table knows it.
-    fn outcome(&self, v: f64) -> Option<bool> {
-        if self.pass.0 <= v && v <= self.pass.1 {
-            Some(true)
-        } else if self.fail.0 <= v && v <= self.fail.1 {
-            Some(false)
-        } else {
-            None
-        }
+    /// `true` when no rail is in both ranges (an empty range is
+    /// disjoint from everything).
+    fn is_disjoint(&self) -> bool {
+        let empty = |(lo, hi): (f64, f64)| lo > hi;
+        empty(self.fail)
+            || empty(self.pass)
+            || self.fail.1 < self.pass.0
+            || self.pass.1 < self.fail.0
     }
 }
 
 /// A multi-bit sensor array: identical elements, rising loads.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThermometerArray {
     elements: Vec<SenseElement>,
     mode: RailMode,
-    #[serde(skip, default)]
-    memo: Mutex<ThresholdMemo>,
-}
-
-impl Clone for ThermometerArray {
-    fn clone(&self) -> ThermometerArray {
-        ThermometerArray {
-            elements: self.elements.clone(),
-            mode: self.mode,
-            memo: Mutex::default(),
-        }
-    }
-}
-
-impl PartialEq for ThermometerArray {
-    fn eq(&self, other: &ThermometerArray) -> bool {
-        // The memo is derived state; identity is elements + mode.
-        self.elements == other.elements && self.mode == other.mode
-    }
 }
 
 impl ThermometerArray {
@@ -357,7 +235,6 @@ impl ThermometerArray {
                 .map(|&c| SenseElement::paper(c, mode))
                 .collect(),
             mode,
-            memo: Mutex::default(),
         }
     }
 
@@ -382,11 +259,7 @@ impl ThermometerArray {
             elements.iter().all(|e| e.mode() == mode),
             "all elements must observe the same rail"
         );
-        ThermometerArray {
-            elements,
-            mode,
-            memo: Mutex::default(),
-        }
+        ThermometerArray { elements, mode }
     }
 
     /// Number of output bits.
@@ -404,77 +277,55 @@ impl ThermometerArray {
         &self.elements
     }
 
-    /// Performs one measurement; the code prints most-loaded element
-    /// first, matching the paper's `0011111` notation.
+    /// The array at one operating point: the pulse generator's `P`→`CP`
+    /// skew (set by the delay code) and the PVT point. The thresholds
+    /// are solved and every element's lookup bracket is built and
+    /// checked here, once; the returned value then measures and decodes
+    /// without solving anything.
     ///
-    /// A flash lookup: each bit is read from the operating point's
-    /// per-element bracket around the memoised threshold, checked
-    /// against the delay model when the point is first measured or
-    /// decoded. Only an element whose bracket holds the rail is
-    /// evaluated directly. The code is bit-identical to
-    /// [`ThermometerArray::measure_detailed`]'s.
-    pub fn measure(&self, rail: Voltage, skew: Time, pvt: &Pvt) -> ThermometerCode {
-        self.with_entry(skew, pvt, false, |entry| {
-            self.flash_code(entry, rail, skew, pvt)
-        })
-    }
-
-    /// [`ThermometerArray::measure`] under the same memo lock as the
-    /// check [`ThermometerArray::decode`] makes: fails with the
-    /// operating point's threshold-solve error exactly when `decode`
-    /// would, and counts as one threshold request like it.
-    pub(crate) fn measure_checked(
-        &self,
-        rail: Voltage,
-        skew: Time,
-        pvt: &Pvt,
-    ) -> Result<ThermometerCode, SensorError> {
-        self.with_entry(skew, pvt, true, |entry| {
-            if let Err(e) = &entry.thresholds {
-                return Err(e.clone());
-            }
-            Ok(self.flash_code(entry, rail, skew, pvt))
-        })
-    }
-
-    /// Fails with the threshold-solve error at `(skew, pvt)` exactly
-    /// when [`ThermometerArray::decode`] would, as one threshold
-    /// request.
-    pub(crate) fn check_thresholds(&self, skew: Time, pvt: &Pvt) -> Result<(), SensorError> {
-        self.with_entry(skew, pvt, true, |entry| match &entry.thresholds {
-            Ok(_) => Ok(()),
-            Err(e) => Err(e.clone()),
-        })
-    }
-
-    /// The flash lookup behind [`ThermometerArray::measure`], on the
-    /// memo entry of `(skew, pvt)`.
-    fn flash_code(
-        &self,
-        entry: &mut MemoEntry,
-        rail: Voltage,
-        skew: Time,
-        pvt: &Pvt,
-    ) -> ThermometerCode {
-        let v = rail.volts();
-        let table = entry.flash(&self.elements);
-        // Most-loaded first: reverse of the ascending element order.
-        let bits: LogicVector = self
+    /// # Errors
+    ///
+    /// Returns [`SensorError::InvalidConfig`] for an array of no or more
+    /// than [`MAX_ELEMENTS`] elements, and propagates
+    /// [`SenseElement::threshold`] failures (the lowest-indexed failing
+    /// element wins).
+    pub fn at(&self, skew: Time, pvt: &Pvt) -> Result<OperatingPoint, SensorError> {
+        if !(1..=MAX_ELEMENTS).contains(&self.bits()) {
+            return Err(SensorError::InvalidConfig {
+                name: "array",
+                reason: format!("{} elements, not 1 to {MAX_ELEMENTS}", self.bits()),
+            });
+        }
+        let thresholds = self.solve_thresholds(skew, pvt)?;
+        let mut ascending = thresholds.clone();
+        ascending.sort_by(Voltage::total_cmp);
+        let brackets: Vec<Bracket> = self
             .elements
             .iter()
-            .zip(&table.brackets)
-            .rev()
-            .map(|(e, b)| {
-                let passed = b
-                    .outcome(v)
-                    .unwrap_or_else(|| e.measure(rail, skew, pvt).passed);
-                psnt_cells::logic::Logic::from(passed)
-            })
+            .zip(&thresholds)
+            .map(|(e, &t)| Bracket::verified(e, t, skew, pvt))
             .collect();
-        ThermometerCode::new(bits)
+        // The characteristic's invariants, on the sorted table because
+        // a mismatched array may invert its element order.
+        debug_assert!(
+            ascending.windows(2).all(|w| w[0] < w[1]),
+            "thresholds not strictly ascending: {ascending:?}"
+        );
+        debug_assert!(
+            brackets.iter().all(Bracket::is_disjoint),
+            "a bracket's fail and pass ranges overlap: {brackets:?}"
+        );
+        Ok(OperatingPoint {
+            array: self.clone(),
+            skew,
+            pvt: *pvt,
+            thresholds,
+            ascending,
+            brackets,
+        })
     }
 
-    /// Like [`ThermometerArray::measure`] but also returning each
+    /// Like [`OperatingPoint::measure`] but also returning each
     /// element's reading (ascending-load order). Always evaluates every
     /// element: this is the direct reference the lookup is tested
     /// against.
@@ -514,7 +365,7 @@ impl ThermometerArray {
         let bits: LogicVector = readings
             .iter()
             .rev()
-            .map(|r| psnt_cells::logic::Logic::from(r.passed))
+            .map(|r| Logic::from(r.passed))
             .collect();
         ThermometerCode::new(bits)
     }
@@ -553,129 +404,28 @@ impl ThermometerArray {
     /// samples — strictly monotone in the rail across the dynamic range,
     /// which is what makes sub-LSB inversion possible.
     pub fn expected_level(&self, rail: Voltage, skew: Time, pvt: &Pvt) -> f64 {
+        // Capturing the SENSE transition is a pass for both modes; only
+        // the rail→arrival mapping differs, and ds_delay encodes it.
         self.elements()
             .iter()
             .map(|e| {
-                let arrival = e.ds_delay(rail, pvt) - skew;
-                let p_new = e.flip_flop().capture_probability(arrival);
-                match self.mode {
-                    // Capturing the SENSE transition is a pass for both
-                    // modes; only the rail→arrival mapping differs (and
-                    // ds_delay already encodes it).
-                    RailMode::Supply | RailMode::Ground => p_new,
-                }
+                e.flip_flop()
+                    .capture_probability(e.ds_delay(rail, pvt) - skew)
             })
             .sum()
     }
 
-    /// Inverts an oversampled mean level into a sub-LSB voltage estimate
-    /// by bisecting the analytic [`ThermometerArray::expected_level`]
-    /// curve. With the paper's array the metastability windows of
-    /// adjacent elements overlap (±8 ps ≈ 70 mV vs ~30 mV element
-    /// spacing), so several elements dither simultaneously; the expected-
-    /// level curve accounts for all of them at once. Returns `None` when
-    /// the mean sits at a saturated end (nothing to interpolate).
-    ///
-    /// # Errors
-    ///
-    /// Propagates threshold-search failures (used for the bisection
-    /// bracket).
-    pub fn decode_oversampled(
-        &self,
-        mean_level: f64,
-        skew: Time,
-        pvt: &Pvt,
-    ) -> Result<Option<Voltage>, SensorError> {
-        let bits = self.bits() as f64;
-        if mean_level <= 0.0 || mean_level >= bits {
-            return Ok(None);
-        }
-        let (range_lo, range_hi) = self.dynamic_range(skew, pvt)?;
-        let margin = Voltage::from_mv(150.0);
-        // Bisect along the direction of increasing level: HIGH-SENSE
-        // level rises with the rail, LOW-SENSE with a *shrinking* bounce.
-        let (mut lo, mut hi) = match self.mode {
-            RailMode::Supply => (range_lo - margin, range_hi + margin),
-            RailMode::Ground => (range_hi + margin, range_lo - margin),
-        };
-        for _ in 0..60 {
-            let mid = lo.lerp(hi, 0.5);
-            if self.expected_level(mid, skew, pvt) < mean_level {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(Some(lo.lerp(hi, 0.5)))
-    }
-
-    /// Per-element failure thresholds, ascending-load order. For
-    /// HIGH-SENSE these rise with load; for LOW-SENSE (ground) they fall.
-    ///
-    /// Memoised per `(skew, pvt)` in a small move-to-front map, so
-    /// repeated requests at an operating point —
-    /// the common case for a system run or scan campaign — skip the
-    /// solve entirely. Misses solve every element at once through the
-    /// 64-lane lockstep kernel ([`crate::lanes::solve`], one lane per
-    /// element) — bit-identical to the per-element
-    /// [`SenseElement::threshold`] calls, which share the same float
-    /// program.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SenseElement::threshold`] failures.
-    pub fn thresholds(&self, skew: Time, pvt: &Pvt) -> Result<Vec<Voltage>, SensorError> {
-        self.with_entry(skew, pvt, true, |entry| entry.thresholds.clone())
-    }
-
-    /// Runs `f` on the memo entry for `(skew, pvt)` under the memo lock,
-    /// solving the entry on a miss and moving it to the front. A
-    /// `request` counts a hit when the entry was there already.
-    fn with_entry<R>(
+    /// Per-element failure thresholds, ascending-load order: every
+    /// element at once through the 64-lane lockstep kernel
+    /// ([`crate::lanes::solve`], one lane per element), bit-identical
+    /// to the per-element [`SenseElement::threshold`] calls, which share
+    /// the same float program. The lowest failing element is reported
+    /// exactly like the serial per-element sweep.
+    pub(crate) fn solve_thresholds(
         &self,
         skew: Time,
         pvt: &Pvt,
-        request: bool,
-        f: impl FnOnce(&mut MemoEntry) -> R,
-    ) -> R {
-        let mut memo = self.memo.lock().expect("threshold memo poisoned");
-        match memo
-            .entries
-            .iter()
-            .position(|e| e.skew == skew && e.pvt == *pvt)
-        {
-            Some(ix) => {
-                if request {
-                    memo.hits += 1;
-                }
-                // Move-to-front: the hottest operating points survive
-                // eviction.
-                memo.entries[..=ix].rotate_right(1);
-            }
-            None => {
-                memo.misses += 1;
-                if memo.entries.len() >= THRESHOLD_MEMO_CAPACITY {
-                    memo.entries.pop();
-                }
-                let thresholds = self.solve_thresholds(skew, pvt);
-                memo.entries.insert(
-                    0,
-                    MemoEntry {
-                        skew,
-                        pvt: *pvt,
-                        thresholds,
-                        flash: None,
-                    },
-                );
-            }
-        }
-        f(&mut memo.entries[0])
-    }
-
-    /// The memo-miss path: all elements through the lanes kernel, 64 per
-    /// solve call, lowest failing element reported exactly like the
-    /// serial per-element sweep.
-    fn solve_thresholds(&self, skew: Time, pvt: &Pvt) -> Result<Vec<Voltage>, SensorError> {
+    ) -> Result<Vec<Voltage>, SensorError> {
         use crate::lanes::{self, LaneTasks, LANES};
         let df = pvt.drive_factor();
         let mut th = Vec::with_capacity(self.elements.len());
@@ -715,102 +465,152 @@ impl ThermometerArray {
         }
         Ok(th)
     }
+}
 
-    /// [`ThermometerArray::thresholds`] threaded through a [`RunCtx`]:
-    /// memo misses run all elements through one 64-lane lockstep solve
-    /// (bit-identical to the serial per-element sweep), and the call's
-    /// memo hit/miss deltas are folded into the observer's metrics as
-    /// the `thermometer.memo_hits` / `thermometer.memo_misses` counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SenseElement::threshold`] failures.
-    pub fn thresholds_ctx(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        skew: Time,
-        pvt: &Pvt,
-    ) -> Result<Vec<Voltage>, SensorError> {
-        let (hits_before, misses_before) = self.memo_stats();
-        let th = self.thresholds(skew, pvt)?;
-        if let Some(obs) = ctx.observer() {
-            let (hits, misses) = self.memo_stats();
-            obs.metrics
-                .counter_add("thermometer.memo_hits", hits - hits_before);
-            obs.metrics
-                .counter_add("thermometer.memo_misses", misses - misses_before);
-        }
-        Ok(th)
+/// A [`ThermometerArray`] at one operating point (`P`→`CP` skew and PVT
+/// point), built by [`ThermometerArray::at`]: an immutable flash-ADC
+/// comparator ladder against fixed per-element thresholds, as the
+/// delay code and the trim fix it on the chip.
+///
+/// It holds the thresholds, their ascending sort (the decode table)
+/// and one verified bracket per element, so a rail clear of an
+/// element's threshold settles that bit with two compares. Nothing is
+/// solved or cached after construction, so the value is `Sync` and a
+/// read takes no lock.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OperatingPoint {
+    array: ThermometerArray,
+    skew: Time,
+    pvt: Pvt,
+    /// The kernel thresholds, ascending-load order.
+    thresholds: Vec<Voltage>,
+    /// The thresholds sorted ascending: the decode table.
+    ascending: Vec<Voltage>,
+    /// One bracket per element, ascending-load order.
+    brackets: Vec<Bracket>,
+}
+
+impl OperatingPoint {
+    /// The array this point was built from.
+    pub fn array(&self) -> &ThermometerArray {
+        &self.array
     }
 
-    /// Lifetime hit/miss totals of the threshold memo, as
-    /// `(hits, misses)`. Derived state only: clones and deserialised
-    /// arrays restart at zero.
-    pub fn memo_stats(&self) -> (u64, u64) {
-        let memo = self.memo.lock().expect("threshold memo poisoned");
-        (memo.hits, memo.misses)
+    /// The `P`→`CP` skew of the point.
+    pub fn skew(&self) -> Time {
+        self.skew
+    }
+
+    /// The PVT point.
+    pub fn pvt(&self) -> &Pvt {
+        &self.pvt
+    }
+
+    /// Number of output bits.
+    pub fn bits(&self) -> usize {
+        self.array.bits()
+    }
+
+    /// Per-element failure thresholds, ascending-load order. For
+    /// HIGH-SENSE these rise with load; for LOW-SENSE (ground) they fall.
+    pub fn thresholds(&self) -> &[Voltage] {
+        &self.thresholds
     }
 
     /// The measurable span `(min, max)` of rail values: outside it the
     /// code saturates at all-0 / all-1.
+    pub fn dynamic_range(&self) -> (Voltage, Voltage) {
+        (self.ascending[0], self.ascending[self.ascending.len() - 1])
+    }
+
+    /// Performs one measurement; the code prints most-loaded element
+    /// first, matching the paper's `0011111` notation.
     ///
-    /// # Errors
-    ///
-    /// Propagates threshold-search failures.
-    pub fn dynamic_range(&self, skew: Time, pvt: &Pvt) -> Result<(Voltage, Voltage), SensorError> {
-        let th = self.thresholds(skew, pvt)?;
-        let lo = th
-            .iter()
-            .copied()
-            .fold(Voltage::from_v(f64::INFINITY), Voltage::min);
-        let hi = th
-            .iter()
-            .copied()
-            .fold(Voltage::from_v(f64::NEG_INFINITY), Voltage::max);
-        Ok((lo, hi))
+    /// A flash lookup: each bit is read from the element's bracket, and
+    /// only an element whose bracket holds the rail is evaluated
+    /// directly. The code is bit-identical to
+    /// [`ThermometerArray::measure_detailed`]'s.
+    pub fn measure(&self, rail: Voltage) -> ThermometerCode {
+        // `from_u64` puts the top bit, the most-loaded element, first.
+        ThermometerCode::new(LogicVector::from_u64(self.passed_bits(rail), self.bits()))
+    }
+
+    // SENSE READ PATH START
+    /// [`OperatingPoint::measure`] packed into an integer: bit `i` is
+    /// set when element `i` (ascending-load order) passes. Every
+    /// bracket is compared without a branch; only the elements none of
+    /// whose ranges holds the rail are evaluated with the delay model.
+    pub(crate) fn passed_bits(&self, rail: Voltage) -> u64 {
+        let v = rail.volts();
+        let (mut pass, mut known) = (0u64, 0u64);
+        for (i, b) in self.brackets.iter().enumerate() {
+            let p = (b.pass.0 <= v) & (v <= b.pass.1);
+            let f = (b.fail.0 <= v) & (v <= b.fail.1);
+            pass |= u64::from(p) << i;
+            known |= u64::from(p | f) << i;
+        }
+        let mut unknown = !known & (u64::MAX >> (64 - self.bits()));
+        while unknown != 0 {
+            let i = unknown.trailing_zeros() as usize;
+            let e = &self.array.elements[i];
+            pass |= u64::from(e.measure(rail, self.skew, &self.pvt).passed) << i;
+            unknown &= unknown - 1;
+        }
+        pass
+    }
+    // SENSE READ PATH END
+
+    /// Inverts an oversampled mean level into a sub-LSB voltage estimate
+    /// by bisecting the analytic [`ThermometerArray::expected_level`]
+    /// curve. With the paper's array the metastability windows of
+    /// adjacent elements overlap (±8 ps ≈ 70 mV vs ~30 mV element
+    /// spacing), so several elements dither simultaneously; the expected-
+    /// level curve accounts for all of them at once. Returns `None` when
+    /// the mean sits at a saturated end (nothing to interpolate).
+    pub fn decode_oversampled(&self, mean_level: f64) -> Option<Voltage> {
+        let bits = self.bits() as f64;
+        if mean_level <= 0.0 || mean_level >= bits {
+            return None;
+        }
+        let (range_lo, range_hi) = self.dynamic_range();
+        let margin = Voltage::from_mv(150.0);
+        // Bisect along the direction of increasing level: HIGH-SENSE
+        // level rises with the rail, LOW-SENSE with a *shrinking* bounce.
+        let (mut lo, mut hi) = match self.array.mode {
+            RailMode::Supply => (range_lo - margin, range_hi + margin),
+            RailMode::Ground => (range_hi + margin, range_lo - margin),
+        };
+        for _ in 0..60 {
+            let mid = lo.lerp(hi, 0.5);
+            if self.array.expected_level(mid, self.skew, &self.pvt) < mean_level {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(lo.lerp(hi, 0.5))
     }
 
     /// Decodes a measured code into the rail-voltage interval it implies
     /// (the inverse of the array characteristic). Bubbles are corrected
-    /// first. The interval is read in place from the operating point's
-    /// ascending thresholds, kept beside its flash table.
+    /// first. The interval is read in place from the ascending
+    /// thresholds.
     ///
     /// # Errors
     ///
     /// Returns [`SensorError::InvalidConfig`] when the code width does not
-    /// match the array, and propagates threshold-search failures.
-    pub fn decode(
-        &self,
-        code: &ThermometerCode,
-        skew: Time,
-        pvt: &Pvt,
-    ) -> Result<CodeInterval, SensorError> {
-        if code.width() != self.bits() {
+    /// match the array.
+    pub fn decode(&self, code: &ThermometerCode) -> Result<CodeInterval, SensorError> {
+        let n = self.bits();
+        if code.width() != n {
             return Err(SensorError::InvalidConfig {
                 name: "code",
-                reason: format!(
-                    "code width {} does not match array width {}",
-                    code.width(),
-                    self.bits()
-                ),
+                reason: format!("code width {} does not match array width {n}", code.width()),
             });
         }
-        let n = self.bits();
         let f = n - code.corrected_level();
-        self.with_entry(skew, pvt, true, |entry| {
-            if let Err(e) = &entry.thresholds {
-                return Err(e.clone());
-            }
-            let asc = &entry.flash(&self.elements).ascending;
-            Ok(self.interval(asc, f))
-        })
-    }
-
-    /// The interval between the ascending thresholds that `f` failing
-    /// elements imply.
-    fn interval(&self, asc: &[Voltage], f: usize) -> CodeInterval {
-        let n = asc.len();
-        match self.mode {
+        let asc = &self.ascending;
+        Ok(match self.array.mode {
             RailMode::Supply => CodeInterval {
                 // f elements fail ⇒ the rail sits between the (n−f)-th and
                 // (n−f+1)-th ascending thresholds.
@@ -823,7 +623,7 @@ impl ThermometerArray {
                 lower: (f > 0).then(|| asc[f - 1]),
                 upper: (f < n).then(|| asc[f]),
             },
-        }
+        })
     }
 }
 
@@ -850,6 +650,11 @@ mod tests {
         ThermometerArray::paper(RailMode::Supply)
     }
 
+    /// The paper HIGH-SENSE array at delay code 011, typical corner.
+    fn point() -> OperatingPoint {
+        array().at(skew011(), &pvt()).unwrap()
+    }
+
     #[test]
     fn ladder_validation() {
         let pf = Capacitance::from_pf;
@@ -863,12 +668,22 @@ mod tests {
     }
 
     #[test]
+    fn operating_points_pack_at_most_64_elements() {
+        for (n, fits) in [(MAX_ELEMENTS, true), (MAX_ELEMENTS + 1, false)] {
+            let step = Capacitance::from_ff(1.0);
+            let ladder = CapacitorLadder::linear(Capacitance::from_pf(1.0), step, n).unwrap();
+            let a = ThermometerArray::new(&ladder, RailMode::Supply);
+            assert_eq!(a.at(skew011(), &pvt()).is_ok(), fits, "{n} elements");
+        }
+    }
+
+    #[test]
     fn paper_ladder_reproduces_fig5_thresholds() {
         // Paper Fig. 5 / §III-B, delay code 011: thresholds at
         // 0.827, 0.896, 0.929, (0.961), 0.992, 1.021, 1.053 V.
-        let th = array().thresholds(skew011(), &pvt()).unwrap();
+        let p = point();
         let expected = [0.827, 0.896, 0.929, 0.961, 0.992, 1.021, 1.053];
-        for (i, (&t, &e)) in th.iter().zip(&expected).enumerate() {
+        for (i, (&t, &e)) in p.thresholds().iter().zip(&expected).enumerate() {
             assert!(
                 (t.volts() - e).abs() < 0.003,
                 "element {i}: threshold {t} vs paper {e} V"
@@ -880,7 +695,7 @@ mod tests {
     fn fig5_dynamic_range_code_011() {
         // "the threshold range goes from 0.827 V (all errors) to 1.053 V
         // (no errors)".
-        let (lo, hi) = array().dynamic_range(skew011(), &pvt()).unwrap();
+        let (lo, hi) = point().dynamic_range();
         assert!((lo.volts() - 0.827).abs() < 0.003, "low end {lo}");
         assert!((hi.volts() - 1.053).abs() < 0.003, "high end {hi}");
     }
@@ -889,12 +704,12 @@ mod tests {
     fn fig5_dynamic_range_code_010_shifts_up() {
         // "In case the delay code is 010, the dynamic ranges from 0.951 V
         // to 1.237 V (also overvoltages can be measured)".
-        let (lo, hi) = array().dynamic_range(skew010(), &pvt()).unwrap();
+        let (lo, hi) = array().at(skew010(), &pvt()).unwrap().dynamic_range();
         assert!((lo.volts() - 0.951).abs() < 0.004, "low end {lo}");
         // Our alpha-power model puts the top at ≈1.25 V vs the paper's
         // 1.237 V (1.4 % — see DESIGN.md §2); assert the shape.
         assert!((hi.volts() - 1.237).abs() < 0.025, "high end {hi}");
-        let (lo011, hi011) = array().dynamic_range(skew011(), &pvt()).unwrap();
+        let (lo011, hi011) = point().dynamic_range();
         assert!(lo > lo011 && hi > hi011, "010 range must sit above 011");
     }
 
@@ -902,28 +717,24 @@ mod tests {
     fn fig9_measurement_codes() {
         // Paper Fig. 9, delay code 011: VDD-n = 1.0 V ⇒ 0011111,
         // VDD-n = 0.9 V ⇒ 0000011.
-        let a = array();
-        let first = a.measure(Voltage::from_v(1.0), skew011(), &pvt());
-        assert_eq!(first.to_string(), "0011111");
-        let second = a.measure(Voltage::from_v(0.9), skew011(), &pvt());
-        assert_eq!(second.to_string(), "0000011");
+        let p = point();
+        assert_eq!(p.measure(Voltage::from_v(1.0)).to_string(), "0011111");
+        assert_eq!(p.measure(Voltage::from_v(0.9)).to_string(), "0000011");
     }
 
     #[test]
     fn saturation_codes() {
-        let a = array();
-        let under = a.measure(Voltage::from_v(0.70), skew011(), &pvt());
-        assert!(under.is_underflow());
-        let over = a.measure(Voltage::from_v(1.20), skew011(), &pvt());
-        assert!(over.is_overflow());
+        let p = point();
+        assert!(p.measure(Voltage::from_v(0.70)).is_underflow());
+        assert!(p.measure(Voltage::from_v(1.20)).is_overflow());
     }
 
     #[test]
     fn codes_are_canonical_and_monotone_in_voltage() {
-        let a = array();
+        let p = point();
         let mut prev_level = 0;
         for mv in (700..=1200).step_by(5) {
-            let code = a.measure(Voltage::from_mv(mv as f64), skew011(), &pvt());
+            let code = p.measure(Voltage::from_mv(mv as f64));
             assert!(code.is_canonical(), "bubble at {mv} mV: {code}");
             assert!(
                 code.level() >= prev_level,
@@ -938,45 +749,44 @@ mod tests {
     fn decode_inverts_measure() {
         // Paper: "0011111 corresponds to a VDD-n in the range
         // 0.992 V–1.021 V, while 0000011 to the range 0.896 V–0.929 V".
-        let a = array();
+        let p = point();
         let code: ThermometerCode = "0011111".parse().unwrap();
-        let interval = a.decode(&code, skew011(), &pvt()).unwrap();
+        let interval = p.decode(&code).unwrap();
         let lo = interval.lower.unwrap().volts();
         let hi = interval.upper.unwrap().volts();
         assert!((lo - 0.992).abs() < 0.003, "lower {lo}");
         assert!((hi - 1.021).abs() < 0.003, "upper {hi}");
 
         let code2: ThermometerCode = "0000011".parse().unwrap();
-        let interval2 = a.decode(&code2, skew011(), &pvt()).unwrap();
+        let interval2 = p.decode(&code2).unwrap();
         assert!((interval2.lower.unwrap().volts() - 0.896).abs() < 0.003);
         assert!((interval2.upper.unwrap().volts() - 0.929).abs() < 0.003);
     }
 
     #[test]
     fn decode_saturated_codes_open_ended() {
-        let a = array();
+        let p = point();
         let over: ThermometerCode = "1111111".parse().unwrap();
-        let i = a.decode(&over, skew011(), &pvt()).unwrap();
+        let i = p.decode(&over).unwrap();
         assert!(i.lower.is_some() && i.upper.is_none());
         let under: ThermometerCode = "0000000".parse().unwrap();
-        let i = a.decode(&under, skew011(), &pvt()).unwrap();
+        let i = p.decode(&under).unwrap();
         assert!(i.lower.is_none() && i.upper.is_some());
     }
 
     #[test]
     fn decode_rejects_wrong_width() {
-        let a = array();
         let code: ThermometerCode = "011".parse().unwrap();
-        assert!(a.decode(&code, skew011(), &pvt()).is_err());
+        assert!(point().decode(&code).is_err());
     }
 
     #[test]
     fn interval_contains_true_voltage() {
-        let a = array();
+        let p = point();
         for mv in (840..=1040).step_by(7) {
             let v = Voltage::from_mv(mv as f64);
-            let code = a.measure(v, skew011(), &pvt());
-            let interval = a.decode(&code, skew011(), &pvt()).unwrap();
+            let code = p.measure(v);
+            let interval = p.decode(&code).unwrap();
             assert!(
                 interval.contains(v),
                 "decoded interval missed {v} for code {code}"
@@ -986,16 +796,18 @@ mod tests {
 
     #[test]
     fn ground_array_mirrors() {
-        let a = ThermometerArray::paper(RailMode::Ground);
+        let p = ThermometerArray::paper(RailMode::Ground)
+            .at(skew011(), &pvt())
+            .unwrap();
         // Quiet ground: the LS inverters see the full nominal swing, so
         // the code equals the HS code at nominal VDD — the two most-loaded
         // elements sit above 1.0 V and fail even with no bounce.
-        let quiet = a.measure(Voltage::ZERO, skew011(), &pvt());
+        let quiet = p.measure(Voltage::ZERO);
         assert_eq!(quiet.to_string(), "0011111");
         // Monotone: more bounce, more failures.
         let mut prev = quiet.fail_count();
         for mv in (0..=300).step_by(5) {
-            let code = a.measure(Voltage::from_mv(mv as f64), skew011(), &pvt());
+            let code = p.measure(Voltage::from_mv(mv as f64));
             assert!(code.is_canonical(), "bubble at {mv} mV bounce");
             let fails = code.fail_count();
             assert!(fails >= prev, "failures dropped at {mv} mV");
@@ -1003,19 +815,20 @@ mod tests {
         }
         assert_eq!(prev, 7);
         // Ground thresholds fall with load (most-loaded trips first).
-        let th = a.thresholds(skew011(), &pvt()).unwrap();
-        for w in th.windows(2) {
+        for w in p.thresholds().windows(2) {
             assert!(w[1] < w[0]);
         }
     }
 
     #[test]
     fn ground_decode_contains_true_bounce() {
-        let a = ThermometerArray::paper(RailMode::Ground);
+        let p = ThermometerArray::paper(RailMode::Ground)
+            .at(skew011(), &pvt())
+            .unwrap();
         for mv in (10..=160).step_by(7) {
             let g = Voltage::from_mv(mv as f64);
-            let code = a.measure(g, skew011(), &pvt());
-            let interval = a.decode(&code, skew011(), &pvt()).unwrap();
+            let code = p.measure(g);
+            let interval = p.decode(&code).unwrap();
             assert!(interval.contains(g), "missed bounce {g} for {code}");
         }
     }
@@ -1029,10 +842,10 @@ mod tests {
         // Sit exactly on a threshold: the boundary element resolves
         // randomly (and its immediate neighbours, ~3.5 ps away, are also
         // inside the 8 ps metastability window and may flip).
-        let th = a.thresholds(skew011(), &pvt()).unwrap();
+        let t3 = point().thresholds()[3];
         let mut saw_both = (false, false);
         for _ in 0..64 {
-            let code = a.measure_with_rng(th[3], skew011(), &pvt(), &mut rng);
+            let code = a.measure_with_rng(t3, skew011(), &pvt(), &mut rng);
             let fixed = code.correct_bubbles();
             assert!(fixed.is_canonical());
             let fails = fixed.fail_count();
@@ -1051,74 +864,32 @@ mod tests {
 
     #[test]
     fn lane_solved_thresholds_match_per_element_search() {
-        // The memo-miss path packs all elements into one 64-lane solve;
-        // it must replay the standalone per-element search bit for bit.
-        let a = array();
-        let th = a.thresholds(skew011(), &pvt()).unwrap();
-        for (e, t) in a.elements().iter().zip(&th) {
+        // `at` packs all elements into one 64-lane solve; it must
+        // replay the standalone per-element search bit for bit.
+        let p = point();
+        for (e, t) in p.array().elements().iter().zip(p.thresholds()) {
             let alone = e.threshold(skew011(), &pvt()).unwrap();
             assert_eq!(t.volts().to_bits(), alone.volts().to_bits());
         }
     }
 
     #[test]
-    fn threshold_memo_is_transparent() {
-        // Memo hit, key-based invalidation and clone-freshness all
-        // produce exactly the values a cold array computes.
-        let warm = array();
-        let s11 = warm.thresholds(skew011(), &pvt()).unwrap();
-        assert_eq!(warm.thresholds(skew011(), &pvt()).unwrap(), s11);
-        // Changing the skew misses the memo and recomputes.
-        let s10 = warm.thresholds(skew010(), &pvt()).unwrap();
-        assert_eq!(s10, array().thresholds(skew010(), &pvt()).unwrap());
-        assert_ne!(s10, s11);
-        // A changed PVT point also misses.
+    fn operating_points_are_pure_values() {
+        // A point is a function of the array, the skew and the PVT
+        // point alone: rebuilding, cloning and re-solving agree.
+        let s11 = point();
+        assert_eq!(array().at(skew011(), &pvt()).unwrap(), s11);
+        assert_eq!(s11.clone(), s11);
+        let s10 = array().at(skew010(), &pvt()).unwrap();
+        assert_ne!(s10.thresholds(), s11.thresholds());
         let hot = Pvt::new(
             psnt_cells::process::ProcessCorner::TT,
             Voltage::from_v(1.0),
             psnt_cells::units::Temperature::from_celsius(85.0),
         );
-        let s_hot = warm.thresholds(skew011(), &hot).unwrap();
-        assert_eq!(s_hot, array().thresholds(skew011(), &hot).unwrap());
-        assert_ne!(s_hot, s11);
-        // Clones start cold but agree.
-        let cloned = warm.clone();
-        assert_eq!(cloned.thresholds(skew011(), &pvt()).unwrap(), s11);
-        assert_eq!(cloned, warm);
-    }
-
-    #[test]
-    fn threshold_memo_keeps_alternating_corners_resident() {
-        let warm = array();
-        let hot = Pvt::new(
-            psnt_cells::process::ProcessCorner::TT,
-            Voltage::from_v(1.0),
-            psnt_cells::units::Temperature::from_celsius(85.0),
-        );
-        assert_eq!(warm.memo_stats(), (0, 0));
-        // Alternating between two operating points thrashed the old
-        // single-entry memo; the bounded map keeps both resident, so
-        // only the first visit of each point misses.
-        for _ in 0..3 {
-            warm.thresholds(skew011(), &pvt()).unwrap();
-            warm.thresholds(skew011(), &hot).unwrap();
-        }
-        let (hits, misses) = warm.memo_stats();
-        assert_eq!(misses, 2, "only the first visit of each point may miss");
-        assert_eq!(hits, 4);
-
-        // The ctx-threaded path returns the same values and folds the
-        // call's hit/miss deltas into the observer's metrics.
-        let mut obs = psnt_obs::Observer::ring(8);
-        let mut ctx = RunCtx::serial().with_observer(&mut obs);
-        let via_ctx = warm.thresholds_ctx(&mut ctx, skew011(), &pvt()).unwrap();
-        drop(ctx);
-        assert_eq!(via_ctx, warm.thresholds(skew011(), &pvt()).unwrap());
-        assert_eq!(obs.metrics.counter_value("thermometer.memo_hits"), 1);
-        assert_eq!(obs.metrics.counter_value("thermometer.memo_misses"), 0);
-
-        // Clone-cold semantics extend to the tally.
-        assert_eq!(warm.clone().memo_stats(), (0, 0));
+        let s_hot = array().at(skew011(), &hot).unwrap();
+        assert_ne!(s_hot.thresholds(), s11.thresholds());
+        assert_eq!((s_hot.skew(), *s_hot.pvt()), (skew011(), hot));
     }
 
     #[test]
@@ -1140,18 +911,15 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let a = array();
-        let th = a.thresholds(skew011(), &pvt()).unwrap();
+        let p = point();
         let mut rng = StdRng::seed_from_u64(99);
         // Probe points straddling threshold T4 at sub-LSB offsets (the
         // LSB here is ~30 mV; the metastability window covers ≈ ±70 mV
         // around each threshold).
         for offset_mv in [-20.0, -8.0, 0.0, 8.0, 20.0] {
-            let v = th[3] + Voltage::from_mv(offset_mv);
+            let v = p.thresholds()[3] + Voltage::from_mv(offset_mv);
             let mean = a.oversampled_level(v, skew011(), &pvt(), 3000, &mut rng);
-            let est = a
-                .decode_oversampled(mean, skew011(), &pvt())
-                .unwrap()
-                .expect("in range");
+            let est = p.decode_oversampled(mean).expect("in range");
             let err = (est - v).abs();
             assert!(
                 err < Voltage::from_mv(6.0),
@@ -1162,13 +930,10 @@ mod tests {
 
     #[test]
     fn oversampled_decode_saturation_returns_none() {
-        let a = array();
-        assert_eq!(a.decode_oversampled(0.0, skew011(), &pvt()).unwrap(), None);
-        assert_eq!(a.decode_oversampled(7.0, skew011(), &pvt()).unwrap(), None);
-        assert!(a
-            .decode_oversampled(3.5, skew011(), &pvt())
-            .unwrap()
-            .is_some());
+        let p = point();
+        assert_eq!(p.decode_oversampled(0.0), None);
+        assert_eq!(p.decode_oversampled(7.0), None);
+        assert!(p.decode_oversampled(3.5).is_some());
     }
 
     #[test]
@@ -1180,15 +945,34 @@ mod tests {
         let _ = array().oversampled_level(Voltage::from_v(1.0), skew011(), &pvt(), 0, &mut rng);
     }
 
+    #[test]
+    fn bracket_disjointness() {
+        let (fail, pass) = ((0.3, 0.8), (0.8002, 1.3));
+        assert!(Bracket { fail, pass }.is_disjoint());
+        assert!(Bracket::EMPTY.is_disjoint());
+        let shifted = (pass.0 - 1e-3, pass.1 - 1e-3);
+        assert!(!Bracket {
+            fail,
+            pass: shifted
+        }
+        .is_disjoint());
+    }
+
+    /// The three corners the paper array is characterised at.
+    fn corners() -> [Pvt; 3] {
+        [Pvt::typical(), Pvt::slow(), Pvt::fast()]
+    }
+
     /// Every operating point the paper array runs at: both rails, all
     /// eight delay codes, the typical, slow and fast corners.
-    fn operating_points() -> Vec<(RailMode, Time, Pvt)> {
+    fn operating_points() -> Vec<OperatingPoint> {
         let pg = crate::pulsegen::PulseGenerator::paper_table();
         let mut points = Vec::new();
         for mode in [RailMode::Supply, RailMode::Ground] {
-            for pvt in [Pvt::typical(), Pvt::slow(), Pvt::fast()] {
+            let a = ThermometerArray::paper(mode);
+            for pvt in corners() {
                 for code in crate::pulsegen::DelayCode::all() {
-                    points.push((mode, pg.skew(code, &pvt), pvt));
+                    points.push(a.at(pg.skew(code, &pvt), &pvt).unwrap());
                 }
             }
         }
@@ -1209,8 +993,8 @@ mod tests {
             }
         }
         let inverted = arrays.iter().any(|a| {
-            let th = a.thresholds(skew011(), &pvt()).unwrap();
-            th.windows(2).any(|w| match a.mode() {
+            let p = a.at(skew011(), &pvt()).unwrap();
+            p.thresholds().windows(2).any(|w| match a.mode() {
                 RailMode::Supply => w[1] < w[0],
                 RailMode::Ground => w[1] > w[0],
             })
@@ -1222,19 +1006,9 @@ mod tests {
     /// The rails the lookup pivots on at one operating point: every
     /// threshold and every finite bracket edge, each with its two ulp
     /// neighbours.
-    fn pivot_rails(a: &ThermometerArray, skew: Time, pvt: &Pvt) -> Vec<f64> {
-        a.measure(Voltage::ZERO, skew, pvt);
-        let mut memo = a.memo.lock().unwrap();
-        let entry = memo
-            .entries
-            .iter_mut()
-            .find(|e| e.skew == skew && e.pvt == *pvt)
-            .expect("measure memoises its operating point");
-        let mut pivots: Vec<f64> = match &entry.thresholds {
-            Ok(th) => th.iter().map(|t| t.volts()).collect(),
-            Err(_) => Vec::new(),
-        };
-        for b in &entry.flash(&a.elements).brackets {
+    fn pivot_rails(p: &OperatingPoint) -> Vec<f64> {
+        let mut pivots: Vec<f64> = p.thresholds().iter().map(|t| t.volts()).collect();
+        for b in &p.brackets {
             pivots.extend([b.fail.0, b.fail.1, b.pass.0, b.pass.1]);
         }
         pivots
@@ -1251,61 +1025,56 @@ mod tests {
             .collect()
     }
 
-    fn assert_lookup_matches_direct(a: &ThermometerArray, rail: f64, skew: Time, pvt: &Pvt) {
+    const SPECIAL_RAILS: [f64; 7] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1e300,
+        -1e300,
+    ];
+
+    fn assert_lookup_matches_direct(p: &OperatingPoint, rail: f64) {
         let v = Voltage::from_v(rail);
+        let direct = p.array().measure_detailed(v, p.skew(), p.pvt()).0;
         assert_eq!(
-            a.measure(v, skew, pvt),
-            a.measure_detailed(v, skew, pvt).0,
-            "{:?} array at {rail:e} V, skew {skew}, {:?}",
-            a.mode(),
-            pvt.corner
+            p.measure(v),
+            direct,
+            "{:?} array at {rail:e} V, skew {}, {:?}",
+            p.array().mode(),
+            p.skew(),
+            p.pvt().corner
         );
     }
 
     #[test]
     fn lookup_matches_direct_at_every_bracket_edge() {
-        let specials = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            1e300,
-            -1e300,
-        ];
-        for (mode, skew, pvt) in operating_points() {
-            let a = ThermometerArray::paper(mode);
-            let pivots = pivot_rails(&a, skew, &pvt);
-            assert_eq!(pivots.len(), 7 * 5 * 3, "{mode:?} {:?}", pvt.corner);
-            for rail in pivots.into_iter().chain(specials) {
-                assert_lookup_matches_direct(&a, rail, skew, &pvt);
+        for p in operating_points() {
+            let pivots = pivot_rails(&p);
+            assert_eq!(pivots.len(), 7 * 5 * 3, "{:?}", p.pvt().corner);
+            for rail in pivots.into_iter().chain(SPECIAL_RAILS) {
+                assert_lookup_matches_direct(&p, rail);
             }
             // Every paper element passes its build-time check, so no
             // bit of a clear rail falls back to the direct model.
-            let memo = a.memo.lock().unwrap();
-            let table = memo.entries[0].flash.as_ref().unwrap();
-            assert!(table.brackets.iter().all(|b| b.pass.0 <= b.pass.1));
+            assert!(p.brackets.iter().all(|b| b.pass.0 <= b.pass.1));
         }
-        let (skew, pvt) = (skew011(), pvt());
         for a in perturbed_arrays() {
-            for rail in pivot_rails(&a, skew, &pvt).into_iter().chain(specials) {
-                assert_lookup_matches_direct(&a, rail, skew, &pvt);
+            let p = a.at(skew011(), &pvt()).unwrap();
+            for rail in pivot_rails(&p).into_iter().chain(SPECIAL_RAILS) {
+                assert_lookup_matches_direct(&p, rail);
             }
         }
     }
 
     /// The decode this crate shipped before the flash table: clone the
     /// thresholds, sort them, and index by the corrected code's fails.
-    fn decode_by_sorting(
-        a: &ThermometerArray,
-        code: &ThermometerCode,
-        skew: Time,
-        pvt: &Pvt,
-    ) -> CodeInterval {
-        let mut asc = a.thresholds(skew, pvt).unwrap();
+    fn decode_by_sorting(p: &OperatingPoint, code: &ThermometerCode) -> CodeInterval {
+        let mut asc = p.thresholds().to_vec();
         asc.sort_by(Voltage::total_cmp);
-        let (n, f) = (a.bits(), code.correct_bubbles().fail_count());
-        match a.mode() {
+        let (n, f) = (p.bits(), code.correct_bubbles().fail_count());
+        match p.array().mode() {
             RailMode::Supply => CodeInterval {
                 lower: (f < n).then(|| asc[n - f - 1]),
                 upper: (f > 0).then(|| asc[n - f]),
@@ -1324,11 +1093,12 @@ mod tests {
             ThermometerArray::paper(RailMode::Ground),
         ];
         for a in arrays.iter().chain(&perturbed_arrays()) {
+            let p = a.at(skew011(), &pvt()).unwrap();
             for fails in 0..=a.bits() {
                 let code = ThermometerCode::from_fail_count(fails, a.bits());
                 assert_eq!(
-                    a.decode(&code, skew011(), &pvt()).unwrap(),
-                    decode_by_sorting(a, &code, skew011(), &pvt()),
+                    p.decode(&code).unwrap(),
+                    decode_by_sorting(&p, &code),
                     "{:?} array, {fails} fails",
                     a.mode()
                 );
@@ -1336,21 +1106,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn memo_tallies_requests_and_solves_not_lookups() {
-        let a = array();
-        a.measure(Voltage::from_v(0.95), skew011(), &pvt());
-        a.measure(Voltage::from_v(0.90), skew011(), &pvt());
-        // The first measure solved the point; measures are not requests.
-        assert_eq!(a.memo_stats(), (0, 1));
-        let code = a.measure(Voltage::from_v(0.95), skew011(), &pvt());
-        a.decode(&code, skew011(), &pvt()).unwrap();
-        a.thresholds(skew011(), &pvt()).unwrap();
-        assert_eq!(a.memo_stats(), (2, 1));
-        // Requesting thresholds never builds the flash table.
-        let cold = array();
-        cold.thresholds(skew010(), &pvt()).unwrap();
-        assert!(cold.memo.lock().unwrap().entries[0].flash.is_none());
+    /// A rail for the lookup proptests: `kind` 0–1 draws `uniform`
+    /// (−1 to 2.5 V), 2 one of the special rails and 3 one of the
+    /// point's pivot rails (thresholds and bracket edges, ±1 ulp).
+    fn pick_rail(p: &OperatingPoint, kind: u8, uniform: f64, pick: usize) -> f64 {
+        match kind {
+            0 | 1 => uniform,
+            2 => SPECIAL_RAILS[pick % SPECIAL_RAILS.len()],
+            _ => {
+                let pivots = pivot_rails(p);
+                pivots[pick % pivots.len()]
+            }
+        }
     }
 
     proptest! {
@@ -1359,15 +1126,17 @@ mod tests {
             ground in any::<bool>(),
             corner in 0usize..3,
             code in 0u8..8,
-            rail in -1.0..2.5f64,
+            kind in 0u8..4,
+            uniform in -1.0..2.5f64,
+            pick in 0usize..1024,
         ) {
             let mode = if ground { RailMode::Ground } else { RailMode::Supply };
-            let pvt = [Pvt::typical(), Pvt::slow(), Pvt::fast()][corner];
+            let pvt = corners()[corner];
             let code = crate::pulsegen::DelayCode::new(code).unwrap();
             let skew = crate::pulsegen::PulseGenerator::paper_table().skew(code, &pvt);
-            let a = ThermometerArray::paper(mode);
-            let v = Voltage::from_v(rail);
-            prop_assert_eq!(a.measure(v, skew, &pvt), a.measure_detailed(v, skew, &pvt).0);
+            let p = ThermometerArray::paper(mode).at(skew, &pvt).unwrap();
+            let v = Voltage::from_v(pick_rail(&p, kind, uniform, pick));
+            prop_assert_eq!(p.measure(v), p.array().measure_detailed(v, skew, &pvt).0);
         }
 
         #[test]
@@ -1386,7 +1155,7 @@ mod tests {
             );
             let v = Voltage::from_v(rail);
             prop_assert_eq!(
-                a.measure(v, skew011(), &pvt()),
+                a.at(skew011(), &pvt()).unwrap().measure(v),
                 a.measure_detailed(v, skew011(), &pvt()).0
             );
         }
@@ -1394,38 +1163,31 @@ mod tests {
         #[test]
         fn decode_matches_the_sorting_decode_for_any_code(s in "[01xX]{7}") {
             let code: ThermometerCode = s.parse().unwrap();
-            for a in [
-                ThermometerArray::paper(RailMode::Supply),
-                ThermometerArray::paper(RailMode::Ground),
-            ] {
-                prop_assert_eq!(
-                    a.decode(&code, skew011(), &pvt()).unwrap(),
-                    decode_by_sorting(&a, &code, skew011(), &pvt())
-                );
+            for mode in [RailMode::Supply, RailMode::Ground] {
+                let p = ThermometerArray::paper(mode).at(skew011(), &pvt()).unwrap();
+                prop_assert_eq!(p.decode(&code).unwrap(), decode_by_sorting(&p, &code));
             }
         }
 
         #[test]
         fn measured_code_always_canonical(mv in 600.0..1300.0f64) {
-            let code = array().measure(Voltage::from_mv(mv), skew011(), &pvt());
-            prop_assert!(code.is_canonical());
+            prop_assert!(point().measure(Voltage::from_mv(mv)).is_canonical());
         }
 
         #[test]
         fn level_monotone_in_voltage(a in 600.0..1300.0f64, b in 600.0..1300.0f64) {
             prop_assume!(a < b);
-            let arr = array();
-            let la = arr.measure(Voltage::from_mv(a), skew011(), &pvt()).level();
-            let lb = arr.measure(Voltage::from_mv(b), skew011(), &pvt()).level();
+            let p = point();
+            let la = p.measure(Voltage::from_mv(a)).level();
+            let lb = p.measure(Voltage::from_mv(b)).level();
             prop_assert!(la <= lb);
         }
 
         #[test]
         fn decode_roundtrip_contains_voltage(mv in 830.0..1050.0f64) {
-            let arr = array();
+            let p = point();
             let v = Voltage::from_mv(mv);
-            let code = arr.measure(v, skew011(), &pvt());
-            let interval = arr.decode(&code, skew011(), &pvt()).unwrap();
+            let interval = p.decode(&p.measure(v)).unwrap();
             prop_assert!(interval.contains(v));
         }
     }

@@ -692,6 +692,13 @@ impl Campaign {
         let mut trip: Option<psnt_sup::Interrupt> = None;
         let mut sites_streamed = 0usize;
 
+        // One system for the whole sweep: every site is an identical
+        // sensor at the same operating points, so the threshold solves
+        // run once, not once per site. Site jobs share it read-only; a
+        // construction failure degrades every site, as a per-site build
+        // would.
+        let system = SensorSystem::new(self.config.clone());
+        let system_ref = &system;
         let (tx, rx) = std::sync::mpsc::sync_channel::<StreamMsg>(STREAM_CHANNEL_BOUND);
         let prep_ref = &prep;
         let quiet_ref = &quiet;
@@ -740,7 +747,9 @@ impl Campaign {
                                     prep_ref.instants[prep_ref.instants.len() - 1].picoseconds(),
                                 )
                         });
-                        let system = SensorSystem::new(self.config.clone())?;
+                        let system = system_ref
+                            .as_ref()
+                            .map_err(|e| ScanError::from(e.clone()))?;
                         let vdd = &prep_ref.tile_supplies[site.tile];
                         let gnd = prep_ref
                             .tile_bounces
@@ -1794,6 +1803,59 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(full.last(), Some(StreamRecord::Summary { .. })));
+    }
+
+    #[test]
+    fn record_stream_is_identical_at_one_two_and_four_jobs() {
+        use psnt_fault::{Fault, FaultPlan};
+        // 49 sites: two chunks, so chunk boundaries are crossed.
+        let grid = PowerGrid::corner_fed(
+            7,
+            Voltage::from_v(1.05),
+            Resistance::from_milliohms(60.0),
+            Resistance::from_milliohms(20.0),
+        )
+        .unwrap();
+        let c = Campaign::new(
+            Floorplan::new(grid, Placement::EveryTile).unwrap(),
+            SensorConfig::default(),
+        )
+        .unwrap();
+        let rails: Vec<Waveform> = (0..49)
+            .map(|t| Waveform::constant(1.05 - 0.003 * t as f64))
+            .collect();
+        let instants = vec![Time::from_ns(10.0), Time::from_ns(30.0)];
+        let faulted = FaultPlan::new()
+            .with(Fault::SitePanic { site: 5 })
+            .with(Fault::SitePanic { site: 40 });
+        for plan in [FaultPlan::default(), faulted] {
+            let records = |jobs: usize| {
+                let mut ctx = RunCtx::new(Engine::new(jobs)).with_fault_plan(plan.clone());
+                let mut out = Vec::new();
+                c.run_streamed_from_rails(
+                    &mut ctx,
+                    rails.clone(),
+                    None,
+                    instants.clone(),
+                    RetryPolicy::none(),
+                    &mut |r| {
+                        out.push(r);
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                out
+            };
+            let serial = records(1);
+            let degraded = serial
+                .iter()
+                .filter(|r| matches!(r, StreamRecord::Site { series, .. } if series.measurements.is_empty()))
+                .count();
+            assert_eq!(degraded, plan.panicking_sites().len());
+            for jobs in [2, 4] {
+                assert_eq!(records(jobs), serial, "jobs={jobs}, {plan:?}");
+            }
+        }
     }
 
     mod stream_properties {

@@ -334,7 +334,7 @@ impl CycleDriver for ControlLoop<'_> {
             } else {
                 Some(
                     self.sensor
-                        .hs_level(Voltage::from_v(stepper.voltages()[nd]))?,
+                        .hs_level(Voltage::from_v(stepper.voltages()[nd])),
                 )
             };
             readings.push(SiteReading { domain, level });

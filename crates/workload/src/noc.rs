@@ -54,25 +54,53 @@ impl NocMesh {
 
     /// The XY route from `src` to `dst` as the sequence of tiles
     /// traversed, inclusive of both endpoints: first along the row to
-    /// the destination column, then along the column.
+    /// the destination column, then along the column. Each step is
+    /// [`NocMesh::xy_next`].
     pub fn route_xy(&self, src: usize, dst: usize) -> Vec<usize> {
         debug_assert!(src < self.tiles() && dst < self.tiles());
         let (sr, sc) = (src / self.cols, src % self.cols);
         let (dr, dc) = (dst / self.cols, dst % self.cols);
         let mut path = Vec::with_capacity(sc.abs_diff(dc) + sr.abs_diff(dr) + 1);
-        let mut c = sc;
-        path.push(sr * self.cols + c);
-        while c != dc {
-            c = if dc > c { c + 1 } else { c - 1 };
-            path.push(sr * self.cols + c);
-        }
-        let mut r = sr;
-        while r != dr {
-            r = if dr > r { r + 1 } else { r - 1 };
-            path.push(r * self.cols + dc);
+        let turn = self.xy_turn(src, dst);
+        let mut at = src;
+        path.push(at);
+        while at != dst {
+            at = self.xy_next(at, turn, dst);
+            path.push(at);
         }
         path
     }
+
+    /// The tile where the XY route from `src` to `dst` leaves the
+    /// source's row: the source row's tile in the destination column.
+    pub fn xy_turn(&self, src: usize, dst: usize) -> usize {
+        src - src % self.cols + dst % self.cols
+    }
+
+    // PDN HOT LOOP START
+    /// The tile after `at` on the XY route to `dst` that turns at
+    /// `turn` ([`NocMesh::xy_turn`]), or `at` itself when it is `dst`.
+    /// Short of the turn a flit is on the turn's row, less than a row
+    /// away, and steps along it; from the turn on it is in `dst`'s
+    /// column and steps along that. No division: a flit pays for its
+    /// route's geometry once, when its turn is computed.
+    #[inline]
+    pub fn xy_next(&self, at: usize, turn: usize, dst: usize) -> usize {
+        if at != turn && at.abs_diff(turn) < self.cols {
+            if turn > at {
+                at + 1
+            } else {
+                at - 1
+            }
+        } else if dst > at {
+            at + self.cols
+        } else if dst < at {
+            at - self.cols
+        } else {
+            at
+        }
+    }
+    // PDN HOT LOOP END
 }
 
 /// Per-cycle, per-tile router switching counts for a whole run.
@@ -113,12 +141,14 @@ impl ActivityTrace {
         for (src, flights) in injections.iter().enumerate() {
             for &(c, dst) in flights {
                 flits += 1;
-                for (hop, &tile) in mesh.route_xy(src, dst as usize).iter().enumerate() {
-                    let at = c as usize + hop;
-                    if at >= cycles {
+                let (mut tile, dst) = (src, dst as usize);
+                let turn = mesh.xy_turn(src, dst);
+                for at in c as usize..cycles {
+                    counts[at * tiles + tile] += 1;
+                    if tile == dst {
                         break;
                     }
-                    counts[at * tiles + tile] += 1;
+                    tile = mesh.xy_next(tile, turn, dst);
                 }
             }
         }
@@ -224,6 +254,31 @@ mod tests {
         assert_eq!(m.route_xy(11, 0), vec![11, 10, 9, 8, 4, 0]);
         // Self route is the single tile.
         assert_eq!(m.route_xy(5, 5), vec![5]);
+    }
+
+    #[test]
+    fn xy_steps_rebuild_the_row_then_column_route() {
+        let m = NocMesh::new(4, 5).unwrap();
+        for src in 0..m.tiles() {
+            for dst in 0..m.tiles() {
+                let (sr, sc) = (src / 5, src % 5);
+                let (dr, dc) = (dst / 5, dst % 5);
+                let row: Vec<usize> = if sc <= dc {
+                    (sc..=dc).map(|c| sr * 5 + c).collect()
+                } else {
+                    (dc..=sc).rev().map(|c| sr * 5 + c).collect()
+                };
+                let col: Vec<usize> = if sr <= dr {
+                    (sr + 1..=dr).map(|r| r * 5 + dc).collect()
+                } else {
+                    (dr..sr).rev().map(|r| r * 5 + dc).collect()
+                };
+                let expected: Vec<usize> = row.into_iter().chain(col).collect();
+                assert_eq!(m.route_xy(src, dst), expected, "{src} -> {dst}");
+                assert_eq!(m.xy_turn(src, dst), sr * 5 + dc);
+                assert_eq!(m.xy_next(dst, m.xy_turn(src, dst), dst), dst);
+            }
+        }
     }
 
     #[test]

@@ -52,11 +52,17 @@ use crate::campaign::NocWorkload;
 use crate::error::WorkloadError;
 use crate::noc::ActivityTrace;
 
-/// A flit in flight: its XY route and the hop it occupies this cycle.
-#[derive(Debug, Clone)]
+/// A flit in flight on its XY route from `src` to `dst`, turning at
+/// `turn`: the tile it occupies this cycle is `at`. XY routing is
+/// arithmetic ([`NocMesh::xy_next`](crate::noc::NocMesh::xy_next)), so
+/// the route itself is never stored; a snapshot rebuilds it, and the
+/// flight's hop is `at`'s place on it.
+#[derive(Debug, Clone, Copy)]
 struct Flight {
-    route: Vec<usize>,
-    hop: usize,
+    src: u32,
+    dst: u32,
+    turn: u32,
+    at: u32,
 }
 
 /// A serializable image of a [`CycleStepper`]'s dynamic state.
@@ -270,6 +276,7 @@ impl<'w> CycleStepper<'w> {
         let tiles = self.workload.mesh().tiles();
         let slot = k * tiles;
 
+        // PDN HOT LOOP START
         // Stage 1 — activity source: spawn this cycle's planned
         // injections; throttled tiles defer them instead. A released
         // backlog drains only into idle injection slots (cycles the
@@ -299,13 +306,18 @@ impl<'w> CycleStepper<'w> {
                 }
             }
         }
+        let mesh = self.workload.mesh();
         let counts = &mut self.planned_counts[slot..slot + tiles];
         counts.fill(0);
         self.flights.retain_mut(|f| {
-            counts[f.route[f.hop]] += 1;
-            f.hop += 1;
-            f.hop < f.route.len()
+            counts[f.at as usize] += 1;
+            if f.at == f.dst {
+                return false;
+            }
+            f.at = mesh.xy_next(f.at as usize, f.turn as usize, f.dst as usize) as u32;
+            true
         });
+        // PDN HOT LOOP END
 
         // Stage 2 — current map: clock-stretch scales activity. At
         // scale 1.0, ⌊count · 1.0⌋ recovers the raw count exactly.
@@ -419,13 +431,18 @@ impl<'w> CycleStepper<'w> {
         self.planned - self.advanced
     }
 
+    // PDN HOT LOOP START
     fn spawn(&mut self, src: usize, dst: u32) {
         self.spawned_flits += 1;
+        let turn = self.workload.mesh().xy_turn(src, dst as usize);
         self.flights.push(Flight {
-            route: self.workload.mesh().route_xy(src, dst as usize),
-            hop: 0,
+            src: src as u32,
+            dst,
+            turn: turn as u32,
+            at: src as u32,
         });
     }
+    // PDN HOT LOOP END
 
     /// Raw per-tile switching counts of the last stepped cycle.
     pub fn raw_counts(&self) -> &[u32] {
@@ -557,6 +574,7 @@ impl<'w> CycleStepper<'w> {
     /// workload and seed** (see [`CycleStepper::restore`]).
     pub fn snapshot(&self) -> StepperSnapshot {
         debug_assert_eq!(self.pending(), 0, "snapshot with cycles planned ahead");
+        let mesh = self.workload.mesh();
         StepperSnapshot {
             cursors: self.cursors.clone(),
             deferred: self
@@ -567,7 +585,11 @@ impl<'w> CycleStepper<'w> {
             flights: self
                 .flights
                 .iter()
-                .map(|f| (f.route.clone(), f.hop))
+                .map(|f| {
+                    let route = mesh.route_xy(f.src as usize, f.dst as usize);
+                    let hop = route.iter().position(|&t| t == f.at as usize);
+                    (route, hop.expect("a flight is on its route"))
+                })
                 .collect(),
             counts: self.counts.clone(),
             eff_counts: self.eff_counts.clone(),
@@ -644,8 +666,26 @@ impl<'w> CycleStepper<'w> {
                 )));
             }
         }
-        if snap.flights.iter().any(|(route, hop)| *hop >= route.len()) {
-            return Err(invalid("a flight's hop is past its route".into()));
+        let mesh = self.workload.mesh();
+        let mut flights = Vec::with_capacity(snap.flights.len());
+        for (route, hop) in &snap.flights {
+            let (Some(&src), Some(&dst)) = (route.first(), route.last()) else {
+                return Err(invalid("a flight has an empty route".into()));
+            };
+            if src >= tiles || dst >= tiles || *route != mesh.route_xy(src, dst) {
+                return Err(invalid(format!(
+                    "flight route {route:?} is not the XY route between its ends"
+                )));
+            }
+            if *hop >= route.len() {
+                return Err(invalid("a flight's hop is past its route".into()));
+            }
+            flights.push(Flight {
+                src: src as u32,
+                dst: dst as u32,
+                turn: mesh.xy_turn(src, dst) as u32,
+                at: route[*hop] as u32,
+            });
         }
         self.cursors.copy_from_slice(&snap.cursors);
         self.deferred = snap
@@ -653,14 +693,7 @@ impl<'w> CycleStepper<'w> {
             .iter()
             .map(|v| v.iter().copied().collect())
             .collect();
-        self.flights = snap
-            .flights
-            .iter()
-            .map(|(route, hop)| Flight {
-                route: route.clone(),
-                hop: *hop,
-            })
-            .collect();
+        self.flights = flights;
         self.counts.copy_from_slice(&snap.counts);
         self.eff_counts.copy_from_slice(&snap.eff_counts);
         self.prev_eff.copy_from_slice(&snap.prev_eff);
@@ -886,6 +919,48 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn restore_refuses_routes_that_are_not_xy() {
+        let w = stepper_workload();
+        let mut s = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+        let snap = loop {
+            s.step().unwrap();
+            let snap = s.snapshot();
+            if snap.flights.iter().any(|(route, _)| route.len() >= 3) {
+                break snap;
+            }
+        };
+        let k = snap
+            .flights
+            .iter()
+            .position(|(route, _)| route.len() >= 3)
+            .unwrap();
+        let refused = |edit: fn(&mut Vec<usize>, &mut usize)| {
+            let mut bad = snap.clone();
+            let (route, hop) = &mut bad.flights[k];
+            edit(route, hop);
+            let mut fresh = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+            matches!(
+                fresh.restore(&bad),
+                Err(WorkloadError::InvalidConfig {
+                    name: "snapshot",
+                    ..
+                })
+            )
+        };
+        // On the 2×2 mesh a three-tile route turns one corner; the
+        // same ends the other way round (Y first) is not XY.
+        assert!(refused(|r, _| r[1] ^= r[0] ^ r[2]));
+        assert!(refused(|r, _| r.insert(0, r[0])));
+        assert!(refused(|r, _| r.clear()));
+        assert!(refused(|r, _| *r.last_mut().unwrap() = 4));
+        assert!(refused(|r, h| *h = r.len()));
+        // The unedited snapshot restores and round-trips.
+        let mut fresh = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+        fresh.restore(&snap).unwrap();
+        assert_eq!(fresh.snapshot(), snap);
     }
 
     #[test]

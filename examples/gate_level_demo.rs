@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nmeasure | rail    | gate-level code | pin skew  | behavioural check");
     println!("--------+---------+-----------------+-----------+------------------");
     for (k, (m, rail)) in measures.iter().zip(&rails).enumerate() {
-        let check = behavioural.measure(*rail, m.skew(), &Pvt::typical());
+        let check = behavioural.at(m.skew(), &Pvt::typical())?.measure(*rail);
         println!(
             "   {}    | {:.2} V  |     {}     | {:6.1} ps | {} ({})",
             k + 1,

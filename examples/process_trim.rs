@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vdd = Waveform::constant(1.15);
     let gnd = Waveform::constant(0.0);
     let saturated = sensor.measure_at(&vdd, &gnd, Time::from_ns(10.0))?;
-    sensor.set_delay_codes(DelayCode::new(2)?, DelayCode::new(3)?);
+    sensor.set_delay_codes(DelayCode::new(2)?, DelayCode::new(3)?)?;
     let resolved = sensor.measure_at(&vdd, &gnd, Time::from_ns(10.0))?;
     println!(
         "\ndynamic re-ranging @ 1.15 V: code 011 reads {} (saturated: {}), code 010 reads {} → {:.3}–{:.3} V",

@@ -38,12 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The characteristic behind those codes: per-element thresholds.
-    let thresholds = sensor.hs_array().thresholds(
-        sensor
-            .pulse_generator()
-            .skew(sensor.config().hs_code, &sensor.config().pvt),
-        &sensor.config().pvt,
-    )?;
+    let thresholds = sensor.hs_point().thresholds();
     println!(
         "\nelement thresholds (delay code {}):",
         sensor.config().hs_code

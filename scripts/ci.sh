@@ -60,13 +60,16 @@ echo "==> PDN hot-loop allocation gate"
 # The per-cycle PDN path must not allocate: the banded substitution
 # kernels (one lane and eight), the in-place delta update and the delta
 # batch's plan/settle/apply (crates/pdn/src/grid.rs), the stepper's
-# grid stage (crates/workload/src/stepper.rs) and the cycle loop's
-# drain of planned cycles (crates/workload/src/driver.rs) reuse their
-# buffers. Between the PDN HOT LOOP markers no `Vec<`, `vec!`,
-# `.clone()` or `.to_vec()` may appear, and the markers must be present
-# and paired so deleting one cannot switch the gate off.
+# activity and grid stages (crates/workload/src/stepper.rs), the XY
+# next-hop step flights advance by (crates/workload/src/noc.rs) and the
+# cycle loop's drain of planned cycles (crates/workload/src/driver.rs)
+# reuse their buffers. Between the PDN HOT LOOP markers no `Vec<`,
+# `vec!`, `.clone()`, `.to_vec()`, `.collect(`, `format!` or
+# `route_xy(` (a route per flit) may appear, and the markers must be
+# present and paired so deleting one cannot switch the gate off.
 pdn_hot=""
-for f in crates/pdn/src/grid.rs crates/workload/src/stepper.rs crates/workload/src/driver.rs; do
+for f in crates/pdn/src/grid.rs crates/workload/src/stepper.rs \
+         crates/workload/src/noc.rs crates/workload/src/driver.rs; do
     starts=$(grep -c 'PDN HOT LOOP START' "$f" || true)
     ends=$(grep -c 'PDN HOT LOOP END' "$f" || true)
     if [ "$starts" -eq 0 ] || [ "$starts" -ne "$ends" ]; then
@@ -74,7 +77,7 @@ for f in crates/pdn/src/grid.rs crates/workload/src/stepper.rs crates/workload/s
         exit 1
     fi
     hits=$(awk '/PDN HOT LOOP START/{on=1} /PDN HOT LOOP END/{on=0}
-        on && /Vec<|vec!|\.clone\(\)|\.to_vec\(\)/{print FILENAME ":" FNR ": " $0}' "$f")
+        on && /Vec<|vec!|\.clone\(\)|\.to_vec\(\)|\.collect\(|format!|route_xy\(/{print FILENAME ":" FNR ": " $0}' "$f")
     if [ -n "$hits" ]; then
         pdn_hot="${pdn_hot}${hits}
 "
@@ -83,6 +86,34 @@ done
 if [ -n "$pdn_hot" ]; then
     echo "allocation inside a PDN hot-loop region (between the PDN HOT LOOP markers):" >&2
     echo "$pdn_hot" >&2
+    exit 1
+fi
+
+echo "==> sense read-path gate"
+# The closed loop reads SensorSystem::hs_level 64 times a cycle. Its
+# path (hs_level in crates/core/src/system.rs, the operating point's
+# bit reads in crates/core/src/thermometer.rs) takes no lock and
+# allocates nothing: between the SENSE READ PATH markers no `.lock(`,
+# `collect`, `Vec<` or `LogicVector` may appear, and the markers must
+# be present and paired.
+sense_hot=""
+for f in crates/core/src/system.rs crates/core/src/thermometer.rs; do
+    starts=$(grep -c 'SENSE READ PATH START' "$f" || true)
+    ends=$(grep -c 'SENSE READ PATH END' "$f" || true)
+    if [ "$starts" -eq 0 ] || [ "$starts" -ne "$ends" ]; then
+        echo "$f: expected paired SENSE READ PATH markers, found $starts START / $ends END" >&2
+        exit 1
+    fi
+    hits=$(awk '/SENSE READ PATH START/{on=1} /SENSE READ PATH END/{on=0}
+        on && /\.lock\(|collect|Vec<|LogicVector/{print FILENAME ":" FNR ": " $0}' "$f")
+    if [ -n "$hits" ]; then
+        sense_hot="${sense_hot}${hits}
+"
+    fi
+done
+if [ -n "$sense_hot" ]; then
+    echo "lock or allocation inside the sense read path (between the SENSE READ PATH markers):" >&2
+    echo "$sense_hot" >&2
     exit 1
 fi
 
@@ -172,11 +203,11 @@ rm -rf "$isa_out"
 
 echo "==> golden-report gate (repro --out vs artifacts/)"
 # Every report repro writes must equal its committed artifact byte for
-# byte, and every committed artifact must still be written. The reports
-# in the skip list are known stale: some change since the seed moved
-# their numbers, and ROADMAP item 2's bisect has not yet found and
-# re-pinned it. They stay listed by name until that bisect lands.
-stale_reports="encoding fault-coverage mismatch oversampling"
+# byte, and every committed artifact must still be written. The report
+# in the skip list is known stale: artifacts/fault-coverage.txt is
+# still the seed's 32-plan table, and it stays listed until ROADMAP
+# item 1 makes the batched fault sweep exact and re-pins it.
+stale_reports="fault-coverage"
 golden_out="$(mktemp -d)"
 target/release/repro --out "$golden_out" >/dev/null
 golden_fail=0

@@ -94,7 +94,7 @@ pub mod prelude {
     pub use psnt_core::element::{RailMode, SenseElement};
     pub use psnt_core::pulsegen::{DelayCode, PulseGenerator};
     pub use psnt_core::system::{Measurement, SensorConfig, SensorSystem};
-    pub use psnt_core::thermometer::{CapacitorLadder, ThermometerArray};
+    pub use psnt_core::thermometer::{CapacitorLadder, OperatingPoint, ThermometerArray};
     pub use psnt_ctx::RunCtx;
     pub use psnt_engine::{Engine, RetryPolicy};
     pub use psnt_fault::{Fault, FaultPlan};

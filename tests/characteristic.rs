@@ -22,18 +22,17 @@ const SWEEP_POINTS: usize = 4001;
 /// saturated ends are exercised.
 const SWEEP_MARGIN_V: f64 = 0.1;
 
-/// Every (rail, corner, code) the characteristic is checked at, with
-/// the array, the P→CP skew and the element thresholds.
-fn operating_points() -> Vec<(ThermometerArray, Pvt, DelayCode, Time, Vec<Voltage>)> {
+/// Every (rail, corner, code) the characteristic is checked at: the
+/// array at that operating point, with a label.
+fn operating_points() -> Vec<(OperatingPoint, String)> {
     let pg = PulseGenerator::paper_table();
     let mut points = Vec::new();
     for mode in [RailMode::Supply, RailMode::Ground] {
+        let array = ThermometerArray::paper(mode);
         for pvt in [Pvt::typical(), Pvt::slow(), Pvt::fast()] {
             for code in DelayCode::all() {
-                let array = ThermometerArray::paper(mode);
-                let skew = pg.skew(code, &pvt);
-                let thresholds = array.thresholds(skew, &pvt).unwrap();
-                points.push((array, pvt, code, skew, thresholds));
+                let what = format!("{mode:?} {:?} code {}", pvt.corner, code.value());
+                points.push((array.at(pg.skew(code, &pvt), &pvt).unwrap(), what));
             }
         }
     }
@@ -42,7 +41,7 @@ fn operating_points() -> Vec<(ThermometerArray, Pvt, DelayCode, Time, Vec<Voltag
 
 /// How far past the outermost thresholds the reference sweep runs:
 /// beyond the 0.5 V span (plus the 0.1 mV bracket half-width) over
-/// which `ThermometerArray::measure` reads bits from its table instead
+/// which `OperatingPoint::measure` reads bits from its table instead
 /// of the delay model.
 const LOOKUP_SPAN_MARGIN_V: f64 = 0.6;
 
@@ -89,13 +88,12 @@ fn span(thresholds: &[Voltage], margin: f64) -> (f64, f64) {
 #[test]
 fn level_is_monotone_in_the_rail_with_no_missing_codes() {
     let mut checked = 0usize;
-    for (array, pvt, code, skew, thresholds) in operating_points() {
-        let what = format!("{:?} {:?} code {}", array.mode(), pvt.corner, code.value());
+    for (point, what) in operating_points() {
         let seen = sweep_levels(
-            array.mode(),
+            point.array().mode(),
             &what,
-            span(&thresholds, SWEEP_MARGIN_V),
-            |rail| array.measure(rail, skew, &pvt).level(),
+            span(point.thresholds(), SWEEP_MARGIN_V),
+            |rail| point.measure(rail).level(),
         );
         assert!(seen.iter().all(|&s| s), "{what}: missing codes {seen:?}");
         checked += SWEEP_POINTS;
@@ -105,23 +103,23 @@ fn level_is_monotone_in_the_rail_with_no_missing_codes() {
 
 #[test]
 fn reference_path_is_monotone_across_the_lookup_span() {
-    for (array, pvt, code, skew, thresholds) in operating_points() {
-        let what = format!("{:?} {:?} code {}", array.mode(), pvt.corner, code.value());
-        let direct = |rail| array.measure_detailed(rail, skew, &pvt).0;
+    for (point, what) in operating_points() {
+        let (array, thresholds) = (point.array(), point.thresholds());
+        let direct = |rail| array.measure_detailed(rail, point.skew(), point.pvt()).0;
         let seen = sweep_levels(
             array.mode(),
             &what,
-            span(&thresholds, SWEEP_MARGIN_V),
+            span(thresholds, SWEEP_MARGIN_V),
             |rail| direct(rail).level(),
         );
         assert!(seen.iter().all(|&s| s), "{what}: missing codes {seen:?}");
         sweep_levels(
             array.mode(),
             &what,
-            span(&thresholds, LOOKUP_SPAN_MARGIN_V),
+            span(thresholds, LOOKUP_SPAN_MARGIN_V),
             |rail| {
                 let code = direct(rail);
-                assert_eq!(array.measure(rail, skew, &pvt), code, "{what} at {rail}");
+                assert_eq!(point.measure(rail), code, "{what} at {rail}");
                 code.level()
             },
         );
@@ -130,17 +128,17 @@ fn reference_path_is_monotone_across_the_lookup_span() {
 
 #[test]
 fn thresholds_are_strictly_ordered_with_dnl_above_minus_one_lsb() {
-    for (array, pvt, code, _, thresholds) in operating_points() {
-        let what = format!("{:?} {:?} code {}", array.mode(), pvt.corner, code.value());
+    for (point, what) in operating_points() {
+        let thresholds = point.thresholds();
         assert_eq!(thresholds.len(), 7, "{what}");
         // HIGH-SENSE thresholds rise with element load; LOW-SENSE fall.
-        let ordered = thresholds.windows(2).all(|w| match array.mode() {
+        let ordered = thresholds.windows(2).all(|w| match point.array().mode() {
             RailMode::Supply => w[1] > w[0],
             RailMode::Ground => w[1] < w[0],
         });
         assert!(ordered, "{what}: thresholds out of order {thresholds:?}");
 
-        let mut ascending = thresholds.clone();
+        let mut ascending = thresholds.to_vec();
         ascending.sort_by(|a, b| a.volts().total_cmp(&b.volts()));
         let report = linearity(&ascending);
         for (i, &dnl) in report.dnl.iter().enumerate() {
@@ -154,9 +152,8 @@ fn thresholds_are_strictly_ordered_with_dnl_above_minus_one_lsb() {
 
 #[test]
 fn inl_stays_within_one_lsb() {
-    for (array, pvt, code, _, thresholds) in operating_points() {
-        let what = format!("{:?} {:?} code {}", array.mode(), pvt.corner, code.value());
-        let mut ascending = thresholds.clone();
+    for (point, what) in operating_points() {
+        let mut ascending = point.thresholds().to_vec();
         ascending.sort_by(|a, b| a.volts().total_cmp(&b.volts()));
         let report = linearity(&ascending);
         for (i, &inl) in report.inl.iter().enumerate() {

@@ -66,10 +66,12 @@ fn fig5_dynamic_ranges_match_paper() {
 
 #[test]
 fn fig5_code_boundaries_match_paper() {
-    let array = ThermometerArray::paper(RailMode::Supply);
     let skew = pg().skew(DelayCode::new(3).unwrap(), &pvt());
+    let point = ThermometerArray::paper(RailMode::Supply)
+        .at(skew, &pvt())
+        .unwrap();
     let code: ThermometerCode = "0011111".parse().unwrap();
-    let interval = array.decode(&code, skew, &pvt()).unwrap();
+    let interval = point.decode(&code).unwrap();
     assert!((interval.lower.unwrap().volts() - 0.992).abs() < 0.003);
     assert!((interval.upper.unwrap().volts() - 1.021).abs() < 0.003);
 }
@@ -120,7 +122,9 @@ fn critical_path_in_the_1_22ns_regime() {
 fn overvoltage_measurable_with_code_010() {
     // Paper: "also overvoltages can be measured then if interesting".
     let mut sensor = SensorSystem::new(SensorConfig::default()).unwrap();
-    sensor.set_delay_codes(DelayCode::new(2).unwrap(), DelayCode::new(3).unwrap());
+    sensor
+        .set_delay_codes(DelayCode::new(2).unwrap(), DelayCode::new(3).unwrap())
+        .unwrap();
     let m = sensor
         .measure_at(
             &Waveform::constant(1.15),
