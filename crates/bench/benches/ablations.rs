@@ -17,9 +17,7 @@ fn bench_ablations(c: &mut Criterion) {
     g.bench_function("xp_impedance", |b| {
         b.iter(|| ablations::impedance(&mut RunCtx::serial()))
     });
-    g.bench_function("xp_temperature", |b| {
-        b.iter(|| ablations::temperature(&mut RunCtx::serial()))
-    });
+    g.bench_function("xp_temperature", |b| b.iter(ablations::temperature));
     g.bench_function("xp_code_density", |b| b.iter(ablations::code_density));
     g.bench_function("xp_oversampling", |b| b.iter(ablations::oversampling));
     g.finish();

@@ -426,6 +426,7 @@ fn bench_kernels(c: &mut Criterion) {
     // 1,000): the 256 sites' rail histories dominate the file. The
     // snapshot comes from a library run interrupted at cycle 500, so
     // the timed file is exactly what a supervised campaign writes.
+    // (Named `checkpoint_save_load_8x8_500c` before schema version 4.)
     {
         use psnt_fault::{Fault, FaultPlan};
         use psnt_workload::checkpoint::CheckpointPolicy;
@@ -451,7 +452,7 @@ fn bench_kernels(c: &mut Criterion) {
         assert!(interrupted.is_err(), "the run must stop at cycle 500");
         let ckpt = WorkloadCheckpoint::load(&path).unwrap();
         assert_eq!(ckpt.cycle(), 500);
-        c.bench_function("checkpoint_save_load_8x8_500c", |b| {
+        c.bench_function("checkpoint_roundtrip_chip_8x8", |b| {
             b.iter(|| {
                 ckpt.save(&path).unwrap();
                 WorkloadCheckpoint::load(&path).unwrap()

@@ -11,9 +11,7 @@ fn bench_figures(c: &mut Criterion) {
     g.bench_function("fig2_element_delay", |b| b.iter(figures::fig2));
     g.bench_function("fig3_measure_sequence", |b| b.iter(figures::fig3));
     g.bench_function("fig4_threshold_vs_cap", |b| b.iter(figures::fig4));
-    g.bench_function("fig5_array_characteristic", |b| {
-        b.iter(|| figures::fig5(&mut RunCtx::serial()))
-    });
+    g.bench_function("fig5_array_characteristic", |b| b.iter(figures::fig5));
     g.bench_function("tab1_pulse_generator", |b| b.iter(figures::tab1));
     g.bench_function("fig6_system_assembly", |b| {
         b.iter(|| figures::fig6(&mut RunCtx::serial()))
@@ -22,9 +20,7 @@ fn bench_figures(c: &mut Criterion) {
     g.bench_function("fig9_system_sequence", |b| {
         b.iter(|| figures::fig9(&mut RunCtx::serial()))
     });
-    g.bench_function("xp_gnd_characteristic", |b| {
-        b.iter(|| figures::gnd(&mut RunCtx::serial()))
-    });
+    g.bench_function("xp_gnd_characteristic", |b| b.iter(figures::gnd));
     g.bench_function("xp_process_trim", |b| {
         b.iter(|| figures::pv(&mut RunCtx::serial()))
     });

@@ -325,7 +325,7 @@ pub fn impedance(ctx: &mut psnt_ctx::RunCtx<'_>) -> String {
 /// Ablation 7 — temperature cross-sensitivity: the PSN "thermometer" is
 /// also, literally, a thermometer. Quantifies the mV-per-°C error a
 /// power-aware policy must budget for.
-pub fn temperature(ctx: &mut psnt_ctx::RunCtx<'_>) -> String {
+pub fn temperature() -> String {
     use psnt_cells::process::ProcessCorner;
     use psnt_cells::units::Temperature;
     let array = ThermometerArray::paper(RailMode::Supply);
@@ -343,7 +343,7 @@ pub fn temperature(ctx: &mut psnt_ctx::RunCtx<'_>) -> String {
             Voltage::from_v(1.0),
             Temperature::from_celsius(temp_c),
         );
-        let ch = psnt_core::calibration::array_characteristic(ctx, &array, &pg, code, &pvt)
+        let ch = psnt_core::calibration::array_characteristic(&array, &pg, code, &pvt)
             .expect("in range");
         let mid = ch.midpoint();
         if temp_c == 25.0 {
@@ -517,7 +517,7 @@ mod tests {
 
     #[test]
     fn temperature_drift_reported() {
-        let s = temperature(&mut psnt_ctx::RunCtx::serial());
+        let s = temperature();
         assert!(s.contains("125 °C"));
         assert!(s.contains("drift vs 25 °C"));
     }

@@ -110,7 +110,7 @@ fn main() {
     let chars = ctx
         .engine()
         .try_map(codes.len(), |i| {
-            array_characteristic(&mut RunCtx::serial(), &array, &pg, codes[i], &pvt)
+            array_characteristic(&array, &pg, codes[i], &pvt)
         })
         .expect("in range");
     for (code, ch) in codes.iter().zip(&chars) {
@@ -128,7 +128,7 @@ fn main() {
     let chars = ctx
         .engine()
         .try_map(codes.len(), |i| {
-            array_characteristic(&mut RunCtx::serial(), &ls, &pg, codes[i], &pvt)
+            array_characteristic(&ls, &pg, codes[i], &pvt)
         })
         .expect("in range");
     for (code, ch) in codes.iter().zip(&chars) {

@@ -256,6 +256,27 @@ fn droop_run_shape(k: usize) -> (&'static str, usize) {
     }
 }
 
+/// The sweep run the `droop-mitigation <k>` sidecar of checkpoint
+/// `ckpt` names, checked against the policy the checkpoint holds.
+fn read_sidecar(ckpt: &Path, ckpt_policy: &str) -> Result<usize, WorkloadError> {
+    let meta = meta_path(ckpt);
+    let text = fs::read_to_string(&meta)
+        .map_err(|e| meta_err(&meta, format!("cannot read sweep sidecar: {e}")))?;
+    let k = text
+        .strip_prefix("droop-mitigation ")
+        .and_then(|rest| rest.trim().parse::<usize>().ok())
+        .filter(|&k| k < DROOP_RUNS)
+        .ok_or_else(|| meta_err(&meta, "not a droop-mitigation sweep sidecar"))?;
+    let (policy, _) = droop_run_shape(k);
+    if ckpt_policy != policy {
+        return Err(meta_err(
+            &meta,
+            format!("sidecar names run {k} ({policy}) but the checkpoint holds {ckpt_policy:?}"),
+        ));
+    }
+    Ok(k)
+}
+
 /// XP-DROOP under a checkpoint policy. See
 /// [`figures::droop_mitigation`](crate::figures::droop_mitigation) for
 /// the experiment itself.
@@ -272,25 +293,7 @@ pub fn droop_mitigation_checkpointed(
     let resume: Option<(usize, MitigatedCheckpoint)> = match opts.resume.as_deref() {
         Some(path) => {
             let ckpt = MitigatedCheckpoint::load(path)?;
-            let meta = meta_path(path);
-            let text = fs::read_to_string(&meta)
-                .map_err(|e| meta_err(&meta, format!("cannot read sweep sidecar: {e}")))?;
-            let k = text
-                .strip_prefix("droop-mitigation ")
-                .and_then(|rest| rest.trim().parse::<usize>().ok())
-                .filter(|&k| k < DROOP_RUNS)
-                .ok_or_else(|| meta_err(&meta, "not a droop-mitigation sweep sidecar"))?;
-            let (policy, _) = droop_run_shape(k);
-            if ckpt.policy != policy {
-                return Err(meta_err(
-                    &meta,
-                    format!(
-                        "sidecar names run {k} ({policy}) but the checkpoint holds {:?}",
-                        ckpt.policy
-                    ),
-                ));
-            }
-            Some((k, ckpt))
+            Some((read_sidecar(path, &ckpt.policy)?, ckpt))
         }
         None => None,
     };
@@ -462,4 +465,93 @@ fn render_droop_report(
          by burst edges at every latency (pinned by tests/control_loop.rs)\n",
     );
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Writes `bytes` as the sidecar of checkpoint `name` in a
+    /// per-process directory and reads it back through [`read_sidecar`].
+    fn sidecar(
+        name: &str,
+        bytes: &[u8],
+        ckpt_policy: &str,
+    ) -> (PathBuf, Result<usize, WorkloadError>) {
+        let dir = std::env::temp_dir().join(format!("psnt-sidecar-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join(name);
+        fs::write(meta_path(&ckpt), bytes).unwrap();
+        let r = read_sidecar(&ckpt, ckpt_policy);
+        fs::remove_file(meta_path(&ckpt)).unwrap();
+        (meta_path(&ckpt), r)
+    }
+
+    fn is_sidecar_error(meta: &Path, r: &Result<usize, WorkloadError>) -> bool {
+        matches!(r, Err(WorkloadError::Checkpoint { path, .. }) if *path == meta.display().to_string())
+    }
+
+    #[test]
+    fn sidecars_name_a_run_whose_policy_the_checkpoint_holds() {
+        assert_eq!(meta_path(Path::new("run.ckpt")), Path::new("run.ckpt.meta"));
+        for k in 0..DROOP_RUNS {
+            let (policy, _) = droop_run_shape(k);
+            let text = format!("droop-mitigation {k}\n");
+            assert_eq!(sidecar("fixed.ckpt", text.as_bytes(), policy).1.unwrap(), k);
+        }
+        for (text, policy) in [
+            ("droop-mitigation 14\n", "supply-boost"),
+            ("droop-mitigation 3\n", "open-loop"),
+            ("droop-mitigation -1\n", "open-loop"),
+            ("droop-mitigation\n", "open-loop"),
+            ("noc-campaign 0\n", "open-loop"),
+            ("", "open-loop"),
+        ] {
+            let (meta, r) = sidecar("fixed.ckpt", text.as_bytes(), policy);
+            assert!(is_sidecar_error(&meta, &r), "{text:?}: {r:?}");
+        }
+        let missing = read_sidecar(Path::new("no-such-dir/run.ckpt"), "open-loop");
+        assert!(is_sidecar_error(
+            Path::new("no-such-dir/run.ckpt.meta"),
+            &missing
+        ));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        /// Mutation fuzzing of a sidecar on disk: byte flips (invalid
+        /// UTF-8 included), truncation, inserted bytes and other run
+        /// indices. Nothing panics; a sidecar is accepted only when it
+        /// names a run below 14 whose policy the checkpoint holds, and
+        /// refused with `WorkloadError::Checkpoint` otherwise.
+        #[test]
+        fn mutated_sidecars_are_refused_cleanly(
+            kind in 0u8..4,
+            at in 0usize..64,
+            byte in proptest::prelude::any::<u8>(),
+            run in 0usize..32,
+            policy in 0usize..DROOP_RUNS,
+        ) {
+            let (ckpt_policy, _) = droop_run_shape(policy);
+            let mut bytes = b"droop-mitigation 3\n".to_vec();
+            let i = at % bytes.len();
+            match kind {
+                0 => bytes[i] = byte,
+                1 => bytes.truncate(i),
+                2 => bytes.insert(i, byte),
+                _ => bytes = format!("droop-mitigation {run}\n").into_bytes(),
+            }
+            let (meta, r) = sidecar("fuzz.ckpt", &bytes, ckpt_policy);
+            let named = std::str::from_utf8(&bytes)
+                .ok()
+                .and_then(|t| t.strip_prefix("droop-mitigation "))
+                .and_then(|rest| rest.trim().parse::<usize>().ok());
+            match named {
+                Some(k) if k < DROOP_RUNS && droop_run_shape(k).0 == ckpt_policy => {
+                    proptest::prop_assert_eq!(r.ok(), Some(k));
+                }
+                _ => proptest::prop_assert!(is_sidecar_error(&meta, &r), "{:?}: {:?}", bytes, r),
+            }
+        }
+    }
 }

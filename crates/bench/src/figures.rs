@@ -54,7 +54,7 @@ pub fn registry() -> Vec<Experiment> {
         (
             "fig5",
             "7-bit array characteristic for three delay codes",
-            fig5,
+            |_| fig5(),
         ),
         (
             "tab1",
@@ -76,7 +76,7 @@ pub fn registry() -> Vec<Experiment> {
             "full two-measure system run (1.0 V then 0.9 V)",
             fig9,
         ),
-        ("gnd", "LOW-SENSE (ground-bounce) array characteristic", gnd),
+        ("gnd", "LOW-SENSE (ground-bounce) array characteristic", |_| gnd()),
         (
             "pv",
             "per-corner delay-code trim across process corners",
@@ -135,7 +135,7 @@ pub fn registry() -> Vec<Experiment> {
         (
             "temperature",
             "characteristic drift with junction temperature",
-            ablations::temperature,
+            |_| ablations::temperature(),
         ),
         (
             "code-density",
@@ -270,7 +270,7 @@ pub fn fig4() -> String {
 }
 
 /// Fig. 5 — 7-bit array characteristic for three delay codes.
-pub fn fig5(ctx: &mut RunCtx<'_>) -> String {
+pub fn fig5() -> String {
     let array = ThermometerArray::paper(RailMode::Supply);
     let pg = PulseGenerator::paper_table();
     let pvt = Pvt::typical();
@@ -280,7 +280,7 @@ pub fn fig5(ctx: &mut RunCtx<'_>) -> String {
     );
     for code_val in [1u8, 2, 3] {
         let code = DelayCode::new(code_val).expect("static");
-        let ch = array_characteristic(ctx, &array, &pg, code, &pvt).expect("in range");
+        let ch = array_characteristic(&array, &pg, code, &pvt).expect("in range");
         let ths = ch
             .thresholds
             .iter()
@@ -442,7 +442,7 @@ pub fn fig9(ctx: &mut RunCtx<'_>) -> String {
 
 /// XP-GND — the LOW-SENSE (ground) characteristic the paper generated
 /// "but not reported for sake of brevity".
-pub fn gnd(ctx: &mut RunCtx<'_>) -> String {
+pub fn gnd() -> String {
     let array = ThermometerArray::paper(RailMode::Ground);
     let pg = PulseGenerator::paper_table();
     let pvt = Pvt::typical();
@@ -452,7 +452,7 @@ pub fn gnd(ctx: &mut RunCtx<'_>) -> String {
     );
     for code_val in [3u8, 4, 5] {
         let code = DelayCode::new(code_val).expect("static");
-        let ch = array_characteristic(ctx, &array, &pg, code, &pvt).expect("in range");
+        let ch = array_characteristic(&array, &pg, code, &pvt).expect("in range");
         let ths = ch
             .thresholds
             .iter()
@@ -1145,7 +1145,7 @@ mod tests {
 
     #[test]
     fn fig5_report_contains_ranges() {
-        let s = fig5(&mut RunCtx::serial());
+        let s = fig5();
         assert!(s.contains("011"));
         assert!(s.contains("0.827"));
     }
@@ -1199,7 +1199,7 @@ mod tests {
 
     #[test]
     fn gnd_pv_baseline_scan_render() {
-        assert!(gnd(&mut RunCtx::serial()).contains("LOW-SENSE"));
+        assert!(gnd().contains("LOW-SENSE"));
         assert!(pv(&mut RunCtx::serial()).contains("SS"));
         let b = baseline();
         assert!(b.contains("60 mV VDD droop"));

@@ -23,12 +23,10 @@
 //! use psnt_core::element::RailMode;
 //! use psnt_core::pulsegen::{DelayCode, PulseGenerator};
 //! use psnt_core::thermometer::ThermometerArray;
-//! use psnt_ctx::RunCtx;
 //!
 //! let array = ThermometerArray::paper(RailMode::Supply);
 //! let pg = PulseGenerator::paper_table();
-//! let mut ctx = RunCtx::serial();
-//! let ch = array_characteristic(&mut ctx, &array, &pg, DelayCode::new(3)?, &Pvt::typical())?;
+//! let ch = array_characteristic(&array, &pg, DelayCode::new(3)?, &Pvt::typical())?;
 //! assert_eq!(ch.thresholds.len(), 7);
 //! # Ok::<(), psnt_core::error::SensorError>(())
 //! ```
@@ -128,16 +126,14 @@ impl ArrayCharacteristic {
 ///
 /// The per-element threshold searches run as one 64-lane lockstep solve
 /// (one lane per element, see `psnt_core::lanes`) — bit-identical to a
-/// serial per-element sweep at any worker count. The context is taken
-/// for symmetry with the other calibration entry points; the solve is
-/// one serial kernel call and records nothing.
+/// serial per-element sweep. The solve is one serial kernel call, so
+/// it takes no run context and records nothing.
 ///
 /// # Errors
 ///
 /// Propagates threshold-search failures (lowest-indexed element wins
 /// when several fail).
 pub fn array_characteristic(
-    _ctx: &mut RunCtx<'_>,
     array: &ThermometerArray,
     pg: &PulseGenerator,
     code: DelayCode,
@@ -198,12 +194,12 @@ pub fn trim_for_corner(
     reference_pvt: &Pvt,
     corner_pvt: &Pvt,
 ) -> Result<TrimResult, SensorError> {
-    let reference = array_characteristic(ctx, array, pg, reference_code, reference_pvt)?;
+    let reference = array_characteristic(array, pg, reference_code, reference_pvt)?;
     let target = reference.midpoint();
 
     let codes = DelayCode::all();
     let characteristics = ctx.engine().try_map(codes.len(), |i| {
-        array_characteristic(&mut RunCtx::serial(), array, pg, codes[i], corner_pvt)
+        array_characteristic(array, pg, codes[i], corner_pvt)
     })?;
 
     let mut best: Option<(DelayCode, Voltage)> = None;
@@ -292,13 +288,9 @@ mod tests {
     fn fig5_characteristics_for_three_codes() {
         let a = array();
         let p = pg();
-        let mut ctx = RunCtx::serial();
-        let ch011 =
-            array_characteristic(&mut ctx, &a, &p, DelayCode::new(3).unwrap(), &pvt()).unwrap();
-        let ch010 =
-            array_characteristic(&mut ctx, &a, &p, DelayCode::new(2).unwrap(), &pvt()).unwrap();
-        let ch001 =
-            array_characteristic(&mut ctx, &a, &p, DelayCode::new(1).unwrap(), &pvt()).unwrap();
+        let ch011 = array_characteristic(&a, &p, DelayCode::new(3).unwrap(), &pvt()).unwrap();
+        let ch010 = array_characteristic(&a, &p, DelayCode::new(2).unwrap(), &pvt()).unwrap();
+        let ch001 = array_characteristic(&a, &p, DelayCode::new(1).unwrap(), &pvt()).unwrap();
         // Paper numbers: 011 → 0.827–1.053 V, 010 → 0.951–1.237 V.
         assert!((ch011.range.0.volts() - 0.827).abs() < 0.003);
         assert!((ch011.range.1.volts() - 1.053).abs() < 0.003);
@@ -311,8 +303,7 @@ mod tests {
 
     #[test]
     fn characteristic_thresholds_ascend_with_load() {
-        let ch = array_characteristic(&mut RunCtx::serial(), &array(), &pg(), code011(), &pvt())
-            .unwrap();
+        let ch = array_characteristic(&array(), &pg(), code011(), &pvt()).unwrap();
         for w in ch.thresholds.windows(2) {
             assert!(w[1] > w[0]);
         }
@@ -350,14 +341,13 @@ mod tests {
         // the delay-code trim compensates.
         let a = array();
         let p = pg();
-        let mut ctx = RunCtx::serial();
-        let tt = array_characteristic(&mut ctx, &a, &p, code011(), &pvt()).unwrap();
+        let tt = array_characteristic(&a, &p, code011(), &pvt()).unwrap();
         let ss_pvt = Pvt::new(
             ProcessCorner::SS,
             Voltage::from_v(1.0),
             Temperature::from_celsius(25.0),
         );
-        let ss = array_characteristic(&mut ctx, &a, &p, code011(), &ss_pvt).unwrap();
+        let ss = array_characteristic(&a, &p, code011(), &ss_pvt).unwrap();
         let shift = (ss.midpoint() - tt.midpoint()).abs();
         assert!(
             shift > Voltage::from_mv(10.0),
@@ -403,8 +393,7 @@ mod tests {
     fn parallel_characteristic_and_trim_match_serial() {
         let a = array();
         let p = pg();
-        let serial_ch =
-            array_characteristic(&mut RunCtx::serial(), &a, &p, code011(), &pvt()).unwrap();
+        let serial_ch = array_characteristic(&a, &p, code011(), &pvt()).unwrap();
         let ss_pvt = Pvt::new(
             ProcessCorner::SS,
             Voltage::from_v(1.0),
@@ -414,7 +403,7 @@ mod tests {
             trim_for_corner(&mut RunCtx::serial(), &a, &p, code011(), &pvt(), &ss_pvt).unwrap();
         for jobs in [1usize, 2, 7] {
             let mut ctx = RunCtx::new(Engine::new(jobs));
-            let ch = array_characteristic(&mut ctx, &a, &p, code011(), &pvt()).unwrap();
+            let ch = array_characteristic(&a, &p, code011(), &pvt()).unwrap();
             assert_eq!(ch, serial_ch, "jobs={jobs}");
             let trim = trim_for_corner(&mut ctx, &a, &p, code011(), &pvt(), &ss_pvt).unwrap();
             assert_eq!(trim, serial_trim, "jobs={jobs}");

@@ -485,6 +485,91 @@ mod tests {
         assert!(FaultPlan::from_json("{\"faults\": [{\"Nope\": {}}]}").is_err());
     }
 
+    /// A plan holding every fault variant, valid.
+    fn every_fault() -> FaultPlan {
+        FaultPlan::new()
+            .with(Fault::stuck_at("inv3.out", Logic::One))
+            .with(Fault::delay_scale("inv1", 1.5))
+            .with(Fault::bit_upset("ff4", Time::from_ns(2.0)))
+            .with(Fault::supply_glitch(
+                "vdd",
+                (Time::ZERO, Time::from_ns(1.0)),
+                Voltage::from_v(-0.1),
+            ))
+            .with(Fault::Transient {
+                probability: 0.25,
+                seed: 7,
+            })
+            .with(Fault::SitePanic { site: 3 })
+            .with(Fault::SinkError { after_records: 9 })
+            .with(Fault::WorkerPanic { job: 2, attempt: 1 })
+            .with(Fault::CancelAt { cycle: 500 })
+            .with(Fault::DeadlineTrip)
+    }
+
+    #[test]
+    fn out_of_range_values_name_their_fault() {
+        let doc = every_fault().to_json();
+        assert_eq!(FaultPlan::from_json(&doc), Ok(every_fault()));
+        for (from, to, index) in [
+            ("\"factor\":1.5", "\"factor\":-1.5", 1),
+            ("\"factor\":1.5", "\"factor\":0.0", 1),
+            ("\"factor\":1.5", "\"factor\":1e999", 1),
+            ("\"probability\":0.25", "\"probability\":1.5", 4),
+            ("\"window\":[0.0,1000.0]", "\"window\":[1000.0,0.0]", 3),
+        ] {
+            assert!(doc.contains(from), "{from} not in {doc}");
+            let err = FaultPlan::from_json(&doc.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err.index, index, "{to}: {err}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+        /// Mutation fuzzing of a plan holding every fault variant:
+        /// ASCII byte flips, truncation, deleted and duplicated runs.
+        /// Nothing panics; a mutant parses to a plan that validates and
+        /// round-trips through `to_json`, or fails with a `PlanError`
+        /// whose index names one of its faults.
+        #[test]
+        fn mutated_fault_plans_parse_or_fail_cleanly(
+            kind in 0u8..4,
+            at in 0usize..1 << 16,
+            len in 1usize..24,
+            byte in 0x20u8..0x7f,
+        ) {
+            let doc = every_fault().to_json();
+            let mut bytes = doc.into_bytes();
+            let i = at % bytes.len();
+            let j = (i + len).min(bytes.len());
+            match kind {
+                0 => bytes[i] = byte,
+                1 => bytes.truncate(i),
+                2 => {
+                    bytes.drain(i..j);
+                }
+                _ => {
+                    let run = bytes[i..j].to_vec();
+                    bytes.splice(i..i, run);
+                }
+            }
+            let text = String::from_utf8(bytes).unwrap();
+            match FaultPlan::from_json(&text) {
+                Ok(plan) => {
+                    proptest::prop_assert_eq!(plan.validate(), Ok(()));
+                    proptest::prop_assert_eq!(FaultPlan::from_json(&plan.to_json()), Ok(plan));
+                }
+                Err(e) => {
+                    proptest::prop_assert!(!e.reason.is_empty());
+                    proptest::prop_assert!(e.index < every_fault().len() + len, "{}", e);
+                }
+            }
+            if kind == 1 {
+                proptest::prop_assert!(FaultPlan::from_json(&text).is_err(), "{} parsed", text);
+            }
+        }
+    }
+
     #[test]
     fn splitmix_is_deterministic_and_uniform_ish() {
         let mut a = SplitMix64::new(42);

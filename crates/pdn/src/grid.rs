@@ -1354,11 +1354,7 @@ impl PowerGrid {
     /// [`PowerGrid::quasi_static_transient`] holds every instant to.
     /// Settling a settled or an empty batch does nothing.
     pub fn settle_deltas(&self, batch: &mut DeltaBatch, sol: &GridSolution) {
-        debug_assert!(
-            self.kcl_residual(sol.voltages(), sol.loads())
-                <= 1e-10 * self.kcl_scale(sol.voltages(), sol.loads()),
-            "KCL residual before a delta batch"
-        );
+        debug_assert!(self.kcl_holds(sol), "KCL residual before a delta batch");
         if batch.settled || batch.pending() == 0 {
             return;
         }
@@ -1424,11 +1420,7 @@ impl PowerGrid {
             }
             let instantaneous: Vec<f64> = loads.iter().map(|w| w.sample(t)).collect();
             let sol = self.solve_sparse(&instantaneous)?;
-            debug_assert!(
-                self.kcl_residual(sol.voltages(), sol.loads())
-                    <= 1e-10 * self.kcl_scale(sol.voltages(), sol.loads()),
-                "KCL residual at t = {t}"
-            );
+            debug_assert!(self.kcl_holds(&sol), "KCL residual at t = {t}");
             for (tile, &vi) in sol.voltages().iter().enumerate() {
                 per_tile[tile].push((t, vi));
             }
@@ -1437,6 +1429,18 @@ impl PowerGrid {
             obs.metrics.counter_add("pdn.grid_solves", steps as u64 + 1);
         }
         per_tile.into_iter().map(Waveform::from_points).collect()
+    }
+
+    /// Whether `sol` is a state of this grid: one finite voltage and
+    /// one finite load per node that satisfy KCL to `1e-10` of their
+    /// current scale ([`PowerGrid::kcl_residual`]), the bound every
+    /// solve and delta chain holds to.
+    pub fn kcl_holds(&self, sol: &GridSolution) -> bool {
+        let (v, loads) = (sol.voltages(), sol.loads());
+        v.len() == self.tiles()
+            && loads.len() == self.tiles()
+            && v.iter().chain(loads).all(|x| x.is_finite())
+            && self.kcl_residual(v, loads) <= 1e-10 * self.kcl_scale(v, loads)
     }
 
     /// The infinity-norm KCL residual `‖K·v − b‖∞` (amperes) of tile

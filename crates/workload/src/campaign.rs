@@ -422,6 +422,13 @@ struct RailRecorder {
     dt: Time,
 }
 
+impl RailRecorder {
+    /// The instant cycle `c`'s rail knots sit at.
+    fn midpoint(&self, c: usize) -> Time {
+        self.dt * (c as f64 + 0.5)
+    }
+}
+
 impl CycleDriver for RailRecorder {
     type Checkpoint = WorkloadCheckpoint;
     type Output = Rails;
@@ -457,6 +464,11 @@ impl CycleDriver for RailRecorder {
                     series.len()
                 )));
             }
+            if let Some(c) = (0..done).find(|&c| series[c].0 != self.midpoint(c)) {
+                return Err(resume_refused(format!(
+                    "site {k}'s rail point {c} is not at cycle {c}'s midpoint"
+                )));
+            }
             self.site_points[k] = series.clone();
         }
         Ok(())
@@ -468,7 +480,7 @@ impl CycleDriver for RailRecorder {
         _scan: &GridScan,
         stepper: &mut CycleStepper<'_>,
     ) -> Result<(), WorkloadError> {
-        let t_c = self.dt * (c as f64 + 0.5);
+        let t_c = self.midpoint(c);
         for (points, &nd) in self.site_points.iter_mut().zip(&self.site_nodes) {
             points.push((t_c, stepper.voltages()[nd]));
         }

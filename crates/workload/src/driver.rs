@@ -259,6 +259,12 @@ impl NocWorkload {
                 stats_done.len()
             )));
         }
+        let layout = |w: &WindowStats| (w.window, w.start_cycle, w.instant);
+        if let Some(w) = (0..touched).find(|&w| layout(&stats_done[w]) != layout(&stats[w])) {
+            return Err(resume_refused(format!(
+                "captured window {w} is not this run's window {w}"
+            )));
+        }
         stats[..touched].clone_from_slice(stats_done);
         Ok(done)
     }

@@ -649,4 +649,86 @@ mod tests {
         assert_eq!(h.count(), 120, "one droop sample per cycle");
         assert!(h.mean().unwrap() >= 0.0);
     }
+
+    /// The throttle run's checkpoint at cycle 70, in flight frames and
+    /// controller state included, built once per test binary.
+    fn throttle_checkpoint_document() -> &'static (NocWorkload, String) {
+        static DOC: std::sync::OnceLock<(NocWorkload, String)> = std::sync::OnceLock::new();
+        DOC.get_or_init(|| {
+            let w = NocWorkload::new(control_chip()).unwrap();
+            let path = std::env::temp_dir().join(format!(
+                "psnt-ckpt-mitigated-fuzz-{}.json",
+                std::process::id()
+            ));
+            let mut ctrl = ThresholdThrottle::new(4, 6, 7).unwrap();
+            let mut ctx = RunCtx::serial()
+                .with_seed(5)
+                .with_fault_plan(FaultPlan::new().with(Fault::CancelAt { cycle: 70 }));
+            let policy = CheckpointPolicy::to_path(&path, 1000);
+            let r = w.run_mitigated_checkpointed(&mut ctx, Some(&mut ctrl), 2, &policy, None);
+            assert!(matches!(r, Err(WorkloadError::Interrupted(_))), "{r:?}");
+            let doc = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            (w, doc)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        /// Mutation fuzzing of a closed-loop checkpoint: printable byte
+        /// flips, deleted and duplicated runs, and digit swaps, which
+        /// keep most mutants loadable. Nothing panics; a mutant is
+        /// refused at load with `WorkloadError::Checkpoint`, refused at
+        /// resume with `InvalidConfig`, or resumes.
+        #[test]
+        fn mutated_closed_loop_checkpoints_are_refused_cleanly_or_resume(
+            kind in 0u8..4,
+            at in 0usize..1 << 20,
+            len in 0usize..48,
+            byte in 0x20u8..0x7f,
+        ) {
+            let (w, doc) = throttle_checkpoint_document();
+            let mut bytes = doc.clone().into_bytes();
+            let i = at % bytes.len();
+            let j = (i + len).min(bytes.len());
+            match kind {
+                0 => bytes[i] = byte,
+                1 => {
+                    bytes.drain(i..j);
+                }
+                2 => {
+                    let run = bytes[i..j].to_vec();
+                    bytes.splice(i..i, run);
+                }
+                _ => {
+                    if bytes[i].is_ascii_digit() {
+                        bytes[i] = b'0' + byte % 10;
+                    }
+                }
+            }
+            let path = std::env::temp_dir()
+                .join(format!("psnt-ckpt-mitigated-mutant-{}.json", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let loaded = MitigatedCheckpoint::load(&path);
+            std::fs::remove_file(&path).unwrap();
+            let ckpt = match loaded {
+                Ok(ckpt) => ckpt,
+                Err(e) => {
+                    proptest::prop_assert!(matches!(e, WorkloadError::Checkpoint { .. }), "{:?}", e);
+                    return Ok(());
+                }
+            };
+            let mut ctrl = ThresholdThrottle::new(4, 6, 7).unwrap();
+            let resumed = w.run_mitigated_checkpointed(
+                &mut RunCtx::serial().with_seed(5),
+                Some(&mut ctrl),
+                2,
+                &CheckpointPolicy::none(),
+                Some(&ckpt),
+            );
+            if let Err(e) = resumed {
+                proptest::prop_assert!(matches!(e, WorkloadError::InvalidConfig { .. }), "{:?}", e);
+            }
+        }
+    }
 }

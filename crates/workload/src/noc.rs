@@ -52,23 +52,38 @@ impl NocMesh {
         self.rows * self.cols
     }
 
-    /// The XY route from `src` to `dst` as the sequence of tiles
-    /// traversed, inclusive of both endpoints: first along the row to
-    /// the destination column, then along the column. Each step is
-    /// [`NocMesh::xy_next`].
-    pub fn route_xy(&self, src: usize, dst: usize) -> Vec<usize> {
-        debug_assert!(src < self.tiles() && dst < self.tiles());
+    /// Hops on the XY route from `src` to `dst`: their Manhattan
+    /// distance. A tile on that route lies `xy_hops(src, tile)` hops
+    /// from `src`, because an XY route never steps away from its
+    /// destination.
+    pub(crate) fn xy_hops(&self, src: usize, dst: usize) -> usize {
         let (sr, sc) = (src / self.cols, src % self.cols);
         let (dr, dc) = (dst / self.cols, dst % self.cols);
-        let mut path = Vec::with_capacity(sc.abs_diff(dc) + sr.abs_diff(dr) + 1);
-        let turn = self.xy_turn(src, dst);
-        let mut at = src;
-        path.push(at);
-        while at != dst {
-            at = self.xy_next(at, turn, dst);
-            path.push(at);
+        sr.abs_diff(dr) + sc.abs_diff(dc)
+    }
+
+    /// The tile `hop` hops along the XY route from `src` to `dst`
+    /// (`hop ≤` [`NocMesh::xy_hops`]): along the source row first,
+    /// then along the destination column.
+    pub(crate) fn xy_at(&self, src: usize, dst: usize, hop: usize) -> usize {
+        debug_assert!(hop <= self.xy_hops(src, dst));
+        let (sc, dc) = (src % self.cols, dst % self.cols);
+        let along = sc.abs_diff(dc);
+        if hop <= along {
+            if dc >= sc {
+                src + hop
+            } else {
+                src - hop
+            }
+        } else {
+            let turn = self.xy_turn(src, dst);
+            let down = (hop - along) * self.cols;
+            if dst >= turn {
+                turn + down
+            } else {
+                turn - down
+            }
         }
-        path
     }
 
     /// The tile where the XY route from `src` to `dst` leaves the
@@ -245,15 +260,26 @@ mod tests {
         assert_eq!(m.tiles(), 64);
     }
 
+    /// The XY route from `src` to `dst`, both ends included, walked
+    /// with [`NocMesh::xy_next`].
+    fn route_xy(m: &NocMesh, src: usize, dst: usize) -> Vec<usize> {
+        let turn = m.xy_turn(src, dst);
+        let mut path = vec![src];
+        while *path.last().unwrap() != dst {
+            path.push(m.xy_next(*path.last().unwrap(), turn, dst));
+        }
+        path
+    }
+
     #[test]
     fn xy_routes_go_x_first() {
         let m = NocMesh::new(4, 4).unwrap();
         // From (0,0) to (2,3): along row 0 to col 3, then down col 3.
-        assert_eq!(m.route_xy(0, 11), vec![0, 1, 2, 3, 7, 11]);
+        assert_eq!(route_xy(&m, 0, 11), vec![0, 1, 2, 3, 7, 11]);
         // Reverse direction.
-        assert_eq!(m.route_xy(11, 0), vec![11, 10, 9, 8, 4, 0]);
+        assert_eq!(route_xy(&m, 11, 0), vec![11, 10, 9, 8, 4, 0]);
         // Self route is the single tile.
-        assert_eq!(m.route_xy(5, 5), vec![5]);
+        assert_eq!(route_xy(&m, 5, 5), vec![5]);
     }
 
     #[test]
@@ -274,9 +300,26 @@ mod tests {
                     (dr..sr).rev().map(|r| r * 5 + dc).collect()
                 };
                 let expected: Vec<usize> = row.into_iter().chain(col).collect();
-                assert_eq!(m.route_xy(src, dst), expected, "{src} -> {dst}");
+                assert_eq!(route_xy(&m, src, dst), expected, "{src} -> {dst}");
                 assert_eq!(m.xy_turn(src, dst), sr * 5 + dc);
                 assert_eq!(m.xy_next(dst, m.xy_turn(src, dst), dst), dst);
+            }
+        }
+    }
+
+    #[test]
+    fn hops_index_the_route_both_ways() {
+        for (rows, cols) in [(1, 1), (1, 6), (6, 1), (4, 5), (8, 8)] {
+            let m = NocMesh::new(rows, cols).unwrap();
+            for src in 0..m.tiles() {
+                for dst in 0..m.tiles() {
+                    let route = route_xy(&m, src, dst);
+                    assert_eq!(m.xy_hops(src, dst), route.len() - 1, "{src} -> {dst}");
+                    for (hop, &tile) in route.iter().enumerate() {
+                        assert_eq!(m.xy_at(src, dst, hop), tile, "{src} -> {dst} hop {hop}");
+                        assert_eq!(m.xy_hops(src, tile), hop, "{src} -> {dst} at {tile}");
+                    }
+                }
             }
         }
     }
@@ -288,7 +331,7 @@ mod tests {
             let (sr, sc) = (src / 8, src % 8);
             let (dr, dc) = (dst / 8, dst % 8);
             assert_eq!(
-                m.route_xy(src, dst).len(),
+                route_xy(&m, src, dst).len(),
                 sr.abs_diff(dr) + sc.abs_diff(dc) + 1
             );
         }

@@ -55,8 +55,8 @@ use crate::noc::ActivityTrace;
 /// A flit in flight on its XY route from `src` to `dst`, turning at
 /// `turn`: the tile it occupies this cycle is `at`. XY routing is
 /// arithmetic ([`NocMesh::xy_next`](crate::noc::NocMesh::xy_next)), so
-/// the route itself is never stored; a snapshot rebuilds it, and the
-/// flight's hop is `at`'s place on it.
+/// the route itself is never stored; a snapshot stores the flight as
+/// `(src, dst, hop)`, `hop` being `at`'s distance from `src`.
 #[derive(Debug, Clone, Copy)]
 struct Flight {
     src: u32,
@@ -83,7 +83,9 @@ struct Flight {
 pub struct StepperSnapshot {
     cursors: Vec<usize>,
     deferred: Vec<Vec<u32>>,
-    flights: Vec<(Vec<usize>, usize)>,
+    /// `(src, dst, hop)` per flight: the flit is `hop` hops along
+    /// the XY route from `src` to `dst`.
+    flights: Vec<(usize, usize, usize)>,
     counts: Vec<u32>,
     eff_counts: Vec<u32>,
     prev_eff: Vec<u32>,
@@ -586,9 +588,10 @@ impl<'w> CycleStepper<'w> {
                 .flights
                 .iter()
                 .map(|f| {
-                    let route = mesh.route_xy(f.src as usize, f.dst as usize);
-                    let hop = route.iter().position(|&t| t == f.at as usize);
-                    (route, hop.expect("a flight is on its route"))
+                    let (src, dst) = (f.src as usize, f.dst as usize);
+                    let hop = mesh.xy_hops(src, f.at as usize);
+                    debug_assert_eq!(mesh.xy_at(src, dst, hop), f.at as usize);
+                    (src, dst, hop)
                 })
                 .collect(),
             counts: self.counts.clone(),
@@ -666,25 +669,42 @@ impl<'w> CycleStepper<'w> {
                 )));
             }
         }
+        if let Some(dst) = snap
+            .deferred
+            .iter()
+            .flatten()
+            .find(|&&d| d as usize >= tiles)
+        {
+            return Err(invalid(format!(
+                "a deferred flit heads for tile {dst} of a {tiles}-tile mesh"
+            )));
+        }
+        let grid = self.workload.campaign().floorplan().grid();
+        if snap.sol.as_ref().is_some_and(|sol| !grid.kcl_holds(sol)) {
+            return Err(invalid(format!(
+                "snapshot grid solution is not a KCL state of the {}-node grid",
+                grid.tiles()
+            )));
+        }
         let mesh = self.workload.mesh();
         let mut flights = Vec::with_capacity(snap.flights.len());
-        for (route, hop) in &snap.flights {
-            let (Some(&src), Some(&dst)) = (route.first(), route.last()) else {
-                return Err(invalid("a flight has an empty route".into()));
-            };
-            if src >= tiles || dst >= tiles || *route != mesh.route_xy(src, dst) {
+        for &(src, dst, hop) in &snap.flights {
+            if src >= tiles || dst >= tiles {
                 return Err(invalid(format!(
-                    "flight route {route:?} is not the XY route between its ends"
+                    "flight {src} -> {dst} leaves the {tiles}-tile mesh"
                 )));
             }
-            if *hop >= route.len() {
-                return Err(invalid("a flight's hop is past its route".into()));
+            let hops = mesh.xy_hops(src, dst);
+            if hop > hops {
+                return Err(invalid(format!(
+                    "flight {src} -> {dst} is at hop {hop} of its {hops}-hop route"
+                )));
             }
             flights.push(Flight {
                 src: src as u32,
                 dst: dst as u32,
                 turn: mesh.xy_turn(src, dst) as u32,
-                at: route[*hop] as u32,
+                at: mesh.xy_at(src, dst, hop) as u32,
             });
         }
         self.cursors.copy_from_slice(&snap.cursors);
@@ -922,41 +942,129 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_routes_that_are_not_xy() {
+    fn restore_refuses_grid_states_and_backlogs_off_the_run() {
+        use serde::{json, Value};
+
         let w = stepper_workload();
         let mut s = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
-        let snap = loop {
+        for _ in 0..5 {
             s.step().unwrap();
-            let snap = s.snapshot();
-            if snap.flights.iter().any(|(route, _)| route.len() >= 3) {
-                break snap;
-            }
-        };
-        let k = snap
-            .flights
-            .iter()
-            .position(|(route, _)| route.len() >= 3)
-            .unwrap();
-        let refused = |edit: fn(&mut Vec<usize>, &mut usize)| {
-            let mut bad = snap.clone();
-            let (route, hop) = &mut bad.flights[k];
-            edit(route, hop);
+        }
+        let snap = json::to_value(&s.snapshot());
+        // `edit` gets the snapshot's field `key` to change in place.
+        let restore = |key: &str, edit: &dyn Fn(&mut Value)| {
+            let mut tree = snap.clone();
+            let Value::Map(fields) = &mut tree else {
+                panic!("a snapshot encodes as a map")
+            };
+            edit(&mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1);
+            let edited = StepperSnapshot::from_value(&tree).unwrap();
             let mut fresh = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+            fresh.restore(&edited)?;
+            // Whatever restores also steps.
+            for _ in 0..8 {
+                fresh.step()?;
+            }
+            Ok::<_, WorkloadError>(())
+        };
+        let refused = |r: Result<(), WorkloadError>| {
             matches!(
-                fresh.restore(&bad),
+                r,
                 Err(WorkloadError::InvalidConfig {
                     name: "snapshot",
                     ..
                 })
             )
         };
-        // On the 2×2 mesh a three-tile route turns one corner; the
-        // same ends the other way round (Y first) is not XY.
-        assert!(refused(|r, _| r[1] ^= r[0] ^ r[2]));
-        assert!(refused(|r, _| r.insert(0, r[0])));
-        assert!(refused(|r, _| r.clear()));
-        assert!(refused(|r, _| *r.last_mut().unwrap() = 4));
-        assert!(refused(|r, h| *h = r.len()));
+        let voltage = |edit: fn(&mut f64)| {
+            move |sol: &mut Value| {
+                let Value::Map(sol) = sol else {
+                    panic!("a solution encodes as a map")
+                };
+                let Value::Seq(v) = &mut sol[0].1 else {
+                    panic!("voltages encode as a sequence")
+                };
+                let Value::F64(x) = &mut v[5] else {
+                    panic!("a voltage encodes as a float")
+                };
+                edit(x);
+            }
+        };
+        assert!(restore("sol", &|_| ()).is_ok());
+        assert!(restore("sol", &voltage(|_| ())).is_ok());
+        assert!(refused(restore("sol", &voltage(|x| *x += 1e-3))));
+        assert!(refused(restore("sol", &voltage(|x| *x = f64::INFINITY))));
+        let truncated = |sol: &mut Value| {
+            let Value::Map(sol) = sol else {
+                panic!("a solution encodes as a map")
+            };
+            let Value::Seq(v) = &mut sol[0].1 else {
+                panic!("voltages encode as a sequence")
+            };
+            v.pop();
+        };
+        assert!(refused(restore("sol", &truncated)));
+        // A throttle backlog bound for tile 3 of the 2×2 mesh steps; one
+        // bound for tile 4 is refused.
+        let backlog = |dst: u64| {
+            move |deferred: &mut Value| {
+                let Value::Seq(tiles) = deferred else {
+                    panic!("deferred encodes as a sequence")
+                };
+                tiles[0] = Value::Seq(vec![Value::U64(dst)]);
+            }
+        };
+        assert!(restore("deferred", &backlog(3)).is_ok());
+        assert!(refused(restore("deferred", &backlog(4))));
+    }
+
+    #[test]
+    fn restore_refuses_flights_off_the_mesh_or_past_their_route() {
+        let w = stepper_workload();
+        let mut s = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+        let mesh = w.mesh();
+        let snap = loop {
+            s.step().unwrap();
+            let snap = s.snapshot();
+            if snap
+                .flights
+                .iter()
+                .any(|&(src, dst, _)| mesh.xy_hops(src, dst) >= 2)
+            {
+                break snap;
+            }
+        };
+        let k = snap
+            .flights
+            .iter()
+            .position(|&(src, dst, _)| mesh.xy_hops(src, dst) >= 2)
+            .unwrap();
+        let restore = |edit: &dyn Fn(&mut (usize, usize, usize))| {
+            let mut edited = snap.clone();
+            edit(&mut edited.flights[k]);
+            let mut fresh = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+            fresh.restore(&edited).map(|()| fresh.snapshot())
+        };
+        let refused = |edit: &dyn Fn(&mut (usize, usize, usize))| {
+            matches!(
+                restore(edit),
+                Err(WorkloadError::InvalidConfig {
+                    name: "snapshot",
+                    ..
+                })
+            )
+        };
+        // The 2×2 mesh has 4 tiles, and a corner-to-corner route 2 hops.
+        assert!(refused(&|f| f.0 = 4));
+        assert!(refused(&|f| f.1 = 4));
+        assert!(refused(&|f| f.0 = usize::MAX));
+        assert!(refused(&|f| f.2 = 3));
+        assert!(refused(&|f| f.2 = usize::MAX));
+        // Every hop of the route restores, and snapshots back unchanged.
+        for hop in 0..=2 {
+            let back = restore(&|f| f.2 = hop).unwrap();
+            assert_eq!(back.flights[k].2, hop);
+        }
         // The unedited snapshot restores and round-trips.
         let mut fresh = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
         fresh.restore(&snap).unwrap();
@@ -978,6 +1086,6 @@ mod tests {
         }
         assert_eq!(s.raw_counts(), &[0, 0, 0, 0]);
         let mesh = NocMesh::new(2, 2).unwrap();
-        assert_eq!(mesh.route_xy(0, 3).len(), 3);
+        assert_eq!(mesh.xy_hops(0, 3), 2);
     }
 }

@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = Pvt::typical();
     let ref_code = DelayCode::new(3)?;
     let mut ctx = RunCtx::serial();
-    let ref_ch = array_characteristic(&mut ctx, &array, &pg, ref_code, &reference)?;
+    let ref_ch = array_characteristic(&array, &pg, ref_code, &reference)?;
     println!(
         "reference (TT, code {ref_code}): range {:.3}–{:.3} V, midpoint {:.3} V\n",
         ref_ch.range.0.volts(),
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Voltage::from_v(1.0),
             psn_thermometer::cells::units::Temperature::from_celsius(25.0),
         );
-        let untrimmed = array_characteristic(&mut ctx, &array, &pg, ref_code, &pvt)?;
+        let untrimmed = array_characteristic(&array, &pg, ref_code, &pvt)?;
         let shift = untrimmed.midpoint() - ref_ch.midpoint();
         let trim = psn_thermometer::sensor::calibration::trim_for_corner(
             &mut ctx, &array, &pg, ref_code, &reference, &pvt,

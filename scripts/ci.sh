@@ -65,8 +65,8 @@ echo "==> PDN hot-loop allocation gate"
 # cycle loop's drain of planned cycles (crates/workload/src/driver.rs)
 # reuse their buffers. Between the PDN HOT LOOP markers no `Vec<`,
 # `vec!`, `.clone()`, `.to_vec()`, `.collect(`, `format!` or
-# `route_xy(` (a route per flit) may appear, and the markers must be
-# present and paired so deleting one cannot switch the gate off.
+# `route_xy(` (a route built per flit) may appear, and the markers must
+# be present and paired so deleting one cannot switch the gate off.
 pdn_hot=""
 for f in crates/pdn/src/grid.rs crates/workload/src/stepper.rs \
          crates/workload/src/noc.rs crates/workload/src/driver.rs; do
@@ -187,15 +187,19 @@ echo "==> portable-ISA output gate (target-cpu=x86-64 vs native)"
 # build for the baseline x86-64 ISA must print byte-identical reports.
 # RUSTFLAGS overrides the config's rustflags; the portable build gets
 # its own target dir so it never evicts the native artifacts.
+# characterize's CSV datasets are compared too; its stdout carries
+# wall times, so only the CSVs count.
 portable_target=target/portable-x86-64
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR="$portable_target" \
-    cargo build -q --release -p psnt-bench --bin repro
+    cargo build -q --release -p psnt-bench --bin repro --bin characterize
 isa_out="$(mktemp -d)"
 mkdir "$isa_out/native" "$isa_out/portable"
 target/release/repro --out "$isa_out/native" >"$isa_out/native/stdout.txt"
 "$portable_target/release/repro" --out "$isa_out/portable" >"$isa_out/portable/stdout.txt"
+target/release/characterize "$isa_out/native/csv" >/dev/null
+"$portable_target/release/characterize" "$isa_out/portable/csv" >/dev/null
 if ! diff -r "$isa_out/native" "$isa_out/portable"; then
-    echo "repro output differs between the native and the x86-64 build" >&2
+    echo "repro or characterize output differs between the native and the x86-64 build" >&2
     rm -rf "$isa_out"
     exit 1
 fi
@@ -234,8 +238,54 @@ for artifact in artifacts/*.txt; do
         golden_fail=1
     fi
 done
+# The same for characterize's CSV datasets against artifacts/csv/.
+target/release/characterize "$golden_out/csv" >/dev/null
+for dataset in "$golden_out"/csv/*.csv; do
+    name=$(basename "$dataset")
+    if [ ! -f "artifacts/csv/$name" ]; then
+        echo "characterize writes $name but artifacts/csv/ has no copy" >&2
+        golden_fail=1
+    elif ! diff -u "artifacts/csv/$name" "$dataset" >&2; then
+        echo "characterize's $name differs from artifacts/csv/$name" >&2
+        golden_fail=1
+    fi
+done
+for artifact in artifacts/csv/*.csv; do
+    name=$(basename "$artifact")
+    if [ ! -f "$golden_out/csv/$name" ]; then
+        echo "artifacts/csv/$name is no longer written by characterize" >&2
+        golden_fail=1
+    fi
+done
 rm -rf "$golden_out"
 if [ "$golden_fail" -ne 0 ]; then
+    exit 1
+fi
+
+echo "==> recorded-run gate (EXPERIMENTS.md vs repro stdout)"
+# The recorded runs EXPERIMENTS.md quotes under XP-NOC and XP-DROOP
+# are the first ```text block after each heading, and must equal what
+# `repro --xp <id>` prints today (stdout's trailing blank line aside).
+recorded_fail=0
+for run in "XP-NOC:noc-campaign" "XP-DROOP:droop-mitigation"; do
+    heading=${run%%:*}
+    xp=${run#*:}
+    recorded=$(awk -v h="## $heading " '
+        index($0, h) == 1 { found = 1; next }
+        found && !inside && /^## / { exit }
+        found && /^```text$/ { inside = 1; next }
+        inside && /^```$/ { exit }
+        inside { print }' EXPERIMENTS.md)
+    if [ -z "$recorded" ]; then
+        echo "EXPERIMENTS.md has no recorded-run block under ## $heading" >&2
+        recorded_fail=1
+    elif ! diff -u <(printf '%s\n' "$recorded") \
+        <(target/release/repro --xp "$xp" | sed -e :a -e '/^\n*$/{$d;N;ba' -e '}') >&2; then
+        echo "EXPERIMENTS.md's $heading recorded run differs from repro --xp $xp" >&2
+        recorded_fail=1
+    fi
+done
+if [ "$recorded_fail" -ne 0 ]; then
     exit 1
 fi
 

@@ -51,11 +51,8 @@ fn fig4_linear_within_range_of_interest() {
 #[test]
 fn fig5_dynamic_ranges_match_paper() {
     let array = ThermometerArray::paper(RailMode::Supply);
-    let mut ctx = RunCtx::serial();
-    let ch011 =
-        array_characteristic(&mut ctx, &array, &pg(), DelayCode::new(3).unwrap(), &pvt()).unwrap();
-    let ch010 =
-        array_characteristic(&mut ctx, &array, &pg(), DelayCode::new(2).unwrap(), &pvt()).unwrap();
+    let ch011 = array_characteristic(&array, &pg(), DelayCode::new(3).unwrap(), &pvt()).unwrap();
+    let ch010 = array_characteristic(&array, &pg(), DelayCode::new(2).unwrap(), &pvt()).unwrap();
     // Paper: code 011 → 0.827 V (all errors) … 1.053 V (no errors).
     assert!((ch011.range.0.volts() - 0.827).abs() < 0.003);
     assert!((ch011.range.1.volts() - 1.053).abs() < 0.003);

@@ -4,9 +4,10 @@
 //! attaching an observer to a parallel run never changes results.
 
 use proptest::prelude::*;
+use psn_thermometer::cells::units::Temperature;
 use psn_thermometer::pdn::grid::PowerGrid;
 use psn_thermometer::prelude::*;
-use psn_thermometer::sensor::calibration::array_characteristic;
+use psn_thermometer::sensor::calibration::trim_for_corner;
 use psn_thermometer::sensor::mismatch::{monte_carlo_yield, MismatchModel};
 
 /// The worker counts every property is checked over. 1 is the inline
@@ -110,27 +111,31 @@ proptest! {
         }
     }
 
-    /// The per-element threshold sweep behind calibration is
-    /// bit-identical at any worker count for every delay code.
+    /// The corner trim characterises every delay code on the context's
+    /// engine and folds the results in code order, so it picks the
+    /// same code at any worker count, for every reference code.
     #[test]
-    fn array_characteristic_is_worker_count_invariant(code_bits in 0u8..=7) {
+    fn trim_for_corner_is_worker_count_invariant(code_bits in 0u8..=7, corner in 0usize..3) {
         let array = ThermometerArray::paper(RailMode::Supply);
         let pg = PulseGenerator::paper_table();
         let code = DelayCode::new(code_bits).unwrap();
-        let pvt = Pvt::typical();
+        let reference = Pvt::typical();
+        let process = [ProcessCorner::SS, ProcessCorner::FF, ProcessCorner::TT][corner];
+        let pvt = Pvt::new(process, Voltage::from_v(1.0), Temperature::from_celsius(25.0));
 
         let serial =
-            array_characteristic(&mut RunCtx::serial(), &array, &pg, code, &pvt).unwrap();
+            trim_for_corner(&mut RunCtx::serial(), &array, &pg, code, &reference, &pvt).unwrap();
         for jobs in JOBS {
-            let parallel = array_characteristic(
+            let parallel = trim_for_corner(
                 &mut RunCtx::new(Engine::new(jobs)),
                 &array,
                 &pg,
                 code,
+                &reference,
                 &pvt,
             )
             .unwrap();
-            prop_assert_eq!(&serial, &parallel, "characteristic diverged at jobs={}", jobs);
+            prop_assert_eq!(&serial, &parallel, "trim diverged at jobs={}", jobs);
         }
     }
 
