@@ -40,9 +40,7 @@ pub mod spectrum;
 pub mod stats;
 
 pub use adc_metrics::{code_density_widths, linearity, LinearityReport};
-pub use reconstruct::{reconstruction_rmse, score_series, FidelityReport};
+pub use reconstruct::{score_series, FidelityReport};
 pub use report::{fmt_ps, fmt_v, Table};
-pub use spectrum::{
-    amplitude_at, dominant_frequency, resolution, spectrum, spectrum_envelope, SpectrumPoint,
-};
-pub use stats::{quantile, summarize, Histogram, Summary};
+pub use spectrum::{dominant_frequency, resolution, spectrum, spectrum_envelope, SpectrumPoint};
+pub use stats::{quantile, summarize, Summary};

@@ -66,28 +66,6 @@ pub fn score_series(
     }
 }
 
-/// RMS error between a binned reconstruction and the truth sampled at the
-/// bin centres (offset by `t0`, the phase origin). Empty bins are
-/// skipped; returns `None` when no bin holds a value.
-pub fn reconstruction_rmse(
-    bin_values: &[Option<Voltage>],
-    bin_times: impl Fn(usize) -> Time,
-    truth: impl Fn(Time) -> f64,
-    t0: Time,
-) -> Option<f64> {
-    let mut sq = 0.0;
-    let mut n = 0usize;
-    for (i, v) in bin_values.iter().enumerate() {
-        if let Some(v) = v {
-            let t = t0 + bin_times(i);
-            let err = v.volts() - truth(t);
-            sq += err * err;
-            n += 1;
-        }
-    }
-    (n > 0).then(|| (sq / n as f64).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,14 +124,5 @@ mod tests {
         assert_eq!(report.rmse, 0.0);
         // Overflow interval (lower bound only) still contains the truth.
         assert_eq!(report.hits, 5);
-    }
-
-    #[test]
-    fn reconstruction_rmse_basics() {
-        let bins = vec![Some(Voltage::from_v(1.0)), None, Some(Voltage::from_v(0.9))];
-        let rmse =
-            reconstruction_rmse(&bins, |i| Time::from_ns(i as f64), |_| 0.95, Time::ZERO).unwrap();
-        assert!((rmse - 0.05).abs() < 1e-12);
-        assert!(reconstruction_rmse(&[None, None], |_| Time::ZERO, |_| 0.0, Time::ZERO).is_none());
     }
 }

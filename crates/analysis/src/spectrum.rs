@@ -47,7 +47,7 @@ pub struct SpectrumPoint {
 /// quadratures).
 ///
 /// Returns 0 for fewer than two samples.
-pub fn amplitude_at(samples: &[(Time, f64)], f: Frequency) -> f64 {
+fn amplitude_at(samples: &[(Time, f64)], f: Frequency) -> f64 {
     if samples.len() < 2 {
         return 0.0;
     }

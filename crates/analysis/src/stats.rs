@@ -56,60 +56,6 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// A fixed-bin histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    /// Samples outside `[lo, hi)`.
-    outliers: u64,
-}
-
-impl Histogram {
-    /// Builds a histogram of `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize, samples: &[f64]) -> Histogram {
-        assert!(bins > 0, "need at least one bin");
-        assert!(hi > lo, "empty histogram range");
-        let mut counts = vec![0u64; bins];
-        let mut outliers = 0;
-        let width = (hi - lo) / bins as f64;
-        for &x in samples {
-            if x < lo || x >= hi {
-                outliers += 1;
-            } else {
-                let b = ((x - lo) / width) as usize;
-                counts[b.min(bins - 1)] += 1;
-            }
-        }
-        Histogram {
-            lo,
-            hi,
-            counts,
-            outliers,
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Samples that fell outside the range.
-    pub fn outliers(&self) -> u64 {
-        self.outliers
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,14 +87,6 @@ mod tests {
         let _ = quantile(&[1.0], 1.5);
     }
 
-    #[test]
-    fn histogram_binning() {
-        let h = Histogram::new(0.0, 1.0, 4, &[0.1, 0.3, 0.35, 0.9, -0.2, 1.0]);
-        assert_eq!(h.counts(), &[1, 2, 0, 1]);
-        assert_eq!(h.outliers(), 2);
-        assert_eq!(h.total(), 4);
-    }
-
     proptest! {
         #[test]
         fn mean_within_min_max(xs in proptest::collection::vec(-100.0..100.0f64, 1..50)) {
@@ -167,10 +105,5 @@ mod tests {
             prop_assert!(qa <= qb + 1e-12);
         }
 
-        #[test]
-        fn histogram_conserves_samples(xs in proptest::collection::vec(-2.0..2.0f64, 0..60)) {
-            let h = Histogram::new(-1.0, 1.0, 8, &xs);
-            prop_assert_eq!(h.total() + h.outliers(), xs.len() as u64);
-        }
     }
 }

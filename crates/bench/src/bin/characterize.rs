@@ -24,7 +24,7 @@ use psnt_core::pulsegen::{DelayCode, PulseGenerator};
 use psnt_core::thermometer::ThermometerArray;
 use psnt_ctx::RunCtx;
 use psnt_engine::Engine;
-use psnt_obs::{MetricsSnapshot, Observer, RunManifest, Span};
+use psnt_obs::{Observer, RunManifest, Span};
 use psnt_pdn::impedance::impedance_profile;
 use psnt_pdn::rlc::LumpedPdn;
 
@@ -80,9 +80,6 @@ fn main() {
             .pvt("Typical")
             .with_git_describe(),
     );
-    // The pre-run snapshot the footer diffs the final registry against.
-    let baseline = obs.metrics.snapshot();
-
     // The one context carrying the worker pool, the observer and the
     // seed policy through every dataset.
     let mut ctx = RunCtx::new(engine).with_seed(seed).with_observer(&mut obs);
@@ -191,16 +188,16 @@ fn main() {
     println!("wrote 5 CSV datasets to {}", out.display());
     ctx.observer().expect("observer attached").finish();
     drop(ctx);
-    print!("{}", telemetry_footer(&obs, &baseline));
+    print!("{}", telemetry_footer(&obs));
 }
 
 /// The summary footer: totals from the registry, per-dataset wall
-/// times from the span histograms, and the metrics delta over the run
-/// — every counter, gauge and histogram the run touched, rendered by
-/// [`psnt_obs::MetricsDiff`]'s table (degradation counters such as
+/// times from the span histograms, and every counter, gauge and
+/// histogram the run registered, rendered by
+/// [`psnt_obs::MetricsRegistry`]'s table (degradation counters such as
 /// `encoder.bubbles_corrected` or `campaign.sites_degraded` surface
-/// here automatically when nonzero).
-fn telemetry_footer(obs: &Observer, baseline: &MetricsSnapshot) -> String {
+/// here automatically).
+fn telemetry_footer(obs: &Observer) -> String {
     let mut s = format!(
         "telemetry: {} datasets, {} rows\n",
         obs.metrics.counter_value("characterize.datasets"),
@@ -217,8 +214,8 @@ fn telemetry_footer(obs: &Observer, baseline: &MetricsSnapshot) -> String {
             let _ = writeln!(s, "  span {name}: {:.0} µs", h.sum());
         }
     }
-    let _ = writeln!(s, "metrics delta over the run:");
-    let _ = write!(s, "{}", obs.metrics.snapshot().diff(baseline));
+    let _ = writeln!(s, "metrics over the run:");
+    let _ = write!(s, "{}", obs.metrics);
     s
 }
 

@@ -11,13 +11,14 @@
 //! bit-identical to one that was never interrupted.
 //!
 //! `droop-mitigation` is a sweep of several mitigated runs. Its
-//! checkpoint is the in-flight run's [`MitigatedCheckpoint`] plus a
-//! `<path>.meta` sidecar recording which run of the sweep it was; on
-//! resume the sweep re-runs the completed arms (each re-arms the seed,
-//! so they reproduce bit-identically), restores the interrupted arm
-//! from the snapshot, and finishes the rest normally.
+//! checkpoint is the in-flight run's [`MitigatedCheckpoint`], which
+//! names the run's policy and code latency; on resume the sweep
+//! re-runs the arms before the first one of that policy and latency
+//! (each re-arms the seed, so they reproduce bit-identically), restores
+//! that arm from the snapshot, and runs the rest normally. Two arms of
+//! one policy and latency are the same run, so a snapshot of either
+//! resumes the first.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use psnt_analysis::report::{fmt_v, Table};
@@ -87,20 +88,20 @@ impl CheckpointedRun {
 
 /// The report of a run a cooperative interrupt stopped: `notice`, then
 /// where to resume from when a checkpoint reached disk. `saved` holds
-/// its path, the cycle it captured (`None` when it cannot be read back)
-/// and a suffix for the checkpoint line.
+/// its path and the cycle it captured (`None` when it cannot be read
+/// back).
 fn interrupted(
     mut notice: String,
-    saved: Option<(&Path, Option<usize>, String)>,
+    saved: Option<(&Path, Option<usize>)>,
     cycles: usize,
     experiment: &str,
 ) -> CheckpointedRun {
     match saved {
-        Some((path, cycle, suffix)) => {
+        Some((path, cycle)) => {
             let cycle = cycle.map_or_else(|| "?".into(), |c| c.to_string());
             let path = path.display();
             notice.push_str(&format!(
-                "checkpoint: {path} (cycle {cycle} of {cycles}){suffix}\n\
+                "checkpoint: {path} (cycle {cycle} of {cycles})\n\
                  resume with: repro --{experiment} --resume {path}\n"
             ));
         }
@@ -109,21 +110,6 @@ fn interrupted(
     CheckpointedRun {
         report: notice,
         interrupted: true,
-    }
-}
-
-/// The `.meta` sidecar of a `droop-mitigation` checkpoint: records
-/// which run of the sweep the snapshot belongs to.
-fn meta_path(ckpt: &Path) -> PathBuf {
-    let mut s = ckpt.as_os_str().to_owned();
-    s.push(".meta");
-    PathBuf::from(s)
-}
-
-fn meta_err(path: &Path, reason: impl std::fmt::Display) -> WorkloadError {
-    WorkloadError::Checkpoint {
-        path: path.display().to_string(),
-        reason: reason.to_string(),
     }
 }
 
@@ -179,7 +165,7 @@ pub fn noc_campaign_checkpointed(
             let saved = opts.checkpoint.as_deref().filter(|p| p.exists());
             let cycle = saved.and_then(|p| WorkloadCheckpoint::load(p).ok().map(|c| c.cycle()));
             let notice = format!("== XP-NOC — INTERRUPTED ==\n{reason}\n");
-            let saved = saved.map(|p| (p, cycle, String::new()));
+            let saved = saved.map(|p| (p, cycle));
             return Ok(interrupted(
                 notice,
                 saved,
@@ -256,36 +242,16 @@ fn droop_run_shape(k: usize) -> (&'static str, usize) {
     }
 }
 
-/// The sweep run the `droop-mitigation <k>` sidecar of checkpoint
-/// `ckpt` names, checked against the policy the checkpoint holds.
-fn read_sidecar(ckpt: &Path, ckpt_policy: &str) -> Result<usize, WorkloadError> {
-    let meta = meta_path(ckpt);
-    let text = fs::read_to_string(&meta)
-        .map_err(|e| meta_err(&meta, format!("cannot read sweep sidecar: {e}")))?;
-    let k = text
-        .strip_prefix("droop-mitigation ")
-        .and_then(|rest| rest.trim().parse::<usize>().ok())
-        .filter(|&k| k < DROOP_RUNS)
-        .ok_or_else(|| meta_err(&meta, "not a droop-mitigation sweep sidecar"))?;
-    let (policy, _) = droop_run_shape(k);
-    if ckpt_policy != policy {
-        return Err(meta_err(
-            &meta,
-            format!("sidecar names run {k} ({policy}) but the checkpoint holds {ckpt_policy:?}"),
-        ));
-    }
-    Ok(k)
-}
-
 /// XP-DROOP under a checkpoint policy. See
 /// [`figures::droop_mitigation`](crate::figures::droop_mitigation) for
 /// the experiment itself.
 ///
 /// # Errors
 ///
-/// [`WorkloadError`] on configuration or I/O failure (including a
-/// missing or mismatched `.meta` sidecar on resume); a cooperative
-/// interrupt returns an interrupted [`CheckpointedRun`] instead.
+/// [`WorkloadError`] on configuration or I/O failure, or a resume
+/// checkpoint whose policy and latency no run of the sweep has; a
+/// cooperative interrupt returns an interrupted [`CheckpointedRun`]
+/// instead.
 pub fn droop_mitigation_checkpointed(
     ctx: &mut RunCtx<'_>,
     opts: &CheckpointOptions,
@@ -293,7 +259,17 @@ pub fn droop_mitigation_checkpointed(
     let resume: Option<(usize, MitigatedCheckpoint)> = match opts.resume.as_deref() {
         Some(path) => {
             let ckpt = MitigatedCheckpoint::load(path)?;
-            Some((read_sidecar(path, &ckpt.policy)?, ckpt))
+            let run = (0..DROOP_RUNS)
+                .find(|&k| droop_run_shape(k) == (ckpt.policy.as_str(), ckpt.latency))
+                .ok_or_else(|| WorkloadError::InvalidConfig {
+                    name: "resume",
+                    reason: format!(
+                        "checkpoint ran policy {:?} at code latency {}, \
+                         which no droop-mitigation run does",
+                        ckpt.policy, ckpt.latency
+                    ),
+                })?;
+            Some((run, ckpt))
         }
         None => None,
     };
@@ -320,11 +296,6 @@ pub fn droop_mitigation_checkpointed(
         // policies see bit-identical traffic — which is also what
         // makes re-running the pre-interrupt arms on resume exact.
         ctx.set_seed(seed);
-        if let Some(path) = opts.checkpoint.as_deref() {
-            // A stale sidecar must not pair with this run's cadence
-            // snapshots; it is rewritten only when an interrupt trips.
-            let _ = fs::remove_file(meta_path(path));
-        }
         let this_resume = match &resume {
             Some((idx, ckpt)) if *idx == k => Some(ckpt),
             _ => None,
@@ -354,10 +325,6 @@ pub fn droop_mitigation_checkpointed(
             Ok(r) => results.push(r),
             Err(WorkloadError::Interrupted(reason)) => {
                 let saved = opts.checkpoint.as_deref().filter(|p| p.exists());
-                if let Some(path) = saved {
-                    fs::write(meta_path(path), format!("droop-mitigation {k}\n"))
-                        .map_err(|e| meta_err(&meta_path(path), e))?;
-                }
                 let cycle =
                     saved.and_then(|p| MitigatedCheckpoint::load(p).ok().map(|c| c.cycle()));
                 let notice = format!(
@@ -365,8 +332,7 @@ pub fn droop_mitigation_checkpointed(
                      run {}/{DROOP_RUNS}: policy {policy}, latency {latency} cy\n",
                     k + 1
                 );
-                let saved =
-                    saved.map(|p| (p, cycle, format!(" + sidecar {}", meta_path(p).display())));
+                let saved = saved.map(|p| (p, cycle));
                 return Ok(interrupted(notice, saved, cfg.cycles, "droop-mitigation"));
             }
             Err(e) => return Err(e),
@@ -470,88 +436,76 @@ fn render_droop_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psnt_sup::{CancelToken, RunBudget, Supervisor};
 
-    /// Writes `bytes` as the sidecar of checkpoint `name` in a
-    /// per-process directory and reads it back through [`read_sidecar`].
-    fn sidecar(
-        name: &str,
-        bytes: &[u8],
-        ckpt_policy: &str,
-    ) -> (PathBuf, Result<usize, WorkloadError>) {
-        let dir = std::env::temp_dir().join(format!("psnt-sidecar-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join(name);
-        fs::write(meta_path(&ckpt), bytes).unwrap();
-        let r = read_sidecar(&ckpt, ckpt_policy);
-        fs::remove_file(meta_path(&ckpt)).unwrap();
-        (meta_path(&ckpt), r)
-    }
-
-    fn is_sidecar_error(meta: &Path, r: &Result<usize, WorkloadError>) -> bool {
-        matches!(r, Err(WorkloadError::Checkpoint { path, .. }) if *path == meta.display().to_string())
+    /// The sweep under an event budget (`None`: unlimited),
+    /// checkpointing to `checkpoint` and resuming from `resume`; also
+    /// returns the events it charged.
+    fn sweep(
+        budget: Option<u64>,
+        checkpoint: Option<&Path>,
+        resume: Option<&Path>,
+    ) -> (Result<CheckpointedRun, WorkloadError>, u64) {
+        let limit = budget.map_or(RunBudget::unlimited(), |b| RunBudget::unlimited().events(b));
+        let sup = Supervisor::new(CancelToken::new(), limit);
+        let mut ctx = RunCtx::serial().with_supervisor(sup.clone());
+        let opts = CheckpointOptions {
+            checkpoint: checkpoint.map(Path::to_path_buf),
+            every: None,
+            resume: resume.map(Path::to_path_buf),
+        };
+        let run = droop_mitigation_checkpointed(&mut ctx, &opts);
+        (run, sup.charge_events(0))
     }
 
     #[test]
-    fn sidecars_name_a_run_whose_policy_the_checkpoint_holds() {
-        assert_eq!(meta_path(Path::new("run.ckpt")), Path::new("run.ckpt.meta"));
-        for k in 0..DROOP_RUNS {
-            let (policy, _) = droop_run_shape(k);
-            let text = format!("droop-mitigation {k}\n");
-            assert_eq!(sidecar("fixed.ckpt", text.as_bytes(), policy).1.unwrap(), k);
-        }
-        for (text, policy) in [
-            ("droop-mitigation 14\n", "supply-boost"),
-            ("droop-mitigation 3\n", "open-loop"),
-            ("droop-mitigation -1\n", "open-loop"),
-            ("droop-mitigation\n", "open-loop"),
-            ("noc-campaign 0\n", "open-loop"),
-            ("", "open-loop"),
-        ] {
-            let (meta, r) = sidecar("fixed.ckpt", text.as_bytes(), policy);
-            assert!(is_sidecar_error(&meta, &r), "{text:?}: {r:?}");
-        }
-        let missing = read_sidecar(Path::new("no-such-dir/run.ckpt"), "open-loop");
-        assert!(is_sidecar_error(
-            Path::new("no-such-dir/run.ckpt.meta"),
-            &missing
-        ));
-    }
+    fn the_droop_sweep_resumes_from_an_interrupt_in_any_arm() {
+        let (full, charged) = sweep(None, None, None);
+        let full = full.unwrap();
+        assert!(!full.interrupted);
+        // Every arm charges the same events: its planning, then one per
+        // cycle, and the budget trips at the top of the cycle after the
+        // one that spends it.
+        let per_arm = charged / DROOP_RUNS as u64;
+        assert_eq!(per_arm * DROOP_RUNS as u64, charged);
+        let cycles = crate::figures::droop_chip().cycles;
+        let planning = per_arm - cycles as u64;
+        let dir = std::env::temp_dir().join(format!("psnt-droop-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (arm, cycle) in [(0, 137), (3, 9), (6, 333)] {
+            let path = dir.join(format!("arm{arm}.ckpt"));
+            let budget = arm as u64 * per_arm + planning + cycle as u64;
+            let cut = sweep(Some(budget), Some(&path), None).0.unwrap();
+            assert!(cut.interrupted, "arm {arm}: {}", cut.report);
+            let ckpt = MitigatedCheckpoint::load(&path).unwrap();
+            let (policy, latency) = droop_run_shape(arm);
+            assert_eq!((ckpt.policy.as_str(), ckpt.latency), (policy, latency));
+            assert_eq!(ckpt.cycle(), cycle + 1, "arm {arm}");
+            let at = format!("run {}/{DROOP_RUNS}: policy {policy}", arm + 1);
+            assert!(cut.report.contains(&at), "arm {arm}: {}", cut.report);
+            let resumed = sweep(None, None, Some(&path)).0.unwrap();
+            assert!(!resumed.interrupted);
+            assert_eq!(resumed.report, full.report, "arm {arm}, cycle {cycle}");
 
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
-        /// Mutation fuzzing of a sidecar on disk: byte flips (invalid
-        /// UTF-8 included), truncation, inserted bytes and other run
-        /// indices. Nothing panics; a sidecar is accepted only when it
-        /// names a run below 14 whose policy the checkpoint holds, and
-        /// refused with `WorkloadError::Checkpoint` otherwise.
-        #[test]
-        fn mutated_sidecars_are_refused_cleanly(
-            kind in 0u8..4,
-            at in 0usize..64,
-            byte in proptest::prelude::any::<u8>(),
-            run in 0usize..32,
-            policy in 0usize..DROOP_RUNS,
-        ) {
-            let (ckpt_policy, _) = droop_run_shape(policy);
-            let mut bytes = b"droop-mitigation 3\n".to_vec();
-            let i = at % bytes.len();
-            match kind {
-                0 => bytes[i] = byte,
-                1 => bytes.truncate(i),
-                2 => bytes.insert(i, byte),
-                _ => bytes = format!("droop-mitigation {run}\n").into_bytes(),
-            }
-            let (meta, r) = sidecar("fuzz.ckpt", &bytes, ckpt_policy);
-            let named = std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|t| t.strip_prefix("droop-mitigation "))
-                .and_then(|rest| rest.trim().parse::<usize>().ok());
-            match named {
-                Some(k) if k < DROOP_RUNS && droop_run_shape(k).0 == ckpt_policy => {
-                    proptest::prop_assert_eq!(r.ok(), Some(k));
-                }
-                _ => proptest::prop_assert!(is_sidecar_error(&meta, &r), "{:?}: {:?}", bytes, r),
-            }
+            // The resumed arm runs on from the snapshot: a droop planted
+            // in its trace reaches the report.
+            let mut planted = ckpt.clone();
+            planted.droop_trace[0] = 1.0;
+            planted.save(&path).unwrap();
+            let resumed = sweep(None, None, Some(&path)).0.unwrap();
+            assert!(resumed.report.contains("1000.0 mV"), "arm {arm}");
+
+            // A policy and latency no arm runs is refused.
+            let mut stray = ckpt;
+            stray.latency = 9;
+            stray.save(&path).unwrap();
+            let err = sweep(None, None, Some(&path)).0.unwrap_err();
+            assert!(
+                matches!(&err, WorkloadError::InvalidConfig { name: "resume", reason }
+                    if reason.contains("latency 9")),
+                "{err:?}"
+            );
+            std::fs::remove_file(&path).unwrap();
         }
     }
 }

@@ -373,9 +373,9 @@ impl GateLevelArray {
     /// [`psnt_fault::FaultPlan::batch_supported`]).
     ///
     /// The batch simulator comes from the context's
-    /// [`psnt_ctx::BatchSimPool`], so a fault-coverage campaign walking
-    /// hundreds of plans amortises one kernel construction across all
-    /// its 64-plan chunks.
+    /// [`batch_pool`](psnt_ctx::RunCtx::batch_pool), so a fault-coverage
+    /// campaign walking hundreds of plans amortises one kernel
+    /// construction across all its 64-plan chunks.
     ///
     /// # Errors
     ///

@@ -45,13 +45,18 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+use std::marker::PhantomData;
+
 use psnt_engine::Engine;
 use psnt_fault::FaultPlan;
 use psnt_netlist::{BatchSimulator, Netlist, Simulator};
 use psnt_obs::Observer;
 use psnt_sup::Supervisor;
 
-/// A pool of reusable [`Simulator`]s keyed by netlist identity.
+/// A pool of reusable simulators keyed by netlist identity: scalar
+/// [`Simulator`]s for gate-level measures ([`RunCtx::pool`]) and
+/// 64-lane [`BatchSimulator`]s for batched fault-campaign sweeps
+/// ([`RunCtx::batch_pool`]).
 ///
 /// The pool exists so ctx-threaded gate-level measures get the PR 3
 /// `make_sim` + `reset()` fast path without the caller managing a
@@ -62,17 +67,27 @@ use psnt_sup::Supervisor;
 /// # Keying and soundness
 ///
 /// Entries are keyed by the netlist's address. That is sound because
-/// every pooled `Simulator<'env>` holds a `&'env Netlist` borrow, so
+/// every pooled simulator is built for a `&'env Netlist` borrow, so
 /// the netlist cannot move or drop while the pool is alive — an
 /// address therefore names one netlist for the pool's whole lifetime.
-#[derive(Debug, Default)]
-pub struct SimPool<'env> {
-    sims: Vec<(usize, Simulator<'env>)>,
+#[derive(Debug)]
+pub struct SimPool<'env, S> {
+    sims: Vec<(usize, S)>,
+    netlists: PhantomData<&'env Netlist>,
 }
 
-impl<'env> SimPool<'env> {
+impl<S> Default for SimPool<'_, S> {
+    fn default() -> Self {
+        SimPool {
+            sims: Vec::new(),
+            netlists: PhantomData,
+        }
+    }
+}
+
+impl<'env, S> SimPool<'env, S> {
     /// Creates an empty pool.
-    pub fn new() -> SimPool<'env> {
+    pub fn new() -> SimPool<'env, S> {
         SimPool::default()
     }
 
@@ -98,56 +113,8 @@ impl<'env> SimPool<'env> {
     pub fn get_or_insert_with<E>(
         &mut self,
         netlist: &'env Netlist,
-        build: impl FnOnce() -> Result<Simulator<'env>, E>,
-    ) -> Result<&mut Simulator<'env>, E> {
-        let key = netlist as *const Netlist as usize;
-        if let Some(ix) = self.sims.iter().position(|(k, _)| *k == key) {
-            return Ok(&mut self.sims[ix].1);
-        }
-        let sim = build()?;
-        self.sims.push((key, sim));
-        Ok(&mut self.sims.last_mut().expect("just pushed").1)
-    }
-}
-
-/// A pool of reusable [`BatchSimulator`]s keyed by netlist identity —
-/// the 64-lane sibling of [`SimPool`], with the same address-keying
-/// soundness argument. Batched fault-campaign sweeps reuse one batch
-/// kernel (topology, planes, banded delay cache) across chunks of 64
-/// plans instead of rebuilding it per chunk.
-#[derive(Debug, Default)]
-pub struct BatchSimPool<'env> {
-    sims: Vec<(usize, BatchSimulator<'env>)>,
-}
-
-impl<'env> BatchSimPool<'env> {
-    /// Creates an empty pool.
-    pub fn new() -> BatchSimPool<'env> {
-        BatchSimPool::default()
-    }
-
-    /// Number of distinct netlists with a pooled batch simulator.
-    pub fn len(&self) -> usize {
-        self.sims.len()
-    }
-
-    /// True when no batch simulator has been pooled yet.
-    pub fn is_empty(&self) -> bool {
-        self.sims.is_empty()
-    }
-
-    /// Returns the pooled batch simulator for `netlist`, building it
-    /// with `build` on first use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the builder's error when the first construction
-    /// fails; nothing is pooled in that case.
-    pub fn get_or_insert_with<E>(
-        &mut self,
-        netlist: &'env Netlist,
-        build: impl FnOnce() -> Result<BatchSimulator<'env>, E>,
-    ) -> Result<&mut BatchSimulator<'env>, E> {
+        build: impl FnOnce() -> Result<S, E>,
+    ) -> Result<&mut S, E> {
         let key = netlist as *const Netlist as usize;
         if let Some(ix) = self.sims.iter().position(|(k, _)| *k == key) {
             return Ok(&mut self.sims[ix].1);
@@ -170,8 +137,8 @@ pub struct RunCtx<'env> {
     engine: Engine,
     observer: Option<&'env mut Observer>,
     seed: u64,
-    pool: SimPool<'env>,
-    batch_pool: BatchSimPool<'env>,
+    pool: SimPool<'env, Simulator<'env>>,
+    batch_pool: SimPool<'env, BatchSimulator<'env>>,
     fault_plan: Option<FaultPlan>,
     supervisor: Supervisor,
 }
@@ -196,7 +163,7 @@ impl<'env> RunCtx<'env> {
             observer: None,
             seed: 0,
             pool: SimPool::new(),
-            batch_pool: BatchSimPool::new(),
+            batch_pool: SimPool::new(),
             fault_plan: None,
             supervisor: Supervisor::detached(),
         }
@@ -309,14 +276,14 @@ impl<'env> RunCtx<'env> {
     }
 
     /// The reusable-simulator pool.
-    pub fn pool(&mut self) -> &mut SimPool<'env> {
+    pub fn pool(&mut self) -> &mut SimPool<'env, Simulator<'env>> {
         &mut self.pool
     }
 
     /// The reusable **batch**-simulator pool — 64-lane kernels for
     /// fault-campaign sweeps, pooled with the same netlist-address
     /// keying as [`RunCtx::pool`].
-    pub fn batch_pool(&mut self) -> &mut BatchSimPool<'env> {
+    pub fn batch_pool(&mut self) -> &mut SimPool<'env, BatchSimulator<'env>> {
         &mut self.batch_pool
     }
 
@@ -328,7 +295,7 @@ impl<'env> RunCtx<'env> {
         &mut self,
     ) -> (
         Option<&mut Observer>,
-        &mut SimPool<'env>,
+        &mut SimPool<'env, Simulator<'env>>,
         Option<&FaultPlan>,
     ) {
         (

@@ -52,8 +52,6 @@ pub mod trace;
 
 pub use events::{Event, EventSink, JsonlSink, NullSink, Record, RingBufferSink};
 pub use manifest::RunManifest;
-pub use metrics::{
-    CounterId, GaugeId, Histogram, HistogramId, MetricsDiff, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry};
 pub use observer::Observer;
 pub use span::{mask_wall_times, RemoteSpan, Span, SpanRecord};

@@ -370,114 +370,11 @@ impl MetricsRegistry {
             ),
         ])
     }
-
-    /// An owned, displayable snapshot of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
 }
 
-/// An owned point-in-time copy of a registry's metrics, sorted by name
-/// so two snapshots of the same run compare position-by-position
-/// regardless of registration order.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, Histogram)>,
-}
-
-impl MetricsSnapshot {
-    /// Counter value by name, zero when absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
-    /// Gauge reading by name, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// Histogram by name, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
-
-    /// The change from `earlier` to `self`: counter deltas, gauge
-    /// before/after pairs, histogram count deltas. Names present in
-    /// only one snapshot show against an implicit zero/absent side.
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsDiff {
-        let mut counters: Vec<(String, i128)> = Vec::new();
-        let mut names: Vec<&String> = self
-            .counters
-            .iter()
-            .chain(&earlier.counters)
-            .map(|(n, _)| n)
-            .collect();
-        names.sort();
-        names.dedup();
-        for name in names {
-            let delta = self.counter(name) as i128 - earlier.counter(name) as i128;
-            if delta != 0 {
-                counters.push((name.clone(), delta));
-            }
-        }
-
-        let mut gauges: Vec<(String, Option<f64>, Option<f64>)> = Vec::new();
-        let mut names: Vec<&String> = self
-            .gauges
-            .iter()
-            .chain(&earlier.gauges)
-            .map(|(n, _)| n)
-            .collect();
-        names.sort();
-        names.dedup();
-        for name in names {
-            let (before, after) = (earlier.gauge(name), self.gauge(name));
-            if before != after {
-                gauges.push((name.clone(), before, after));
-            }
-        }
-
-        let mut histograms: Vec<(String, u64)> = Vec::new();
-        let mut names: Vec<&String> = self
-            .histograms
-            .iter()
-            .chain(&earlier.histograms)
-            .map(|(n, _)| n)
-            .collect();
-        names.sort();
-        names.dedup();
-        for name in names {
-            let before = earlier.histogram(name).map_or(0, Histogram::count);
-            let after = self.histogram(name).map_or(0, Histogram::count);
-            if after > before {
-                histograms.push((name.clone(), after - before));
-            }
-        }
-
-        MetricsDiff {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-}
-
-impl std::fmt::Display for MetricsSnapshot {
-    /// A human-readable table, one metric per line, sorted by name
-    /// within each section.
+impl std::fmt::Display for MetricsRegistry {
+    /// A human-readable table, one metric per line: counters, then
+    /// gauges, then histograms, each section sorted by name.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let width = self
             .counters
@@ -501,55 +398,6 @@ impl std::fmt::Display for MetricsSnapshot {
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, h) in histograms {
             writeln!(f, "  {name:<width$}  {h}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The change between two [`MetricsSnapshot`]s, as produced by
-/// [`MetricsSnapshot::diff`]. Unchanged metrics are omitted.
-#[derive(Debug, Clone)]
-pub struct MetricsDiff {
-    /// Counter deltas (`new - old`), by name.
-    counters: Vec<(String, i128)>,
-    /// Changed gauges as `(name, before, after)`.
-    gauges: Vec<(String, Option<f64>, Option<f64>)>,
-    /// Newly recorded histogram samples (`new count - old count`).
-    histograms: Vec<(String, u64)>,
-}
-
-impl MetricsDiff {
-    /// True when the two snapshots were identical.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-}
-
-impl std::fmt::Display for MetricsDiff {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_empty() {
-            return writeln!(f, "  (no change)");
-        }
-        let width = self
-            .counters
-            .iter()
-            .map(|(n, _)| n.len())
-            .chain(self.gauges.iter().map(|(n, ..)| n.len()))
-            .chain(self.histograms.iter().map(|(n, _)| n.len()))
-            .max()
-            .unwrap_or(0);
-        for (name, delta) in &self.counters {
-            writeln!(f, "  {name:<width$}  {delta:+}")?;
-        }
-        for (name, before, after) in &self.gauges {
-            let fmt_g = |g: &Option<f64>| match g {
-                Some(v) => format!("{v:.6}"),
-                None => "-".to_string(),
-            };
-            writeln!(f, "  {name:<width$}  {} -> {}", fmt_g(before), fmt_g(after))?;
-        }
-        for (name, added) in &self.histograms {
-            writeln!(f, "  {name:<width$}  +{added} samples")?;
         }
         Ok(())
     }
@@ -698,44 +546,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff_reports_deltas_and_display_renders() {
+    fn display_lists_every_metric_sorted_by_name_within_its_section() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("jobs", 2);
-        m.gauge_set("peak", 1.0);
+        m.counter_add("jobs", 5);
+        m.counter_add("fresh", 0);
+        m.gauge_set("peak", 4.0);
         let h = m.histogram("lat", &[1.0, 10.0]);
         m.record(h, 0.5);
-        let before = m.snapshot();
-
-        m.counter_add("jobs", 3);
-        m.counter_add("fresh", 1);
-        m.gauge_set("peak", 4.0);
-        m.record(h, 5.0);
-        let after = m.snapshot();
-
-        let diff = after.diff(&before);
-        assert!(!diff.is_empty());
-        let delta = |name: &str| {
-            diff.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        assert_eq!(delta("jobs"), 3);
-        assert_eq!(delta("fresh"), 1);
-        assert_eq!(delta("unchanged"), 0);
-
-        let table = diff.to_string();
-        assert!(table.contains("jobs"), "diff table lists jobs: {table}");
-        assert!(table.contains("+3"), "delta is signed: {table}");
-        assert!(table.contains("1.000000 -> 4.000000"), "gauges: {table}");
-        assert!(table.contains("+1 samples"), "histograms: {table}");
-
-        assert!(after.diff(&after).is_empty());
-        assert_eq!(after.diff(&after).to_string(), "  (no change)\n");
-
-        let snap_table = after.to_string();
-        assert!(snap_table.contains("jobs"));
-        assert!(snap_table.contains("p50"));
+        m.histogram("idle", &[1.0]);
+        assert_eq!(
+            m.to_string(),
+            "  fresh  0\n  jobs   5\n  peak   4.000000\n  \
+             idle   count=0 sum=0 p50=- p99=-\n  lat    count=1 sum=0.5 p50=1 p99=1\n"
+        );
+        assert_eq!(MetricsRegistry::new().to_string(), "");
     }
 
     #[test]

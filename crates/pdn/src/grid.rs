@@ -668,33 +668,10 @@ impl GridFactor {
 /// A direct-solver solution: per-tile voltages together with the load
 /// vector that produced them, so [`PowerGrid::solve_delta`] can compute
 /// the right-hand-side delta from the changed entries alone.
-///
-/// A solution also owns the scratch right-hand side its delta updates
-/// solve in, so a chain of [`PowerGrid::update_delta`] calls allocates
-/// nothing after the first. The scratch is not part of the value: it
-/// is not serialized, cloned or compared.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSolution {
     voltages: Vec<f64>,
     loads: Vec<f64>,
-    #[serde(skip)]
-    rhs: Vec<f64>,
-}
-
-impl Clone for GridSolution {
-    fn clone(&self) -> GridSolution {
-        GridSolution {
-            voltages: self.voltages.clone(),
-            loads: self.loads.clone(),
-            rhs: Vec::new(),
-        }
-    }
-}
-
-impl PartialEq for GridSolution {
-    fn eq(&self, other: &Self) -> bool {
-        self.voltages == other.voltages && self.loads == other.loads
-    }
 }
 
 impl GridSolution {
@@ -1177,7 +1154,6 @@ impl PowerGrid {
         Ok(GridSolution {
             voltages: b,
             loads: loads.to_vec(),
-            rhs: Vec::new(),
         })
     }
 
@@ -1211,9 +1187,9 @@ impl PowerGrid {
     /// O(n · band) — tens of microseconds on the 1,600-node campaign
     /// grid, whichever tiles switched.
     ///
-    /// The right-hand side is solved in the solution's own scratch
-    /// buffer, so repeated updates of one solution allocate nothing
-    /// after the first. The result is bit-identical to
+    /// The right-hand side is solved in a buffer local to the call; the
+    /// allocation-free per-cycle path is [`DeltaBatch`]. The result is
+    /// bit-identical to
     /// [`PowerGrid::solve_delta`] on the same inputs; see
     /// [`GridFactor`] for how both relate to a textbook substitution.
     ///
@@ -1233,23 +1209,15 @@ impl PowerGrid {
     ) -> Result<bool, PdnError> {
         self.check_delta(sol, changed)?;
         let n = self.tiles();
-        // PDN HOT LOOP START
-        let GridSolution {
-            voltages,
-            loads,
-            rhs,
-        } = sol;
-        rhs.clear();
-        rhs.resize(n, 0.0);
-        let first = assemble_delta(loads, changed, |node, delta| rhs[node] -= delta);
+        let mut rhs = vec![0.0; n];
+        let first = assemble_delta(&mut sol.loads, changed, |node, delta| rhs[node] -= delta);
         if first == n {
             return Ok(false);
         }
-        self.factor().solve_in_place(rhs, first);
-        for (v, dv) in voltages.iter_mut().zip(rhs.iter()) {
+        self.factor().solve_in_place(&mut rhs, first);
+        for (v, dv) in sol.voltages.iter_mut().zip(&rhs) {
             *v += dv;
         }
-        // PDN HOT LOOP END
         Ok(true)
     }
 
@@ -1808,20 +1776,6 @@ mod tests {
         let mut sol = base.clone();
         assert!(grid.update_delta(&mut sol, &[(2, 0.2), (16, 0.1)]).is_err());
         assert_eq!(sol, base);
-    }
-
-    #[test]
-    fn solution_scratch_is_not_part_of_the_value() {
-        let grid = mk(4);
-        let mut sol = grid.solve_sparse(&[0.05; 16]).unwrap();
-        grid.update_delta(&mut sol, &[(5, 0.1)]).unwrap();
-        assert_eq!(sol.rhs.len(), 16, "the update kept its scratch");
-        let copy = sol.clone();
-        assert!(copy.rhs.is_empty(), "clones start without scratch");
-        assert_eq!(copy, sol);
-        let json = serde::json::to_string(&sol);
-        let back: GridSolution = serde::json::from_str(&json).unwrap();
-        assert_eq!(back, sol);
     }
 
     #[test]

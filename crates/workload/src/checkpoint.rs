@@ -21,7 +21,7 @@
 //! record, and a resumed run re-enters the sweep from its start, which
 //! keeps the record stream identical without sweep-side bookkeeping.
 //!
-//! # On-disk format (schema version 4)
+//! # On-disk format (schema version 5)
 //!
 //! One JSON document per checkpoint. Every field uses the workspace's
 //! ordinary serde encoding except the per-site rail history
@@ -68,7 +68,12 @@
 //!
 //! Each in-flight flit of the [`StepperSnapshot`] is stored as `(src,
 //! dst, hop)`: the flit is `hop` hops along the XY route between its
-//! ends, which restore rebuilds and checks.
+//! ends, which restore rebuilds and checks. The snapshot stores the
+//! last cycle's effective counts once, as `prev_eff`, and its boost
+//! overlay only while a boost is active.
+//!
+//! A closed-loop [`MitigatedCheckpoint`] names the policy and the
+//! code latency it ran at; resume refuses either one changed.
 //!
 //! A load reads the `version` field first and refuses any other schema
 //! version before it looks at the body, so an older file reports its
@@ -99,8 +104,9 @@ use crate::stepper::StepperSnapshot;
 /// as decimal arrays. Version 4 writes the knot times shared by every
 /// series once and each flight as `(src, dst, hop)`, where version 3
 /// repeats the times per series and stores whole routes (see the
-/// module docs).
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// module docs). Version 5 drops the stepper's `eff_counts`, a copy
+/// of its `prev_eff`, and stores a closed-loop run's code `latency`.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Where and how often a supervised run snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -158,9 +164,7 @@ pub struct WorkloadCheckpoint {
 /// It stores nothing its traces already hold. The deepest droop, its
 /// cycle and the engaged-cycle count are derived from `droop_trace` and
 /// `actuation_trace` when the run ends, and the controller's working
-/// actuation is the stepper's own. Files that still carry the old
-/// `worst_droop`, `worst_droop_cycle`, `engaged_cycles` and `act`
-/// fields load unchanged: decoding ignores fields it does not know.
+/// actuation is the stepper's own.
 ///
 /// [`NocWorkload::run_mitigated`]: crate::NocWorkload::run_mitigated
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -172,6 +176,9 @@ pub struct MitigatedCheckpoint {
     /// The policy name in force (`"open-loop"` for no mitigator);
     /// resume refuses a mismatched policy.
     pub policy: String,
+    /// The code-distribution latency of the run, cycles; resume
+    /// refuses a mismatched latency.
+    pub latency: usize,
     /// The stepper's dynamic state at the captured cycle.
     pub stepper: StepperSnapshot,
     /// Window statistics of every window touched so far.
@@ -548,6 +555,7 @@ mod tests {
             version: 1,
             seed: 5,
             policy: "open-loop".into(),
+            latency: 1,
             stepper: snapshot.clone(),
             stats_done: Vec::new(),
             droop_trace: Vec::new(),
@@ -559,7 +567,7 @@ mod tests {
         };
         let schema_error = |r: Result<(), WorkloadError>, v: u32| match r {
             Err(WorkloadError::Checkpoint { reason, .. }) => {
-                assert_eq!(reason, format!("schema version {v}, this build reads 4"));
+                assert_eq!(reason, format!("schema version {v}, this build reads 5"));
             }
             other => panic!("expected a schema-version error, got {other:?}"),
         };
@@ -615,6 +623,53 @@ mod tests {
             }
             other => panic!("expected a decode error, got {other:?}"),
         }
+
+        // Version-4 files: the stepper carries `eff_counts` beside
+        // `prev_eff`, and a closed-loop file has no `latency`.
+        let mut stepper = json::to_value(&snapshot);
+        let Value::Map(fields) = &mut stepper else {
+            panic!("a snapshot encodes as a map");
+        };
+        let prev_eff = fields
+            .iter()
+            .find(|(k, _)| k == "prev_eff")
+            .unwrap()
+            .1
+            .clone();
+        fields.push(("eff_counts".into(), prev_eff));
+        let stepper = json::render(&stepper);
+        let rails = r#"{"times":"","series":[]}"#;
+        let v4_open = |version: u32| {
+            format!(
+                r#"{{"version":{version},"seed":5,"stepper":{stepper},"stats_done":[],"site_points":{rails}}}"#
+            )
+        };
+        fs::write(&path, v4_open(4)).unwrap();
+        schema_error(WorkloadCheckpoint::load(&path).map(drop), 4);
+        let mut v4_closed = json::to_value(&MitigatedCheckpoint {
+            version: 4,
+            ..closed.clone()
+        });
+        let Value::Map(fields) = &mut v4_closed else {
+            panic!("a checkpoint encodes as a map");
+        };
+        fields.retain(|(k, _)| k != "latency");
+        let v4_closed = json::render(&v4_closed);
+        fs::write(&path, &v4_closed).unwrap();
+        schema_error(MitigatedCheckpoint::load(&path).map(drop), 4);
+        // Relabelled as version 5, the closed-loop file lacks its
+        // latency; the open-loop one decodes, its `eff_counts` unread,
+        // which is why the version is checked first.
+        let relabel = |doc: &str| doc.replacen("\"version\":4,", "\"version\":5,", 1);
+        fs::write(&path, relabel(&v4_closed)).unwrap();
+        match MitigatedCheckpoint::load(&path) {
+            Err(WorkloadError::Checkpoint { reason, .. }) => {
+                assert!(reason.contains("latency"), "{reason}");
+            }
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        fs::write(&path, relabel(&v4_open(4))).unwrap();
+        assert_eq!(WorkloadCheckpoint::load(&path).unwrap().stepper, snapshot);
         fs::remove_file(&path).unwrap();
 
         // In memory: both resume entry points refuse before stepping.
@@ -1130,14 +1185,14 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(384))]
         /// Mutation fuzzing of a real checkpoint: byte flips (any byte,
         /// invalid UTF-8 included), truncation, deleted and duplicated
-        /// runs, series tags, odd digit counts, flight hops and older
-        /// versions. Nothing panics; every mutant is refused at load
+        /// runs, series tags, odd digit counts, flight hops, boost
+        /// overlays and older versions. Nothing panics; every mutant is refused at load
         /// with `WorkloadError::Checkpoint`, refused at resume with
         /// `WorkloadError::InvalidConfig`, or resumes. Mutants that
         /// are malformed by construction are always refused at load.
         #[test]
         fn mutated_checkpoints_are_refused_cleanly_or_resume(
-            kind in 0u8..8,
+            kind in 0u8..9,
             at in 0usize..1 << 20,
             len in 0usize..48,
             byte in proptest::prelude::any::<u8>(),
@@ -1204,6 +1259,38 @@ mod tests {
                     let past = hop > w.mesh().xy_hops(end(&flight[0]), end(&flight[1]));
                     bytes = json::render(&tree).into_bytes();
                     let want = if past { Fate::RefusedOnResume } else { Fate::Resumed };
+                    proptest::prop_assert_eq!(fate(w, &bytes), want);
+                    false
+                }
+                7 => {
+                    // The boost overlay: on or off, of a length around
+                    // the grid's node count, one entry maybe infinite
+                    // (`1e999` parses as +∞). Only a full finite
+                    // overlay while on, or none while off, resumes.
+                    let nodes = w.campaign().floorplan().grid().tiles();
+                    let active = byte & 1 == 1;
+                    let n = [0, nodes - 1, nodes, nodes + 1][len % 4];
+                    let infinite = byte & 2 == 2 && n > 0;
+                    let mut tree = json::parse(doc).unwrap();
+                    let Some(Value::Map(stepper)) = map_get_mut(&mut tree, "stepper") else {
+                        panic!("no stepper");
+                    };
+                    for (k, v) in stepper.iter_mut() {
+                        match k.as_str() {
+                            "boost_active" => *v = Value::Bool(active),
+                            "boosted" => {
+                                let mut overlay = vec![Value::F64(0.9); n];
+                                if infinite {
+                                    overlay[at % n] = Value::F64(12345.5);
+                                }
+                                *v = Value::Seq(overlay);
+                            }
+                            _ => {}
+                        }
+                    }
+                    bytes = json::render(&tree).replacen("12345.5", "1e999", 1).into_bytes();
+                    let fits = if active { n == nodes && !infinite } else { n == 0 };
+                    let want = if fits { Fate::Resumed } else { Fate::RefusedOnResume };
                     proptest::prop_assert_eq!(fate(w, &bytes), want);
                     false
                 }

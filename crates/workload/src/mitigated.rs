@@ -143,11 +143,7 @@ impl NocWorkload {
     /// controller resumes from the stepper's actuation, so none of them
     /// is stored.
     ///
-    /// A resume with a mitigator wired must run at the snapshot's code
-    /// latency: the delay line must hold `min(cycle, latency)` frames.
-    /// The one mismatch accepted is a snapshot taken before any frame
-    /// reached the controller, where both latencies are in the same
-    /// state.
+    /// A resume must run the snapshot's policy at its code latency.
     ///
     /// A policy whose [`Mitigator::state_snapshot`] returns `None`
     /// resumes with its controller cold; the built-in controllers all
@@ -268,10 +264,14 @@ impl CycleDriver for ControlLoop<'_> {
                 ckpt.actuation_trace.len()
             )));
         }
+        if ckpt.latency != self.latency {
+            return Err(resume_refused(format!(
+                "checkpoint ran at code latency {}, this run at {}",
+                ckpt.latency, self.latency
+            )));
+        }
         // A line of latency L holds min(done, L) frames once a mitigator
-        // has seen `done` cycles, so a count mismatch is a different
-        // latency. Equal counts below both latencies mean no frame has
-        // come out yet, and the two runs are in the same state.
+        // has seen `done` cycles.
         let expected = done.min(self.latency);
         if self.mitigator.is_some() && ckpt.in_flight.len() != expected {
             return Err(resume_refused(format!(
@@ -360,6 +360,7 @@ impl CycleDriver for ControlLoop<'_> {
             version: CHECKPOINT_VERSION,
             seed,
             policy: self.policy.into(),
+            latency: self.latency,
             stepper,
             stats_done,
             droop_trace: self.droop_trace.clone(),
@@ -595,23 +596,36 @@ mod tests {
             )
             .unwrap();
         assert_eq!(resumed, full, "interrupted-then-resumed ≡ uninterrupted");
-        // Resuming at another code latency is refused: at latency 4 the
-        // line would hold four frames, the snapshot holds two.
-        let mut ctrl4 = mk();
-        let err = w
-            .run_mitigated_checkpointed(
+        assert_eq!(ckpt.latency, 2);
+        let resume_at = |latency: usize, ckpt: &MitigatedCheckpoint| {
+            let mut ctrl = mk();
+            w.run_mitigated_checkpointed(
                 &mut RunCtx::serial().with_seed(5),
-                Some(&mut ctrl4),
-                4,
+                Some(&mut ctrl),
+                latency,
                 &CheckpointPolicy::none(),
-                Some(&ckpt),
+                Some(ckpt),
             )
-            .unwrap_err();
-        assert!(
-            matches!(&err, WorkloadError::InvalidConfig { name: "resume", reason }
-                if reason.contains("latency 4")),
-            "{err:?}"
-        );
+            .unwrap_err()
+        };
+        let refused = |err: WorkloadError, why: &str| {
+            assert!(
+                matches!(&err, WorkloadError::InvalidConfig { name: "resume", reason }
+                    if reason.contains(why)),
+                "{err:?}"
+            );
+        };
+        // Resuming at another code latency is refused, whatever the
+        // delay line holds.
+        refused(resume_at(4, &ckpt), "code latency 2, this run at 4");
+        let mut relabelled = ckpt.clone();
+        relabelled.latency = 4;
+        refused(resume_at(2, &relabelled), "code latency 4, this run at 2");
+        // A delay line that does not hold min(cycle, latency) frames is
+        // refused at the right latency too.
+        let mut short = ckpt.clone();
+        short.in_flight.pop();
+        refused(resume_at(2, &short), "1 frames in flight");
         // Resuming without the controller the checkpoint ran is refused.
         let err = w
             .run_mitigated_checkpointed(

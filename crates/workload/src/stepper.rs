@@ -79,6 +79,10 @@ struct Flight {
 /// The grid solution is captured verbatim rather than re-solved at
 /// restore: the delta-solve chain is bit-exact only when it continues
 /// from the same floating-point state it was interrupted in.
+///
+/// Snapshots are taken with no cycle planned ahead, where the last
+/// stepped cycle's effective counts are the ones the next cycle diffs
+/// against, so they are stored once (`prev_eff`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepperSnapshot {
     cursors: Vec<usize>,
@@ -87,9 +91,9 @@ pub struct StepperSnapshot {
     /// the XY route from `src` to `dst`.
     flights: Vec<(usize, usize, usize)>,
     counts: Vec<u32>,
-    eff_counts: Vec<u32>,
     prev_eff: Vec<u32>,
     sol: Option<GridSolution>,
+    /// The boosted node voltages while a boost is active, else empty.
     boosted: Vec<f64>,
     boost_active: bool,
     act: Actuation,
@@ -576,6 +580,7 @@ impl<'w> CycleStepper<'w> {
     /// workload and seed** (see [`CycleStepper::restore`]).
     pub fn snapshot(&self) -> StepperSnapshot {
         debug_assert_eq!(self.pending(), 0, "snapshot with cycles planned ahead");
+        debug_assert_eq!(self.eff_counts, self.prev_eff, "drained counts diverged");
         let mesh = self.workload.mesh();
         StepperSnapshot {
             cursors: self.cursors.clone(),
@@ -595,10 +600,13 @@ impl<'w> CycleStepper<'w> {
                 })
                 .collect(),
             counts: self.counts.clone(),
-            eff_counts: self.eff_counts.clone(),
             prev_eff: self.prev_eff.clone(),
             sol: self.sol.clone(),
-            boosted: self.boosted.clone(),
+            boosted: if self.boost_active {
+                self.boosted.clone()
+            } else {
+                Vec::new()
+            },
             boost_active: self.boost_active,
             act: self.act.clone(),
             cycle: self.cycle,
@@ -619,7 +627,9 @@ impl<'w> CycleStepper<'w> {
     /// not match this stepper's mesh geometry or traffic plan (wrong
     /// seed, config, or a corrupted snapshot), or when its actuation
     /// asks for a stretch outside
-    /// `[`[`MIN_STRETCH`]`, 1]` or a boost outside `[0, `[`MAX_BOOST_V`]`]`.
+    /// `[`[`MIN_STRETCH`]`, 1]` or a boost outside `[0, `[`MAX_BOOST_V`]`]`,
+    /// or when its boost overlay is not one finite voltage per grid node
+    /// while a boost is active, or not empty while none is.
     pub fn restore(&mut self, snap: &StepperSnapshot) -> Result<(), WorkloadError> {
         let tiles = self.workload.mesh().tiles();
         let invalid = |reason: String| WorkloadError::InvalidConfig {
@@ -629,7 +639,6 @@ impl<'w> CycleStepper<'w> {
         if snap.cursors.len() != tiles
             || snap.deferred.len() != tiles
             || snap.counts.len() != tiles
-            || snap.eff_counts.len() != tiles
             || snap.prev_eff.len() != tiles
         {
             return Err(invalid(format!(
@@ -680,6 +689,14 @@ impl<'w> CycleStepper<'w> {
             )));
         }
         let grid = self.workload.campaign().floorplan().grid();
+        let overlay = if snap.boost_active { grid.tiles() } else { 0 };
+        if snap.boosted.len() != overlay || snap.boosted.iter().any(|v| !v.is_finite()) {
+            return Err(invalid(format!(
+                "boost overlay of {} node voltages with the boost {}, expected {overlay} finite ones",
+                snap.boosted.len(),
+                if snap.boost_active { "active" } else { "inactive" }
+            )));
+        }
         if snap.sol.as_ref().is_some_and(|sol| !grid.kcl_holds(sol)) {
             return Err(invalid(format!(
                 "snapshot grid solution is not a KCL state of the {}-node grid",
@@ -715,7 +732,7 @@ impl<'w> CycleStepper<'w> {
             .collect();
         self.flights = flights;
         self.counts.copy_from_slice(&snap.counts);
-        self.eff_counts.copy_from_slice(&snap.eff_counts);
+        self.eff_counts.copy_from_slice(&snap.prev_eff);
         self.prev_eff.copy_from_slice(&snap.prev_eff);
         self.sol = snap.sol.clone();
         self.boosted = snap.boosted.clone();
@@ -1016,6 +1033,63 @@ mod tests {
         };
         assert!(restore("deferred", &backlog(3)).is_ok());
         assert!(refused(restore("deferred", &backlog(4))));
+    }
+
+    #[test]
+    fn restore_refuses_boost_overlays_off_the_grid() {
+        let w = stepper_workload();
+        let nodes = w.campaign().floorplan().grid().tiles();
+        let mut s = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+        let mut act = Actuation::neutral(4);
+        act.set_boost(2, 0.03);
+        s.apply(&act).unwrap();
+        for _ in 0..5 {
+            s.step().unwrap();
+        }
+        let snap = s.snapshot();
+        assert!(snap.boost_active && snap.boosted.len() == nodes);
+        let restore = |edit: &dyn Fn(&mut StepperSnapshot)| {
+            let mut edited = snap.clone();
+            edit(&mut edited);
+            let mut fresh = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+            fresh.restore(&edited)?;
+            // Whatever restores reads its grid state and steps on.
+            fresh.hotspot();
+            fresh.step()?;
+            Ok::<_, WorkloadError>(fresh.hotspot())
+        };
+        let refused = |r: Result<(usize, f64), WorkloadError>| {
+            matches!(
+                r,
+                Err(WorkloadError::InvalidConfig {
+                    name: "snapshot",
+                    ..
+                })
+            )
+        };
+        assert!(restore(&|_| ()).is_ok());
+        // Active with no overlay: `hotspot` would find no tile.
+        assert!(refused(restore(&|s| s.boosted.clear())));
+        assert!(refused(restore(&|s| {
+            s.boosted.pop();
+        })));
+        assert!(refused(restore(&|s| s.boosted.push(0.9))));
+        assert!(refused(restore(&|s| s.boosted[3] = f64::NAN)));
+        assert!(refused(restore(&|s| s.boosted[0] = f64::NEG_INFINITY)));
+        // Inactive with an overlay left over.
+        assert!(refused(restore(&|s| s.boost_active = false)));
+        assert!(restore(&|s| {
+            s.boost_active = false;
+            s.boosted.clear();
+        })
+        .is_ok());
+
+        // An overlay left over from a boost that has since ended is not
+        // part of the snapshot.
+        s.apply(&Actuation::neutral(4)).unwrap();
+        s.step().unwrap();
+        let idle = s.snapshot();
+        assert!(!idle.boost_active && idle.boosted.is_empty());
     }
 
     #[test]

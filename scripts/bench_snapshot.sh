@@ -39,7 +39,9 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 for suite in "${SUITES[@]}"; do
     echo "==> cargo bench -p psnt-bench --bench $suite" >&2
-    cargo bench -p psnt-bench --bench "$suite" 2>/dev/null | tee /dev/stderr \
+    # Echo through the inherited stderr: `tee /dev/stderr` would reopen
+    # its target and truncate a log file stderr is redirected to.
+    cargo bench -p psnt-bench --bench "$suite" 2>/dev/null | tee >(cat >&2) \
         | parse_medians >"$tmpdir/$suite.txt"
 done
 

@@ -58,7 +58,7 @@ fi
 
 echo "==> PDN hot-loop allocation gate"
 # The per-cycle PDN path must not allocate: the banded substitution
-# kernels (one lane and eight), the in-place delta update and the delta
+# kernels (one lane and eight), the delta assembly and the delta
 # batch's plan/settle/apply (crates/pdn/src/grid.rs), the stepper's
 # activity and grid stages (crates/workload/src/stepper.rs), the XY
 # next-hop step flights advance by (crates/workload/src/noc.rs) and the
