@@ -568,12 +568,14 @@ fn batched_deltas(
     iters: u64,
 ) -> Duration {
     let mut batch = DeltaBatch::new(DELTA_LANES);
+    let mut loads = sol.loads().to_vec();
     let t = Instant::now();
     for _ in 0..iters {
         for k in 0..DELTA_LANES {
-            grid.plan_delta(&mut batch, &sol, &sets[k % 2]).unwrap();
+            grid.plan_delta(&mut batch, &mut loads, &sets[k % 2])
+                .unwrap();
         }
-        grid.settle_deltas(&mut batch, &sol);
+        grid.settle_deltas(&mut batch);
         while batch.apply(&mut sol).is_some() {}
     }
     t.elapsed() / DELTA_LANES as u32

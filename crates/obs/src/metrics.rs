@@ -155,9 +155,11 @@ impl Histogram {
 }
 
 impl std::fmt::Display for Histogram {
-    /// One-line summary: `count=52 sum=103.4 p50=10 p99=1000`.
+    /// One-line summary: `count=52 sum=103.400 p50=10 p99=1000`. The
+    /// sum is rounded to three decimals, so a sum of float samples does
+    /// not print its rounding noise.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "count={} sum={}", self.count, self.sum)?;
+        write!(f, "count={} sum={:.3}", self.count, self.sum)?;
         for p in [50.0, 99.0] {
             match self.percentile(p) {
                 Some(v) if v.is_finite() => write!(f, " p{p:.0}={v}")?,
@@ -557,7 +559,7 @@ mod tests {
         assert_eq!(
             m.to_string(),
             "  fresh  0\n  jobs   5\n  peak   4.000000\n  \
-             idle   count=0 sum=0 p50=- p99=-\n  lat    count=1 sum=0.5 p50=1 p99=1\n"
+             idle   count=0 sum=0.000 p50=- p99=-\n  lat    count=1 sum=0.500 p50=1 p99=1\n"
         );
         assert_eq!(MetricsRegistry::new().to_string(), "");
     }

@@ -21,10 +21,11 @@
 //!   backward substitution always sweeps the whole band, so a delta
 //!   solve costs O(n · band) like a full solve, with a smaller constant;
 //! * a [`DeltaBatch`] holds up to [`DELTA_LANES`] delta updates of one
-//!   solution planned ahead ([`PowerGrid::plan_delta`]) and solves them
-//!   in one pass over the factor ([`PowerGrid::settle_deltas`]); each
-//!   update then applies in turn, bit-identical to an
-//!   [`PowerGrid::update_delta`] chain.
+//!   solution planned ahead against a running copy of its loads
+//!   ([`PowerGrid::plan_delta`]) and solves them in one pass over the
+//!   factor ([`PowerGrid::settle_deltas`], which needs neither the
+//!   solution nor the caller's thread); each update then applies in
+//!   turn, bit-identical to an [`PowerGrid::update_delta`] chain.
 //!
 //! One substitution is bound by latency, not by flops: each row needs
 //! the row solved just before it. The one-lane kernel therefore
@@ -709,12 +710,13 @@ impl GridSolution {
 /// each.
 ///
 /// [`PowerGrid::plan_delta`] writes each update's `Δb` into the next
-/// lane, assembled by [`PowerGrid::update_delta`]'s rules against the
-/// loads the updates planned before it leave, and keeps the loads it
-/// leaves in turn;
-/// [`PowerGrid::settle_deltas`] solves every planned lane at once; and
-/// [`DeltaBatch::apply`] brings the solution through the updates one at
-/// a time, in plan order. Each applied update leaves the solution
+/// lane, assembled by [`PowerGrid::update_delta`]'s rules against a
+/// running copy of the loads the caller keeps, and keeps the loads it
+/// leaves in turn; [`PowerGrid::settle_deltas`] solves every planned
+/// lane at once, without the solution; and [`DeltaBatch::apply`]
+/// brings the solution through the updates one at a time, in plan
+/// order. Planning and solving read no voltage, so the next batch can
+/// be planned and solved while this one is still being applied. Each applied update leaves the solution
 /// bit-identical to an [`PowerGrid::update_delta`] chain over the same
 /// changed sets. Once all are applied the batch is empty again and its
 /// buffers are reused, so a steady stream of batches allocates nothing.
@@ -1235,6 +1237,12 @@ impl PowerGrid {
                 ),
             });
         }
+        self.check_changed(changed)
+    }
+
+    /// Refuses a changed node outside the grid.
+    fn check_changed(&self, changed: &[(usize, f64)]) -> Result<(), PdnError> {
+        let n = self.tiles();
         if let Some(&(node, _)) = changed.iter().find(|&&(node, _)| node >= n) {
             return Err(PdnError::OutOfBounds {
                 row: node / self.cols,
@@ -1246,28 +1254,39 @@ impl PowerGrid {
         Ok(())
     }
 
-    /// Plans the next delta update of `sol` into `batch`: the loads that
-    /// changed, as for [`PowerGrid::update_delta`], taken against the
-    /// loads the batch's earlier updates leave, with `Δb` written into
-    /// the next lane. The first update of a batch reads `sol`'s loads;
-    /// every later one must be planned against the same, unchanged
-    /// solution. An update that moves a load takes a lane; one that
-    /// moves none takes no lane and returns `false`, and applying it
-    /// changes nothing.
+    /// Plans the next delta update into `batch`: the loads that
+    /// changed, as for [`PowerGrid::update_delta`], taken against
+    /// `loads`, with `Δb` written into the next lane. `loads` are the
+    /// loads the solution will have once every update planned before
+    /// this one is applied (the solution's own, for the first update
+    /// after it was last brought up to date), and this brings them
+    /// through the update in turn, so a caller plans a run of updates
+    /// by passing the same buffer each time. The planner never reads a
+    /// voltage, so updates can be planned, and a batch solved, before
+    /// the batches planned earlier are applied. An update that moves a
+    /// load takes a lane and keeps a copy of the loads it leaves; one
+    /// that moves none takes no lane and returns `false`, and applying
+    /// it changes nothing.
     ///
     /// # Errors
     ///
-    /// As [`PowerGrid::update_delta`], and
-    /// [`PdnError::InvalidParameter`] when the batch is settled with
-    /// updates still pending or every lane is taken; the batch is
-    /// untouched on error.
+    /// [`PdnError::InvalidParameter`] when `loads` is not one load per
+    /// node, the batch is settled with updates still pending or every
+    /// lane is taken, and [`PdnError::OutOfBounds`] for a changed node
+    /// outside the grid; the batch and `loads` are untouched on error.
     pub fn plan_delta(
         &self,
         batch: &mut DeltaBatch,
-        sol: &GridSolution,
+        loads: &mut [f64],
         changed: &[(usize, f64)],
     ) -> Result<bool, PdnError> {
-        self.check_delta(sol, changed)?;
+        if loads.len() != self.tiles() {
+            return Err(PdnError::InvalidParameter {
+                name: "loads",
+                reason: format!("expected {} node loads, got {}", self.tiles(), loads.len()),
+            });
+        }
+        self.check_changed(changed)?;
         if batch.settled {
             return Err(PdnError::InvalidParameter {
                 name: "batch",
@@ -1287,7 +1306,7 @@ impl PowerGrid {
         let n = self.tiles();
         let DeltaBatch {
             width,
-            loads,
+            loads: kept,
             updates,
             first,
             rhs,
@@ -1298,16 +1317,13 @@ impl PowerGrid {
             rhs.resize(n * *width, 0.0);
         }
         let (width, lane) = (*width, first.len());
-        // Start from the loads the last lane leaves, or the solution's.
-        let (done, next) = loads.split_at_mut(lane);
-        let next = &mut next[0];
-        next.clear();
-        next.extend_from_slice(done.last().unwrap_or(&sol.loads));
-        let at = assemble_delta(next, changed, |node, delta| {
+        let at = assemble_delta(loads, changed, |node, delta| {
             rhs[node * width + lane] -= delta
         });
         let moved = at < n;
         if moved {
+            kept[lane].clear();
+            kept[lane].extend_from_slice(loads);
             first.push(at);
         }
         updates.push(moved.then_some(lane));
@@ -1316,13 +1332,11 @@ impl PowerGrid {
     }
 
     /// Solves every lane planned into `batch` in one pass over the
-    /// factor. `sol` is the solution the batch was planned against, as
-    /// the updates applied so far left it; debug builds check that it
-    /// satisfies KCL to `1e-10` of its current scale, the bound
-    /// [`PowerGrid::quasi_static_transient`] holds every instant to.
-    /// Settling a settled or an empty batch does nothing.
-    pub fn settle_deltas(&self, batch: &mut DeltaBatch, sol: &GridSolution) {
-        debug_assert!(self.kcl_holds(sol), "KCL residual before a delta batch");
+    /// factor. The solve reads only the batch and the factor, so it may
+    /// run on another thread than the one that owns the solution the
+    /// batch applies to. Settling a settled or an empty batch does
+    /// nothing.
+    pub fn settle_deltas(&self, batch: &mut DeltaBatch) {
         if batch.settled || batch.pending() == 0 {
             return;
         }
@@ -2236,12 +2250,13 @@ mod tests {
         let mut batch = DeltaBatch::new(width);
         let mut batched = start.clone();
         let mut chain = start.clone();
+        let mut loads = start.loads().to_vec();
         let planned: Vec<bool> = sets
             .iter()
-            .map(|set| grid.plan_delta(&mut batch, &batched, set).unwrap())
+            .map(|set| grid.plan_delta(&mut batch, &mut loads, set).unwrap())
             .collect();
         assert_eq!(batch.pending(), sets.len());
-        grid.settle_deltas(&mut batch, &batched);
+        grid.settle_deltas(&mut batch);
         for (k, set) in sets.iter().enumerate() {
             let moved = grid.update_delta(&mut chain, set).unwrap();
             assert_eq!(planned[k], moved, "update {k} plans as it moves");
@@ -2262,6 +2277,9 @@ mod tests {
         }
         assert_eq!(batch.apply(&mut batched), None);
         assert_eq!(batch.pending(), 0);
+        // Planning ran the loads ahead to where the applied batch is.
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&loads), bits(chain.loads()));
     }
 
     /// Seeded start loads with exact zeros among them.
@@ -2333,26 +2351,38 @@ mod tests {
         let grid = mk(4);
         let sol = grid.solve_sparse(&[0.01; 16]).unwrap();
         let mut batch = DeltaBatch::new(2);
+        let mut loads = sol.loads().to_vec();
         assert!(matches!(
-            grid.plan_delta(&mut batch, &sol, &[(16, 0.1)]),
+            grid.plan_delta(&mut batch, &mut loads, &[(16, 0.1)]),
             Err(PdnError::OutOfBounds { .. })
         ));
-        let other = mk(3).solve_sparse(&[0.0; 9]).unwrap();
-        assert!(grid.plan_delta(&mut batch, &other, &[(0, 0.1)]).is_err());
+        assert!(grid
+            .plan_delta(&mut batch, &mut [0.0; 9], &[(0, 0.1)])
+            .is_err());
         assert_eq!(batch.pending(), 0, "refused plans leave the batch empty");
-        assert!(grid.plan_delta(&mut batch, &sol, &[(3, 0.2)]).unwrap());
-        assert!(grid.plan_delta(&mut batch, &sol, &[(5, 0.2)]).unwrap());
+        assert_eq!(loads, sol.loads(), "and the loads as they were");
+        assert!(grid
+            .plan_delta(&mut batch, &mut loads, &[(3, 0.2)])
+            .unwrap());
+        assert!(grid
+            .plan_delta(&mut batch, &mut loads, &[(5, 0.2)])
+            .unwrap());
         // Both lanes are taken; even an update that moves nothing waits.
-        assert!(grid.plan_delta(&mut batch, &sol, &[]).is_err());
-        grid.settle_deltas(&mut batch, &sol);
-        assert!(grid.plan_delta(&mut batch, &sol, &[(7, 0.2)]).is_err());
+        assert!(grid.plan_delta(&mut batch, &mut loads, &[]).is_err());
+        grid.settle_deltas(&mut batch);
+        assert!(grid
+            .plan_delta(&mut batch, &mut loads, &[(7, 0.2)])
+            .is_err());
         assert_eq!(batch.pending(), 2);
         let mut applied = sol.clone();
         assert_eq!(batch.apply(&mut applied), Some(true));
         assert_eq!(batch.apply(&mut applied), Some(true));
         assert_eq!(batch.apply(&mut applied), None);
+        assert_eq!(applied.loads(), &loads[..]);
         // Drained, the batch plans again.
-        assert!(!grid.plan_delta(&mut batch, &applied, &[(3, 0.2)]).unwrap());
+        assert!(!grid
+            .plan_delta(&mut batch, &mut loads, &[(3, 0.2)])
+            .unwrap());
     }
 
     #[test]
@@ -2361,7 +2391,9 @@ mod tests {
         let grid = mk(4);
         let mut sol = grid.solve_sparse(&[0.01; 16]).unwrap();
         let mut batch = DeltaBatch::new(DELTA_LANES);
-        grid.plan_delta(&mut batch, &sol, &[(3, 0.2)]).unwrap();
+        let mut loads = sol.loads().to_vec();
+        grid.plan_delta(&mut batch, &mut loads, &[(3, 0.2)])
+            .unwrap();
         batch.apply(&mut sol);
     }
 

@@ -1047,13 +1047,15 @@ mod tests {
                 let w = NocWorkload::new(cfg).unwrap();
                 let base = collected(&w, &mut RunCtx::serial().with_seed(seed), RetryPolicy::none())
                     .unwrap();
-                let par = collected(
-                    &w,
-                    &mut RunCtx::new(Engine::new(4)).with_seed(seed),
-                    RetryPolicy::none(),
-                )
-                .unwrap();
-                prop_assert_eq!(&par, &base);
+                for jobs in [2, 4] {
+                    let par = collected(
+                        &w,
+                        &mut RunCtx::new(Engine::new(jobs)).with_seed(seed),
+                        RetryPolicy::none(),
+                    )
+                    .unwrap();
+                    prop_assert_eq!(&par, &base, "jobs {}", jobs);
+                }
             }
         }
     }

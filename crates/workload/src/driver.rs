@@ -18,12 +18,38 @@
 //! `dyn` call.
 //!
 //! The loop plans up to [`CycleDriver::LANES`] cycles (stages 1–2 and
-//! the grid update) before it drains them: one lane-kernel pass solves
-//! their grid updates, then each cycle in turn is advanced, scanned,
-//! folded into its window and handed to the driver. It drains when the
-//! batch is full, before any snapshot, on a plan error and at the end,
-//! so every snapshot and every driver call sees the state a
-//! cycle-by-cycle loop would.
+//! the grid update) into a stage, then hands it off: the stage is
+//! sealed and solved in one lane-kernel pass, and the stage solved
+//! before it comes back, each of its cycles in turn advanced, scanned,
+//! folded into its window and handed to the driver. It hands off when
+//! the stage is full, and drains every planned cycle before any
+//! snapshot, on a plan error and at the end, so every snapshot and every
+//! driver call sees the state a cycle-by-cycle loop would.
+//!
+//! Who runs what: with more than one engine worker
+//! ([`Engine::jobs`](psnt_engine::Engine::jobs), `--jobs` /
+//! `PSNT_JOBS`) and a driver that plans more than one cycle ahead, the
+//! solve runs on one scoped solver thread and the loop becomes a
+//! two-stage pipeline: while the solver solves stage *k + 1*, the loop
+//! advances stage *k* and plans stage *k + 2*. At most one stage is
+//! handed over at a time. The loop never waits for the solver thread
+//! to *start* a stage: when it needs the stage back and the thread has
+//! not taken it yet (the thread was slow to spawn or to be woken, say
+//! on a host whose other tenants hold its CPU), the loop solves it
+//! itself, so a late solver thread costs the overlap, not a stall. It
+//! waits only for a solve under way, and each side polls, yielding,
+//! for up to a millisecond before it blocks, longer than a solve takes,
+//! so a waiting thread does not put its CPU to sleep just before the
+//! stage it waits for arrives. Otherwise (one worker, or the closed
+//! loop's one-cycle stages, which feed back) the same loop solves each
+//! stage on the loop's thread as soon as it is sealed. No stage update
+//! reads a voltage (`Δv = K⁻¹·Δb`, and `Δb` comes from the planned
+//! loads alone), and the solution only changes when a stage is
+//! advanced, in cycle order, on the loop's thread; so the worker count,
+//! and which thread solves a stage, move where the solve runs and
+//! nothing else, not a bit of any result. The solver
+//! thread is joined before the loop returns, whether it returns `Ok`,
+//! an error or by a panic.
 //!
 //! Snapshots are taken at the top of a cycle, before the supervisor
 //! check: cycle `c` writes one when `c` is a positive multiple of the
@@ -31,14 +57,19 @@
 //! boundary that is also the interrupt cycle writes once. A trip
 //! surfaces as [`WorkloadError::Interrupted`] after the snapshot.
 
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, TryRecvError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
 use psnt_ctx::RunCtx;
 use psnt_obs::{Observer, Span};
+use psnt_pdn::grid::PowerGrid;
 use serde::{json, Serialize};
 
 use crate::campaign::{NocWorkload, NoiseProfile, WindowStats};
 use crate::checkpoint::{write_atomic, CheckpointPolicy, CHECKPOINT_VERSION};
 use crate::error::WorkloadError;
-use crate::stepper::{CycleStepper, GridScan, StepperSnapshot};
+use crate::stepper::{CycleStepper, GridScan, Stage, StepperSnapshot};
 
 /// The part of a checkpoint every driver shares, as the loop checks it
 /// on resume: schema version, run seed, stepper image and the
@@ -51,11 +82,12 @@ pub(crate) trait CycleDriver {
     type Checkpoint: Serialize;
     /// What a completed run returns.
     type Output;
-    /// Cycles the loop may plan before the driver sees the first of
-    /// them: 1 for a driver that feeds back through
-    /// [`CycleStepper::apply`], up to
+    /// Cycles per stage: 1 for a driver that feeds back through
+    /// [`CycleStepper::apply`], whose every cycle must be stepped before
+    /// the next is planned; up to
     /// [`DELTA_LANES`](psnt_pdn::grid::DELTA_LANES) for one that only
-    /// reads the grid, whose cycles then share one lane-kernel pass.
+    /// reads the grid, whose cycles then share one lane-kernel pass and
+    /// may be solved on the solver thread.
     const LANES: usize;
 
     /// Opens the run span over `cycles` with the driver's name and
@@ -161,42 +193,51 @@ impl NocWorkload {
             .is_some_and(|p| p.deadline_trip())
             .then_some(cfg.cycles / 2);
         let cadence = policy.every.or_else(|| sup.budget().checkpoint_cadence());
+        let threaded = D::LANES > 1 && ctx.engine().jobs() > 1;
 
-        for c in start..cfg.cycles {
-            if cancel_at == Some(c as u64) {
-                sup.token().cancel();
-            }
-            if trip_deadline_at == Some(c) {
-                sup.force_expire();
-            }
-            let cadence_due =
-                c > start && cadence.is_some_and(|every| (c as u64).is_multiple_of(every));
-            let tripped = sup.check().err();
-            if tripped.is_some() || cadence_due {
-                self.drain(&mut stats, &mut driver, stepper)?;
-                if let Some(path) = policy.path.as_deref() {
-                    // Windows holding at least one finished cycle.
-                    let touched = c.div_ceil(cfg.measure_every).min(stats.len());
-                    let ckpt =
-                        driver.checkpoint(seed, stepper.snapshot(), stats[..touched].to_vec());
-                    write_atomic(path, &json::to_string(&ckpt))?;
+        with_solver(grid, threaded, |solver| {
+            for c in start..cfg.cycles {
+                if cancel_at == Some(c as u64) {
+                    sup.token().cancel();
                 }
-                if let Some(reason) = tripped {
-                    return Err(WorkloadError::Interrupted(reason));
+                if trip_deadline_at == Some(c) {
+                    sup.force_expire();
+                }
+                let cadence_due =
+                    c > start && cadence.is_some_and(|every| (c as u64).is_multiple_of(every));
+                let tripped = sup.check().err();
+                if tripped.is_some() || cadence_due {
+                    self.drain(solver, &mut stats, &mut driver, stepper)?;
+                    if tripped.is_some() {
+                        // The run ends here: the solver thread ends now,
+                        // still awake, instead of being woken to end after
+                        // the write.
+                        solver.retire();
+                    }
+                    if let Some(path) = policy.path.as_deref() {
+                        // Windows holding at least one finished cycle.
+                        let touched = c.div_ceil(cfg.measure_every).min(stats.len());
+                        let ckpt =
+                            driver.checkpoint(seed, stepper.snapshot(), stats[..touched].to_vec());
+                        write_atomic(path, &json::to_string(&ckpt))?;
+                    }
+                    if let Some(reason) = tripped {
+                        return Err(WorkloadError::Interrupted(reason));
+                    }
+                }
+                sup.charge_events(1);
+                if let Err(e) = stepper.plan(D::LANES) {
+                    // The cycles before this one finish first, as they
+                    // would have one at a time.
+                    self.drain(solver, &mut stats, &mut driver, stepper)?;
+                    return Err(e);
+                }
+                if stepper.open_cycles() == D::LANES {
+                    self.hand_off(solver, &mut stats, &mut driver, stepper)?;
                 }
             }
-            sup.charge_events(1);
-            if let Err(e) = stepper.plan(D::LANES) {
-                // The cycles before this one finish first, as they
-                // would have one at a time.
-                self.drain(&mut stats, &mut driver, stepper)?;
-                return Err(e);
-            }
-            if stepper.pending() == D::LANES {
-                self.drain(&mut stats, &mut driver, stepper)?;
-            }
-        }
-        self.drain(&mut stats, &mut driver, stepper)?;
+            self.drain(solver, &mut stats, &mut driver, stepper)
+        })?;
 
         if let Some(obs) = ctx.observer() {
             let solves = stepper.delta_solves();
@@ -210,24 +251,42 @@ impl NocWorkload {
         driver.finish(profile, ctx.observer())
     }
 
-    /// Settles the planned cycles in one lane-kernel pass, then gives
-    /// each, oldest first, its grid state, its window statistics and
-    /// the driver's half of the cycle.
-    fn drain<D: CycleDriver>(
+    /// Seals the open stage and hands it to `solver`, then steps the
+    /// stage the solver hands back: each of its cycles, oldest first,
+    /// gets its grid state, its window statistics and the driver's half
+    /// of the cycle.
+    fn hand_off<D: CycleDriver>(
         &self,
+        solver: &mut Solver<'_>,
         stats: &mut [WindowStats],
         driver: &mut D,
         stepper: &mut CycleStepper<'_>,
     ) -> Result<(), WorkloadError> {
         // PDN HOT LOOP START
-        stepper.settle();
-        while let Some(c) = stepper.advance() {
-            let scan = stepper.scan();
-            self.accumulate_window(stats, c, &scan, stepper);
-            driver.cycle(c, &scan, stepper)?;
+        let sealed = stepper.seal();
+        if let Some(solved) = solver.swap(sealed) {
+            stepper.install(solved);
+            while let Some(c) = stepper.advance() {
+                let scan = stepper.scan();
+                self.accumulate_window(stats, c, &scan, stepper);
+                driver.cycle(c, &scan, stepper)?;
+            }
         }
         // PDN HOT LOOP END
         Ok(())
+    }
+
+    /// Steps every planned cycle, in cycle order: the open stage goes to
+    /// the solver behind the one already there, and both come back.
+    fn drain<D: CycleDriver>(
+        &self,
+        solver: &mut Solver<'_>,
+        stats: &mut [WindowStats],
+        driver: &mut D,
+        stepper: &mut CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
+        self.hand_off(solver, stats, driver, stepper)?;
+        self.hand_off(solver, stats, driver, stepper)
     }
 
     /// Checks a checkpoint's schema version and seed, then restores the
@@ -317,5 +376,291 @@ impl NocWorkload {
                 .map(|&x| u64::from(x))
                 .sum::<u64>();
         }
+    }
+}
+
+/// Where the cycle loop's sealed stages are solved.
+enum Solver<'g> {
+    /// On the loop's thread, as each stage is sealed.
+    Inline(&'g PowerGrid),
+    /// On the scoped solver thread. At most one stage is handed over at
+    /// a time: `away` while it has not come back. It waits in the
+    /// thread's [`Inbox`] until the thread takes it; when the loop needs
+    /// it back first (the thread was slow to spawn or to be woken, or
+    /// its CPU is held by the host), the loop takes it back and solves
+    /// it itself, so the loop waits only for a solve under way. Either
+    /// way the same kernel solves the same stage, so the choice moves
+    /// no bit.
+    Thread {
+        grid: &'g PowerGrid,
+        inbox: &'g Inbox,
+        /// Solved stages coming back.
+        from: Receiver<Stage>,
+        away: bool,
+    },
+}
+
+impl Solver<'_> {
+    /// Hands `sealed` over and returns the oldest stage solved and not
+    /// yet returned: inline that is `sealed` itself; on the thread it is
+    /// the stage handed over last time, and `sealed` is solved while
+    /// the caller steps it.
+    // PDN HOT LOOP START
+    fn swap(&mut self, sealed: Option<Stage>) -> Option<Stage> {
+        match self {
+            Solver::Inline(grid) => sealed.map(|mut stage| {
+                stage.settle(grid);
+                stage
+            }),
+            Solver::Thread {
+                grid,
+                inbox,
+                from,
+                away,
+            } => {
+                let solved = away.then(|| match inbox.take_back() {
+                    Some(mut stage) => {
+                        stage.settle(grid);
+                        stage
+                    }
+                    None => recv_soon(from).expect("the solver thread panicked"),
+                });
+                *away = sealed.is_some();
+                if let Some(stage) = sealed {
+                    inbox.put(stage);
+                }
+                solved
+            }
+        }
+    }
+    // PDN HOT LOOP END
+
+    /// Lets the solver thread end once the loop has drained its last
+    /// stage and will hand over no more.
+    fn retire(&mut self) {
+        if let Solver::Thread { inbox, away, .. } = self {
+            debug_assert!(!*away, "retired with a stage at the solver");
+            inbox.close();
+        }
+    }
+}
+
+impl Drop for Solver<'_> {
+    /// Closes the solver thread's inbox, so the thread ends, whether the
+    /// loop returns or unwinds.
+    fn drop(&mut self) {
+        if let Solver::Thread { inbox, .. } = self {
+            inbox.close();
+        }
+    }
+}
+
+/// The solver thread's inbox: the one stage handed over and not yet
+/// started, and whether the loop has stopped handing stages over.
+#[derive(Default)]
+struct Inbox {
+    slot: Mutex<Slot>,
+    filled: Condvar,
+}
+
+#[derive(Default)]
+struct Slot {
+    /// The stage handed over, until the solver thread or the loop takes it.
+    stage: Option<Stage>,
+    /// Set once no stage will follow.
+    closed: bool,
+}
+
+impl Inbox {
+    /// Locks the slot. Nothing panics while holding it, so a poisoned
+    /// lock still guards a whole slot.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Puts a sealed stage in the (empty) slot and wakes the solver.
+    fn put(&self, stage: Stage) {
+        self.lock().stage = Some(stage);
+        self.filled.notify_one();
+    }
+
+    /// Takes back the stage the solver thread has not started, if any.
+    fn take_back(&self) -> Option<Stage> {
+        self.lock().stage.take()
+    }
+
+    /// Tells the solver thread no stage will follow.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.filled.notify_one();
+    }
+
+    /// The solver thread's next stage: polled for, yielding, for up to
+    /// [`POLL`], then waited for; `None` once the inbox is closed.
+    fn next(&self) -> Option<Stage> {
+        let start = Instant::now();
+        let mut slot = self.lock();
+        loop {
+            if let Some(stage) = slot.stage.take() {
+                return Some(stage);
+            }
+            if slot.closed {
+                return None;
+            }
+            slot = if start.elapsed() < POLL {
+                drop(slot);
+                std::thread::yield_now();
+                self.lock()
+            } else {
+                self.filled
+                    .wait(slot)
+                    .unwrap_or_else(PoisonError::into_inner)
+            };
+        }
+    }
+}
+
+/// How long a hand-off polls before it blocks: several times one
+/// stage's solve, so a thread waiting on a solve under way, or on the
+/// next stage while its peer keeps pace, keeps its virtual CPU awake;
+/// a thread blocked on an idle virtual CPU is woken late when the host
+/// is busy.
+const POLL: Duration = Duration::from_millis(1);
+
+/// Receives from `rx`, yielding the thread between polls for up to
+/// [`POLL`] before it blocks. Yielding rather than spinning lets the
+/// other thread run when both share one core.
+fn recv_soon<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(value) => return Ok(value),
+            Err(TryRecvError::Empty) if start.elapsed() < POLL => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv(),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+        }
+    }
+}
+
+/// Runs `run` with a [`Solver`] over `grid`: inline, or when `threaded`
+/// with a solver thread scoped to the call. The thread solves each
+/// stage it takes from its inbox and sends it back; dropping the solver
+/// when `run` returns or unwinds closes the inbox, so the thread ends
+/// and is joined before this returns.
+fn with_solver<R>(grid: &PowerGrid, threaded: bool, run: impl FnOnce(&mut Solver<'_>) -> R) -> R {
+    if !threaded {
+        return run(&mut Solver::Inline(grid));
+    }
+    let inbox = Inbox::default();
+    std::thread::scope(|scope| {
+        let (outbox, from) = sync_channel(1);
+        let inbox = &inbox;
+        scope.spawn(move || {
+            while let Some(mut stage) = inbox.next() {
+                stage.settle(grid);
+                if outbox.send(stage).is_err() {
+                    break;
+                }
+            }
+        });
+        run(&mut Solver::Thread {
+            grid,
+            inbox,
+            from,
+            away: false,
+        })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::NocWorkloadConfig;
+    use psnt_pdn::grid::DELTA_LANES;
+
+    /// Plans `cycles` cycles into one stage and hands it to `solver`,
+    /// which must hold no stage yet.
+    fn hand_over(solver: &mut Solver<'_>, stepper: &mut CycleStepper<'_>, cycles: usize) {
+        for _ in 0..cycles {
+            stepper.plan(DELTA_LANES).expect("the 2×2 chip plans");
+        }
+        let sealed = stepper.seal();
+        assert!(sealed.is_some());
+        assert!(
+            solver.swap(sealed).is_none(),
+            "a first hand-off returns nothing"
+        );
+    }
+
+    #[test]
+    fn the_solver_thread_ends_with_the_run() {
+        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).expect("valid config");
+        let grid = w.campaign().floorplan().grid();
+        let mut stepper = CycleStepper::new(&w, &mut RunCtx::serial()).expect("plans");
+        // A run that returns with a stage still at the solver.
+        let out = with_solver(grid, true, |solver| {
+            hand_over(solver, &mut stepper, 3);
+            7
+        });
+        assert_eq!(out, 7);
+        // Draining returns the stage in flight, solved, and then nothing.
+        let mut stepper = CycleStepper::new(&w, &mut RunCtx::serial()).expect("plans");
+        with_solver(grid, true, |solver| {
+            hand_over(solver, &mut stepper, 5);
+            let solved = solver.swap(None).expect("the stage in flight comes back");
+            assert!(solver.swap(None).is_none());
+            stepper.install(solved);
+            let stepped: Vec<usize> = std::iter::from_fn(|| stepper.advance()).collect();
+            assert_eq!(stepped, [0, 1, 2, 3, 4]);
+        });
+    }
+
+    /// A stage the solver thread has not taken when the loop needs it
+    /// back is solved by the loop itself, to the bits the inline solver
+    /// gives. Here no solver thread runs at all.
+    #[test]
+    fn a_stage_the_solver_thread_has_not_taken_is_solved_by_the_loop() {
+        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).expect("valid config");
+        let grid = w.campaign().floorplan().grid();
+        let run = |solver: &mut Solver<'_>| {
+            let mut stepper = CycleStepper::new(&w, &mut RunCtx::serial()).expect("plans");
+            for _ in 0..5 {
+                stepper.plan(DELTA_LANES).expect("the 2×2 chip plans");
+            }
+            let solved = match solver.swap(stepper.seal()) {
+                Some(stage) => stage,
+                None => solver.swap(None).expect("the stage comes back"),
+            };
+            stepper.install(solved);
+            let stepped: Vec<usize> = std::iter::from_fn(|| stepper.advance()).collect();
+            assert_eq!(stepped, [0, 1, 2, 3, 4]);
+            let bits: Vec<u64> = stepper.voltages().iter().map(|v| v.to_bits()).collect();
+            bits
+        };
+        let inline = run(&mut Solver::Inline(grid));
+        let inbox = Inbox::default();
+        let (_outbox, from) = sync_channel(1);
+        let taken_back = run(&mut Solver::Thread {
+            grid,
+            inbox: &inbox,
+            from,
+            away: false,
+        });
+        assert_eq!(inline, taken_back);
+    }
+
+    /// A run that panics with a stage at the solver unwinds out of the
+    /// scope, its solver thread joined, instead of waiting on the
+    /// thread forever.
+    #[test]
+    #[should_panic(expected = "the driver failed mid-run")]
+    fn a_panicking_run_unwinds_past_its_solver_thread() {
+        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).expect("valid config");
+        let grid = w.campaign().floorplan().grid();
+        let mut stepper = CycleStepper::new(&w, &mut RunCtx::serial()).expect("plans");
+        with_solver(grid, true, |solver| {
+            hand_over(solver, &mut stepper, DELTA_LANES);
+            panic!("the driver failed mid-run");
+        })
     }
 }

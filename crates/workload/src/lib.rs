@@ -31,8 +31,11 @@
 //! cadence and interrupt snapshots and closes the run span on every
 //! exit path; a driver adds only its per-cycle work. A driver that
 //! never feeds back (the open loop) lets the loop plan up to eight
-//! cycles ahead, so their grid updates share one pass of the PDN lane
-//! kernel; the closed loop runs one cycle at a time.
+//! cycles ahead into a stage, so their grid updates share one pass of
+//! the PDN lane kernel; with two engine workers or more that pass runs
+//! on a scoped solver thread while the loop steps the stage before and
+//! plans the stage after, and the worker count changes no bit. The
+//! closed loop runs one cycle at a time on the loop's own thread.
 //!
 //! # Example
 //!

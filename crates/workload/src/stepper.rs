@@ -31,21 +31,33 @@
 //! stretched tiles scale their switching counts, boosted tiles see
 //! their block nodes lifted after the solve.
 //!
-//! [`CycleStepper::step`] runs three crate-private stages on one cycle:
+//! [`CycleStepper::step`] runs the crate-private stages on one cycle:
 //! `plan` (stages 1–2 and the cycle's grid update written into the next
-//! lane of a [`DeltaBatch`]), `settle` (one lane-kernel pass over every
-//! planned lane) and `advance` (the planned cycle becomes the stepped
-//! one: its counts, `v += dv`, its loads and the boost overlay). The
-//! open-loop driver plans up to [`DELTA_LANES`] cycles before it
-//! settles; nothing in stages 1–2 reads the grid, and a driver that
+//! lane of the open [`Stage`]'s [`DeltaBatch`]), `seal` (the open stage
+//! leaves the stepper to be solved: one lane-kernel pass over every
+//! planned lane, [`Stage::settle`]), `install` (the solved stage comes
+//! back) and `advance` (its oldest cycle becomes the stepped one: its
+//! counts, `v += dv`, its loads and the boost overlay). The open-loop
+//! driver plans up to [`DELTA_LANES`] cycles into a stage before it
+//! seals it; nothing in stages 1–2 reads the grid, and a driver that
 //! never calls [`CycleStepper::apply`] keeps the actuation fixed, so
 //! planning ahead changes no cycle.
+//!
+//! Planning does not read the solution either: each cycle is planned
+//! against the loads the cycle planned before it leaves, which the
+//! stepper keeps apart from the solution. So the next stage can be planned, and
+//! a sealed stage solved on another thread, while the stage before it
+//! is still being advanced; the driver's cycle loop runs that pipeline
+//! (see [`crate::driver`]). The solution only ever changes in
+//! [`CycleStepper::advance`], in cycle order, on the thread that owns
+//! the stepper; debug builds check that it satisfies KCL each time a
+//! stage is fully advanced.
 
 use std::collections::VecDeque;
 
 use psnt_control::{Actuation, MAX_BOOST_V, MIN_STRETCH};
 use psnt_ctx::RunCtx;
-use psnt_pdn::grid::{DeltaBatch, GridSolution, DELTA_LANES};
+use psnt_pdn::grid::{DeltaBatch, GridSolution, PowerGrid, DELTA_LANES};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::NocWorkload;
@@ -82,7 +94,8 @@ struct Flight {
 ///
 /// Snapshots are taken with no cycle planned ahead, where the last
 /// stepped cycle's effective counts are the ones the next cycle diffs
-/// against, so they are stored once (`prev_eff`).
+/// against, so they are stored once (`prev_eff`), and the loads the
+/// next stage is planned against are the solution's.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepperSnapshot {
     cursors: Vec<usize>,
@@ -160,18 +173,65 @@ pub struct CycleStepper<'w> {
     delta_solves: u64,
     planned_flits: u64,
     spawned_flits: u64,
-    /// Raw and effective counts of the cycles planned ahead, one
+    /// The node loads the last planned cycle leaves, which the next
+    /// planned cycle's grid update diffs against; empty until cycle 0
+    /// is planned. Once every planned cycle is advanced they are the
+    /// solution's loads.
+    loads: Vec<f64>,
+    /// The next cycle to plan.
+    next: usize,
+    /// The stage being planned.
+    open: Stage,
+    /// The solved stage being advanced.
+    stepping: Option<Stage>,
+    /// A fully advanced stage, kept to be planned into again.
+    spare: Option<Stage>,
+}
+
+/// Up to [`DELTA_LANES`] consecutive cycles planned ahead: their raw and
+/// effective counts, what each does to the grid, and their grid
+/// updates in one [`DeltaBatch`]. A stage is planned by the stepper,
+/// sealed, solved by [`Stage::settle`] on whichever thread holds it,
+/// installed back and advanced cycle by cycle; once advanced it is
+/// planned into again, so a steady stream of stages allocates nothing.
+// PDN HOT LOOP START
+#[derive(Debug)]
+pub(crate) struct Stage {
+    /// Raw and effective counts of the planned cycles, one
     /// `tiles`-long slot per cycle.
-    planned_counts: Vec<u32>,
-    planned_eff: Vec<u32>,
+    counts: Box<[u32]>,
+    eff: Box<[u32]>,
     /// What each planned cycle does to the grid.
     kinds: [Planned; DELTA_LANES],
-    /// Cycles planned in the current batch, and how many of them are
+    /// Cycles planned into the stage, and how many of them are
     /// advanced; both return to zero once every planned cycle is.
     planned: usize,
     advanced: usize,
     /// The planned cycles' grid updates.
     batch: DeltaBatch,
+}
+
+impl Stage {
+    /// Solves the stage's grid updates in one pass of the lane kernel.
+    /// Reads only the stage and `grid`'s factor.
+    pub(crate) fn settle(&mut self, grid: &PowerGrid) {
+        grid.settle_deltas(&mut self.batch);
+    }
+}
+// PDN HOT LOOP END
+
+impl Stage {
+    /// An empty stage of `lanes` cycles over `tiles` tiles.
+    fn new(tiles: usize, lanes: usize) -> Stage {
+        Stage {
+            counts: vec![0; tiles * lanes].into(),
+            eff: vec![0; tiles * lanes].into(),
+            kinds: [Planned::Still; DELTA_LANES],
+            planned: 0,
+            advanced: 0,
+            batch: DeltaBatch::new(lanes),
+        }
+    }
 }
 
 /// What a planned cycle does to the grid.
@@ -219,12 +279,11 @@ impl<'w> CycleStepper<'w> {
             delta_solves: 0,
             planned_flits,
             spawned_flits: 0,
-            planned_counts: vec![0; tiles * DELTA_LANES],
-            planned_eff: vec![0; tiles * DELTA_LANES],
-            kinds: [Planned::Still; DELTA_LANES],
-            planned: 0,
-            advanced: 0,
-            batch: DeltaBatch::new(1),
+            loads: Vec::new(),
+            next: 0,
+            open: Stage::new(tiles, 1),
+            stepping: None,
+            spare: None,
         })
     }
 
@@ -258,28 +317,36 @@ impl<'w> CycleStepper<'w> {
     pub fn step(&mut self) -> Result<usize, WorkloadError> {
         debug_assert_eq!(self.pending(), 0, "step() with cycles planned ahead");
         self.plan(1)?;
-        self.settle();
+        let mut stage = self.seal().expect("one cycle planned");
+        stage.settle(self.grid());
+        self.install(stage);
         Ok(self.advance().expect("one cycle planned"))
     }
 
+    /// The power grid the stepper solves.
+    pub(crate) fn grid(&self) -> &'w PowerGrid {
+        self.workload.campaign().floorplan().grid()
+    }
+
     /// Stages 1–2 of the next unplanned cycle, plus its grid update
-    /// planned into the next lane of a delta batch `lanes` wide. Cycles
-    /// planned ahead of [`CycleStepper::advance`] see the same
-    /// actuation, so only a driver that never calls
+    /// planned into the next lane of the open stage, `lanes` cycles
+    /// wide. Cycles planned ahead of [`CycleStepper::advance`] see the
+    /// same actuation, so only a driver that never calls
     /// [`CycleStepper::apply`] between cycles plans more than one (at
-    /// most `lanes ≤` [`DELTA_LANES`]).
+    /// most `lanes ≤` [`DELTA_LANES`] per stage, and any number of
+    /// sealed stages ahead).
     ///
     /// The first cycle of a run has no prior solution: it is solved in
     /// full right here, so the solution runs one cycle ahead until that
     /// cycle is advanced.
     pub(crate) fn plan(&mut self, lanes: usize) -> Result<(), WorkloadError> {
-        let k = self.planned;
-        debug_assert!(k < lanes, "more than {lanes} cycles planned");
-        if self.pending() == 0 && self.batch.width() != lanes {
-            self.batch = DeltaBatch::new(lanes);
-        }
-        let c = self.cycle + k;
         let tiles = self.workload.mesh().tiles();
+        if self.open.planned == 0 && self.open.batch.width() != lanes {
+            self.open = Stage::new(tiles, lanes);
+        }
+        let k = self.open.planned;
+        debug_assert!(k < lanes, "more than {lanes} cycles planned");
+        let c = self.next;
         let slot = k * tiles;
 
         // PDN HOT LOOP START
@@ -313,7 +380,7 @@ impl<'w> CycleStepper<'w> {
             }
         }
         let mesh = self.workload.mesh();
-        let counts = &mut self.planned_counts[slot..slot + tiles];
+        let counts = &mut self.open.counts[slot..slot + tiles];
         counts.fill(0);
         self.flights.retain_mut(|f| {
             counts[f.at as usize] += 1;
@@ -327,19 +394,20 @@ impl<'w> CycleStepper<'w> {
 
         // Stage 2 — current map: clock-stretch scales activity. At
         // scale 1.0, ⌊count · 1.0⌋ recovers the raw count exactly.
-        let eff = &mut self.planned_eff[slot..slot + tiles];
+        let eff = &mut self.open.eff[slot..slot + tiles];
         for (t, (e, &raw)) in eff.iter_mut().zip(counts.iter()).enumerate() {
             *e = (f64::from(raw) * self.act.stretch(t)).floor() as u32;
         }
 
         // Stage 3 — grid state: full sparse solve at cycle 0, then one
         // delta update per cycle whose effective counts moved, planned
-        // into the batch (the same arithmetic as
+        // into the stage's batch against the loads the cycles planned
+        // before it leave (the same arithmetic as
         // `PowerGrid::update_delta`; the changed set, the batch and its
         // lanes are reused).
         let grid = self.workload.campaign().floorplan().grid();
         let node_load = self.workload.node_load_fn();
-        let kind = if let Some(sol) = self.sol.as_ref() {
+        let kind = if self.sol.is_some() {
             // PDN HOT LOOP START
             self.changed.clear();
             for (t, (&e, &prev)) in eff.iter().zip(&self.prev_eff).enumerate() {
@@ -352,7 +420,7 @@ impl<'w> CycleStepper<'w> {
             if self.changed.is_empty() {
                 Planned::Still
             } else {
-                grid.plan_delta(&mut self.batch, sol, &self.changed)?;
+                grid.plan_delta(&mut self.open.batch, &mut self.loads, &self.changed)?;
                 Planned::Delta
             }
             // PDN HOT LOOP END
@@ -364,47 +432,82 @@ impl<'w> CycleStepper<'w> {
                     loads[nd] = l;
                 }
             }
-            self.sol = Some(grid.solve_sparse(&loads)?);
+            let sol = grid.solve_sparse(&loads)?;
+            self.loads = loads;
+            self.sol = Some(sol);
             Planned::Initial
         };
         self.prev_eff.copy_from_slice(eff);
-        self.kinds[k] = kind;
-        self.planned = k + 1;
+        self.open.kinds[k] = kind;
+        self.open.planned = k + 1;
+        self.next = c + 1;
         Ok(())
     }
 
-    /// Solves the grid updates of every cycle planned so far in one
-    /// pass of the lane kernel.
-    pub(crate) fn settle(&mut self) {
-        if let Some(sol) = self.sol.as_ref() {
-            let grid = self.workload.campaign().floorplan().grid();
-            grid.settle_deltas(&mut self.batch, sol);
-        }
+    /// Cycles planned into the open stage.
+    pub(crate) fn open_cycles(&self) -> usize {
+        self.open.planned
     }
 
-    /// Makes the oldest planned cycle the stepped one: its counts, its
-    /// grid update (`v += dv` and the new loads) and the supply-boost
-    /// overlay. Returns its index, or `None` when no cycle is planned.
-    pub(crate) fn advance(&mut self) -> Option<usize> {
+    /// Seals the open stage and hands it out to be solved; the next
+    /// planned cycle opens a new stage. Returns `None` when the open
+    /// stage holds no cycle.
+    pub(crate) fn seal(&mut self) -> Option<Stage> {
         // PDN HOT LOOP START
-        if self.advanced == self.planned {
+        if self.open.planned == 0 {
             return None;
         }
-        let k = self.advanced;
+        let (tiles, width) = (self.workload.mesh().tiles(), self.open.batch.width());
+        let next = self
+            .spare
+            .take()
+            .unwrap_or_else(|| Stage::new(tiles, width));
+        let sealed = std::mem::replace(&mut self.open, next);
+        // PDN HOT LOOP END
+        Some(sealed)
+    }
+
+    /// Takes back a sealed stage, solved, as the one
+    /// [`CycleStepper::advance`] walks next. Stages come back in the
+    /// order they were sealed, each once the one before it is fully
+    /// advanced.
+    pub(crate) fn install(&mut self, stage: Stage) {
+        debug_assert!(
+            self.stepping.is_none(),
+            "a stage installed over one in progress"
+        );
+        self.stepping = Some(stage);
+    }
+
+    /// Makes the oldest planned cycle of the installed stage the stepped
+    /// one: its counts, its grid update (`v += dv` and the new loads)
+    /// and the supply-boost overlay. Returns its index, or `None` when
+    /// no installed cycle is left.
+    pub(crate) fn advance(&mut self) -> Option<usize> {
+        // PDN HOT LOOP START
+        let stage = self.stepping.as_mut()?;
+        let k = stage.advanced;
         let tiles = self.workload.mesh().tiles();
         let slot = k * tiles;
         self.counts
-            .copy_from_slice(&self.planned_counts[slot..slot + tiles]);
+            .copy_from_slice(&stage.counts[slot..slot + tiles]);
         self.eff_counts
-            .copy_from_slice(&self.planned_eff[slot..slot + tiles]);
-        if self.kinds[k] == Planned::Delta {
+            .copy_from_slice(&stage.eff[slot..slot + tiles]);
+        if stage.kinds[k] == Planned::Delta {
             let sol = self.sol.as_mut().expect("a delta follows a solution");
-            self.batch.apply(sol);
+            stage.batch.apply(sol);
             self.delta_solves += 1;
         }
-        self.advanced = k + 1;
-        if self.advanced == self.planned {
-            (self.advanced, self.planned) = (0, 0);
+        stage.advanced = k + 1;
+        if stage.advanced == stage.planned {
+            (stage.advanced, stage.planned) = (0, 0);
+            self.spare = self.stepping.take();
+            // Every applied stage leaves a state of the grid; a lane
+            // solved wrong anywhere in it shows here.
+            debug_assert!(
+                self.grid().kcl_holds(self.solution()),
+                "KCL residual after a delta stage"
+            );
         }
         // PDN HOT LOOP END
 
@@ -434,7 +537,7 @@ impl<'w> CycleStepper<'w> {
 
     /// Cycles planned and not yet advanced.
     pub(crate) fn pending(&self) -> usize {
-        self.planned - self.advanced
+        self.next - self.cycle
     }
 
     // PDN HOT LOOP START
@@ -581,6 +684,11 @@ impl<'w> CycleStepper<'w> {
     pub fn snapshot(&self) -> StepperSnapshot {
         debug_assert_eq!(self.pending(), 0, "snapshot with cycles planned ahead");
         debug_assert_eq!(self.eff_counts, self.prev_eff, "drained counts diverged");
+        debug_assert_eq!(
+            self.sol.as_ref().map_or(&[][..], GridSolution::loads),
+            &self.loads[..],
+            "drained loads diverged"
+        );
         let mesh = self.workload.mesh();
         StepperSnapshot {
             cursors: self.cursors.clone(),
@@ -735,14 +843,19 @@ impl<'w> CycleStepper<'w> {
         self.eff_counts.copy_from_slice(&snap.prev_eff);
         self.prev_eff.copy_from_slice(&snap.prev_eff);
         self.sol = snap.sol.clone();
+        self.loads = snap
+            .sol
+            .as_ref()
+            .map_or_else(Vec::new, |sol| sol.loads().to_vec());
         self.boosted = snap.boosted.clone();
         self.boost_active = snap.boost_active;
         self.act = snap.act.clone();
         self.cycle = snap.cycle;
         self.delta_solves = snap.delta_solves;
         self.spawned_flits = snap.spawned_flits;
-        (self.planned, self.advanced) = (0, 0);
-        self.batch = DeltaBatch::new(self.batch.width());
+        self.next = snap.cycle;
+        self.open = Stage::new(tiles, self.open.batch.width());
+        self.stepping = None;
         Ok(())
     }
 }

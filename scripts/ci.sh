@@ -60,10 +60,11 @@ echo "==> PDN hot-loop allocation gate"
 # The per-cycle PDN path must not allocate: the banded substitution
 # kernels (one lane and eight), the delta assembly and the delta
 # batch's plan/settle/apply (crates/pdn/src/grid.rs), the stepper's
-# activity and grid stages (crates/workload/src/stepper.rs), the XY
-# next-hop step flights advance by (crates/workload/src/noc.rs) and the
-# cycle loop's drain of planned cycles (crates/workload/src/driver.rs)
-# reuse their buffers. Between the PDN HOT LOOP markers no `Vec<`,
+# activity and grid stages and the recycled stage type with its
+# seal/advance (crates/workload/src/stepper.rs), the XY next-hop step
+# flights advance by (crates/workload/src/noc.rs) and the cycle loop's
+# pipeline hand-off of stages, seal -> receive or take back -> hand over -> recycle
+# (crates/workload/src/driver.rs), reuse their buffers. Between the PDN HOT LOOP markers no `Vec<`,
 # `vec!`, `.clone()`, `.to_vec()`, `.collect(`, `format!` or
 # `route_xy(` (a route built per flit) may appear, and the markers must
 # be present and paired so deleting one cannot switch the gate off.

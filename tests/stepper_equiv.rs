@@ -9,7 +9,7 @@
 //! (b) `NocWorkload::run_streamed` (a stepper driver) returns
 //!     bit-identical campaigns — records, summary, noise profile — with
 //!     record-for-record identical telemetry (wall times masked) at
-//!     jobs ∈ {1, 4};
+//!     jobs ∈ {1, 2, 4};
 //! (c) the open-loop `run_mitigated(None)` profile equals the batch
 //!     profile bit-for-bit;
 //! (d) a `SitePanic` degrading one mid-loop control frame never
@@ -27,7 +27,7 @@ use psn_thermometer::prelude::*;
 use psn_thermometer::workload::{ActivityTrace, CycleStepper};
 
 /// The worker counts the equivalence contract is pinned at.
-const JOBS: [usize; 2] = [1, 4];
+const JOBS: [usize; 3] = [1, 2, 4];
 
 /// Masks wall-clock span times and worker tracks so two telemetry
 /// streams of the same work compare record-for-record. This suite
@@ -39,6 +39,7 @@ fn normalized(lines: Vec<String>) -> Vec<String> {
         .map(|l| {
             psn_thermometer::obs::mask_wall_times(&l)
                 .replace("\"engine.workers\":1.0", "\"engine.workers\":\"<jobs>\"")
+                .replace("\"engine.workers\":2.0", "\"engine.workers\":\"<jobs>\"")
                 .replace("\"engine.workers\":4.0", "\"engine.workers\":\"<jobs>\"")
         })
         .collect()
@@ -73,7 +74,7 @@ fn pattern_from_draw(kind: u8, rate: f64) -> TrafficPattern {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Neutral stepper ≡ batch activity trace, at jobs ∈ {1, 4}:
+    /// (a) Neutral stepper ≡ batch activity trace, at jobs ∈ {1, 2, 4}:
     /// identical per-cycle switching counts, flit totals, and event
     /// totals, for any pattern and seed.
     #[test]
@@ -109,11 +110,13 @@ proptest! {
             prop_assert_eq!(events, trace.total_events());
             traces.push(trace);
         }
-        prop_assert_eq!(&traces[0], &traces[1], "trace depends on worker count");
+        for trace in &traces[1..] {
+            prop_assert_eq!(&traces[0], trace, "trace depends on worker count");
+        }
     }
 
     /// (b) + (c) The stepper-driven batch path: bit-identical campaign
-    /// results and record-identical telemetry at jobs ∈ {1, 4}, and an
+    /// results and record-identical telemetry at jobs ∈ {1, 2, 4}, and an
     /// open-loop mitigated run whose noise profile equals the batch
     /// profile bit-for-bit.
     #[test]
@@ -141,10 +144,11 @@ proptest! {
             runs.push((out, records, normalized(obs.ring_lines().unwrap())));
         }
         let (ref a, ref a_records, ref a_tel) = runs[0];
-        let (ref b, ref b_records, ref b_tel) = runs[1];
-        prop_assert_eq!(a, b, "campaign diverged across jobs");
-        prop_assert_eq!(a_records, b_records, "records diverged across jobs");
-        prop_assert_eq!(a_tel, b_tel, "telemetry diverged across jobs");
+        for (b, b_records, b_tel) in &runs[1..] {
+            prop_assert_eq!(a, b, "campaign diverged across jobs");
+            prop_assert_eq!(a_records, b_records, "records diverged across jobs");
+            prop_assert_eq!(a_tel, b_tel, "telemetry diverged across jobs");
+        }
 
         let open = w
             .run_mitigated(&mut RunCtx::new(Engine::new(4)).with_seed(seed), None, 0)

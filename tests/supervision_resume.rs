@@ -14,10 +14,12 @@
 //!     result bit-identical to the uninterrupted one, at any code
 //!     latency.
 //! (d) The open loop plans up to eight cycles ahead and solves their
-//!     grid updates in one pass: interrupt and cadence snapshots that
-//!     land inside such a batch equal, field for field, the checkpoint
-//!     of a cycle-by-cycle `CycleStepper::step` loop, and resuming from
-//!     them is bit-identical.
+//!     grid updates in one pass, on a solver thread beside the loop
+//!     when there are two workers or more: interrupt and cadence
+//!     snapshots that land inside such a batch, or while one batch is at
+//!     the solver and the next is partly planned, equal, field for
+//!     field, the checkpoint of a cycle-by-cycle `CycleStepper::step`
+//!     loop, and resuming from them is bit-identical.
 
 use proptest::prelude::*;
 use psn_thermometer::control::ThresholdThrottle;
@@ -279,9 +281,11 @@ fn assert_same_checkpoint(got: &WorkloadCheckpoint, want: &WorkloadCheckpoint, c
     assert_eq!(bits(got), bits(want), "{case}: site rails");
 }
 
-/// (d) Interrupts at cycles 1, 7, 8, 9 and the last, with no cadence
-/// and cadences 3, 8 and 13, at jobs ∈ {1, 4}: every snapshot lands
-/// inside or at the edge of an eight-cycle batch, and each equals the
+/// (d) Interrupts at cycles 1, 7, 8, 9, 15, 16, 17, 23, 24, 25 and the
+/// last, with no cadence and cadences 3, 8, 13 and 16, at jobs ∈
+/// {1, 2, 4}: every snapshot lands inside or at the edge of an
+/// eight-cycle batch, and from cycle 15 on, at two workers or more, while
+/// the batch before it is at the solver thread; each equals the
 /// cycle-by-cycle checkpoint and resumes bit-identically. A completed
 /// run at each cadence leaves its last cadence snapshot, which must
 /// equal the stepped one too.
@@ -290,11 +294,11 @@ fn snapshots_inside_a_lane_batch_match_the_stepped_loop() {
     let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
     let cycles = w.config().cycles;
     let seed = 2009;
-    for jobs in JOBS {
+    for jobs in [1, 2, 4] {
         let mut ctx = RunCtx::new(Engine::new(jobs)).with_seed(seed);
         let (clean_records, clean) = run_collect(&w, &mut ctx, &CheckpointPolicy::none(), None);
         let clean = clean.unwrap();
-        for every in [None, Some(3u64), Some(8), Some(13)] {
+        for every in [None, Some(3u64), Some(8), Some(13), Some(16)] {
             let path = ckpt_path(&format!("lanes-{jobs}-{every:?}"));
             let policy = CheckpointPolicy {
                 path: Some(path.clone()),
@@ -311,7 +315,7 @@ fn snapshots_inside_a_lane_batch_match_the_stepped_loop() {
                 let want = stepped_checkpoint(&w, seed, last as usize);
                 assert_same_checkpoint(&ckpt, &want, &format!("cadence {k} at {last}"));
             }
-            for cancel in [1, 7, 8, 9, cycles - 1] {
+            for cancel in [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, cycles - 1] {
                 let case = format!("jobs {jobs}, cadence {every:?}, cancel at {cancel}");
                 let _ = std::fs::remove_file(&path);
                 let mut ictx = RunCtx::new(Engine::new(jobs)).with_seed(seed);
