@@ -100,7 +100,7 @@ pub enum Fault {
     },
     /// Harness-level fault: a streamed campaign's record sink starts
     /// returning errors after delivering `after_records` records —
-    /// exercises the abort path (producer joined, terminal
+    /// exercises the abort path (no further chunk measured, terminal
     /// `StreamRecord::Aborted` emitted, partials preserved). The event
     /// kernel ignores it; test sinks and the chaos soak harness apply
     /// it.

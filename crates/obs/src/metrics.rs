@@ -340,14 +340,16 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// A serializable snapshot of every metric, in registration order.
+    /// A serializable snapshot of every metric: counters, gauges and
+    /// histograms, each section sorted by name (the order of the
+    /// `Display` table), so a merged registry snapshots the same
+    /// whichever worker registered a metric first.
     pub fn snapshot_value(&self) -> Value {
         Value::Map(vec![
             (
                 "counters".to_string(),
                 Value::Map(
-                    self.counters
-                        .iter()
+                    by_name(&self.counters)
                         .map(|(n, v)| (n.clone(), Value::U64(*v)))
                         .collect(),
                 ),
@@ -355,8 +357,7 @@ impl MetricsRegistry {
             (
                 "gauges".to_string(),
                 Value::Map(
-                    self.gauges
-                        .iter()
+                    by_name(&self.gauges)
                         .map(|(n, v)| (n.clone(), Value::F64(*v)))
                         .collect(),
                 ),
@@ -364,14 +365,20 @@ impl MetricsRegistry {
             (
                 "histograms".to_string(),
                 Value::Map(
-                    self.histograms
-                        .iter()
+                    by_name(&self.histograms)
                         .map(|(n, h)| (n.clone(), h.to_value()))
                         .collect(),
                 ),
             ),
         ])
     }
+}
+
+/// One registry section's entries, sorted by name.
+fn by_name<T>(section: &[(String, T)]) -> impl Iterator<Item = &(String, T)> {
+    let mut entries: Vec<_> = section.iter().collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries.into_iter()
 }
 
 impl std::fmt::Display for MetricsRegistry {
@@ -386,19 +393,13 @@ impl std::fmt::Display for MetricsRegistry {
             .chain(self.histograms.iter().map(|(n, _)| n.len()))
             .max()
             .unwrap_or(0);
-        let mut counters: Vec<_> = self.counters.iter().collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, v) in counters {
+        for (name, v) in by_name(&self.counters) {
             writeln!(f, "  {name:<width$}  {v}")?;
         }
-        let mut gauges: Vec<_> = self.gauges.iter().collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, v) in gauges {
+        for (name, v) in by_name(&self.gauges) {
             writeln!(f, "  {name:<width$}  {v:.6}")?;
         }
-        let mut histograms: Vec<_> = self.histograms.iter().collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, h) in histograms {
+        for (name, h) in by_name(&self.histograms) {
             writeln!(f, "  {name:<width$}  {h}")?;
         }
         Ok(())
@@ -569,7 +570,13 @@ mod tests {
         let mut m = MetricsRegistry::new();
         let c = m.counter("n");
         m.inc(c);
+        m.counter("a");
         let snap = m.snapshot_value();
+        let Some(Value::Map(counters)) = snap.get("counters") else {
+            panic!("no counters section: {snap:?}");
+        };
+        let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "n"], "sorted by name, not registration");
         assert_eq!(
             snap.get("counters")
                 .and_then(|c| c.get("n"))

@@ -228,29 +228,11 @@ pub enum StreamRecord {
     },
 }
 
-/// Sites per producer batch of the campaign sweep. Fixed (not
+/// Sites per engine batch of the campaign sweep. Fixed (not
 /// worker-count dependent), so chunk boundaries — and therefore record
-/// order and seeds — are identical at any worker count.
+/// order and seeds — are identical at any worker count. One chunk's
+/// records are all the sweep holds between the engine and the sink.
 const STREAM_CHUNK_SITES: usize = 32;
-
-/// Bound of the producer→consumer channel: about two chunks of records
-/// may be in flight, which caps peak memory while still letting the
-/// workers compute ahead of a slow sink.
-const STREAM_CHANNEL_BOUND: usize = 2 * STREAM_CHUNK_SITES;
-
-/// Producer→consumer message of the campaign sweep.
-enum StreamMsg {
-    Site {
-        site: usize,
-        outcome: JobOutcome<Result<(SiteSeries, Option<RemoteSpan>), ScanError>>,
-    },
-    /// A finished chunk's merged worker metrics, sent after its sites
-    /// so the observer merge order is deterministic.
-    Metrics(Box<psnt_obs::MetricsRegistry>),
-    /// The producer's supervisor tripped at a chunk boundary; no
-    /// further sites will arrive.
-    Interrupted(psnt_sup::Interrupt),
-}
 
 /// Where a campaign's rail waveforms come from.
 enum Rails<'a> {
@@ -401,18 +383,18 @@ impl Campaign {
     /// supply (and optionally ground-bounce) waveforms plus explicit
     /// sampling instants, skipping the internal grid transient entirely.
     /// This is the path for workload-driven campaigns whose rail
-    /// waveforms come from per-cycle delta solves
-    /// ([`psnt_pdn::grid::PowerGrid::update_delta`]). Only instrumented
-    /// tiles' waveforms are sampled; uninstrumented entries may be cheap
-    /// placeholders (e.g. a constant), but the vectors must still be
-    /// grid-shaped so tile indexing stays honest.
+    /// waveforms come from per-cycle delta solves (the workload crate
+    /// plans them in [`psnt_pdn::grid::DeltaBatch`] stages). Only
+    /// instrumented tiles' waveforms are sampled; uninstrumented entries
+    /// may be cheap placeholders (e.g. a constant), but the vectors must
+    /// still be grid-shaped so tile indexing stays honest.
     ///
-    /// Site records flow through a **bounded channel** from the
-    /// measuring workers to the calling thread, which hands each one to
-    /// `sink` and drops it — so peak memory holds at most a couple of
-    /// chunks of in-flight sites plus a per-instant code buffer for
-    /// frame assembly, never a full [`CampaignResult`]. That is what
-    /// lets a 256+-site workload campaign run with flat memory.
+    /// The calling thread measures one fixed-size chunk of sites at a
+    /// time on the context's engine, hands each of its records to
+    /// `sink` and drops it — so peak memory holds at most one chunk of
+    /// sites plus a per-instant code buffer for frame assembly, never a
+    /// full [`CampaignResult`]. That is what lets a 256+-site workload
+    /// campaign run with flat memory.
     ///
     /// Semantics and telemetry are those of [`Campaign::run_resilient`],
     /// which is this stream collected in memory. Records are delivered
@@ -425,8 +407,8 @@ impl Campaign {
     /// Returns [`ScanError::InvalidConfig`] for grid-shape mismatches or
     /// empty/unsorted instants, and propagates chain-capture failures;
     /// additionally, the first error the sink
-    /// returns aborts the stream and is propagated (workers stop at the
-    /// next chunk boundary), and a trip of the context's supervisor stops
+    /// returns aborts the stream and is propagated (no further chunk is
+    /// measured), and a trip of the context's supervisor stops
     /// the sweep at the next chunk boundary with
     /// [`ScanError::Interrupted`]. Either way the truncated stream is
     /// closed with a best-effort terminal [`StreamRecord::Aborted`]
@@ -640,11 +622,11 @@ impl Campaign {
         })
     }
 
-    /// The chunked producer/consumer site sweep: measures sites in
-    /// fixed chunks on the context's engine, streams their records
-    /// through the bounded channel, then assembles and streams the
-    /// frames from the code buffer. Returns the summary; the caller
-    /// sinks the final [`StreamRecord::Summary`].
+    /// The chunked site sweep, on the calling thread: measures each
+    /// fixed-size chunk of sites on the context's engine, then folds
+    /// and sinks the chunk's records in site order, then assembles and
+    /// streams the frames from the code buffer. Returns the summary;
+    /// the caller sinks the final [`StreamRecord::Summary`].
     fn sweep_sites(
         &self,
         ctx: &mut RunCtx<'_>,
@@ -662,11 +644,13 @@ impl Campaign {
             .fault_plan()
             .map(psnt_fault::FaultPlan::worker_panics)
             .unwrap_or_default();
-        let mut measure_span = ctx.observer().map(|o| {
-            o.begin_span("measure_sweep").sim_interval_ps(
-                prep.instants[0].picoseconds(),
-                prep.instants[prep.instants.len() - 1].picoseconds(),
-            )
+        let sim_span = (
+            prep.instants[0].picoseconds(),
+            prep.instants[samples - 1].picoseconds(),
+        );
+        let measure_span = ctx.observer().map(|o| {
+            o.begin_span("measure_sweep")
+                .sim_interval_ps(sim_span.0, sim_span.1)
         });
         let epoch = ctx.observer().map(|o| o.epoch());
         let site_defs = self.floorplan.sites();
@@ -688,8 +672,6 @@ impl Campaign {
         // The only cross-site state the frames need: one code per site
         // per instant (a few bits each) — not the measurement series.
         let mut frame_codes: Vec<Vec<ThermometerCode>> = vec![Vec::with_capacity(n_sites); samples];
-        let mut sink_result: Result<(), ScanError> = Ok(());
-        let mut trip: Option<psnt_sup::Interrupt> = None;
         let mut sites_streamed = 0usize;
 
         // One system for the whole sweep: every site is an identical
@@ -698,242 +680,168 @@ impl Campaign {
         // construction failure degrades every site, as a per-site build
         // would.
         let system = SensorSystem::new(self.config.clone());
-        let system_ref = &system;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<StreamMsg>(STREAM_CHANNEL_BOUND);
-        let prep_ref = &prep;
-        let quiet_ref = &quiet;
-        let panicking_ref = &panicking;
-        let worker_panics_ref = &worker_panics;
-        let sup_prod = sup.clone();
-        std::thread::scope(|scope| {
-            // Producer: sweeps fixed-size site chunks on the engine and
-            // sends each chunk's ordered outcomes. A closed channel
-            // (sink failure on the consumer side) stops it at the next
-            // send; a supervisor trip stops it at the next chunk
-            // boundary, so an interrupted stream is always a
-            // whole-chunk prefix of the full run.
-            scope.spawn(move || {
-                let mut chunk_start = 0usize;
-                while chunk_start < n_sites {
-                    if let Err(reason) = sup_prod.check() {
-                        let _ = tx.send(StreamMsg::Interrupted(reason));
-                        return;
-                    }
-                    let chunk_len = STREAM_CHUNK_SITES.min(n_sites - chunk_start);
-                    let spec = JobSpec::new(chunk_len).seed(seed);
-                    let batch = engine.run_batch_isolated(&spec, retry, |job| {
-                        let index = chunk_start + job.index();
-                        if job.attempt() == 0 && panicking_ref.contains(&index) {
-                            panic!("injected fault: site {index} panicked");
-                        }
-                        if worker_panics_ref
-                            .iter()
-                            .any(|&(j, a)| j == index && job.attempt() <= a)
-                        {
-                            panic!(
-                                "injected fault: job {index} panicked on attempt {}",
-                                job.attempt()
-                            );
-                        }
-                        let site = &site_defs[index];
-                        let mut site_span = epoch.map(|e| {
-                            RemoteSpan::begin("site", e, job.worker() as u32 + 1)
-                                .attr("site", &(index as u64))
-                                .attr("tile", &(site.tile as u64))
-                                .attr("name", &site.name)
-                                .attr("attempt", &u64::from(job.attempt()))
-                                .sim_interval_ps(
-                                    prep_ref.instants[0].picoseconds(),
-                                    prep_ref.instants[prep_ref.instants.len() - 1].picoseconds(),
-                                )
-                        });
-                        let system = system_ref
-                            .as_ref()
-                            .map_err(|e| ScanError::from(e.clone()))?;
-                        let vdd = &prep_ref.tile_supplies[site.tile];
-                        let gnd = prep_ref
-                            .tile_bounces
-                            .as_ref()
-                            .map_or(quiet_ref, |b| &b[site.tile]);
-                        let mut measurements = Vec::with_capacity(prep_ref.instants.len());
-                        for &at in &prep_ref.instants {
-                            let measure = epoch
-                                .map(|e| RemoteSpan::begin("measure", e, job.worker() as u32 + 1));
-                            measurements
-                                .push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
-                            if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
-                                span.child(
-                                    measure
-                                        .sim_interval_ps(at.picoseconds(), at.picoseconds())
-                                        .end(),
-                                );
-                            }
-                        }
-                        job.metrics.counter_add("campaign.sites_done", 1);
-                        Ok::<(SiteSeries, Option<RemoteSpan>), ScanError>((
-                            SiteSeries {
-                                tile: site.tile,
-                                name: site.name.clone(),
-                                measurements,
-                            },
-                            site_span.map(RemoteSpan::end),
-                        ))
-                    });
-                    for (j, mut outcome) in batch.results.into_iter().enumerate() {
+        // One site's job: its series, the largest encoder level gap over
+        // its codes, and its span tree.
+        let measure_site = |job: &mut psnt_engine::JobCtx<'_>, index: usize| {
+            if job.attempt() == 0 && panicking.contains(&index) {
+                panic!("injected fault: site {index} panicked");
+            }
+            if worker_panics
+                .iter()
+                .any(|&(j, a)| j == index && job.attempt() <= a)
+            {
+                panic!(
+                    "injected fault: job {index} panicked on attempt {}",
+                    job.attempt()
+                );
+            }
+            let site = &site_defs[index];
+            let track = job.worker() as u32 + 1;
+            let mut site_span = epoch.map(|e| {
+                RemoteSpan::begin("site", e, track)
+                    .attr("site", &(index as u64))
+                    .attr("tile", &(site.tile as u64))
+                    .attr("name", &site.name)
+                    .attr("attempt", &u64::from(job.attempt()))
+                    .sim_interval_ps(sim_span.0, sim_span.1)
+            });
+            let system = system.as_ref().map_err(|e| ScanError::from(e.clone()))?;
+            let vdd = &prep.tile_supplies[site.tile];
+            let gnd = prep.tile_bounces.as_ref().map_or(&quiet, |b| &b[site.tile]);
+            let mut measurements = Vec::with_capacity(samples);
+            for &at in &prep.instants {
+                let measure = epoch.map(|e| RemoteSpan::begin("measure", e, track));
+                measurements.push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
+                if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
+                    span.child(
+                        measure
+                            .sim_interval_ps(at.picoseconds(), at.picoseconds())
+                            .end(),
+                    );
+                }
+            }
+            let gap = measurements
+                .iter()
+                .flat_map(|m| [&m.hs_code, &m.ls_code])
+                .map(encoder_level_gap)
+                .max()
+                .unwrap_or(0);
+            job.metrics.counter_add("campaign.sites_done", 1);
+            Ok::<_, ScanError>((
+                SiteSeries {
+                    tile: site.tile,
+                    name: site.name.clone(),
+                    measurements,
+                },
+                gap,
+                site_span.map(RemoteSpan::end),
+            ))
+        };
+
+        // A sink failure or a supervisor trip, in the site phase or the
+        // frame tail, breaks out with the error that ends the run.
+        let abort: Option<ScanError> = 'stream: {
+            for chunk_start in (0..n_sites).step_by(STREAM_CHUNK_SITES) {
+                // Checked between chunks only, so an interrupted stream
+                // is always a whole-chunk prefix of the full run.
+                if let Err(reason) = sup.check() {
+                    break 'stream Some(ScanError::Interrupted(reason));
+                }
+                let chunk_len = STREAM_CHUNK_SITES.min(n_sites - chunk_start);
+                let spec = JobSpec::new(chunk_len).seed(seed);
+                let batch = engine.run_batch_isolated(&spec, retry, |job| {
+                    measure_site(job, chunk_start + job.index())
+                });
+                for (j, outcome) in batch.results.into_iter().enumerate() {
+                    let site = chunk_start + j;
+                    let measured = match outcome {
+                        JobOutcome::Ok(Ok(done)) => Ok(done),
+                        JobOutcome::Ok(Err(e)) => Err(e.to_string()),
                         // Rebase the chunk-local job index so degraded
                         // error strings name the floorplan site.
-                        if let JobOutcome::Failed(je) = &mut outcome {
-                            je.job = chunk_start + j;
+                        JobOutcome::Failed(mut je) => {
+                            je.job = site;
+                            Err(je.to_string())
                         }
-                        let msg = StreamMsg::Site {
-                            site: chunk_start + j,
-                            outcome,
-                        };
-                        if tx.send(msg).is_err() {
-                            return;
+                    };
+                    let (series, gap, site_outcome, span) = match measured {
+                        Ok((series, gap, span)) => (series, gap, SiteOutcome::Measured, span),
+                        Err(error) => (
+                            SiteSeries {
+                                tile: site_defs[site].tile,
+                                name: site_defs[site].name.clone(),
+                                measurements: Vec::new(),
+                            },
+                            0,
+                            SiteOutcome::Degraded { error },
+                            None,
+                        ),
+                    };
+                    for (k, codes) in frame_codes.iter_mut().enumerate() {
+                        codes.push(
+                            series
+                                .measurements
+                                .get(k)
+                                .map_or_else(|| unknown.clone(), |m| m.hs_code.clone()),
+                        );
+                    }
+                    summary.worst_code_error = summary.worst_code_error.max(gap);
+                    if let SiteOutcome::Degraded { .. } = &site_outcome {
+                        summary.sites_degraded += 1;
+                    }
+                    if let Some(obs) = ctx.observer() {
+                        if let Some(span) = &span {
+                            obs.emit_remote_tree(span);
                         }
-                    }
-                    if tx
-                        .send(StreamMsg::Metrics(Box::new(batch.metrics)))
-                        .is_err()
-                    {
-                        return;
-                    }
-                    sup_prod.charge_events(chunk_len as u64);
-                    chunk_start += chunk_len;
-                }
-            });
-
-            // Consumer (this thread): owns the observer and the sink.
-            for msg in rx {
-                match msg {
-                    StreamMsg::Metrics(m) => {
-                        if let Some(obs) = ctx.observer() {
-                            obs.metrics.merge(&m);
-                        }
-                    }
-                    StreamMsg::Interrupted(reason) => {
-                        // The producer stopped itself; record why and
-                        // stop consuming (nothing else will arrive).
-                        trip = Some(reason);
-                        break;
-                    }
-                    StreamMsg::Site { site, outcome } => {
-                        let measured = match outcome {
-                            JobOutcome::Ok(Ok(done)) => Ok(done),
-                            JobOutcome::Ok(Err(e)) => Err(e.to_string()),
-                            JobOutcome::Failed(je) => Err(je.to_string()),
-                        };
-                        let (series, site_outcome, span) = match measured {
-                            Ok((series, span)) => (series, SiteOutcome::Measured, span),
-                            Err(error) => (
-                                SiteSeries {
-                                    tile: site_defs[site].tile,
-                                    name: site_defs[site].name.clone(),
-                                    measurements: Vec::new(),
-                                },
-                                SiteOutcome::Degraded { error },
-                                None,
-                            ),
-                        };
-                        for (k, codes) in frame_codes.iter_mut().enumerate() {
-                            codes.push(
-                                series
-                                    .measurements
-                                    .get(k)
-                                    .map_or_else(|| unknown.clone(), |m| m.hs_code.clone()),
+                        emit_site_event(obs, &series, prep.v_nom);
+                        if let SiteOutcome::Degraded { error } = &site_outcome {
+                            obs.metrics.counter_add("campaign.sites_degraded", 1);
+                            obs.event(
+                                ObsEvent::new("scan", "degraded")
+                                    .field("site", &(site as u64))
+                                    .field("tile", &(site_defs[site].tile as u64))
+                                    .field("name", &site_defs[site].name)
+                                    .field("error", error),
                             );
                         }
-                        if let Some(gap) = series
-                            .measurements
-                            .iter()
-                            .flat_map(|m| [&m.hs_code, &m.ls_code])
-                            .map(encoder_level_gap)
-                            .max()
-                        {
-                            summary.worst_code_error = summary.worst_code_error.max(gap);
-                        }
-                        if let SiteOutcome::Degraded { .. } = &site_outcome {
-                            summary.sites_degraded += 1;
-                        }
-                        if let Some(obs) = ctx.observer() {
-                            if let Some(span) = &span {
-                                obs.emit_remote_tree(span);
-                            }
-                            emit_site_event(obs, &series, prep_ref.v_nom);
-                            if let SiteOutcome::Degraded { error } = &site_outcome {
-                                obs.metrics.counter_add("campaign.sites_degraded", 1);
-                                obs.event(
-                                    ObsEvent::new("scan", "degraded")
-                                        .field("site", &(site as u64))
-                                        .field("tile", &(site_defs[site].tile as u64))
-                                        .field("name", &site_defs[site].name)
-                                        .field("error", error),
-                                );
-                            }
-                        }
-                        let record = StreamRecord::Site {
-                            site,
-                            windows: prep_ref.windows.clone(),
-                            series,
-                            outcome: site_outcome,
-                        };
-                        if let Err(e) = sink(record) {
-                            sink_result = Err(e);
-                            // Dropping the receiver (by leaving the
-                            // loop) disconnects the channel; the
-                            // producer stops at its next send.
-                            break;
-                        }
-                        sites_streamed += 1;
                     }
+                    let record = StreamRecord::Site {
+                        site,
+                        windows: prep.windows.clone(),
+                        series,
+                        outcome: site_outcome,
+                    };
+                    if let Err(e) = sink(record) {
+                        break 'stream Some(e);
+                    }
+                    sites_streamed += 1;
+                }
+                if let Some(obs) = ctx.observer() {
+                    obs.metrics.merge(&batch.metrics);
+                }
+                sup.charge_events(chunk_len as u64);
+            }
+            for (k, codes) in frame_codes.iter().enumerate() {
+                if let Err(reason) = sup.check() {
+                    break 'stream Some(ScanError::Interrupted(reason));
+                }
+                let frame = self.chain.capture(codes)?;
+                let dead = frame.iter().filter(|b| *b == Logic::X).count();
+                summary.dead_elements = summary.dead_elements.max(dead);
+                if let Err(e) = sink(StreamRecord::Frame {
+                    index: k,
+                    instant: prep.instants[k],
+                    frame,
+                }) {
+                    break 'stream Some(e);
                 }
             }
-        });
-        // The scope has joined the producer, so the site stream is
-        // final. A sink failure or a supervisor trip ends the run here:
-        // label the truncated stream with a terminal `Aborted` record
+            None
+        };
+        // Label a truncated stream with a terminal `Aborted` record
         // (best-effort — the sink may be the failing party) instead of
         // cutting it silently, then surface the error.
-        let abort = match (sink_result, trip) {
-            (Err(e), _) => Some(e),
-            (Ok(()), Some(reason)) => Some(ScanError::Interrupted(reason)),
-            (Ok(()), None) => None,
-        };
         if let Some(e) = abort {
-            let _ = sink(StreamRecord::Aborted {
-                sites_completed: sites_streamed,
-                reason: e.to_string(),
-            });
-            if let (Some(obs), Some(span)) = (ctx.observer(), measure_span.take()) {
-                obs.end_span(span);
-            }
-            return Err(e);
-        }
-
-        // The frame tail is supervised and labelled the same way as
-        // the site phase: a sink failure or a trip between frames
-        // still closes the stream with a terminal `Aborted` record
-        // instead of cutting it silently.
-        let mut tail_abort: Option<ScanError> = None;
-        for (k, codes) in frame_codes.iter().enumerate() {
-            if let Err(reason) = sup.check() {
-                tail_abort = Some(ScanError::Interrupted(reason));
-                break;
-            }
-            let frame = self.chain.capture(codes)?;
-            let dead = frame.iter().filter(|b| *b == Logic::X).count();
-            summary.dead_elements = summary.dead_elements.max(dead);
-            if let Err(e) = sink(StreamRecord::Frame {
-                index: k,
-                instant: prep.instants[k],
-                frame,
-            }) {
-                tail_abort = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = tail_abort {
             let _ = sink(StreamRecord::Aborted {
                 sites_completed: sites_streamed,
                 reason: e.to_string(),
@@ -943,13 +851,11 @@ impl Campaign {
             }
             return Err(e);
         }
-        if let Some(obs) = ctx.observer() {
+        if let (Some(obs), Some(span)) = (ctx.observer(), measure_span) {
             obs.metrics
                 .gauge_set_max("campaign.worst_code_error", summary.worst_code_error as f64);
             obs.metrics
                 .gauge_set_max("campaign.dead_elements", summary.dead_elements as f64);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), measure_span) {
             obs.end_span(span);
         }
         Ok(summary)
@@ -958,7 +864,7 @@ impl Campaign {
 
 /// Emits one site's `scan`/`site` event and folds its worst droop and
 /// bounce into the campaign gauges. The sweep calls it from the
-/// consuming thread in floorplan order, so the telemetry stream is
+/// calling thread in floorplan order, so the telemetry stream is
 /// worker-count independent.
 fn emit_site_event(obs: &mut Observer, series: &SiteSeries, v_nom: f64) {
     let mut event = ObsEvent::new("scan", "site")
@@ -1531,7 +1437,7 @@ mod tests {
     #[test]
     fn multi_chunk_stream_is_ordered_and_names_floorplan_sites() {
         use psnt_fault::{Fault, FaultPlan};
-        // 36 sites span two producer chunks; the degraded site sits in
+        // 36 sites span two sweep chunks; the degraded site sits in
         // the second, so its error must name the floorplan index, not
         // the chunk-local job index.
         let grid = PowerGrid::corner_fed(
@@ -1736,13 +1642,76 @@ mod tests {
     }
 
     #[test]
+    fn sink_error_stops_the_sweep_before_the_next_chunk() {
+        use psnt_sup::{CancelToken, RunBudget, Supervisor};
+        // 36 sites: the sink fails on its 33rd record, the first site of
+        // the second chunk, after that chunk was measured. Nothing past
+        // it is measured, and only the first chunk is charged.
+        let grid = PowerGrid::corner_fed(
+            6,
+            Voltage::from_v(1.05),
+            Resistance::from_milliohms(60.0),
+            Resistance::from_milliohms(20.0),
+        )
+        .unwrap();
+        let c = Campaign::new(
+            Floorplan::new(grid, Placement::EveryTile).unwrap(),
+            SensorConfig::default(),
+        )
+        .unwrap();
+        for jobs in [1usize, 2, 4] {
+            let sup = Supervisor::new(CancelToken::new(), RunBudget::unlimited());
+            let mut ctx = RunCtx::new(Engine::new(jobs)).with_supervisor(sup.clone());
+            let mut records = Vec::new();
+            let err = c
+                .run_streamed_from_rails(
+                    &mut ctx,
+                    vec![Waveform::constant(1.04); 36],
+                    None,
+                    vec![Time::from_ns(5.0), Time::from_ns(20.0)],
+                    RetryPolicy::none(),
+                    |r| {
+                        records.push(r);
+                        if records.len() == STREAM_CHUNK_SITES + 1 {
+                            Err(ScanError::InvalidConfig {
+                                name: "sink",
+                                reason: "downstream full".into(),
+                            })
+                        } else {
+                            Ok(())
+                        }
+                    },
+                )
+                .unwrap_err();
+            assert!(matches!(err, ScanError::InvalidConfig { name: "sink", .. }));
+            assert_eq!(records.len(), STREAM_CHUNK_SITES + 2, "jobs={jobs}");
+            assert!(
+                matches!(
+                    records.last(),
+                    Some(StreamRecord::Aborted {
+                        sites_completed: STREAM_CHUNK_SITES,
+                        ..
+                    })
+                ),
+                "jobs={jobs}: {:?}",
+                records.last()
+            );
+            assert_eq!(
+                sup.charge_events(0),
+                STREAM_CHUNK_SITES as u64,
+                "jobs={jobs}: events charged"
+            );
+        }
+    }
+
+    #[test]
     fn streamed_supervisor_trip_stops_at_chunk_boundary() {
         use psnt_sup::{CancelToken, RunBudget, Supervisor};
         let c = campaign();
         let rails = vec![Waveform::constant(1.04); 9];
         let instants = vec![Time::from_ns(5.0), Time::from_ns(20.0)];
-        // Pre-cancelled, rails already solved: the producer trips
-        // before claiming the first chunk, so zero site records stream
+        // Pre-cancelled, rails already solved: the sweep trips
+        // before measuring the first chunk, so zero site records stream
         // and the run reports the interrupt plus a terminal abort
         // record.
         let token = CancelToken::new();

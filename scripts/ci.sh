@@ -19,6 +19,22 @@ if [ -n "$unwind_calls" ]; then
     exit 1
 fi
 
+echo "==> thread containment gate"
+# Threads and channels live in the engine's worker pool and in the open
+# loop's solver thread (crates/workload/src/driver.rs). Everything else
+# runs on its caller's thread and gets parallelism from the engine, so
+# ordering and telemetry stay worker-count independent by construction.
+thread_calls=$(grep -rn -e 'thread::scope' -e 'thread::spawn' -e 'mpsc::' \
+    --include='*.rs' crates/*/src \
+    | grep -v '^crates/engine/src/' \
+    | grep -v '^crates/workload/src/driver.rs:' \
+    || true)
+if [ -n "$thread_calls" ]; then
+    echo "threads or channels outside the engine and the solver thread:" >&2
+    echo "$thread_calls" >&2
+    exit 1
+fi
+
 echo "==> println-telemetry gate"
 # Library code never prints: telemetry flows through psnt-obs sinks
 # (events, metrics, spans), so it is structured, streamable and
@@ -350,9 +366,9 @@ echo "==> chaos soak under PSNT_JOBS=4 (hard timeout)"
 PSNT_JOBS=4 timeout 600 cargo test -q -p psn-thermometer --test chaos_soak
 
 echo "==> bounded-memory gate (streamed 256-site campaign)"
-# The streaming contract: a full 256-site campaign through the
-# bounded channel keeps peak RSS flat (VmHWM < 512 MiB, own test
-# binary so the number reflects only this campaign).
+# The streaming contract: a full 256-site campaign, streamed one
+# 32-site chunk at a time to its sink, keeps peak RSS flat (VmHWM <
+# 512 MiB, own test binary so the number reflects only this campaign).
 cargo test -q --release -p psnt-workload --test bounded_memory
 
 echo "==> perf-regression gate (soft)"
