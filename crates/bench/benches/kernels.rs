@@ -343,7 +343,7 @@ fn bench_kernels(c: &mut Criterion) {
         let grid = chip_grid();
         let prior = grid.solve_sparse(&chip_loads).unwrap();
         let sets = [blocks_48(40, 1.0e-4), blocks_48(40, 1.5e-4)];
-        b.iter_custom(|iters| batched_deltas(&grid, prior.clone(), &sets, iters))
+        b.iter_custom(|iters| batched_deltas(&grid, prior.clone(), &sets, DELTA_LANES, iters))
     });
 
     // The same two on a 64×64 grid (4,096 nodes, 8×8-node blocks),
@@ -371,14 +371,14 @@ fn bench_kernels(c: &mut Criterion) {
         let grid = big_grid();
         let prior = grid.solve_sparse(&big_loads).unwrap();
         let sets = [blocks_48(64, 1.0e-4), blocks_48(64, 1.5e-4)];
-        b.iter_custom(|iters| batched_deltas(&grid, prior.clone(), &sets, iters))
+        b.iter_custom(|iters| batched_deltas(&grid, prior.clone(), &sets, DELTA_LANES, iters))
     });
 
     // The same delta shape on the droop-mitigation chip's 24×24 grid
     // (576 nodes, band 24): 48 of its 64 3×3 tile blocks, block 0
     // included.
-    c.bench_function("grid_solve_delta_576_48blocks", |b| {
-        let grid = PowerGrid::new(
+    let droop_grid = || {
+        PowerGrid::new(
             24,
             24,
             Voltage::from_v(1.0),
@@ -386,19 +386,37 @@ fn bench_kernels(c: &mut Criterion) {
             Resistance::from_milliohms(20.0),
             vec![(0, 0), (0, 23), (23, 0), (23, 23)],
         )
-        .unwrap();
-        let loads: Vec<f64> = (0..576).map(|i| 3.0e-3 * (1 + i % 7) as f64).collect();
-        let prior = grid.solve_sparse(&loads).unwrap();
-        let changed: Vec<(usize, f64)> = (0..64)
+        .unwrap()
+    };
+    let droop_loads: Vec<f64> = (0..576).map(|i| 3.0e-3 * (1 + i % 7) as f64).collect();
+    let blocks_48_576 = |scale: usize| -> Vec<(usize, f64)> {
+        (0..64)
             .filter(|blk| blk % 4 != 3)
             .flat_map(|blk: usize| {
                 let (br, bc) = (blk / 8, blk % 8);
-                let load = 3.0e-3 * (2 + blk % 5) as f64;
+                let load = 3.0e-3 * (2 + (blk + scale) % 5) as f64;
                 (0..9).map(move |q| ((br * 3 + q / 3) * 24 + bc * 3 + q % 3, load))
             })
-            .collect();
+            .collect()
+    };
+    c.bench_function("grid_solve_delta_576_48blocks", |b| {
+        let grid = droop_grid();
+        let prior = grid.solve_sparse(&droop_loads).unwrap();
+        let changed = blocks_48_576(0);
         b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
     });
+    // The same updates two and eight to a pass of the lane kernel, per
+    // right-hand side: on this band the two-lane pass costs more per
+    // update than the one-lane kernel, which is why the closed loop
+    // does not batch the cycles its code latency decides.
+    for width in [2, DELTA_LANES] {
+        c.bench_function(&format!("grid_solve_delta_576_48blocks_x{width}"), |b| {
+            let grid = droop_grid();
+            let prior = grid.solve_sparse(&droop_loads).unwrap();
+            let sets = [blocks_48_576(0), blocks_48_576(1)];
+            b.iter_custom(|iters| batched_deltas(&grid, prior.clone(), &sets, width, iters))
+        });
+    }
 
     // One `CycleStepper::step` of the reference 8×8-mesh chip (uniform
     // traffic, 40×40 grid): activity, current map, the in-place delta
@@ -565,20 +583,21 @@ fn batched_deltas(
     grid: &PowerGrid,
     mut sol: GridSolution,
     sets: &[Vec<(usize, f64)>; 2],
+    width: usize,
     iters: u64,
 ) -> Duration {
-    let mut batch = DeltaBatch::new(DELTA_LANES);
+    let mut batch = DeltaBatch::new(width);
     let mut loads = sol.loads().to_vec();
     let t = Instant::now();
     for _ in 0..iters {
-        for k in 0..DELTA_LANES {
+        for k in 0..width {
             grid.plan_delta(&mut batch, &mut loads, &sets[k % 2])
                 .unwrap();
         }
         grid.settle_deltas(&mut batch);
         while batch.apply(&mut sol).is_some() {}
     }
-    t.elapsed() / DELTA_LANES as u32
+    t.elapsed() / width as u32
 }
 
 criterion_group!(benches, bench_kernels);

@@ -33,31 +33,40 @@ fn bench_figures(c: &mut Criterion) {
     g.bench_function("xp_noc_campaign", |b| {
         b.iter(|| figures::noc_campaign(&mut RunCtx::serial()))
     });
-    g.bench_function("droop_mitigation_1000c", |b| {
-        // 1,000 closed-loop cycles: per-cycle thermometer sensing on
-        // every site, a delay line, a supply-boost mitigator, and the
-        // incremental grid solve — the full co-simulation hot path.
-        use psnt_cells::units::Voltage;
-        use psnt_control::SupplyBoost;
-        use psnt_workload::{NocWorkload, NocWorkloadConfig, TrafficPattern};
-        let mut cfg = NocWorkloadConfig::chip_8x8();
-        cfg.sites_per_tile = 1;
-        cfg.v_pad = Voltage::from_v(1.0);
-        cfg.pattern = TrafficPattern::Bursty {
-            injection_rate: 0.9,
-            on_cycles: 12,
-            off_cycles: 20,
-        };
-        let workload = NocWorkload::new(cfg).expect("bench chip");
-        b.iter(|| {
-            let mut boost = SupplyBoost::new(64, 4, 5, Voltage::from_v(0.06))
-                .expect("boost")
-                .with_hold(16);
-            workload
-                .run_mitigated(&mut RunCtx::serial().with_seed(2009), Some(&mut boost), 1)
-                .expect("mitigated run")
-        })
-    });
+    // 1,000 closed-loop cycles: per-cycle thermometer sensing on every
+    // site, a delay line, a supply-boost mitigator, and the incremental
+    // grid solve — the full co-simulation hot path. At one worker the
+    // loop runs inline; at two, at code latency 1, it is pipelined with
+    // a solver thread.
+    for (name, jobs) in [
+        ("droop_mitigation_1000c", 1),
+        ("droop_mitigation_1000c_jobs2", 2),
+    ] {
+        g.bench_function(name, |b| {
+            use psnt_cells::units::Voltage;
+            use psnt_control::SupplyBoost;
+            use psnt_engine::Engine;
+            use psnt_workload::{NocWorkload, NocWorkloadConfig, TrafficPattern};
+            let mut cfg = NocWorkloadConfig::chip_8x8();
+            cfg.sites_per_tile = 1;
+            cfg.v_pad = Voltage::from_v(1.0);
+            cfg.pattern = TrafficPattern::Bursty {
+                injection_rate: 0.9,
+                on_cycles: 12,
+                off_cycles: 20,
+            };
+            let workload = NocWorkload::new(cfg).expect("bench chip");
+            b.iter(|| {
+                let mut boost = SupplyBoost::new(64, 4, 5, Voltage::from_v(0.06))
+                    .expect("boost")
+                    .with_hold(16);
+                let mut ctx = RunCtx::new(Engine::new(jobs)).with_seed(2009);
+                workload
+                    .run_mitigated(&mut ctx, Some(&mut boost), 1)
+                    .expect("mitigated run")
+            })
+        });
+    }
     g.finish();
 }
 

@@ -119,11 +119,29 @@ pub const MAX_BOOST_V: f64 = 0.2;
 /// applies an actuation to cycle *t + 1* after the controller observed
 /// cycle *t*; there is no other way for a controller to reach
 /// simulator state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Actuation {
     stretch: Vec<f64>,
     throttle: Vec<bool>,
     boost: Vec<f64>,
+}
+
+impl Clone for Actuation {
+    fn clone(&self) -> Actuation {
+        Actuation {
+            stretch: self.stretch.clone(),
+            throttle: self.throttle.clone(),
+            boost: self.boost.clone(),
+        }
+    }
+
+    /// Copies `source` field by field into the buffers `self` already
+    /// holds, so a same-sized copy allocates nothing.
+    fn clone_from(&mut self, source: &Actuation) {
+        self.stretch.clone_from(&source.stretch);
+        self.throttle.clone_from(&source.throttle);
+        self.boost.clone_from(&source.boost);
+    }
 }
 
 impl Actuation {
@@ -272,6 +290,27 @@ impl DelayLine {
         }
     }
 
+    /// Takes the oldest frame in flight ahead of [`DelayLine::push`]
+    /// when it is due for cycle `cycle`. A frame sensed at cycle *f*
+    /// leaves the line at the end of cycle *f + latency* and governs
+    /// the cycles after it, so it is due for `cycle` when
+    /// *f + latency < cycle*. A loop that prepares `cycle` before it has
+    /// pushed the frames of the cycles just before it takes the due
+    /// frames first, oldest first, and observes them in the order
+    /// `push` would have returned them; a frame taken here is not
+    /// returned by `push` again.
+    pub fn take_due(&mut self, cycle: u64) -> Option<ControlFrame> {
+        let due = self
+            .queue
+            .front()
+            .is_some_and(|f| f.cycle.saturating_add(self.latency as u64) < cycle);
+        if due {
+            self.queue.pop_front()
+        } else {
+            None
+        }
+    }
+
     /// The frames currently in flight, oldest first — what a
     /// checkpoint must capture to resume the loop without a sensing
     /// gap.
@@ -378,5 +417,42 @@ mod tests {
         // Latency 0 is a pass-through.
         let mut zero = DelayLine::new(0);
         assert_eq!(zero.push(frame(11, &[])).unwrap().cycle, 11);
+    }
+
+    #[test]
+    fn due_frames_leave_early_in_push_order() {
+        // Two lines see the same frames; one has each frame taken as
+        // soon as it is due for the cycle after next.
+        let (mut late, mut early) = (DelayLine::new(2), DelayLine::new(2));
+        let (mut pushed, mut taken) = (Vec::new(), Vec::new());
+        for c in 0u64..10 {
+            while let Some(f) = early.take_due(c + 1) {
+                taken.push(f.cycle);
+            }
+            pushed.extend(late.push(frame(c, &[])).map(|f| f.cycle));
+            taken.extend(early.push(frame(c, &[])).map(|f| f.cycle));
+        }
+        assert_eq!(pushed, (0..8).collect::<Vec<_>>());
+        assert_eq!(taken, pushed, "same frames, same order");
+        // Whatever was taken early, the frames left in flight agree.
+        assert!(late.in_flight().eq(early.in_flight()));
+        // A frame is due only once `cycle` is past its push cycle.
+        let mut dl = DelayLine::new(2);
+        dl.push(frame(4, &[]));
+        assert_eq!(dl.take_due(6), None);
+        assert_eq!(dl.take_due(7).map(|f| f.cycle), Some(4));
+        assert_eq!(dl.take_due(u64::MAX), None);
+    }
+
+    #[test]
+    fn actuation_clone_from_reuses_its_buffers() {
+        let mut a = Actuation::neutral(3);
+        let mut b = Actuation::neutral(3);
+        b.set_boost(1, 0.05);
+        b.set_throttle(2, true);
+        let at = a.boost.as_ptr();
+        a.clone_from(&b);
+        assert_eq!(a, b);
+        assert_eq!(a.boost.as_ptr(), at, "same-sized copy kept its buffer");
     }
 }

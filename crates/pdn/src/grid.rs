@@ -168,6 +168,31 @@ const LANES: usize = 4;
 /// the most delta updates one [`DeltaBatch`] holds.
 pub const DELTA_LANES: usize = 8;
 
+/// The node-wise backward error, in units of the f64 unit roundoff
+/// `ε`, that [`PowerGrid::kcl_holds`] accepts from a solve or a delta
+/// chain.
+///
+/// Rounding leaves at node `i` a residual made of
+///
+/// * each delta solve's backward error, at most about
+///   `(w + 2)·ε·(|K|·|Δv|)_i` for a factor of semi-bandwidth `w` (a
+///   banded Cholesky solve touches `w + 1` terms per row); a cycle's
+///   `Δv` is a step of millivolts to tens of millivolts on a volt
+///   rail, `|Δv| ≲ 0.05·|v|`, so at the widest band the tests run
+///   (`w = 40`, the 40×40 campaign grid) that is at most
+///   `2.1·ε·(|K|·|v|)_i`;
+/// * one rounding of `v + Δv` per update, at most `ε·(|K|·|v|)_i`.
+///
+/// So each update adds at most about `3·ε`. The roundings carry no
+/// sign bias and add as a random walk, `~3·√n·ε` after `n` updates: 98
+/// at the longest chain the tests run (`n = 1,000` cycles on the 40×40
+/// grid), where `cargo test --workspace` reads at most 37. A bound of
+/// 1,024 leaves 10× margin there and covers random-walk chains of some
+/// 10⁵ cycles, while a lane solved 1e-6 off in relative terms leaves
+/// `1e-6·|Δb_i|` at every node its loads moved, which reads 10⁵ and
+/// more on the 2×2 and 8×8 test chips.
+const KCL_ROUNDING: f64 = 1024.0;
+
 /// `Σ a[k]·b[k]` over equal-length slices, accumulated in [`LANES`]
 /// fixed partial sums (then the scalar tail) so the loop vectorises.
 #[inline(always)]
@@ -1414,21 +1439,59 @@ impl PowerGrid {
     }
 
     /// Whether `sol` is a state of this grid: one finite voltage and
-    /// one finite load per node that satisfy KCL to `1e-10` of their
-    /// current scale ([`PowerGrid::kcl_residual`]), the bound every
-    /// solve and delta chain holds to.
+    /// one finite load per node that satisfy KCL node by node to a
+    /// backward error of at most 1,024 unit roundoffs (see
+    /// `KCL_ROUNDING`), the bound every solve and delta chain holds to.
     pub fn kcl_holds(&self, sol: &GridSolution) -> bool {
         let (v, loads) = (sol.voltages(), sol.loads());
         v.len() == self.tiles()
             && loads.len() == self.tiles()
             && v.iter().chain(loads).all(|x| x.is_finite())
-            && self.kcl_residual(v, loads) <= 1e-10 * self.kcl_scale(v, loads)
+            && self.kcl_backward_error(v, loads) <= KCL_ROUNDING
+    }
+
+    /// The node-wise (Oettli–Prager) backward error of tile voltages
+    /// `v` under tile `loads`, in units of the f64 unit roundoff `ε`:
+    /// the largest `|K·v − b|_i / (ε · ((|K|·|v|)_i + |b_i|))` over the
+    /// nodes. `K·v − b` at a node is the current leaving through the
+    /// mesh and the pad tie minus the current the pad injects and the
+    /// load draws; the denominator is the size of the terms that sum
+    /// to it, so the ratio is what rounding alone can explain. A node
+    /// whose terms are all zero counts only if its residual is not.
+    fn kcl_backward_error(&self, v: &[f64], loads: &[f64]) -> f64 {
+        let GridCache { off, adj, is_pad } = self.grid_cache();
+        let vp = self.v_pad.volts();
+        let eps = f64::EPSILON / 2.0;
+        (0..self.tiles())
+            .map(|i| {
+                let nbs = &adj[off[i] as usize..off[i + 1] as usize];
+                let mut kv: f64 = nbs
+                    .iter()
+                    .map(|&nb| self.g_mesh * (v[i] - v[nb as usize]))
+                    .sum();
+                let mut kv_abs: f64 = nbs
+                    .iter()
+                    .map(|&nb| self.g_mesh * (v[i].abs() + v[nb as usize].abs()))
+                    .sum();
+                let mut b = -loads[i];
+                if is_pad[i] {
+                    kv += self.g_pad * v[i];
+                    kv_abs += self.g_pad * v[i].abs();
+                    b += self.g_pad * vp;
+                }
+                let residual = (kv - b).abs();
+                if residual == 0.0 {
+                    0.0
+                } else {
+                    residual / (eps * (kv_abs + b.abs()))
+                }
+            })
+            .fold(0.0, f64::max)
     }
 
     /// The infinity-norm KCL residual `‖K·v − b‖∞` (amperes) of tile
-    /// voltages `v` under tile `loads`: at every node, the current
-    /// leaving through the mesh and the pad tie minus the current the
-    /// pad injects and the load draws.
+    /// voltages `v` under tile `loads`.
+    #[cfg(test)]
     fn kcl_residual(&self, v: &[f64], loads: &[f64]) -> f64 {
         let GridCache { off, adj, is_pad } = self.grid_cache();
         let vp = self.v_pad.volts();
@@ -1446,17 +1509,6 @@ impl PowerGrid {
                 (kv - b).abs()
             })
             .fold(0.0, f64::max)
-    }
-
-    /// The magnitude of the largest current term in `K·v = b` (amperes):
-    /// the scale the rounding in [`PowerGrid::kcl_residual`] is relative
-    /// to.
-    fn kcl_scale(&self, v: &[f64], loads: &[f64]) -> f64 {
-        let v_max = v
-            .iter()
-            .fold(self.v_pad.volts().abs(), |m, x| m.max(x.abs()));
-        let load_max = loads.iter().fold(0.0, |m: f64, x| m.max(x.abs()));
-        (4.0 * self.g_mesh + self.g_pad) * v_max + load_max
     }
 
     /// The worst (lowest) tile voltage for a load pattern, with its tile
@@ -1827,6 +1879,47 @@ mod tests {
             chained < 1e-11,
             "1,000-step chain KCL residual {chained:e} A"
         );
+    }
+
+    /// The node-wise bound holds down a long delta chain on the droop
+    /// grid, and refuses the same chain with one update's `Δv` a part in
+    /// a million off, the error a wrong lane leaves.
+    #[test]
+    fn kcl_holds_refuses_a_delta_a_part_in_a_million_off() {
+        let grid = PowerGrid::corner_fed(
+            24,
+            Voltage::from_v(1.0),
+            Resistance::from_milliohms(120.0),
+            Resistance::from_milliohms(20.0),
+        )
+        .unwrap();
+        let loads: Vec<f64> = (0..576).map(|i| 3.0e-3 * (1 + i % 7) as f64).collect();
+        let mut sol = grid.solve_sparse(&loads).unwrap();
+        assert!(grid.kcl_holds(&sol));
+        for step in 0..1000usize {
+            let changed: Vec<(usize, f64)> = (0..16)
+                .map(|k| {
+                    (
+                        (step * 37 + k * 41) % 576,
+                        3.0e-3 * (1 + (step + k) % 9) as f64,
+                    )
+                })
+                .collect();
+            let prior = sol.clone();
+            grid.update_delta(&mut sol, &changed).unwrap();
+            assert!(grid.kcl_holds(&sol), "step {step}");
+            if step % 100 == 99 {
+                let mut off = sol.clone();
+                for (v, (&after, &before)) in off
+                    .voltages
+                    .iter_mut()
+                    .zip(sol.voltages.iter().zip(&prior.voltages))
+                {
+                    *v = before + (after - before) * (1.0 + 1e-6);
+                }
+                assert!(!grid.kcl_holds(&off), "step {step}: 1e-6 off held");
+            }
+        }
     }
 
     #[test]

@@ -432,7 +432,16 @@ impl RailRecorder {
 impl CycleDriver for RailRecorder {
     type Checkpoint = WorkloadCheckpoint;
     type Output = Rails;
-    const LANES: usize = DELTA_LANES;
+
+    fn lanes(&self) -> usize {
+        DELTA_LANES
+    }
+
+    /// The open loop only reads the grid, so planning ahead changes no
+    /// cycle.
+    fn plans_ahead(&self) -> bool {
+        true
+    }
 
     fn span(&self, obs: &mut Observer, cycles: usize) -> Span {
         obs.begin_span("workload_solve")

@@ -17,39 +17,46 @@
 //! loop is generic over the driver, so the per-cycle path makes no
 //! `dyn` call.
 //!
-//! The loop plans up to [`CycleDriver::LANES`] cycles (stages 1–2 and
+//! The loop plans up to [`CycleDriver::lanes`] cycles (stages 1–2 and
 //! the grid update) into a stage, then hands it off: the stage is
 //! sealed and solved in one lane-kernel pass, and the stage solved
 //! before it comes back, each of its cycles in turn advanced, scanned,
-//! folded into its window and handed to the driver. It hands off when
-//! the stage is full, and drains every planned cycle before any
-//! snapshot, on a plan error and at the end, so every snapshot and every
-//! driver call sees the state a cycle-by-cycle loop would.
+//! folded into its window and handed to the driver. Right before each
+//! cycle is planned, [`CycleDriver::before_plan`] lets the driver apply
+//! whatever governs that cycle. It hands off when the stage is full,
+//! and drains every planned cycle before any snapshot, on a plan error
+//! and at the end, so every snapshot and every driver call sees the
+//! state a cycle-by-cycle loop would.
 //!
 //! Who runs what: with more than one engine worker
 //! ([`Engine::jobs`](psnt_engine::Engine::jobs), `--jobs` /
-//! `PSNT_JOBS`) and a driver that plans more than one cycle ahead, the
-//! solve runs on one scoped solver thread and the loop becomes a
-//! two-stage pipeline: while the solver solves stage *k + 1*, the loop
-//! advances stage *k* and plans stage *k + 2*. At most one stage is
-//! handed over at a time. The loop never waits for the solver thread
-//! to *start* a stage: when it needs the stage back and the thread has
-//! not taken it yet (the thread was slow to spawn or to be woken, say
-//! on a host whose other tenants hold its CPU), the loop solves it
-//! itself, so a late solver thread costs the overlap, not a stall. It
-//! waits only for a solve under way, and each side polls, yielding,
-//! for up to a millisecond before it blocks, longer than a solve takes,
-//! so a waiting thread does not put its CPU to sleep just before the
-//! stage it waits for arrives. Otherwise (one worker, or the closed
-//! loop's one-cycle stages, which feed back) the same loop solves each
+//! `PSNT_JOBS`) and a driver that may plan ahead
+//! ([`CycleDriver::plans_ahead`]), the solve runs on one scoped solver
+//! thread and the loop becomes a two-stage pipeline: while the solver
+//! solves stage *k + 1*, the loop advances stage *k* and plans stage
+//! *k + 2*. The open loop plans ahead in eight-cycle stages, since it
+//! only reads the grid. The closed loop plans ahead in one-cycle stages
+//! at code latency 1 or more, where the frames a cycle's actuation
+//! depends on were sensed two cycles before it, and delivers them in
+//! `before_plan`. At most one stage is handed over at a time. The loop
+//! never waits for the solver thread to *start* a stage: when it needs
+//! the stage back and the thread has not taken it yet (the thread was
+//! slow to spawn or to be woken, say on a host whose other tenants hold
+//! its CPU), the loop solves it itself, so a late solver thread costs
+//! the overlap, not a stall. It waits only for a solve under way, and
+//! each side polls, yielding, for up to a millisecond before it
+//! blocks, longer than a solve takes, so a waiting thread does not put
+//! its CPU to sleep just before the stage it waits for arrives.
+//! Otherwise (one worker, or the closed loop at code latency 0, whose
+//! every frame governs the very next cycle) the same loop solves each
 //! stage on the loop's thread as soon as it is sealed. No stage update
 //! reads a voltage (`Δv = K⁻¹·Δb`, and `Δb` comes from the planned
-//! loads alone), and the solution only changes when a stage is
-//! advanced, in cycle order, on the loop's thread; so the worker count,
-//! and which thread solves a stage, move where the solve runs and
-//! nothing else, not a bit of any result. The solver
-//! thread is joined before the loop returns, whether it returns `Ok`,
-//! an error or by a panic.
+//! loads alone), each planned cycle carries its own actuation, and the
+//! solution only changes when a stage is advanced, in cycle order, on
+//! the loop's thread; so the worker count, and which thread solves a
+//! stage, move where the solve runs and nothing else, not a bit of any
+//! result. The solver thread is joined before the loop returns, whether
+//! it returns `Ok`, an error or by a panic.
 //!
 //! Snapshots are taken at the top of a cycle, before the supervisor
 //! check: cycle `c` writes one when `c` is a positive multiple of the
@@ -82,13 +89,30 @@ pub(crate) trait CycleDriver {
     type Checkpoint: Serialize;
     /// What a completed run returns.
     type Output;
-    /// Cycles per stage: 1 for a driver that feeds back through
-    /// [`CycleStepper::apply`], whose every cycle must be stepped before
-    /// the next is planned; up to
-    /// [`DELTA_LANES`](psnt_pdn::grid::DELTA_LANES) for one that only
-    /// reads the grid, whose cycles then share one lane-kernel pass and
-    /// may be solved on the solver thread.
-    const LANES: usize;
+    /// Cycles per stage this run: up to
+    /// [`DELTA_LANES`](psnt_pdn::grid::DELTA_LANES), whose cycles then
+    /// share one lane-kernel pass.
+    fn lanes(&self) -> usize;
+
+    /// Whether the loop may plan a cycle while the cycle before it is
+    /// still unstepped, so that with more than one engine worker a
+    /// stage is solved on the solver thread while the loop advances the
+    /// stage before it. A driver that feeds back through
+    /// [`CycleStepper::apply`] may, when everything the next cycle's
+    /// actuation depends on was handed to [`CycleDriver::cycle`] two
+    /// cycles before it, and [`CycleDriver::before_plan`] delivers it.
+    fn plans_ahead(&self) -> bool;
+
+    /// Runs right before cycle `c` is planned: a driver that plans
+    /// ahead applies here whatever governs cycle `c` and has not been
+    /// applied yet.
+    fn before_plan(
+        &mut self,
+        _c: usize,
+        _stepper: &mut CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
+        Ok(())
+    }
 
     /// Opens the run span over `cycles` with the driver's name and
     /// attributes.
@@ -193,7 +217,8 @@ impl NocWorkload {
             .is_some_and(|p| p.deadline_trip())
             .then_some(cfg.cycles / 2);
         let cadence = policy.every.or_else(|| sup.budget().checkpoint_cadence());
-        let threaded = D::LANES > 1 && ctx.engine().jobs() > 1;
+        let lanes = driver.lanes();
+        let threaded = driver.plans_ahead() && ctx.engine().jobs() > 1;
 
         with_solver(grid, threaded, |solver| {
             for c in start..cfg.cycles {
@@ -226,13 +251,14 @@ impl NocWorkload {
                     }
                 }
                 sup.charge_events(1);
-                if let Err(e) = stepper.plan(D::LANES) {
+                driver.before_plan(c, stepper)?;
+                if let Err(e) = stepper.plan(lanes) {
                     // The cycles before this one finish first, as they
                     // would have one at a time.
                     self.drain(solver, &mut stats, &mut driver, stepper)?;
                     return Err(e);
                 }
-                if stepper.open_cycles() == D::LANES {
+                if stepper.open_cycles() == lanes {
                     self.hand_off(solver, &mut stats, &mut driver, stepper)?;
                 }
             }

@@ -13,6 +13,22 @@
 //! [`Mitigator`] turns them into the [`Actuation`] the stepper honours
 //! from the following cycle.
 //!
+//! At code latency `L`, the frame sensed at cycle `f` governs the cycles
+//! after `f + L`, so cycle `p`'s actuation depends only on frames sensed
+//! at or before `p − 1 − L`. From `L = 1` up, with two engine workers or
+//! more, the loop therefore plans cycle `p` while cycle `p − 1` is being
+//! solved on the solver thread: right before `p` is planned it takes the
+//! frames that govern `p` from the delay line early
+//! ([`DelayLine::take_due`]) and delivers them in order, and the rest
+//! leave the line at the end of their cycle as always. The mitigator
+//! sees the same frames in the same order at any worker count, and
+//! every snapshot, taken once every planned cycle is stepped, holds
+//! the one-worker run's state. The actuation and throttle backlog a
+//! cycle ran under come from its own stage, not from the stepper's live
+//! state, which in a pipelined run is a cycle ahead. At `L = 0` the
+//! loop runs inline, and with no mitigator it takes the open loop's
+//! eight-cycle stages.
+//!
 //! Degraded sensing never desyncs the loop: a `psnt-fault`
 //! [`SitePanic`](psnt_fault::Fault::SitePanic) on the context knocks
 //! out that site's reading for exactly one mid-run frame (cycle
@@ -25,6 +41,7 @@ use psnt_control::{Actuation, ControlFrame, DelayLine, Mitigator, SiteReading};
 use psnt_core::SensorSystem;
 use psnt_ctx::RunCtx;
 use psnt_obs::{Observer, Span};
+use psnt_pdn::grid::DELTA_LANES;
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{NocWorkload, NoiseProfile, WindowStats};
@@ -231,7 +248,46 @@ struct ControlLoop<'m> {
 impl CycleDriver for ControlLoop<'_> {
     type Checkpoint = MitigatedCheckpoint;
     type Output = MitigatedNocResult;
-    const LANES: usize = 1;
+
+    /// One cycle per stage while a mitigator feeds back: a stage of `w`
+    /// cycles could be pipelined only at `L ≥ w`, and at width 2 the
+    /// lane kernel costs more per cycle than the one-lane kernel. With
+    /// no mitigator the loop is open and takes the open loop's full
+    /// stages.
+    fn lanes(&self) -> usize {
+        if self.mitigator.is_some() {
+            1
+        } else {
+            DELTA_LANES
+        }
+    }
+
+    /// At code latency `L ≥ 1` the actuation of cycle `p` depends only on
+    /// frames sensed at or before `p − 1 − L ≤ p − 2`, so cycle `p` can
+    /// be planned while cycle `p − 1` is still being solved.
+    fn plans_ahead(&self) -> bool {
+        self.mitigator.is_none() || self.latency >= 1
+    }
+
+    /// Delivers every frame in flight that governs cycle `c` — sensed at
+    /// `f` with `f + L < c` — in order: the mitigator observes it and
+    /// the stepper applies the result to `c` and the cycles after it.
+    /// Inline, every such frame has already left the delay line through
+    /// `push` at the end of cycle `f + L`, so this delivers nothing.
+    fn before_plan(
+        &mut self,
+        c: usize,
+        stepper: &mut CycleStepper<'_>,
+    ) -> Result<(), WorkloadError> {
+        let Some(m) = self.mitigator.as_deref_mut() else {
+            return Ok(());
+        };
+        while let Some(due) = self.delay.take_due(c as u64) {
+            m.observe(&due, &mut self.act);
+            stepper.apply(&self.act)?;
+        }
+        Ok(())
+    }
 
     fn span(&self, obs: &mut Observer, cycles: usize) -> Span {
         obs.begin_span("control_loop")
@@ -309,8 +365,8 @@ impl CycleDriver for ControlLoop<'_> {
         stepper: &mut CycleStepper<'_>,
     ) -> Result<(), WorkloadError> {
         self.droop_trace.push(self.v_nom - scan.hotspot.1);
-        self.deferred_peak = self.deferred_peak.max(stepper.deferred_backlog());
-        let a = stepper.actuation();
+        self.deferred_peak = self.deferred_peak.max(stepper.stepped_backlog());
+        let a = stepper.stepped_actuation();
         let tiles = a.domains();
         self.actuation_trace.push(ActuationSample {
             cycle: c,
@@ -551,6 +607,87 @@ mod tests {
         assert_eq!(faulted_ctrl.degraded_frames, 1);
         assert_eq!(faulted.profile, healthy.profile, "loop never desynced");
         assert_eq!(faulted.actuation_trace, healthy.actuation_trace);
+    }
+
+    /// Records the cycle of every frame it observes and whether the
+    /// frame carried a degraded reading; actuates a throttle on every
+    /// domain whose worst reading is below full scale, so the loop
+    /// feeds back.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<(u64, bool)>,
+    }
+
+    impl Mitigator for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn observe(&mut self, frame: &ControlFrame, act: &mut Actuation) {
+            let degraded = frame.readings.iter().any(|r| r.level.is_none());
+            self.seen.push((frame.cycle, degraded));
+            for (t, level) in frame.domain_min_levels(act.domains()).iter().enumerate() {
+                if let Some(level) = level {
+                    act.set_throttle(t, *level < 6);
+                }
+            }
+        }
+    }
+
+    /// A pipelined loop (two workers, latency ≥ 1) hands the mitigator
+    /// the frames a one-worker loop does, in the same order, the
+    /// `SitePanic` frame degraded exactly once, and ends in the same
+    /// result.
+    #[test]
+    fn a_pipelined_loop_delivers_the_frames_of_the_serial_one() {
+        let w = NocWorkload::new(control_chip()).unwrap();
+        let cycles = w.config().cycles as u64;
+        for latency in [1, 2, 5] {
+            let mut runs = Vec::new();
+            for jobs in [1, 2] {
+                let mut rec = Recorder::default();
+                let mut ctx = RunCtx::new(psnt_engine::Engine::new(jobs))
+                    .with_seed(9)
+                    .with_fault_plan(FaultPlan::new().with(Fault::SitePanic { site: 1 }));
+                let out = w.run_mitigated(&mut ctx, Some(&mut rec), latency).unwrap();
+                assert_eq!(out.degraded_readings, 1);
+                let frames: Vec<u64> = rec.seen.iter().map(|&(c, _)| c).collect();
+                assert_eq!(frames, (0..cycles - latency as u64).collect::<Vec<_>>());
+                let degraded: Vec<u64> = rec.seen.iter().filter(|s| s.1).map(|s| s.0).collect();
+                assert_eq!(
+                    degraded,
+                    [cycles / 2],
+                    "one degraded frame, the faulted one"
+                );
+                runs.push((rec.seen, out));
+            }
+            assert!(runs[1].1.engaged_cycles > 0, "the loop fed back");
+            assert_eq!(runs[0], runs[1], "latency {latency}");
+        }
+    }
+
+    /// Panics when it observes the frame of cycle 40.
+    struct PanicAt40;
+
+    impl Mitigator for PanicAt40 {
+        fn name(&self) -> &'static str {
+            "panic-at-40"
+        }
+
+        fn observe(&mut self, frame: &ControlFrame, _act: &mut Actuation) {
+            assert_ne!(frame.cycle, 40, "the mitigator failed mid-run");
+        }
+    }
+
+    /// A closed loop that panics while a stage is at the solver thread
+    /// unwinds out of the run, its solver thread joined, instead of
+    /// waiting on the thread forever.
+    #[test]
+    #[should_panic(expected = "the mitigator failed mid-run")]
+    fn a_closed_loop_panicking_mid_pipeline_unwinds_past_its_solver_thread() {
+        let w = NocWorkload::new(control_chip()).unwrap();
+        let mut ctx = RunCtx::new(psnt_engine::Engine::new(2)).with_seed(9);
+        let _ = w.run_mitigated(&mut ctx, Some(&mut PanicAt40), 1);
     }
 
     #[test]

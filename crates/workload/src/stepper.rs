@@ -25,8 +25,9 @@
 //!
 //! Control enters through exactly one door: [`CycleStepper::apply`]
 //! stores the [`Actuation`] a [`Mitigator`](psnt_control::Mitigator)
-//! derived from cycle *t*'s codes, and the next [`CycleStepper::step`]
-//! (cycle *t + 1*) honours it — throttled tiles defer their planned
+//! derived from cycle *t*'s codes, and every cycle planned after it
+//! (for a caller of [`CycleStepper::step`], the next step, cycle
+//! *t + 1*) honours it — throttled tiles defer their planned
 //! injections into a FIFO that drains one flit per cycle on release,
 //! stretched tiles scale their switching counts, boosted tiles see
 //! their block nodes lifted after the solve.
@@ -39,9 +40,13 @@
 //! back) and `advance` (its oldest cycle becomes the stepped one: its
 //! counts, `v += dv`, its loads and the boost overlay). The open-loop
 //! driver plans up to [`DELTA_LANES`] cycles into a stage before it
-//! seals it; nothing in stages 1–2 reads the grid, and a driver that
-//! never calls [`CycleStepper::apply`] keeps the actuation fixed, so
-//! planning ahead changes no cycle.
+//! seals it; nothing in stages 1–2 reads the grid, so planning ahead
+//! changes no cycle. Each planned cycle runs under the actuation
+//! applied before it was planned: the stage keeps a copy of it, and of
+//! the throttle backlog the cycle leaves, and `advance` installs both
+//! with the cycle, so a driver may apply the actuation of the next
+//! cycle before this one is advanced. The closed loop does exactly
+//! that at code latency 1 or more.
 //!
 //! Planning does not read the solution either: each cycle is planned
 //! against the loads the cycle planned before it leaves, which the
@@ -168,7 +173,12 @@ pub struct CycleStepper<'w> {
     changed: Vec<(usize, f64)>,
     boosted: Vec<f64>,
     boost_active: bool,
+    /// The actuation cycles planned from now on run under.
     act: Actuation,
+    /// The actuation the last stepped cycle ran under, and the throttle
+    /// backlog its planning left, installed from its stage.
+    stepped_act: Actuation,
+    stepped_backlog: usize,
     cycle: usize,
     delta_solves: u64,
     planned_flits: u64,
@@ -189,7 +199,8 @@ pub struct CycleStepper<'w> {
 }
 
 /// Up to [`DELTA_LANES`] consecutive cycles planned ahead: their raw and
-/// effective counts, what each does to the grid, and their grid
+/// effective counts, the actuation each runs under and the throttle
+/// backlog it leaves, what each does to the grid, and their grid
 /// updates in one [`DeltaBatch`]. A stage is planned by the stepper,
 /// sealed, solved by [`Stage::settle`] on whichever thread holds it,
 /// installed back and advanced cycle by cycle; once advanced it is
@@ -201,6 +212,12 @@ pub(crate) struct Stage {
     /// `tiles`-long slot per cycle.
     counts: Box<[u32]>,
     eff: Box<[u32]>,
+    /// The actuation each planned cycle runs under, copied in when it
+    /// is planned, since a driver may apply the next one before the
+    /// cycle is advanced.
+    acts: Box<[Actuation]>,
+    /// The flits throttles hold back once each planned cycle is planned.
+    backlog: [usize; DELTA_LANES],
     /// What each planned cycle does to the grid.
     kinds: [Planned; DELTA_LANES],
     /// Cycles planned into the stage, and how many of them are
@@ -226,6 +243,8 @@ impl Stage {
         Stage {
             counts: vec![0; tiles * lanes].into(),
             eff: vec![0; tiles * lanes].into(),
+            acts: vec![Actuation::neutral(tiles); lanes].into(),
+            backlog: [0; DELTA_LANES],
             kinds: [Planned::Still; DELTA_LANES],
             planned: 0,
             advanced: 0,
@@ -275,6 +294,8 @@ impl<'w> CycleStepper<'w> {
             boosted: Vec::new(),
             boost_active: false,
             act: Actuation::neutral(tiles),
+            stepped_act: Actuation::neutral(tiles),
+            stepped_backlog: 0,
             cycle: 0,
             delta_solves: 0,
             planned_flits,
@@ -287,15 +308,17 @@ impl<'w> CycleStepper<'w> {
         })
     }
 
-    /// Applies `act` to every subsequent cycle (the sanctioned mutation
-    /// interface — cycle *t*'s observation actuates cycle *t + 1*).
+    /// Applies `act` to every cycle planned from now on (the sanctioned
+    /// mutation interface — cycle *t*'s observation actuates cycle
+    /// *t + 1*). A caller that steps one cycle at a time plans each
+    /// cycle in [`CycleStepper::step`], so `act` governs the next step
+    /// and every one after it.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidConfig`] when the actuation's
     /// domain count differs from the mesh tile count.
     pub fn apply(&mut self, act: &Actuation) -> Result<(), WorkloadError> {
-        debug_assert_eq!(self.pending(), 0, "actuation changed under planned cycles");
         let tiles = self.workload.mesh().tiles();
         if act.domains() != tiles {
             return Err(WorkloadError::InvalidConfig {
@@ -303,7 +326,7 @@ impl<'w> CycleStepper<'w> {
                 reason: format!("{} domains for a {tiles}-tile mesh", act.domains()),
             });
         }
-        self.act = act.clone();
+        self.act.clone_from(act);
         Ok(())
     }
 
@@ -330,11 +353,12 @@ impl<'w> CycleStepper<'w> {
 
     /// Stages 1–2 of the next unplanned cycle, plus its grid update
     /// planned into the next lane of the open stage, `lanes` cycles
-    /// wide. Cycles planned ahead of [`CycleStepper::advance`] see the
-    /// same actuation, so only a driver that never calls
-    /// [`CycleStepper::apply`] between cycles plans more than one (at
-    /// most `lanes ≤` [`DELTA_LANES`] per stage, and any number of
-    /// sealed stages ahead).
+    /// wide (at most `lanes ≤` [`DELTA_LANES`] per stage, and any
+    /// number of sealed stages ahead). The cycle runs under the
+    /// actuation applied before it is planned: the stage keeps a copy,
+    /// with the throttle backlog the cycle leaves, for
+    /// [`CycleStepper::advance`], so a driver may apply the actuation of
+    /// a later cycle before this one is advanced.
     ///
     /// The first cycle of a run has no prior solution: it is solved in
     /// full right here, so the solution runs one cycle ahead until that
@@ -438,6 +462,10 @@ impl<'w> CycleStepper<'w> {
             Planned::Initial
         };
         self.prev_eff.copy_from_slice(eff);
+        // PDN HOT LOOP START
+        self.open.acts[k].clone_from(&self.act);
+        self.open.backlog[k] = self.deferred_backlog();
+        // PDN HOT LOOP END
         self.open.kinds[k] = kind;
         self.open.planned = k + 1;
         self.next = c + 1;
@@ -480,9 +508,10 @@ impl<'w> CycleStepper<'w> {
     }
 
     /// Makes the oldest planned cycle of the installed stage the stepped
-    /// one: its counts, its grid update (`v += dv` and the new loads)
-    /// and the supply-boost overlay. Returns its index, or `None` when
-    /// no installed cycle is left.
+    /// one: its counts, its actuation and throttle backlog, its grid
+    /// update (`v += dv` and the new loads) and the supply-boost overlay
+    /// of its actuation. Returns its index, or `None` when no installed
+    /// cycle is left.
     pub(crate) fn advance(&mut self) -> Option<usize> {
         // PDN HOT LOOP START
         let stage = self.stepping.as_mut()?;
@@ -493,6 +522,9 @@ impl<'w> CycleStepper<'w> {
             .copy_from_slice(&stage.counts[slot..slot + tiles]);
         self.eff_counts
             .copy_from_slice(&stage.eff[slot..slot + tiles]);
+        // The stage's copy is rewritten when the lane is planned again.
+        std::mem::swap(&mut self.stepped_act, &mut stage.acts[k]);
+        self.stepped_backlog = stage.backlog[k];
         if stage.kinds[k] == Planned::Delta {
             let sol = self.sol.as_mut().expect("a delta follows a solution");
             stage.batch.apply(sol);
@@ -515,13 +547,13 @@ impl<'w> CycleStepper<'w> {
         // boosted tiles' block nodes (a header-switch model, not a
         // re-solve). Skipped entirely when every boost is zero, so the
         // uncontrolled path hands back solver output untouched.
-        self.boost_active = (0..tiles).any(|t| self.act.boost(t) > 0.0);
+        self.boost_active = (0..tiles).any(|t| self.stepped_act.boost(t) > 0.0);
         if self.boost_active {
             let sol = self.sol.as_ref().expect("solved above");
             self.boosted.clear();
             self.boosted.extend_from_slice(sol.voltages());
             for t in 0..tiles {
-                let b = self.act.boost(t);
+                let b = self.stepped_act.boost(t);
                 if b > 0.0 {
                     for &nd in self.workload.block_nodes(t) {
                         self.boosted[nd] += b;
@@ -645,9 +677,24 @@ impl<'w> CycleStepper<'w> {
         }
     }
 
-    /// The actuation currently in force.
+    /// The actuation in force: the one [`CycleStepper::apply`] set last,
+    /// which every cycle planned from now on runs under.
     pub fn actuation(&self) -> &Actuation {
         &self.act
+    }
+
+    /// The actuation the last stepped cycle ran under. It differs from
+    /// [`CycleStepper::actuation`] once a driver has applied the
+    /// actuation of a cycle it planned ahead.
+    pub(crate) fn stepped_actuation(&self) -> &Actuation {
+        &self.stepped_act
+    }
+
+    /// The throttle backlog the last stepped cycle left: what
+    /// [`CycleStepper::deferred_backlog`] read right after that cycle
+    /// was planned.
+    pub(crate) fn stepped_backlog(&self) -> usize {
+        self.stepped_backlog
     }
 
     /// Cycles stepped so far (the next [`CycleStepper::step`] simulates
@@ -850,6 +897,8 @@ impl<'w> CycleStepper<'w> {
         self.boosted = snap.boosted.clone();
         self.boost_active = snap.boost_active;
         self.act = snap.act.clone();
+        self.stepped_act = snap.act.clone();
+        self.stepped_backlog = self.deferred_backlog();
         self.cycle = snap.cycle;
         self.delta_solves = snap.delta_solves;
         self.spawned_flits = snap.spawned_flits;

@@ -76,8 +76,10 @@ echo "==> PDN hot-loop allocation gate"
 # The per-cycle PDN path must not allocate: the banded substitution
 # kernels (one lane and eight), the delta assembly and the delta
 # batch's plan/settle/apply (crates/pdn/src/grid.rs), the stepper's
-# activity and grid stages and the recycled stage type with its
-# seal/advance (crates/workload/src/stepper.rs), the XY next-hop step
+# activity and grid stages, the recycled stage type with its
+# seal/advance and each planned cycle's actuation and throttle-backlog
+# copy into its stage, by clone_from into the recycled buffers
+# (crates/workload/src/stepper.rs), the XY next-hop step
 # flights advance by (crates/workload/src/noc.rs) and the cycle loop's
 # pipeline hand-off of stages, seal -> receive or take back -> hand over -> recycle
 # (crates/workload/src/driver.rs), reuse their buffers. Between the PDN HOT LOOP markers no `Vec<`,
@@ -222,38 +224,45 @@ if ! diff -r "$isa_out/native" "$isa_out/portable"; then
 fi
 rm -rf "$isa_out"
 
-echo "==> golden-report gate (repro --out vs artifacts/)"
+echo "==> golden-report gate (repro --out vs artifacts/, PSNT_JOBS=1 and 2)"
 # Every report repro writes must equal its committed artifact byte for
 # byte, and every committed artifact must still be written. The report
 # in the skip list is known stale: artifacts/fault-coverage.txt is
 # still the seed's 32-plan table, and it stays listed until ROADMAP
-# item 1 makes the batched fault sweep exact and re-pins it.
+# item 1 makes the batched fault sweep exact and re-pins it. repro runs
+# at one worker and at two, because the cycle loop takes another path
+# at each: inline at one, pipelined with a solver thread at two (the
+# closed loop from code latency 1 up).
 stale_reports="fault-coverage"
 golden_out="$(mktemp -d)"
-target/release/repro --out "$golden_out" >/dev/null
 golden_fail=0
-for report in "$golden_out"/*.txt; do
-    name=$(basename "$report")
-    case " $stale_reports " in
-        *" ${name%.txt} "*)
-            echo "skipped (stale, ROADMAP item 2): $name"
-            continue
-            ;;
-    esac
-    if [ ! -f "artifacts/$name" ]; then
-        echo "repro writes $name but artifacts/ has no copy" >&2
-        golden_fail=1
-    elif ! diff -u "artifacts/$name" "$report" >&2; then
-        echo "repro's $name differs from artifacts/$name" >&2
-        golden_fail=1
-    fi
-done
-for artifact in artifacts/*.txt; do
-    name=$(basename "$artifact")
-    if [ ! -f "$golden_out/$name" ]; then
-        echo "artifacts/$name is no longer written by repro --out" >&2
-        golden_fail=1
-    fi
+for jobs in 1 2; do
+    reports="$golden_out/jobs$jobs"
+    mkdir "$reports"
+    PSNT_JOBS=$jobs target/release/repro --out "$reports" >/dev/null
+    for report in "$reports"/*.txt; do
+        name=$(basename "$report")
+        case " $stale_reports " in
+            *" ${name%.txt} "*)
+                echo "skipped (stale, ROADMAP item 1): $name (PSNT_JOBS=$jobs)"
+                continue
+                ;;
+        esac
+        if [ ! -f "artifacts/$name" ]; then
+            echo "repro writes $name but artifacts/ has no copy" >&2
+            golden_fail=1
+        elif ! diff -u "artifacts/$name" "$report" >&2; then
+            echo "repro's $name at PSNT_JOBS=$jobs differs from artifacts/$name" >&2
+            golden_fail=1
+        fi
+    done
+    for artifact in artifacts/*.txt; do
+        name=$(basename "$artifact")
+        if [ ! -f "$reports/$name" ]; then
+            echo "artifacts/$name is no longer written by repro --out" >&2
+            golden_fail=1
+        fi
+    done
 done
 # The same for characterize's CSV datasets against artifacts/csv/.
 target/release/characterize "$golden_out/csv" >/dev/null
@@ -279,10 +288,11 @@ if [ "$golden_fail" -ne 0 ]; then
     exit 1
 fi
 
-echo "==> recorded-run gate (EXPERIMENTS.md vs repro stdout)"
+echo "==> recorded-run gate (EXPERIMENTS.md vs repro stdout, PSNT_JOBS=1 and 2)"
 # The recorded runs EXPERIMENTS.md quotes under XP-NOC and XP-DROOP
 # are the first ```text block after each heading, and must equal what
-# `repro --xp <id>` prints today (stdout's trailing blank line aside).
+# `repro --xp <id>` prints today (stdout's trailing blank line aside),
+# at one worker and at two, as in the golden-report gate.
 recorded_fail=0
 for run in "XP-NOC:noc-campaign" "XP-DROOP:droop-mitigation"; do
     heading=${run%%:*}
@@ -296,11 +306,16 @@ for run in "XP-NOC:noc-campaign" "XP-DROOP:droop-mitigation"; do
     if [ -z "$recorded" ]; then
         echo "EXPERIMENTS.md has no recorded-run block under ## $heading" >&2
         recorded_fail=1
-    elif ! diff -u <(printf '%s\n' "$recorded") \
-        <(target/release/repro --xp "$xp" | sed -e :a -e '/^\n*$/{$d;N;ba' -e '}') >&2; then
-        echo "EXPERIMENTS.md's $heading recorded run differs from repro --xp $xp" >&2
-        recorded_fail=1
+        continue
     fi
+    for jobs in 1 2; do
+        if ! diff -u <(printf '%s\n' "$recorded") \
+            <(PSNT_JOBS=$jobs target/release/repro --xp "$xp" \
+                | sed -e :a -e '/^\n*$/{$d;N;ba' -e '}') >&2; then
+            echo "EXPERIMENTS.md's $heading recorded run differs from repro --xp $xp at PSNT_JOBS=$jobs" >&2
+            recorded_fail=1
+        fi
+    done
 done
 if [ "$recorded_fail" -ne 0 ]; then
     exit 1

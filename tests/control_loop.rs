@@ -11,9 +11,9 @@
 //! * stretch never deepens the droop — scaling activity down can only
 //!   lower per-cycle switching counts, so the mitigated droop trace is
 //!   cycle-for-cycle no deeper than the open loop's;
-//! * determinism — two closed-loop runs with the same seed and latency
-//!   produce bit-identical droop and actuation traces at any worker
-//!   count.
+//! * determinism — closed-loop runs with the same seed and latency
+//!   produce bit-identical droop and actuation traces at one, two and
+//!   four workers, where from latency 1 up the loop is pipelined.
 //!
 //! The same vocabulary is the sensor's minimal alarm: a one-domain
 //! threshold controller behind a one-frame delay line trips on a deep
@@ -183,8 +183,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Closed-loop determinism: same seed + latency → bit-identical
-    /// droop and actuation traces, at jobs ∈ {1, 4} and for any
-    /// latency in the swept range.
+    /// droop and actuation traces, at jobs ∈ {1, 2, 4} (inline, and at
+    /// latency ≥ 1 pipelined with a solver thread) and for any latency
+    /// in the swept range.
     #[test]
     fn closed_loop_runs_are_deterministic(
         seed in any::<u64>(),
@@ -192,7 +193,7 @@ proptest! {
     ) {
         let w = bursty_chip();
         let mut runs = Vec::new();
-        for jobs in [1usize, 4] {
+        for jobs in [1usize, 2, 4] {
             let mut arm = SupplyBoost::new(4, 4, 5, Voltage::from_v(0.06))
                 .unwrap()
                 .with_hold(16);
@@ -206,12 +207,14 @@ proptest! {
             runs.push(out);
         }
         let bits = |t: &[f64]| t.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(
-            bits(&runs[0].droop_trace),
-            bits(&runs[1].droop_trace),
-            "droop trace diverged across worker counts"
-        );
-        prop_assert_eq!(&runs[0].actuation_trace, &runs[1].actuation_trace);
-        prop_assert_eq!(&runs[0], &runs[1]);
+        for run in &runs[1..] {
+            prop_assert_eq!(
+                bits(&runs[0].droop_trace),
+                bits(&run.droop_trace),
+                "droop trace diverged across worker counts"
+            );
+            prop_assert_eq!(&runs[0].actuation_trace, &run.actuation_trace);
+            prop_assert_eq!(&runs[0], run);
+        }
     }
 }

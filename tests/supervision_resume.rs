@@ -9,10 +9,12 @@
 //!     record index stops the sweep with a labelled terminal
 //!     [`StreamRecord::Aborted`]; everything delivered before it is an
 //!     exact prefix of the uninterrupted stream.
-//! (c) The closed loop: a mitigated run interrupted at any cycle
-//!     resumes (controller state restored from the snapshot) into a
-//!     result bit-identical to the uninterrupted one, at any code
-//!     latency.
+//! (c) The closed loop: a mitigated run interrupted at any cycle, under
+//!     any checkpoint cadence, resumes (controller state restored from
+//!     the snapshot) into a result bit-identical to the uninterrupted
+//!     one, at code latencies 0–4, for every actuation door, at
+//!     jobs ∈ {1, 2, 4}; the pipelined runs write the one-worker run's
+//!     checkpoint byte for byte.
 //! (d) The open loop plans up to eight cycles ahead and solves their
 //!     grid updates in one pass, on a solver thread beside the loop
 //!     when there are two workers or more: interrupt and cadence
@@ -22,7 +24,9 @@
 //!     loop, and resuming from them is bit-identical.
 
 use proptest::prelude::*;
-use psn_thermometer::control::ThresholdThrottle;
+use psn_thermometer::control::{
+    Mitigator, PiBoost, SupplyBoost, ThresholdStretch, ThresholdThrottle,
+};
 use psn_thermometer::prelude::*;
 use psn_thermometer::scan::campaign::StreamRecord;
 use psn_thermometer::sup::Interrupt;
@@ -151,57 +155,104 @@ proptest! {
         }
     }
 
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
     /// (c) The closed loop resumes bit-identically from a random
-    /// interrupt cycle at any small code latency, with the
-    /// controller's own state restored from the snapshot.
+    /// interrupt cycle, under a random checkpoint cadence, at code
+    /// latencies 0–4, for every actuation door and for no mitigator at
+    /// all, with the controller's own state restored from the
+    /// snapshot. At jobs 2 and 4 the loop is pipelined from latency 1
+    /// up (and always with no mitigator), so the interrupt lands while
+    /// a stage is at the solver thread; its checkpoint is byte for byte
+    /// the one-worker run's.
     #[test]
     fn mitigated_cancel_then_resume_is_bit_identical(
         seed in any::<u64>(),
         cancel in 1u64..59,
-        latency in 0usize..3,
+        latency in 0usize..=4,
+        arm in 0usize..5,
+        every in 0u64..24,
     ) {
-        let w = NocWorkload::new(NocWorkloadConfig::small_2x2()).unwrap();
-        let tiles = 4;
-
-        let mut cctx = RunCtx::serial().with_seed(seed);
-        let mut m0 = ThresholdThrottle::new(tiles, 6, 7).unwrap();
-        let clean = w.run_mitigated(&mut cctx, Some(&mut m0), latency).unwrap();
-
-        let path = ckpt_path("mitigated");
-        let _ = std::fs::remove_file(&path);
-        let mut ictx = RunCtx::serial().with_seed(seed);
-        ictx.set_fault_plan(Some(
-            FaultPlan::new().with(Fault::CancelAt { cycle: cancel }),
-        ));
-        let policy = CheckpointPolicy {
-            path: Some(path.clone()),
-            every: None,
+        // No cadence below 2.
+        let every = (every >= 2).then_some(every);
+        let w = closed_loop_chip();
+        let run = |jobs: usize,
+                   cancel: Option<u64>,
+                   policy: &CheckpointPolicy,
+                   resume: Option<&MitigatedCheckpoint>| {
+            let mut ctx = RunCtx::new(Engine::new(jobs)).with_seed(seed);
+            if let Some(cycle) = cancel {
+                ctx.set_fault_plan(Some(FaultPlan::new().with(Fault::CancelAt { cycle })));
+            }
+            let mut m = closed_loop_arm(arm);
+            let m = m.as_mut().map(|m| &mut **m as &mut dyn Mitigator);
+            w.run_mitigated_checkpointed(&mut ctx, m, latency, policy, resume)
         };
-        let mut m1 = ThresholdThrottle::new(tiles, 6, 7).unwrap();
-        let err = w.run_mitigated_checkpointed(&mut ictx, Some(&mut m1), latency, &policy, None);
-        prop_assert!(
-            matches!(err, Err(WorkloadError::Interrupted(Interrupt::Cancelled))),
-            "expected a cancellation interrupt, got {err:?}"
-        );
-        let ckpt = MitigatedCheckpoint::load(&path).unwrap();
-        prop_assert_eq!(ckpt.cycle() as u64, cancel);
-        prop_assert!(ckpt.mitigator_state.is_some(), "controller state not captured");
+        let clean = run(1, None, &CheckpointPolicy::none(), None).unwrap();
+        prop_assert_eq!(clean.engaged_cycles > 0, arm < 4, "every arm engages");
 
-        // A cold controller instance: its state comes from the snapshot.
-        let mut rctx = RunCtx::serial().with_seed(seed);
-        let mut m2 = ThresholdThrottle::new(tiles, 6, 7).unwrap();
-        let out = w
-            .run_mitigated_checkpointed(
-                &mut rctx,
-                Some(&mut m2),
-                latency,
-                &CheckpointPolicy::none(),
-                Some(&ckpt),
-            )
-            .unwrap();
-        prop_assert_eq!(out, clean, "mitigated run diverged after resume");
-        let _ = std::fs::remove_file(&path);
+        let mut first_bytes: Option<Vec<u8>> = None;
+        for jobs in [1, 2, 4] {
+            prop_assert_eq!(&run(jobs, None, &CheckpointPolicy::none(), None).unwrap(), &clean);
+            let path = ckpt_path(&format!("mitigated-{jobs}"));
+            let _ = std::fs::remove_file(&path);
+            let policy = CheckpointPolicy { path: Some(path.clone()), every };
+            let err = run(jobs, Some(cancel), &policy, None);
+            prop_assert!(
+                matches!(err, Err(WorkloadError::Interrupted(Interrupt::Cancelled))),
+                "expected a cancellation interrupt, got {err:?}"
+            );
+            let bytes = std::fs::read(&path).unwrap();
+            match &first_bytes {
+                None => first_bytes = Some(bytes),
+                Some(first) => prop_assert!(
+                    first == &bytes,
+                    "jobs {} wrote another checkpoint than jobs 1", jobs
+                ),
+            }
+            let ckpt = MitigatedCheckpoint::load(&path).unwrap();
+            prop_assert_eq!(ckpt.cycle() as u64, cancel);
+            prop_assert_eq!(ckpt.mitigator_state.is_some(), arm < 4);
+
+            // A cold controller instance: its state comes from the snapshot.
+            let out = run(jobs, None, &CheckpointPolicy::none(), Some(&ckpt)).unwrap();
+            prop_assert_eq!(&out, &clean, "mitigated run diverged after resume at jobs {}", jobs);
+            let _ = std::fs::remove_file(&path);
+        }
     }
+}
+
+/// The 2×2 chip at 1.0 V rails with heavy bursty traffic, so the
+/// thermometer levels move and every arm engages within 60 cycles.
+fn closed_loop_chip() -> NocWorkload {
+    let mut cfg = NocWorkloadConfig::small_2x2();
+    cfg.v_pad = Voltage::from_v(1.0);
+    cfg.flit_current = Current::from_ma(40.0);
+    cfg.pattern = TrafficPattern::Bursty {
+        injection_rate: 0.9,
+        on_cycles: 12,
+        off_cycles: 18,
+    };
+    cfg.cycles = 60;
+    cfg.measure_every = 15;
+    NocWorkload::new(cfg).unwrap()
+}
+
+/// Closed-loop arm `arm` on that chip: the three threshold doors
+/// (throttle, with its deferred backlog; stretch; boost) engaging below
+/// full scale, a PI boost, and for `arm ≥ 4` no mitigator.
+fn closed_loop_arm(arm: usize) -> Option<Box<dyn Mitigator>> {
+    let m: Box<dyn Mitigator> = match arm {
+        0 => Box::new(ThresholdThrottle::new(4, 6, 7).unwrap()),
+        1 => Box::new(ThresholdStretch::new(4, 6, 7, 0.25).unwrap()),
+        2 => Box::new(SupplyBoost::new(4, 6, 7, Voltage::from_v(0.06)).unwrap()),
+        3 => Box::new(PiBoost::new(4, 7.0, 0.02, 0.01).unwrap()),
+        _ => return None,
+    };
+    Some(m)
 }
 
 /// The checkpoint an open-loop run interrupted at cycle `at` must write,
